@@ -1,0 +1,341 @@
+"""Path-message-passing model for molecular property regression.
+
+Each propagation step gathers messages over all simple paths rooted at a
+node (lengths 1..path_length, one dense message function per length),
+aggregates them with attention, and updates the node state. Readout is
+set2set over the final states joined with the raw node features, then a
+linear head. path_length=1 in base feature mode is exactly the classic
+neighbor-message MPNN, and forward_base_mpnn provides that model as an
+independent implementation for reduction testing.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import chem, geometry
+from .paths import enumerate_paths, group_paths_by_length, sample_paths
+from .tensor import (Tensor, add, concat, gather_rows, leaky_relu, lstm_cell,
+                     matmul, mul, reduce_sum, relu, segment_softmax,
+                     segment_sum, sigmoid, softmax, glorot, zeros)
+
+FEATURE_MODES = ("base", "substructure", "geometry")
+
+
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    hidden_dim: int = 16
+    steps: int = 2
+    path_length: int = 2
+    feature_mode: str = "base"
+    set2set_steps: int = 3
+    attention_heads: int = 1
+    exact_length_only: bool = False
+    joint_attention: bool = True
+    sample_budget: int | None = None
+    n_targets: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.hidden_dim < 1 or self.steps < 1 or self.set2set_steps < 1:
+            raise ConfigError("hidden_dim, steps and set2set_steps must be positive")
+        if self.path_length not in (1, 2, 3):
+            raise ConfigError(f"path_length must be 1, 2 or 3, got {self.path_length}")
+        if self.feature_mode not in FEATURE_MODES:
+            raise ConfigError(f"feature_mode must be one of {FEATURE_MODES}")
+        if self.attention_heads < 1:
+            raise ConfigError("attention_heads must be positive")
+
+    def lengths(self) -> tuple[int, ...]:
+        if self.exact_length_only:
+            return (self.path_length,)
+        return tuple(range(1, self.path_length + 1))
+
+
+def static_feature_width(mode: str, k: int, edge_dim: int) -> int:
+    extra = 0
+    if mode == "substructure":
+        extra = chem.feature_width(k)
+    elif mode == "geometry":
+        extra = geometry.feature_width(k)
+    return k * edge_dim + extra
+
+
+@dataclass
+class PathGroup:
+    roots: np.ndarray   # (P,)
+    nodes: np.ndarray   # (P, k) path nodes after the root
+    static: np.ndarray  # (P, static_feature_width)
+
+
+@dataclass
+class PathCache:
+    """Per-graph path enumeration plus the step-independent feature parts."""
+    groups: dict[int, PathGroup] = field(default_factory=dict)
+
+
+def build_path_cache(graph, config: ModelConfig, seed=None) -> PathCache:
+    if config.feature_mode == "geometry" and graph.coords is None:
+        raise ConfigError("geometry feature mode needs coordinates on the graph")
+    ring_table = groups = None
+    if config.feature_mode == "substructure":
+        ring_table = chem.ring_membership(graph)
+        groups = chem.detect_groups(graph)
+
+    all_paths = []
+    if seed is None:
+        seed = config.seed
+    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    for v in range(graph.n):
+        if config.sample_budget is None:
+            all_paths.extend(enumerate_paths(
+                graph, v, config.path_length,
+                exact_length_only=config.exact_length_only))
+        else:
+            sampled = sample_paths(graph, v, config.path_length,
+                                   config.sample_budget, rng)
+            if config.exact_length_only:
+                sampled = [p for p in sampled if p.length == config.path_length]
+            all_paths.extend(sampled)
+
+    cache = PathCache()
+    edge_dim = graph.edge_dim
+    for k, paths in group_paths_by_length(all_paths).items():
+        static = np.zeros((len(paths), static_feature_width(config.feature_mode, k, edge_dim)))
+        for row, p in enumerate(paths):
+            parts = [graph.edge_features[(a, b)]
+                     for a, b in zip(p.nodes, p.nodes[1:])]
+            if config.feature_mode == "substructure":
+                parts.append(chem.substructure_path_features(
+                    graph, p, ring_table, groups).to_vector())
+            elif config.feature_mode == "geometry":
+                parts.append(geometry.geometry_path_features(graph, p).to_vector())
+            static[row] = np.concatenate(parts) if parts else ()
+        cache.groups[k] = PathGroup(
+            roots=np.asarray([p.root for p in paths], dtype=np.int64),
+            nodes=np.asarray([p.nodes[1:] for p in paths], dtype=np.int64),
+            static=static,
+        )
+    return cache
+
+
+def init_params(config: ModelConfig, node_dim: int, edge_dim: int,
+                rng=None) -> dict[str, Tensor]:
+    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(
+        config.seed if rng is None else rng)
+    d = config.hidden_dim
+    params: dict[str, Tensor] = {}
+    params["embed.W"] = glorot(rng, node_dim, d)
+    params["embed.b"] = zeros(d)
+    for t in range(config.steps):
+        for k in config.lengths():
+            width = d + k * d + static_feature_width(config.feature_mode, k, edge_dim)
+            params[f"msg{t}.len{k}.W"] = glorot(rng, width, d)
+            params[f"msg{t}.len{k}.b"] = zeros(d)
+        for head in range(config.attention_heads):
+            params[f"attn{t}.h{head}"] = glorot(rng, 2 * d, 1)
+        params[f"upd{t}.W"] = glorot(rng, 2 * d, d)
+        params[f"upd{t}.b"] = zeros(d)
+    params["s2s.proj.W"] = glorot(rng, d + node_dim, d)
+    params["s2s.proj.b"] = zeros(d)
+    for gate in ("i", "f", "g", "o"):
+        params[f"s2s.lstm.W{gate}"] = glorot(rng, 2 * d, d)
+        params[f"s2s.lstm.U{gate}"] = glorot(rng, d, d)
+        params[f"s2s.lstm.b{gate}"] = zeros(d)
+    params["head.W"] = glorot(rng, 2 * d, config.n_targets)
+    params["head.b"] = zeros(config.n_targets)
+    return params
+
+
+# -- model pieces ----------------------------------------------------------
+
+def message_standard(h_v, h_w, e_vw, W, b):
+    """Dense relu message over concatenated node and edge features."""
+    return relu(add(matmul(concat([h_v, h_w, e_vw], axis=1), W), b))
+
+
+def message_path(h_root, hidden_parts, static, W, b):
+    """Dense relu message over root state, path hidden states and the static
+    path feature block. For length-1 paths this is message_standard."""
+    return relu(add(matmul(concat([h_root] + hidden_parts + [static], axis=1), W), b))
+
+
+def attention_aggregate(h, messages, root_ids, n, attn_params, slope=0.2):
+    """Score each message against its root, softmax within the root's
+    message set, return the weighted sums. Heads are averaged. Nodes with no
+    messages get a zero vector."""
+    h_roots = gather_rows(h, root_ids)
+    pair = concat([h_roots, messages], axis=1)
+    per_head = []
+    for a in attn_params:
+        scores = leaky_relu(matmul(pair, a), slope=slope)
+        weights = segment_softmax(scores, root_ids, n)
+        per_head.append(segment_sum(mul(weights, messages), root_ids, n))
+    out = per_head[0]
+    for extra in per_head[1:]:
+        out = add(out, extra)
+    if len(per_head) > 1:
+        out = mul(out, 1.0 / len(per_head))
+    return out
+
+
+def node_update(h, m, W, b):
+    return sigmoid(add(matmul(concat([h, m], axis=1), W), b))
+
+
+def set2set_readout(h, x, params, steps: int):
+    """Permutation-invariant readout: LSTM-driven attention over projected
+    node states, returning concat(query, read) of width 2d."""
+    mem = add(matmul(concat([h, x], axis=1), params["s2s.proj.W"]),
+              params["s2s.proj.b"])
+    d = mem.values.shape[1]
+    q = Tensor(np.zeros((1, d)))
+    c = Tensor(np.zeros((1, d)))
+    r = Tensor(np.zeros((1, d)))
+    for _ in range(steps):
+        q, c = lstm_cell(concat([q, r], axis=1), (q, c), params, prefix="s2s.lstm")
+        scores = reduce_sum(mul(mem, q), axis=1, keepdims=True)
+        attention = softmax(scores, axis=0)
+        r = reduce_sum(mul(attention, mem), axis=0, keepdims=True)
+    return concat([q, r], axis=1)
+
+
+def _propagate_step(h, cache: PathCache, params, config: ModelConfig, t: int):
+    n = h.values.shape[0]
+    attn = [params[f"attn{t}.h{i}"] for i in range(config.attention_heads)]
+    msgs_parts, roots_parts = [], []
+    for k in config.lengths():
+        group = cache.groups.get(k)
+        if group is None or group.roots.size == 0:
+            continue
+        hidden_parts = [gather_rows(h, group.nodes[:, col]) for col in range(k)]
+        msg = message_path(gather_rows(h, group.roots), hidden_parts,
+                           Tensor(group.static),
+                           params[f"msg{t}.len{k}.W"], params[f"msg{t}.len{k}.b"])
+        msgs_parts.append(msg)
+        roots_parts.append(group.roots)
+
+    if not msgs_parts:
+        m_v = Tensor(np.zeros((n, config.hidden_dim)))
+    elif config.joint_attention:
+        messages = msgs_parts[0] if len(msgs_parts) == 1 else concat(msgs_parts, axis=0)
+        roots = roots_parts[0] if len(roots_parts) == 1 else np.concatenate(roots_parts)
+        m_v = attention_aggregate(h, messages, roots, n, attn)
+    else:
+        m_v = attention_aggregate(h, msgs_parts[0], roots_parts[0], n, attn)
+        for msg, roots in zip(msgs_parts[1:], roots_parts[1:]):
+            m_v = add(m_v, attention_aggregate(h, msg, roots, n, attn))
+    return node_update(h, m_v, params[f"upd{t}.W"], params[f"upd{t}.b"])
+
+
+def forward(graph, params, config: ModelConfig, cache: PathCache | None = None):
+    """Graph-level prediction, shape (1, n_targets)."""
+    if config.feature_mode == "geometry" and graph.coords is None:
+        raise ConfigError("geometry feature mode needs coordinates on the graph")
+    if cache is None:
+        cache = build_path_cache(graph, config, seed=config.seed)
+    x = Tensor(graph.node_features)
+    h = add(matmul(x, params["embed.W"]), params["embed.b"])
+    for t in range(config.steps):
+        h = _propagate_step(h, cache, params, config, t)
+    read = set2set_readout(h, x, params, config.set2set_steps)
+    return add(matmul(read, params["head.W"]), params["head.b"])
+
+
+@dataclass
+class GraphBatch:
+    """Disjoint union of several graphs: one node table, path groups with
+    node indices shifted into the union, and per-node graph ids for the
+    readout segments."""
+    x: np.ndarray
+    graph_ids: np.ndarray
+    n_graphs: int
+    cache: PathCache
+
+
+def merge_batch(graphs, caches) -> GraphBatch:
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    x = np.concatenate([g.node_features for g in graphs], axis=0)
+    graph_ids = np.concatenate([
+        np.full(g.n, i, dtype=np.int64) for i, g in enumerate(graphs)])
+    merged: dict[int, list[PathGroup]] = {}
+    for off, cache in zip(offsets, caches):
+        for k, group in cache.groups.items():
+            merged.setdefault(k, []).append(
+                PathGroup(roots=group.roots + off, nodes=group.nodes + off,
+                          static=group.static))
+    groups = {
+        k: PathGroup(roots=np.concatenate([g.roots for g in parts]),
+                     nodes=np.concatenate([g.nodes for g in parts]),
+                     static=np.concatenate([g.static for g in parts]))
+        for k, parts in merged.items()
+    }
+    return GraphBatch(x=x, graph_ids=graph_ids, n_graphs=len(graphs),
+                      cache=PathCache(groups=groups))
+
+
+def set2set_readout_batched(h, x, graph_ids, n_graphs, params, steps: int):
+    mem = add(matmul(concat([h, x], axis=1), params["s2s.proj.W"]),
+              params["s2s.proj.b"])
+    d = mem.values.shape[1]
+    q = Tensor(np.zeros((n_graphs, d)))
+    c = Tensor(np.zeros((n_graphs, d)))
+    r = Tensor(np.zeros((n_graphs, d)))
+    for _ in range(steps):
+        q, c = lstm_cell(concat([q, r], axis=1), (q, c), params, prefix="s2s.lstm")
+        scores = reduce_sum(mul(mem, gather_rows(q, graph_ids)), axis=1, keepdims=True)
+        attention = segment_softmax(scores, graph_ids, n_graphs)
+        r = segment_sum(mul(attention, mem), graph_ids, n_graphs)
+    return concat([q, r], axis=1)
+
+
+def forward_batched(batch: GraphBatch, params, config: ModelConfig):
+    """Predictions for a whole batch in one op stream, shape
+    (n_graphs, n_targets). Agrees with forward() per graph."""
+    x = Tensor(batch.x)
+    h = add(matmul(x, params["embed.W"]), params["embed.b"])
+    for t in range(config.steps):
+        h = _propagate_step(h, batch.cache, params, config, t)
+    read = set2set_readout_batched(h, x, batch.graph_ids, batch.n_graphs,
+                                   params, config.set2set_steps)
+    return add(matmul(read, params["head.W"]), params["head.b"])
+
+
+def forward_base_mpnn(graph, params, config: ModelConfig):
+    """Classic first-order MPNN, written directly over the adjacency list.
+
+    Independent of the path machinery; must agree with forward() when
+    path_length=1 in base feature mode (same parameters apply).
+    """
+    if config.path_length != 1 or config.feature_mode != "base":
+        raise ConfigError("the base MPNN is the path_length=1, base-mode model")
+    roots, nbrs = [], []
+    for v in range(graph.n):
+        for w in graph.adjacency[v]:
+            roots.append(v)
+            nbrs.append(w)
+    roots = np.asarray(roots, dtype=np.int64)
+    nbrs = np.asarray(nbrs, dtype=np.int64)
+    if roots.size:
+        efeat = Tensor(np.stack([graph.edge_features[(v, w)]
+                                 for v, w in zip(roots, nbrs)]))
+    x = Tensor(graph.node_features)
+    h = add(matmul(x, params["embed.W"]), params["embed.b"])
+    for t in range(config.steps):
+        attn = [params[f"attn{t}.h{i}"] for i in range(config.attention_heads)]
+        if roots.size:
+            msg = message_standard(gather_rows(h, roots), gather_rows(h, nbrs),
+                                   efeat, params[f"msg{t}.len1.W"],
+                                   params[f"msg{t}.len1.b"])
+            m_v = attention_aggregate(h, msg, roots, graph.n, attn)
+        else:
+            m_v = Tensor(np.zeros((graph.n, config.hidden_dim)))
+        h = node_update(h, m_v, params[f"upd{t}.W"], params[f"upd{t}.b"])
+    read = set2set_readout(h, x, params, config.set2set_steps)
+    return add(matmul(read, params["head.W"]), params["head.b"])
