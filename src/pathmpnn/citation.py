@@ -116,17 +116,13 @@ def init_gcn_params(config: PathGCNConfig, n_features: int, n_classes: int,
     return params
 
 
-@dataclass
-class SampledPaths:
-    """Higher-order paths grouped by length: root ids and the non-root node
-    columns."""
-    groups: dict[int, tuple[np.ndarray, np.ndarray]]
-
-
 def sample_citation_paths(graph: CitationGraph, config: PathGCNConfig,
-                          rng) -> SampledPaths:
+                          rng) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """per_hop_budget uniformly sampled extensions per partial path per hop,
-    starting from every first-order neighbor of every node."""
+    starting from every first-order neighbor of every node. Returns the
+    higher-order paths grouped by length as (root ids, non-root node
+    columns); lengths that drew no path are left out. Budget 0 returns {}
+    without drawing from rng."""
     budget = config.per_hop_budget
     by_len: dict[int, tuple[list, list]] = {
         k: ([], []) for k in range(2, config.path_length + 1)}
@@ -157,7 +153,7 @@ def sample_citation_paths(graph: CitationGraph, config: PathGCNConfig,
         if roots:
             groups[k] = (np.asarray(roots, dtype=np.int64),
                          np.asarray(cols, dtype=np.int64))
-    return SampledPaths(groups=groups)
+    return groups
 
 
 def citation_path_features(h, path_nodes: np.ndarray):
@@ -176,12 +172,12 @@ def gcn_layer(h, adj: NormalizedAdjacency, W, b, activation=None):
     return activation(out) if activation is not None else out
 
 
-def _layer_with_paths(h, adj, params, layer: str, paths: SampledPaths,
-                      n: int, activation):
+def _layer_with_paths(h, adj, params, layer: str, paths: dict, n: int,
+                      activation):
     z = matmul(h, params[f"gcn{layer}.W"])
     weighted = mul(gather_rows(z, adj.src), Tensor(adj.weight[:, None]))
     agg = segment_sum(weighted, adj.dst, n)
-    for k, (roots, cols) in sorted(paths.groups.items()):
+    for k, (roots, cols) in sorted(paths.items()):
         # transform once per position, then gather narrow rows; equal to
         # matmul(citation_path_features(h, cols), stacked per-position maps)
         msg = None
@@ -212,19 +208,14 @@ def gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params,
 
 
 def path_gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params,
-                     paths: SampledPaths | None, dropout_masks=None):
-    """Two-layer path GCN. With no sampled paths the op sequence is exactly
-    the plain GCN's."""
-    use_paths = paths is not None and paths.groups
+                     paths: dict | None, dropout_masks=None):
+    """Two-layer path GCN. With no sampled paths (None or {}) the op
+    sequence is exactly the plain GCN's."""
+    paths = paths or {}
     h = Tensor(graph.features)
     if dropout_masks is not None:
         h = mul(h, Tensor(dropout_masks[0]))
-    if use_paths:
-        h = _layer_with_paths(h, adj, params, "1", paths, graph.n, relu)
-    else:
-        h = gcn_layer(h, adj, params["gcn1.W"], params["gcn1.b"], activation=relu)
+    h = _layer_with_paths(h, adj, params, "1", paths, graph.n, relu)
     if dropout_masks is not None:
         h = mul(h, Tensor(dropout_masks[1]))
-    if use_paths:
-        return _layer_with_paths(h, adj, params, "2", paths, graph.n, None)
-    return gcn_layer(h, adj, params["gcn2.W"], params["gcn2.b"])
+    return _layer_with_paths(h, adj, params, "2", paths, graph.n, None)

@@ -13,17 +13,16 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import chem, geometry
 from .data import (DataFormatError, load_dataset, load_run_config,
                    parse_citation_files, write_citation_files,
                    write_molecule_file)
 from .gradchecks import TOLERANCE, full_model_gradcheck, op_gradchecks
-from .model import ConfigError
-from .molgraph import MoleculeError, build_graph
+from .model import ConfigError, ModelConfig, path_feature_fn
+from .molgraph import FeaturizerConfig, MoleculeError, build_graph
 from .paths import enumerate_paths, sample_paths
 from .synth import TASKS, generate_molecules, synth_citation
 from .tensor import load_params, save_params
-from .training import (TrainReport, evaluate_regression, save_report,
+from .training import (evaluate_regression, save_report, summarize_reports,
                        train_node_classification, train_regression)
 
 VALIDATION_ERRORS = (ConfigError, MoleculeError, DataFormatError,
@@ -50,23 +49,16 @@ def cmd_featurize(args) -> int:
     with open(args.out, "w") as fh:
         for record in dataset.records:
             graph = build_graph(record, dataset.featurizer)
-            ring_table = groups = None
-            if args.mode == "substructure":
-                ring_table = chem.ring_membership(graph)
-                groups = chem.detect_groups(graph)
-            elif graph.coords is None:
-                raise ConfigError(f"molecule {record.id}: geometry mode needs coordinates")
+            try:
+                path_features = path_feature_fn(graph, args.mode)
+            except ConfigError as err:
+                raise ConfigError(f"molecule {record.id}: {err}") from None
             for v in range(graph.n):
                 for p in enumerate_paths(graph, v, args.length):
-                    if args.mode == "substructure":
-                        vec = chem.substructure_path_features(
-                            graph, p, ring_table, groups).to_vector()
-                    else:
-                        vec = geometry.geometry_path_features(graph, p).to_vector()
                     fh.write(json.dumps({
                         "molecule": record.id,
                         "path": list(p.nodes),
-                        "features": [float(x) for x in vec],
+                        "features": [float(x) for x in path_features(p)],
                     }) + "\n")
     return 0
 
@@ -102,7 +94,7 @@ def _train_regression_runs(config, repeats):
         model_config = replace(config.model, seed=config.model.seed + r)
         results.append(train_regression(dataset.records, model_config,
                                         config.train, dataset.featurizer))
-    return dataset, results
+    return results
 
 
 def _train_citation_runs(config, repeats):
@@ -113,7 +105,7 @@ def _train_citation_runs(config, repeats):
         results.append(train_node_classification(graph, gcn_config,
                                                  epochs=config.epochs,
                                                  patience=config.patience))
-    return graph, results
+    return results
 
 
 def cmd_train(args) -> int:
@@ -121,35 +113,20 @@ def cmd_train(args) -> int:
     repeats = args.repeats if args.repeats is not None else config.repeats
 
     if config.task == "regression":
-        dataset, results = _train_regression_runs(config, repeats)
+        results = _train_regression_runs(config, repeats)
     else:
-        _, results = _train_citation_runs(config, repeats)
+        results = _train_citation_runs(config, repeats)
 
-    key = "test_accuracy" if config.task == "citation" else "test_rmse"
-    finals = np.array([res.report.final[key] for res in results])
-    with open(args.report, "w") as fh:
-        for res in results:
-            for entry in res.report.epochs:
-                fh.write(json.dumps(entry) + "\n")
-            fh.write(json.dumps({
-                "final": res.report.final,
-                "wall_clock": res.report.wall_clock,
-                "seed": res.report.seed,
-                "config": res.report.config,
-            }) + "\n")
-        if repeats > 1:
-            fh.write(json.dumps({"summary": {
-                "metric": key,
-                "mean": float(finals.mean()),
-                "std": float(finals.std()),
-                "repeats": repeats,
-            }}) + "\n")
-    for res in results:
-        print(f"seed {res.report.seed}: " + ", ".join(
-            f"{k}={v:.4g}" for k, v in res.report.final.items()
+    reports = [res.report for res in results]
+    save_report(args.report, *reports)
+    for report in reports:
+        print(f"seed {report.seed}: " + ", ".join(
+            f"{k}={v:.4g}" for k, v in report.final.items()
             if isinstance(v, float)))
     if repeats > 1:
-        print(f"{key}: {finals.mean():.4g} +- {finals.std():.4g} over {repeats} seeds")
+        summary = summarize_reports(reports)
+        print(f"{summary['metric']}: {summary['mean']:.4g} +- {summary['std']:.4g} "
+              f"over {repeats} seeds")
 
     if config.checkpoint and config.task == "regression":
         best = min(results, key=lambda res: res.report.final["val_metric_best"])
@@ -166,9 +143,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .model import ModelConfig
-    from .molgraph import FeaturizerConfig
-
     params, meta = load_params(args.checkpoint)
     if meta.get("task") != "regression":
         raise ConfigError(f"{args.checkpoint}: not a regression checkpoint")

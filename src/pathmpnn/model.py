@@ -11,7 +11,7 @@ independent implementation for reduction testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import chem, geometry
 from .paths import enumerate_paths, group_paths_by_length, sample_paths
 from .tensor import (Tensor, add, concat, gather_rows, leaky_relu, lstm_cell,
                      matmul, mul, reduce_sum, relu, segment_softmax,
-                     segment_sum, sigmoid, softmax, glorot, zeros)
+                     segment_sum, sigmoid, glorot, zeros)
 
 FEATURE_MODES = ("base", "substructure", "geometry")
 
@@ -74,19 +74,26 @@ class PathGroup:
     static: np.ndarray  # (P, static_feature_width)
 
 
-@dataclass
-class PathCache:
-    """Per-graph path enumeration plus the step-independent feature parts."""
-    groups: dict[int, PathGroup] = field(default_factory=dict)
-
-
-def build_path_cache(graph, config: ModelConfig, seed=None) -> PathCache:
-    if config.feature_mode == "geometry" and graph.coords is None:
-        raise ConfigError("geometry feature mode needs coordinates on the graph")
-    ring_table = groups = None
-    if config.feature_mode == "substructure":
+def path_feature_fn(graph, mode: str):
+    """The per-path vector of a feature mode's own path features, with the
+    per-graph tables (ring membership, functional groups) computed once.
+    Base mode has none and gives None."""
+    if mode == "substructure":
         ring_table = chem.ring_membership(graph)
         groups = chem.detect_groups(graph)
+        return lambda p: chem.substructure_path_features(
+            graph, p, ring_table, groups).to_vector()
+    if mode == "geometry":
+        if graph.coords is None:
+            raise ConfigError("geometry feature mode needs coordinates on the graph")
+        return lambda p: geometry.geometry_path_features(graph, p).to_vector()
+    return None
+
+
+def build_path_cache(graph, config: ModelConfig, seed=None) -> dict[int, PathGroup]:
+    """Per-graph path enumeration plus the step-independent feature parts,
+    one PathGroup per path length."""
+    path_features = path_feature_fn(graph, config.feature_mode)
 
     all_paths = []
     if seed is None:
@@ -104,20 +111,17 @@ def build_path_cache(graph, config: ModelConfig, seed=None) -> PathCache:
                 sampled = [p for p in sampled if p.length == config.path_length]
             all_paths.extend(sampled)
 
-    cache = PathCache()
+    cache = {}
     edge_dim = graph.edge_dim
     for k, paths in group_paths_by_length(all_paths).items():
         static = np.zeros((len(paths), static_feature_width(config.feature_mode, k, edge_dim)))
         for row, p in enumerate(paths):
             parts = [graph.edge_features[(a, b)]
                      for a, b in zip(p.nodes, p.nodes[1:])]
-            if config.feature_mode == "substructure":
-                parts.append(chem.substructure_path_features(
-                    graph, p, ring_table, groups).to_vector())
-            elif config.feature_mode == "geometry":
-                parts.append(geometry.geometry_path_features(graph, p).to_vector())
-            static[row] = np.concatenate(parts) if parts else ()
-        cache.groups[k] = PathGroup(
+            if path_features is not None:
+                parts.append(path_features(p))
+            static[row] = np.concatenate(parts)
+        cache[k] = PathGroup(
             roots=np.asarray([p.root for p in paths], dtype=np.int64),
             nodes=np.asarray([p.nodes[1:] for p in paths], dtype=np.int64),
             static=static,
@@ -189,29 +193,12 @@ def node_update(h, m, W, b):
     return sigmoid(add(matmul(concat([h, m], axis=1), W), b))
 
 
-def set2set_readout(h, x, params, steps: int):
-    """Permutation-invariant readout: LSTM-driven attention over projected
-    node states, returning concat(query, read) of width 2d."""
-    mem = add(matmul(concat([h, x], axis=1), params["s2s.proj.W"]),
-              params["s2s.proj.b"])
-    d = mem.values.shape[1]
-    q = Tensor(np.zeros((1, d)))
-    c = Tensor(np.zeros((1, d)))
-    r = Tensor(np.zeros((1, d)))
-    for _ in range(steps):
-        q, c = lstm_cell(concat([q, r], axis=1), (q, c), params, prefix="s2s.lstm")
-        scores = reduce_sum(mul(mem, q), axis=1, keepdims=True)
-        attention = softmax(scores, axis=0)
-        r = reduce_sum(mul(attention, mem), axis=0, keepdims=True)
-    return concat([q, r], axis=1)
-
-
-def _propagate_step(h, cache: PathCache, params, config: ModelConfig, t: int):
+def _propagate_step(h, cache: dict[int, PathGroup], params, config: ModelConfig, t: int):
     n = h.values.shape[0]
     attn = [params[f"attn{t}.h{i}"] for i in range(config.attention_heads)]
     msgs_parts, roots_parts = [], []
     for k in config.lengths():
-        group = cache.groups.get(k)
+        group = cache.get(k)
         if group is None or group.roots.size == 0:
             continue
         hidden_parts = [gather_rows(h, group.nodes[:, col]) for col in range(k)]
@@ -234,18 +221,13 @@ def _propagate_step(h, cache: PathCache, params, config: ModelConfig, t: int):
     return node_update(h, m_v, params[f"upd{t}.W"], params[f"upd{t}.b"])
 
 
-def forward(graph, params, config: ModelConfig, cache: PathCache | None = None):
-    """Graph-level prediction, shape (1, n_targets)."""
-    if config.feature_mode == "geometry" and graph.coords is None:
-        raise ConfigError("geometry feature mode needs coordinates on the graph")
+def forward(graph, params, config: ModelConfig,
+            cache: dict[int, PathGroup] | None = None):
+    """Graph-level prediction, shape (1, n_targets): forward_batched on a
+    batch of one."""
     if cache is None:
         cache = build_path_cache(graph, config, seed=config.seed)
-    x = Tensor(graph.node_features)
-    h = add(matmul(x, params["embed.W"]), params["embed.b"])
-    for t in range(config.steps):
-        h = _propagate_step(h, cache, params, config, t)
-    read = set2set_readout(h, x, params, config.set2set_steps)
-    return add(matmul(read, params["head.W"]), params["head.b"])
+    return forward_batched(merge_batch([graph], [cache]), params, config)
 
 
 @dataclass
@@ -256,7 +238,7 @@ class GraphBatch:
     x: np.ndarray
     graph_ids: np.ndarray
     n_graphs: int
-    cache: PathCache
+    cache: dict[int, PathGroup]
 
 
 def merge_batch(graphs, caches) -> GraphBatch:
@@ -266,7 +248,7 @@ def merge_batch(graphs, caches) -> GraphBatch:
         np.full(g.n, i, dtype=np.int64) for i, g in enumerate(graphs)])
     merged: dict[int, list[PathGroup]] = {}
     for off, cache in zip(offsets, caches):
-        for k, group in cache.groups.items():
+        for k, group in cache.items():
             merged.setdefault(k, []).append(
                 PathGroup(roots=group.roots + off, nodes=group.nodes + off,
                           static=group.static))
@@ -277,10 +259,13 @@ def merge_batch(graphs, caches) -> GraphBatch:
         for k, parts in merged.items()
     }
     return GraphBatch(x=x, graph_ids=graph_ids, n_graphs=len(graphs),
-                      cache=PathCache(groups=groups))
+                      cache=groups)
 
 
 def set2set_readout_batched(h, x, graph_ids, n_graphs, params, steps: int):
+    """Permutation-invariant readout per graph: LSTM-driven attention over
+    the projected node states of each graph (rows grouped by graph_ids),
+    returning concat(query, read) of width 2d per graph."""
     mem = add(matmul(concat([h, x], axis=1), params["s2s.proj.W"]),
               params["s2s.proj.b"])
     d = mem.values.shape[1]
@@ -297,7 +282,7 @@ def set2set_readout_batched(h, x, graph_ids, n_graphs, params, steps: int):
 
 def forward_batched(batch: GraphBatch, params, config: ModelConfig):
     """Predictions for a whole batch in one op stream, shape
-    (n_graphs, n_targets). Agrees with forward() per graph."""
+    (n_graphs, n_targets)."""
     x = Tensor(batch.x)
     h = add(matmul(x, params["embed.W"]), params["embed.b"])
     for t in range(config.steps):
@@ -337,5 +322,6 @@ def forward_base_mpnn(graph, params, config: ModelConfig):
         else:
             m_v = Tensor(np.zeros((graph.n, config.hidden_dim)))
         h = node_update(h, m_v, params[f"upd{t}.W"], params[f"upd{t}.b"])
-    read = set2set_readout(h, x, params, config.set2set_steps)
+    read = set2set_readout_batched(h, x, np.zeros(graph.n, dtype=np.int64), 1,
+                                   params, config.set2set_steps)
     return add(matmul(read, params["head.W"]), params["head.b"])

@@ -111,40 +111,17 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample_paths(graph, v: int, max_length: int, budget: int, seed,
-                 *, per_hop: bool = False) -> list[Path]:
+def sample_paths(graph, v: int, max_length: int, budget: int, seed) -> list[Path]:
     """Sample simple paths rooted at v, deterministic given the seed.
 
-    Default mode: randomized depth-first enumeration, truncated after
-    `budget` emitted paths. Each extension picks uniformly among admissible
-    neighbors, so a budget covering the whole path set reproduces
-    enumerate_paths exactly (up to order; output is sorted).
-
-    per_hop mode: keep every first-order neighbor, then extend each partial
-    path by `budget` uniformly chosen admissible neighbors per hop. budget=1
-    yields one sampled second- and third-order extension per neighbor, the
-    citation-network regime. budget=0 disables higher hops entirely.
+    Randomized depth-first enumeration, truncated after `budget` emitted
+    paths. Each extension picks uniformly among admissible neighbors, so a
+    budget covering the whole path set reproduces enumerate_paths exactly
+    (up to order; output is sorted).
     """
     if not (0 <= v < graph.n):
         raise ValueError(f"root {v} out of range for graph with {graph.n} nodes")
     rng = _as_rng(seed)
-
-    if per_hop:
-        frontier = [(v, w) for w in graph.adjacency[v]]
-        out = [Path(p) for p in frontier]
-        for _ in range(max_length - 1):
-            nxt = []
-            for partial in frontier:
-                admissible = [w for w in graph.adjacency[partial[-1]] if w not in partial]
-                if not admissible or budget == 0:
-                    continue
-                take = min(budget, len(admissible))
-                picks = rng.choice(len(admissible), size=take, replace=False)
-                for idx in sorted(picks):
-                    nxt.append(partial + (admissible[idx],))
-            out.extend(Path(p) for p in nxt)
-            frontier = nxt
-        return out
 
     if budget < 1:
         raise ValueError("budget must be >= 1")

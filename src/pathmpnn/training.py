@@ -87,37 +87,65 @@ class TrainReport:
     config: dict = field(default_factory=dict)
 
 
-def save_report(path, report: TrainReport):
-    """One metrics object per line, final summary block last."""
+def summarize_reports(reports) -> dict:
+    """Mean and std over seeds of the final test metric: test_accuracy when
+    the reports carry it (citation), else test_rmse."""
+    key = "test_accuracy" if "test_accuracy" in reports[0].final else "test_rmse"
+    finals = np.array([r.final[key] for r in reports])
+    return {"metric": key, "mean": float(finals.mean()),
+            "std": float(finals.std()), "repeats": len(reports)}
+
+
+def save_report(path, *reports: TrainReport):
+    """One metrics object per line: each report's epochs, then its final
+    block. With more than one report, a summarize_reports line comes last."""
     with open(path, "w") as fh:
-        for entry in report.epochs:
-            fh.write(json.dumps(entry) + "\n")
-        fh.write(json.dumps({
-            "final": report.final,
-            "wall_clock": report.wall_clock,
-            "seed": report.seed,
-            "config": report.config,
-        }) + "\n")
+        for report in reports:
+            for entry in report.epochs:
+                fh.write(json.dumps(entry) + "\n")
+            fh.write(json.dumps({
+                "final": report.final,
+                "wall_clock": report.wall_clock,
+                "seed": report.seed,
+                "config": report.config,
+            }) + "\n")
+        if len(reports) > 1:
+            fh.write(json.dumps({"summary": summarize_reports(reports)}) + "\n")
 
 
-def load_report(path) -> TrainReport:
+def load_reports(path) -> list[TrainReport]:
+    """Every report in a file save_report wrote, in order; the summary line
+    is skipped."""
+    reports = []
     epochs = []
-    tail = None
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             obj = json.loads(line)
+            if "summary" in obj:
+                continue
             if "final" in obj:
-                tail = obj
+                reports.append(TrainReport(
+                    epochs=epochs, final=obj["final"], wall_clock=obj["wall_clock"],
+                    seed=obj["seed"], config=obj["config"]))
+                epochs = []
             else:
                 epochs.append(obj)
-    if tail is None:
+    if not reports:
         raise ValueError(f"{path}: no final block")
-    return TrainReport(epochs=epochs, final=tail["final"],
-                       wall_clock=tail["wall_clock"], seed=tail["seed"],
-                       config=tail["config"])
+    if epochs:
+        raise ValueError(f"{path}: epoch lines after the last final block")
+    return reports
+
+
+def load_report(path) -> TrainReport:
+    """The one report in a single-seed report file."""
+    reports = load_reports(path)
+    if len(reports) != 1:
+        raise ValueError(f"{path}: holds {len(reports)} reports; use load_reports")
+    return reports[0]
 
 
 # -- regression ------------------------------------------------------------
@@ -146,10 +174,6 @@ class TrainResult:
 def featurizer_from_records(records, explicit_hydrogens=False) -> FeaturizerConfig:
     vocab = sorted({el for r in records for el in r.elements})
     return FeaturizerConfig(tuple(vocab), explicit_hydrogens=explicit_hydrogens)
-
-
-def _predict_block(graphs, caches, params, config):
-    return mdl.forward_batched(mdl.merge_batch(graphs, caches), params, config)
 
 
 def predict_values(graphs, caches, params, config, mean, std,
@@ -212,8 +236,8 @@ def train_regression(records, config: mdl.ModelConfig,
         for lo in range(0, len(order), settings.batch_size):
             batch = order[lo:lo + settings.batch_size]
             zero_grad(params)
-            pred = _predict_block([graphs[i] for i in batch],
-                                  [caches[i] for i in batch], params, config)
+            pred = mdl.forward_batched(mdl.merge_batch(
+                [graphs[i] for i in batch], [caches[i] for i in batch]), params, config)
             loss = rmse_loss(pred, z_targets[batch])
             backward(loss)
             adam_step(params, state, lr=settings.lr)
@@ -274,9 +298,12 @@ def evaluate_regression(records, params, config: mdl.ModelConfig,
 # -- node classification -----------------------------------------------------
 
 def _l2_penalty(params, coefficient):
+    """coefficient times the squared norm of the dense maps, the parameters
+    named "*.W". Biases and the path GCN's per-position path maps
+    ("path{layer}.len{k}.M{pos}") are not decayed."""
     term = None
     for name, t in params.items():
-        if not name.endswith(".W") and not name.endswith(".M"):
+        if not name.endswith(".W"):
             continue
         sq = mul(t, t)
         term = sq.sum() if term is None else (term + sq.sum())
@@ -286,9 +313,7 @@ def _l2_penalty(params, coefficient):
 def _citation_logits(graph, adj, params, config, paths, rng=None):
     """Eval-time logits. With resampling active and an rng supplied, the
     final evaluation averages logits over fresh path draws."""
-    if config.per_hop_budget == 0:
-        return cit.path_gcn_forward(graph, adj, params, None).values
-    if not config.resample_each_epoch or rng is None:
+    if config.per_hop_budget == 0 or not config.resample_each_epoch or rng is None:
         return cit.path_gcn_forward(graph, adj, params, paths).values
     total = None
     for _ in range(max(1, config.eval_samples)):
@@ -313,16 +338,13 @@ def train_node_classification(graph: cit.CitationGraph,
     eval_rng_seed = int(rng.integers(2 ** 31))
 
     paths = None
-    eval_paths = None
-    if config.per_hop_budget > 0:
-        if not config.resample_each_epoch:
-            paths = cit.sample_citation_paths(graph, config, rng)
-            eval_paths = paths
-        else:
-            # fixed sample for per-epoch validation keeps checkpoint
-            # selection stable; the final metrics average fresh samples
-            eval_paths = cit.sample_citation_paths(
-                graph, config, np.random.default_rng(eval_rng_seed))
+    if config.resample_each_epoch:
+        # fixed sample for per-epoch validation keeps checkpoint selection
+        # stable; the final metrics average fresh samples
+        eval_paths = cit.sample_citation_paths(
+            graph, config, np.random.default_rng(eval_rng_seed))
+    else:
+        paths = eval_paths = cit.sample_citation_paths(graph, config, rng)
 
     report = TrainReport(seed=config.seed, config=asdict(config))
     best_val = -np.inf
@@ -330,7 +352,7 @@ def train_node_classification(graph: cit.CitationGraph,
     since_best = 0
     keep = 1.0 - config.dropout
     for epoch in range(1, epochs + 1):
-        if config.per_hop_budget > 0 and config.resample_each_epoch:
+        if config.resample_each_epoch:
             paths = cit.sample_citation_paths(graph, config, rng)
         masks = None
         if config.dropout > 0:

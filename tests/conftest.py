@@ -1,8 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
+from pathmpnn.gradchecks import probe_molecule
+from pathmpnn.molgraph import build_graph
 
 settings.register_profile(
     "suite", deadline=None, max_examples=40,
@@ -13,20 +13,7 @@ settings.load_profile("suite")
 @pytest.fixture
 def probe_graph():
     """Five heavy atoms with a branch and generic 3D coordinates."""
-    record = MoleculeRecord(
-        id="probe",
-        elements=("C", "C", "O", "N", "C"),
-        bonds=((0, 1, "single"), (1, 2, "single"), (2, 3, "double"), (1, 4, "single")),
-        targets=(1.0, -0.5),
-        coords=np.array([
-            [0.0, 0.0, 0.0],
-            [1.5, 0.1, -0.2],
-            [2.2, 1.4, 0.3],
-            [3.6, 1.5, -0.4],
-            [1.9, -1.2, 0.5],
-        ]),
-    )
-    return build_graph(record, FeaturizerConfig(("C", "N", "O")))
+    return build_graph(*probe_molecule())
 
 
 class AdjacencyGraph:

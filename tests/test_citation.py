@@ -150,7 +150,7 @@ def test_star_leaves_see_sibling_leaves():
     config = PathGCNConfig(hidden_dim=4, path_length=2, per_hop_budget=1, seed=5)
     params = init_gcn_params(config, 6, 2)
     paths = sample_citation_paths(star, config, np.random.default_rng(1))
-    roots, cols = paths.groups[2]
+    roots, cols = paths[2]
     leaf_paths = {(r, tuple(c)) for r, c in zip(roots, cols)}
     # a leaf root reaches another leaf through the center
     assert any(r != 0 and c[1] != 0 and c[0] == 0 for r, c in leaf_paths)
@@ -161,9 +161,10 @@ def test_sampled_paths_deterministic_given_seed():
     config = PathGCNConfig(per_hop_budget=1, seed=0)
     a = sample_citation_paths(g, config, np.random.default_rng(42))
     b = sample_citation_paths(g, config, np.random.default_rng(42))
-    for k in a.groups:
-        assert np.array_equal(a.groups[k][0], b.groups[k][0])
-        assert np.array_equal(a.groups[k][1], b.groups[k][1])
+    assert a.keys() == b.keys() == {2, 3}
+    for k in a:
+        assert np.array_equal(a[k][0], b[k][0])
+        assert np.array_equal(a[k][1], b[k][1])
 
 
 def test_sampled_paths_are_simple_and_adjacent():
@@ -171,9 +172,41 @@ def test_sampled_paths_are_simple_and_adjacent():
     config = PathGCNConfig(per_hop_budget=2, seed=0)
     paths = sample_citation_paths(g, config, np.random.default_rng(3))
     adj_sets = [set(nbrs) for nbrs in g.adjacency]
-    for k, (roots, cols) in paths.groups.items():
+    for k, (roots, cols) in paths.items():
         for root, tail in zip(roots, cols):
             seq = (root,) + tuple(tail)
             assert len(set(seq)) == len(seq)
             for a, b in zip(seq, seq[1:]):
                 assert b in adj_sets[a]
+
+
+def test_per_hop_uniform_choices(k4):
+    # budget 1 picks one uniform extension per partial path per hop; check
+    # the hop-2 choice frequencies of the partial path (0, 1) on K4
+    config = PathGCNConfig(path_length=3, per_hop_budget=1)
+    draws = 10_000
+    counts = {}
+    for seed in range(draws):
+        roots, cols = sample_citation_paths(k4, config, np.random.default_rng(seed))[2]
+        for tail in cols[(roots == 0) & (cols[:, 0] == 1)]:
+            counts[tail[1]] = counts.get(tail[1], 0) + 1
+    assert set(counts) == {2, 3}
+    expected = draws / 2
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    # chi-square with 1 dof: mean 1, sd sqrt(2); 3 sigma above is ~5.2
+    assert chi2 < 5.2, counts
+
+
+def test_per_hop_mode_structure(k4):
+    config = PathGCNConfig(path_length=3, per_hop_budget=1)
+    paths = sample_citation_paths(k4, config, np.random.default_rng(4))
+    assert sorted(paths) == [2, 3]
+    for k, (roots, cols) in paths.items():
+        assert cols.shape == (12, k)
+        # one extension per first-order neighbor of every root
+        assert np.array_equal(np.bincount(roots), [3, 3, 3, 3])
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    zero = PathGCNConfig(path_length=3, per_hop_budget=0)
+    assert sample_citation_paths(k4, zero, rng) == {}
+    assert rng.bit_generator.state == before      # budget 0 draws nothing

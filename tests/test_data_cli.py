@@ -11,6 +11,7 @@ from pathmpnn.data import (DataFormatError, load_dataset, load_run_config,
 from pathmpnn.model import ConfigError
 from pathmpnn.molgraph import MoleculeRecord
 from pathmpnn.synth import synth_citation, synth_dihedral_sum
+from pathmpnn.training import load_report, load_reports
 
 P4 = MoleculeRecord("p4", ("C", "C", "C", "C"),
                     ((0, 1, "single"), (1, 2, "single"), (2, 3, "single")),
@@ -226,6 +227,14 @@ def test_cli_train_repeats_summary(tmp_path):
     assert lines[-1]["summary"]["repeats"] == 2
     seeds = [l["seed"] for l in lines if "final" in l]
     assert seeds == [0, 1]
+    reports = load_reports(report_path)
+    assert [r.seed for r in reports] == [0, 1]
+    assert [[e["epoch"] for e in r.epochs] for r in reports] == [[1, 2], [1, 2]]
+    rmse = [r.final["test_rmse"] for r in reports]
+    assert lines[-1]["summary"]["metric"] == "test_rmse"
+    assert lines[-1]["summary"]["mean"] == pytest.approx(np.mean(rmse))
+    with pytest.raises(ValueError, match="2 reports"):
+        load_report(report_path)
 
 
 def test_cli_synth_citation(tmp_path):

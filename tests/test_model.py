@@ -7,7 +7,7 @@ from pathmpnn.model import (ConfigError, ModelConfig, attention_aggregate,
                             build_path_cache, forward, forward_base_mpnn,
                             forward_batched, init_params, merge_batch,
                             message_path, message_standard, node_update,
-                            set2set_readout, static_feature_width)
+                            set2set_readout_batched, static_feature_width)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
 
 S60 = np.sqrt(3.0) / 2.0
@@ -115,9 +115,11 @@ def test_set2set_permutation_invariant(probe_graph):
     rng = np.random.default_rng(6)
     h = rng.normal(size=(probe_graph.n, config.hidden_dim))
     x = probe_graph.node_features
-    out = set2set_readout(T.Tensor(h), T.Tensor(x), params, 3).values
+    one_graph = np.zeros(probe_graph.n, dtype=np.int64)
+    out = set2set_readout_batched(T.Tensor(h), T.Tensor(x), one_graph, 1, params, 3).values
     perm = rng.permutation(probe_graph.n)
-    out_p = set2set_readout(T.Tensor(h[perm]), T.Tensor(x[perm]), params, 3).values
+    out_p = set2set_readout_batched(T.Tensor(h[perm]), T.Tensor(x[perm]), one_graph, 1,
+                                    params, 3).values
     assert np.abs(out - out_p).max() < 1e-10
     assert out.shape == (1, 2 * config.hidden_dim)
 
@@ -125,8 +127,9 @@ def test_set2set_permutation_invariant(probe_graph):
 def test_set2set_single_node():
     config = small_config()
     params = init_params(config, 4, 5)
-    out = set2set_readout(T.Tensor(np.ones((1, config.hidden_dim))),
-                          T.Tensor(np.ones((1, 4))), params, 2)
+    out = set2set_readout_batched(T.Tensor(np.ones((1, config.hidden_dim))),
+                                  T.Tensor(np.ones((1, 4))), np.zeros(1, dtype=np.int64),
+                                  1, params, 2)
     assert out.values.shape == (1, 2 * config.hidden_dim)
 
 
@@ -220,7 +223,7 @@ def test_sibling_path_permutation_leaves_message_unchanged(probe_graph):
     cache = build_path_cache(probe_graph, config)
     y = forward(probe_graph, params, config, cache).values
     rng = np.random.default_rng(10)
-    for group in cache.groups.values():
+    for group in cache.values():
         perm = rng.permutation(len(group.roots))
         group.roots = group.roots[perm]
         group.nodes = group.nodes[perm]
@@ -263,6 +266,6 @@ def test_sampled_cache_and_joint_attention_flag(probe_graph):
                           sample_budget=3, joint_attention=False)
     params = init_params(config, probe_graph.node_dim, probe_graph.edge_dim)
     cache = build_path_cache(probe_graph, config, seed=0)
-    assert all(len(g.roots) > 0 for g in cache.groups.values())
+    assert all(len(g.roots) > 0 for g in cache.values())
     y = forward(probe_graph, params, config, cache)
     assert np.isfinite(y.values).all()

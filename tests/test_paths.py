@@ -92,30 +92,6 @@ def test_first_hop_uniform_chi_square(k4):
     assert chi2 < 8.0, counts
 
 
-def test_per_hop_uniform_choices(k4):
-    # per-hop mode with budget 1 keeps all first-order neighbors and picks
-    # one uniform extension per hop; check hop-2 choice frequencies
-    draws = 10_000
-    counts = {}
-    for seed in range(draws):
-        for p in sample_paths(k4, 0, 3, budget=1, seed=seed, per_hop=True):
-            if p.length == 2 and p.nodes[1] == 1:
-                counts[p.nodes[2]] = counts.get(p.nodes[2], 0) + 1
-    expected = draws / 2
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    # chi-square with 1 dof: mean 1, sd sqrt(2); 3 sigma above is ~5.2
-    assert chi2 < 5.2, counts
-
-
-def test_per_hop_mode_structure(k4):
-    found = sample_paths(k4, 0, 3, budget=1, seed=4, per_hop=True)
-    hist = lengths_histogram(found)
-    assert hist[1] == 3           # every first-order neighbor kept
-    assert hist[2] == 3 and hist[3] == 3
-    zero_budget = sample_paths(k4, 0, 3, budget=0, seed=4, per_hop=True)
-    assert lengths_histogram(zero_budget) == {1: 3}
-
-
 @given(st.integers(0, 10_000), st.integers(3, 10),
        st.sampled_from([0.2, 0.5, 0.8]), st.integers(1, 4))
 def test_enumeration_matches_oracle(seed, n, p, max_len):

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import pathmpnn.tensor as T
 from pathmpnn.model import ModelConfig
 from pathmpnn.synth import synth_alcohol_count, synth_citation
-from pathmpnn.citation import PathGCNConfig
-from pathmpnn.training import (TrainReport, TrainSettings, accuracy,
+from pathmpnn.citation import PathGCNConfig, init_gcn_params
+from pathmpnn.training import (TrainReport, TrainSettings, _l2_penalty, accuracy,
                                constant_baseline_rmse, cross_entropy,
-                               load_report, mae_metric, percent_error_metric,
+                               load_report, load_reports, mae_metric,
+                               percent_error_metric,
                                rmse_loss, rmse_metric, save_report,
                                split_dataset, train_node_classification,
                                train_regression)
@@ -92,6 +95,33 @@ def test_report_round_trip(tmp_path):
     save_report(path, report)
     loaded = load_report(path)
     assert loaded == report
+
+    # one block per seed, then the summary line
+    first = replace(report, final={"test_rmse": 0.3})
+    second = TrainReport(epochs=[{"epoch": 1, "train_loss": 0.6, "val_metric": 0.5}],
+                         final={"test_rmse": 0.5}, wall_clock=2.0, seed=8)
+    save_report(path, first, second)
+    assert load_reports(path) == [first, second]
+    with pytest.raises(ValueError, match="2 reports"):
+        load_report(path)
+    with open(path, "a") as fh:
+        fh.write('{"epoch": 1, "train_loss": 0.5, "val_metric": 0.4}\n')
+    with pytest.raises(ValueError, match="after the last final block"):
+        load_reports(path)
+
+
+def test_l2_penalty_decays_only_dense_maps():
+    # path maps (path{layer}.len{k}.M{pos}) and biases are not decayed
+    params = init_gcn_params(PathGCNConfig(per_hop_budget=1, path_length=3), 6, 2)
+    T.zero_grad(params)
+    penalty = _l2_penalty(params, 0.5)
+    T.backward(penalty)
+    decayed = {name for name, t in params.items()
+               if t.grad is not None and np.any(t.grad != 0)}
+    assert decayed == {"gcn1.W", "gcn2.W"}
+    assert any(".M" in name for name in params)
+    expected = 0.5 * sum((params[name].values ** 2).sum() for name in decayed)
+    assert penalty.item() == pytest.approx(expected)
 
 
 def test_train_regression_empty_dataset():
