@@ -7,10 +7,11 @@ path MPNN regressor (model), the path GCN node classifier (citation), and
 training utilities (training).
 """
 
-from .chem import detect_alcohol, ring_membership, substructure_path_features
+from .chem import (detect_alcohol, ring_membership, substructure_features,
+                   substructure_path_features)
 from .citation import (CitationGraph, PathGCNConfig, gcn_forward,
                        normalize_adjacency, path_gcn_forward)
-from .geometry import bond_angle, dihedral, geometry_path_features
+from .geometry import bond_angle, dihedral, geometry_features, geometry_path_features
 from .model import ModelConfig, build_path_cache, forward, forward_base_mpnn, init_params
 from .molgraph import FeaturizerConfig, Graph, MoleculeRecord, build_graph
 from .paths import Path, count_paths_oracle, enumerate_paths, sample_paths

@@ -4,6 +4,9 @@ functional-group indicators.
 Ring flags are size-resolved over sizes 3..8 plus an any-ring bit. The only
 named group shipped is the alcohol (hydroxyl oxygen); detectors live in a
 registry so further groups can be added without touching this module.
+
+substructure_features flags a whole table of same-length paths at once;
+substructure_path_features flags one path and is its test oracle.
 """
 
 from __future__ import annotations
@@ -181,3 +184,21 @@ def substructure_path_features(graph, path, ring_table=None, groups=None) -> Sub
         on_group_bond=on_bond,
         touches_group=touches,
     )
+
+
+def substructure_features(paths: np.ndarray, ring_table, groups) -> np.ndarray:
+    """substructure_path_features for every row of a (P, k+1) node table of
+    paths of one length k, from the graph's ring_membership and
+    detect_groups: the stacked per-path vectors as a (P, feature_width(k))
+    array."""
+    n = len(ring_table)
+    group_bond = np.zeros((n, n), dtype=bool)
+    member = np.zeros(n, dtype=bool)
+    for g in groups:
+        for a, b in g.bonds:
+            group_bond[a, b] = group_bond[b, a] = True
+        member[list(g.member_nodes)] = True
+    on_bond = group_bond[paths[:, :-1], paths[:, 1:]].any(axis=1)
+    touches = member[paths].any(axis=1)
+    return np.concatenate([ring_table[paths[:, 1:]].reshape(len(paths), -1),
+                           np.stack([on_bond, touches], axis=1)], axis=1)

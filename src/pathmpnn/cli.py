@@ -16,17 +16,19 @@ import numpy as np
 from .data import (DataFormatError, load_dataset, load_run_config,
                    parse_citation_files, write_citation_files,
                    write_molecule_file)
+from .geometry import DegenerateGeometryError
 from .gradchecks import TOLERANCE, full_model_gradcheck, op_gradchecks
 from .model import ConfigError, ModelConfig, path_feature_fn
 from .molgraph import FeaturizerConfig, MoleculeError, build_graph
-from .paths import enumerate_paths, sample_paths
+from .paths import PathExplosionError, enumerate_paths, path_tables, sample_paths
 from .synth import TASKS, generate_molecules, synth_citation
 from .tensor import load_params, save_params
 from .training import (evaluate_regression, save_report, summarize_reports,
                        train_node_classification, train_regression)
 
 VALIDATION_ERRORS = (ConfigError, MoleculeError, DataFormatError,
-                     FileNotFoundError, json.JSONDecodeError)
+                     DegenerateGeometryError, FileNotFoundError,
+                     json.JSONDecodeError)
 
 
 def cmd_paths(args) -> int:
@@ -51,15 +53,18 @@ def cmd_featurize(args) -> int:
             graph = build_graph(record, dataset.featurizer)
             try:
                 path_features = path_feature_fn(graph, args.mode)
-            except ConfigError as err:
-                raise ConfigError(f"molecule {record.id}: {err}") from None
-            for v in range(graph.n):
-                for p in enumerate_paths(graph, v, args.length):
-                    fh.write(json.dumps({
-                        "molecule": record.id,
-                        "path": list(p.nodes),
-                        "features": [float(x) for x in path_features(p)],
-                    }) + "\n")
+                found = [p for v in range(graph.n)
+                         for p in enumerate_paths(graph, v, args.length)]
+                rows = {k: iter(path_features(paths).tolist())
+                        for k, paths in path_tables(found).items()}
+            except (ConfigError, DegenerateGeometryError, PathExplosionError) as err:
+                raise type(err)(f"molecule {record.id}: {err}") from None
+            for p in found:
+                fh.write(json.dumps({
+                    "molecule": record.id,
+                    "path": list(p.nodes),
+                    "features": next(rows[p.length]),
+                }) + "\n")
     return 0
 
 
@@ -190,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="dump per-path feature vectors")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("substructure", "geometry"), required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--explicit-h", action="store_true")
     p.set_defaults(func=cmd_featurize)

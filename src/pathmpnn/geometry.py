@@ -1,6 +1,10 @@
 """Internal-coordinate features along paths: bond lengths, bond angles,
 signed dihedral angles.
 
+geometry_features computes them for a whole table of same-length paths at
+once; the scalar bond_angle, dihedral and geometry_path_features compute
+them one path at a time and are its test oracles.
+
 Angles are emitted as cosines (and for the dihedral the sine as well) so the
 features stay bounded and free of the branch cut at +-pi. The dihedral sine
 is the one quantity here that changes sign under reflection, which is what
@@ -130,3 +134,50 @@ def geometry_path_features(graph, path) -> GeometryFeatures:
             dihedral_sin=0.0,
             dihedral_degenerate=True,
         )
+
+
+def _dot(a, b):
+    """Dot products over the last axis, equal to np.dot's bit for bit: a
+    stacked matmul runs the same BLAS dot on each pair of rows, where einsum
+    and sum(axis=-1) round differently."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(a):
+    """np.linalg.norm over the last axis, computed as it does: sqrt(a . a)."""
+    return np.sqrt(_dot(a, a))
+
+
+def geometry_features(coords, paths: np.ndarray) -> np.ndarray:
+    """geometry_path_features for every row of a (P, k+1) node table of
+    paths of one length k in 1..3: the stacked per-path vectors, bit for
+    bit, as a (P, feature_width(k)) array. A zero-length bond in an angle
+    raises, naming the first such path in row order."""
+    k = paths.shape[1] - 1
+    if not 1 <= k <= 3:
+        raise ValueError(f"geometry features defined for lengths 1..3, got {k}")
+    coords = np.asarray(coords, dtype=np.float64)
+    bonds = coords[paths[:, 1:]] - coords[paths[:, :-1]]     # (P, k, 3)
+    lengths = _norm(bonds)
+    parts = [lengths]
+    if k >= 2:
+        # angle at w between w->v and w->y; |w->v| is the bond length exactly
+        a, b = coords[paths[:, :-2]] - coords[paths[:, 1:-1]], bonds[:, 1:]
+        na, nb = lengths[:, :-1], lengths[:, 1:]
+        bad = (na < NORM_EPS) | (nb < NORM_EPS)
+        if bad.any():
+            row, i = np.argwhere(bad)[0]
+            path = tuple(paths[row].tolist())
+            raise DegenerateGeometryError(
+                f"zero-length bond vector in angle {path[i:i + 3]} on path {path}")
+        parts.append(np.cos(np.arccos(np.clip(_dot(a, b) / (na * nb), -1.0, 1.0))))
+    if k == 3:
+        normals = np.cross(bonds[:, :2], bonds[:, 1:])        # b1 x b2, b2 x b3
+        n1, n2 = normals[:, 0], normals[:, 1]
+        b2_hat = bonds[:, 1] / lengths[:, 1:2]
+        phi = np.arctan2(_dot(np.cross(n1, n2), b2_hat), _dot(n1, n2))
+        phi[phi <= -np.pi] = np.pi
+        torsion = np.stack([np.cos(phi), np.sin(phi), np.zeros(len(phi))], axis=1)
+        torsion[(_norm(normals) < NORM_EPS).any(axis=1)] = (1.0, 0.0, 1.0)   # collinear
+        parts.append(torsion)
+    return np.concatenate(parts, axis=1)

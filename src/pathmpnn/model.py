@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chem, geometry
-from .paths import enumerate_paths, group_paths_by_length, sample_paths
+from .geometry import DegenerateGeometryError
+from .paths import PathExplosionError, enumerate_paths, path_tables, sample_paths
 from .tensor import (Tensor, add, concat, gather_rows, leaky_relu, lstm_cell,
                      matmul, mul, reduce_sum, relu, segment_softmax,
                      segment_sum, sigmoid, glorot, zeros)
@@ -75,57 +76,55 @@ class PathGroup:
 
 
 def path_feature_fn(graph, mode: str):
-    """The per-path vector of a feature mode's own path features, with the
-    per-graph tables (ring membership, functional groups) computed once.
-    Base mode has none and gives None."""
+    """A feature mode's own path features as a function from a (P, k+1)
+    node table to its (P, width) feature rows, with the per-graph tables
+    (ring membership, functional groups) computed once. Base mode has none
+    and gives None."""
     if mode == "substructure":
         ring_table = chem.ring_membership(graph)
         groups = chem.detect_groups(graph)
-        return lambda p: chem.substructure_path_features(
-            graph, p, ring_table, groups).to_vector()
+        return lambda paths: chem.substructure_features(paths, ring_table, groups)
     if mode == "geometry":
         if graph.coords is None:
             raise ConfigError("geometry feature mode needs coordinates on the graph")
-        return lambda p: geometry.geometry_path_features(graph, p).to_vector()
+        return lambda paths: geometry.geometry_features(graph.coords, paths)
     return None
 
 
 def build_path_cache(graph, config: ModelConfig, seed=None) -> dict[int, PathGroup]:
     """Per-graph path enumeration plus the step-independent feature parts,
-    one PathGroup per path length."""
-    path_features = path_feature_fn(graph, config.feature_mode)
-
-    all_paths = []
+    one PathGroup per path length, each length featurized in one pass.
+    Feature-mode, geometry and path-cap errors name the molecule."""
     if seed is None:
         seed = config.seed
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    for v in range(graph.n):
-        if config.sample_budget is None:
-            all_paths.extend(enumerate_paths(
-                graph, v, config.path_length,
-                exact_length_only=config.exact_length_only))
-        else:
-            sampled = sample_paths(graph, v, config.path_length,
-                                   config.sample_budget, rng)
-            if config.exact_length_only:
-                sampled = [p for p in sampled if p.length == config.path_length]
-            all_paths.extend(sampled)
-
     cache = {}
-    edge_dim = graph.edge_dim
-    for k, paths in group_paths_by_length(all_paths).items():
-        static = np.zeros((len(paths), static_feature_width(config.feature_mode, k, edge_dim)))
-        for row, p in enumerate(paths):
-            parts = [graph.edge_features[(a, b)]
-                     for a, b in zip(p.nodes, p.nodes[1:])]
+    try:
+        path_features = path_feature_fn(graph, config.feature_mode)
+        all_paths = []
+        for v in range(graph.n):
+            if config.sample_budget is None:
+                all_paths.extend(enumerate_paths(
+                    graph, v, config.path_length,
+                    exact_length_only=config.exact_length_only))
+            else:
+                sampled = sample_paths(graph, v, config.path_length,
+                                       config.sample_budget, rng)
+                if config.exact_length_only:
+                    sampled = [p for p in sampled if p.length == config.path_length]
+                all_paths.extend(sampled)
+        edge_table = np.array(list(graph.edge_features.values()))
+        edge_id = np.zeros((graph.n, graph.n), dtype=np.int64)   # row in edge_table
+        for i, (a, b) in enumerate(graph.edge_features):
+            edge_id[a, b] = i
+        for k, paths in path_tables(all_paths).items():
+            parts = [edge_table[edge_id[paths[:, :-1], paths[:, 1:]]].reshape(len(paths), -1)]
             if path_features is not None:
-                parts.append(path_features(p))
-            static[row] = np.concatenate(parts)
-        cache[k] = PathGroup(
-            roots=np.asarray([p.root for p in paths], dtype=np.int64),
-            nodes=np.asarray([p.nodes[1:] for p in paths], dtype=np.int64),
-            static=static,
-        )
+                parts.append(path_features(paths))
+            cache[k] = PathGroup(roots=paths[:, 0].copy(), nodes=paths[:, 1:].copy(),
+                                 static=np.concatenate(parts, axis=1))
+    except (ConfigError, DegenerateGeometryError, PathExplosionError) as err:
+        raise type(err)(f"molecule {graph.id}: {err}") from None
     return cache
 
 

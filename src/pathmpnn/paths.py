@@ -151,8 +151,10 @@ def sample_paths(graph, v: int, max_length: int, budget: int, seed) -> list[Path
     return sorted(out, key=lambda p: p.nodes)
 
 
-def group_paths_by_length(paths: list[Path]) -> dict[int, list[Path]]:
-    grouped: dict[int, list[Path]] = {}
+def path_tables(paths: list[Path]) -> dict[int, np.ndarray]:
+    """One (P, k+1) int64 node table per path length k, rows in the order
+    the paths come in, lengths in order of first appearance."""
+    rows: dict[int, list[tuple[int, ...]]] = {}
     for p in paths:
-        grouped.setdefault(p.length, []).append(p)
-    return grouped
+        rows.setdefault(p.length, []).append(p.nodes)
+    return {k: np.asarray(r, dtype=np.int64) for k, r in rows.items()}

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .citation import CitationGraph
-from .geometry import geometry_path_features
+from .geometry import geometry_features
 from .molgraph import FeaturizerConfig, MoleculeRecord, build_graph
-from .paths import enumerate_paths
+from .paths import enumerate_paths, path_tables
 
 TASKS = ("alcohol-count", "dihedral-sum", "solubility")
 
@@ -95,11 +95,12 @@ def synth_dihedral_sum(n_molecules: int, seed: int = 0) -> list[MoleculeRecord]:
         record = MoleculeRecord(id=f"dih{idx}", elements=elements,
                                 bonds=tuple(bonds), coords=coords)
         graph = build_graph(record, featurizer)
+        chains = path_tables([p for v in range(graph.n)
+                              for p in enumerate_paths(graph, v, 3, exact_length_only=True)])
         total = 0.0
-        for v in range(graph.n):
-            for p in enumerate_paths(graph, v, 3, exact_length_only=True):
-                feats = geometry_path_features(graph, p)
-                total += feats.dihedral_cos
+        if chains:   # column 5 of a length-3 geometry row is the dihedral cosine
+            for cos in geometry_features(graph.coords, chains[3])[:, 5].tolist():
+                total += cos
         records.append(MoleculeRecord(
             id=record.id, elements=elements, bonds=tuple(bonds),
             coords=coords, targets=(total / 2.0,)))

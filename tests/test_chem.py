@@ -7,9 +7,10 @@ from conftest import AdjacencyGraph, random_graph
 from pathmpnn.chem import (GROUP_DETECTORS, GroupMatch, RING_SIZES,
                            all_simple_cycles, detect_alcohol, detect_groups,
                            feature_width, register_group, ring_membership,
-                           rings_oracle, substructure_path_features)
+                           rings_oracle, substructure_features,
+                           substructure_path_features)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
-from pathmpnn.paths import Path
+from pathmpnn.paths import Path, enumerate_paths, path_tables
 
 
 def molecule(elements, edges, explicit_h=False):
@@ -177,3 +178,38 @@ def test_500_random_molecules_match_cycle_oracle():
             edges.add((int(a), int(b)))
         g = molecule(elements, sorted(edges))
         assert np.array_equal(ring_membership(g), rings_oracle(g))
+
+
+# -- batched flags against the per-path oracle; tolerance 0 (exact) ------------
+
+def assert_batched_flags_equal_oracle(g):
+    tables = path_tables([p for v in range(g.n) for p in enumerate_paths(g, v, 3)])
+    assert tables or g.n < 2
+    for k, paths in tables.items():
+        feats = substructure_features(paths, ring_membership(g), detect_groups(g))
+        oracle = np.stack([substructure_path_features(g, Path(tuple(row))).to_vector()
+                           for row in paths.tolist()])
+        assert feats.shape == (len(paths), feature_width(k))
+        assert np.array_equal(feats, oracle)
+
+
+@pytest.mark.parametrize("g", [BENZENE, CYCLOHEXANOL, ETHANOL, DIMETHYL_ETHER,
+                               molecule("CCOCC", [(0, 1), (1, 2), (3, 4)]),
+                               molecule("CCCCO", [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3),
+                                                  (3, 4)])],
+                         ids=["benzene", "cyclohexanol", "ethanol", "ether",
+                              "two-components", "fused-rings-alcohol"])
+def test_batched_flags_equal_oracle_on_ring_and_alcohol_molecules(g):
+    assert_batched_flags_equal_oracle(g)
+
+
+@given(st.integers(0, 5_000))
+def test_batched_flags_equal_oracle_on_random_molecules(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    elements = [str(rng.choice(["C", "N", "O"])) for _ in range(n)]
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, n)}
+    for _ in range(int(rng.integers(0, 3))):   # occasional ring closure
+        a, b = sorted(rng.choice(n, size=2, replace=False))
+        edges.add((int(a), int(b)))
+    assert_batched_flags_equal_oracle(molecule(elements, sorted(edges)))

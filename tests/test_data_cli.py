@@ -8,8 +8,10 @@ from pathmpnn.data import (DataFormatError, load_dataset, load_run_config,
                            parse_citation_files, parse_molecule_file,
                            run_config_from_dict, write_citation_files,
                            write_molecule_file)
+from pathmpnn.geometry import geometry_path_features
 from pathmpnn.model import ConfigError
-from pathmpnn.molgraph import MoleculeRecord
+from pathmpnn.molgraph import MoleculeRecord, build_graph
+from pathmpnn.paths import enumerate_paths
 from pathmpnn.synth import synth_citation, synth_dihedral_sum
 from pathmpnn.training import load_report, load_reports
 
@@ -170,6 +172,40 @@ def test_cli_synth_featurize(tmp_path, capsys):
     assert rows and all({"molecule", "path", "features"} <= set(r) for r in rows)
     longest = [r for r in rows if len(r["path"]) == 4]
     assert longest and all(len(r["features"]) == 8 for r in longest)
+    # per-root enumeration order, lengths interleaved, scalar-oracle values
+    dataset = load_dataset(data)
+    expected = []
+    for record in dataset.records:
+        graph = build_graph(record, dataset.featurizer)
+        expected += [{"molecule": record.id, "path": list(p.nodes),
+                      "features": geometry_path_features(graph, p).to_vector().tolist()}
+                     for v in range(graph.n) for p in enumerate_paths(graph, v, 3)]
+    assert rows == expected
+
+
+@pytest.mark.parametrize("mode,length", [("geometry", 0), ("geometry", 4),
+                                         ("substructure", 4)])
+def test_cli_featurize_rejects_length_outside_one_to_three(tmp_path, capsys, mode, length):
+    data = tmp_path / "p4.jsonl"
+    write_molecule_file(data, [P4])
+    assert main(["featurize", "--input", str(data), "--mode", mode,
+                 "--length", str(length), "--out", str(tmp_path / "f.jsonl")]) == 1
+    assert "--length" in capsys.readouterr().err
+
+
+COINCIDENT = MoleculeRecord("coincident", ("C", "C", "C"),
+                            ((0, 1, "single"), (1, 2, "single")), targets=(1.0,),
+                            coords=np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]]))
+
+
+def test_cli_coincident_atoms_exit_one_naming_the_molecule(tmp_path, capsys):
+    data = tmp_path / "bad.jsonl"
+    write_molecule_file(data, synth_dihedral_sum(2, seed=0) + [COINCIDENT])
+    assert main(["featurize", "--input", str(data), "--mode", "geometry",
+                 "--length", "2", "--out", str(tmp_path / "f.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "molecule coincident: zero-length bond vector in angle (0, 1, 2)" in err
+    assert "runtime error" not in err
 
 
 def test_cli_train_eval_round_trip(tmp_path, capsys):

@@ -1,19 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pathmpnn.geometry import (DegenerateGeometryError, GeometryFeatures,
                                bond_angle, bond_length, dihedral,
-                               feature_width, geometry_path_features)
+                               feature_width, geometry_features,
+                               geometry_path_features)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
-from pathmpnn.paths import Path, enumerate_paths
+from pathmpnn.paths import Path, enumerate_paths, path_tables
 
 
 def chain_graph(coords):
     n = len(coords)
-    record = MoleculeRecord("chain", ("C",) * n,
-                            tuple((i, i + 1, "single") for i in range(n - 1)),
+    return tree_graph(coords, [(i, i + 1) for i in range(n - 1)])
+
+
+def tree_graph(coords, edges):
+    record = MoleculeRecord("tree", ("C",) * len(coords),
+                            tuple((a, b, "single") for a, b in edges),
                             coords=np.asarray(coords, dtype=np.float64))
     return build_graph(record, FeaturizerConfig(("C",)))
+
+
+def tables_by_length(g):
+    """Every path of g up to length 3, one node table per length."""
+    return path_tables([p for v in range(g.n) for p in enumerate_paths(g, v, 3)])
+
+
+def oracle_rows(g, paths):
+    return np.stack([geometry_path_features(g, Path(tuple(row))).to_vector()
+                     for row in paths.tolist()])
 
 
 S60 = np.sqrt(3.0) / 2.0
@@ -172,3 +189,55 @@ def test_geometry_needs_coordinates():
     g = build_graph(record, FeaturizerConfig(("C",)))
     with pytest.raises(ValueError, match="coordinates"):
         geometry_path_features(g, Path((0, 1)))
+
+
+# -- batched features against the per-path oracle; tolerance 0 (exact) --------
+
+@given(st.integers(0, 10_000))
+def test_batched_features_equal_oracle_on_random_trees(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    g = tree_graph(rng.normal(size=(n, 3)) * 1.5, edges)
+    for k, paths in tables_by_length(g).items():
+        feats = geometry_features(g.coords, paths)
+        assert feats.shape == (len(paths), feature_width(k))
+        assert np.array_equal(feats, oracle_rows(g, paths))
+
+
+@pytest.mark.parametrize("coords", [CIS, TRANS, [[x, -y, z] for x, y, z in TRANS],
+                                    [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]],
+                                    [[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 1, 0]]])
+def test_batched_features_equal_oracle_on_planar_and_collinear_chains(coords):
+    g = chain_graph(coords)
+    for paths in tables_by_length(g).values():
+        assert np.array_equal(geometry_features(g.coords, paths), oracle_rows(g, paths))
+
+
+def test_batched_collinear_chain_gets_fallback_row_beside_a_regular_one():
+    # atoms 0-1-2 collinear: (0,1,2,3) is degenerate, (1,2,3,4) is not
+    g = chain_graph([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [2.5, 1.0, 0],
+                     [3.5, 1.0, 0.6]])
+    paths = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
+    feats = geometry_features(g.coords, paths)
+    assert np.array_equal(feats[0, 5:], [1.0, 0.0, 1.0])
+    assert feats[1, 7] == 0.0
+    assert np.array_equal(feats, oracle_rows(g, paths))
+
+
+def test_batched_coincident_atoms_raise_naming_the_first_path():
+    g = chain_graph([[0.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0], [2.0, 1, 0]])
+    paths = np.array([[3, 2, 1, 0], [0, 1, 2, 3]])
+    with pytest.raises(DegenerateGeometryError,
+                       match=r"angle \(3, 2, 1\) on path \(3, 2, 1, 0\)"):
+        geometry_features(g.coords, paths)
+    with pytest.raises(DegenerateGeometryError):
+        geometry_path_features(g, Path((3, 2, 1, 0)))
+    # bond lengths need no angle: length-1 rows stay defined (0 for the pair)
+    assert np.array_equal(geometry_features(g.coords, np.array([[1, 2]])), [[0.0]])
+
+
+
+def test_batched_features_reject_lengths_outside_one_to_three():
+    with pytest.raises(ValueError, match="lengths 1..3"):
+        geometry_features(np.array(TRANS), np.array([[0, 1, 2, 3, 0]]))

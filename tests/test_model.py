@@ -1,7 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+import pathmpnn.model as model_module
 import pathmpnn.tensor as T
+from pathmpnn.chem import detect_groups, ring_membership, substructure_path_features
+from pathmpnn.geometry import DegenerateGeometryError, geometry_path_features
 from pathmpnn.gradchecks import TOLERANCE, full_model_gradcheck, probe_molecule
 from pathmpnn.model import (ConfigError, ModelConfig, attention_aggregate,
                             build_path_cache, forward, forward_base_mpnn,
@@ -9,6 +14,8 @@ from pathmpnn.model import (ConfigError, ModelConfig, attention_aggregate,
                             message_path, message_standard, node_update,
                             set2set_readout_batched, static_feature_width)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
+from pathmpnn.paths import PathExplosionError, enumerate_paths, sample_paths
+from pathmpnn.synth import generate_molecules
 
 S60 = np.sqrt(3.0) / 2.0
 CHAIN_BONDS = ((0, 1, "single"), (1, 2, "single"), (2, 3, "single"))
@@ -269,3 +276,98 @@ def test_sampled_cache_and_joint_attention_flag(probe_graph):
     assert all(len(g.roots) > 0 for g in cache.values())
     y = forward(probe_graph, params, config, cache)
     assert np.isfinite(y.values).all()
+
+
+# -- the batched path cache against the per-path oracle; tolerance 0 (exact) --
+
+def oracle_cache(graph, config, seed):
+    """build_path_cache one path at a time: enumerate or sample, then one
+    static row per path from the edge features and the scalar features."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for v in range(graph.n):
+        if config.sample_budget is None:
+            found.extend(enumerate_paths(graph, v, config.path_length,
+                                         exact_length_only=config.exact_length_only))
+        else:
+            found.extend(p for p in sample_paths(graph, v, config.path_length,
+                                                 config.sample_budget, rng)
+                         if not config.exact_length_only or p.length == config.path_length)
+    groups = {}
+    for p in found:
+        parts = [graph.edge_features[(a, b)] for a, b in zip(p.nodes, p.nodes[1:])]
+        if config.feature_mode == "substructure":
+            parts.append(substructure_path_features(
+                graph, p, ring_membership(graph), detect_groups(graph)).to_vector())
+        elif config.feature_mode == "geometry":
+            parts.append(geometry_path_features(graph, p).to_vector())
+        groups.setdefault(p.length, []).append((p.root, p.nodes[1:], np.concatenate(parts)))
+    return {k: (np.array([r[0] for r in rows], dtype=np.int64),
+                np.array([r[1] for r in rows], dtype=np.int64),
+                np.stack([r[2] for r in rows]))
+            for k, rows in groups.items()}
+
+
+def geometry_record(mol_id, coords, bonds):
+    return MoleculeRecord(mol_id, ("C",) * len(coords),
+                          tuple((a, b, "single") for a, b in bonds), targets=(0.0,),
+                          coords=np.asarray(coords, dtype=np.float64))
+
+
+COLLINEAR = geometry_record("collinear", [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0],
+                                          [3.5, 1, 0], [4.5, 1, 0.6]],
+                            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+SINGLE_ATOM = geometry_record("single", [[0, 0, 0]], [])
+NO_LENGTH_3 = geometry_record("bent", [[0, 0, 0], [1, 0, 0], [1.5, 1, 0]], [(0, 1), (1, 2)])
+
+
+def cache_graphs():
+    """Random 3D trees, ring and alcohol molecules, a collinear chain with a
+    degenerate dihedral, a single atom and a graph without length-3 paths."""
+    records = (generate_molecules("dihedral-sum", 6, seed=2)
+               + generate_molecules("solubility", 6, seed=2)
+               + generate_molecules("alcohol-count", 6, seed=2)
+               + [CIS, TRANS, COLLINEAR, SINGLE_ATOM, NO_LENGTH_3])
+    featurizer = FeaturizerConfig(("C", "N", "O"))
+    return [build_graph(r, featurizer) for r in records]
+
+
+@pytest.mark.parametrize("mode", ["base", "substructure", "geometry"])
+@pytest.mark.parametrize("path_length", [1, 2, 3])
+@pytest.mark.parametrize("exact_length_only", [False, True])
+@pytest.mark.parametrize("sample_budget", [None, 3])
+def test_path_cache_equals_per_path_oracle(mode, path_length, exact_length_only,
+                                           sample_budget):
+    config = small_config(feature_mode=mode, path_length=path_length,
+                          exact_length_only=exact_length_only,
+                          sample_budget=sample_budget)
+    for graph in cache_graphs():
+        if mode == "geometry" and graph.coords is None:
+            continue
+        cache = build_path_cache(graph, config, seed=4)
+        oracle = oracle_cache(graph, config, seed=4)
+        assert list(cache) == list(oracle), graph.id
+        for k, (roots, nodes, static) in oracle.items():
+            group = cache[k]
+            for got, want in ((group.roots, roots), (group.nodes, nodes),
+                              (group.static, static)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (graph.id, k)
+    assert build_path_cache(build_graph(SINGLE_ATOM, FEAT), config) == {}
+
+
+def test_path_cache_names_molecule_with_coincident_atoms():
+    record = geometry_record("coincident", [[0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 1, 0]],
+                             [(0, 1), (1, 2), (2, 3)])
+    graph = build_graph(record, FEAT)
+    config = small_config(feature_mode="geometry", path_length=3)
+    with pytest.raises(DegenerateGeometryError,
+                       match=r"^molecule coincident: zero-length bond vector "
+                             r"in angle \(0, 1, 2\) on path \(0, 1, 2\)$"):
+        build_path_cache(graph, config)
+
+
+def test_path_cache_names_molecule_past_the_path_cap(monkeypatch, probe_graph):
+    monkeypatch.setattr(model_module, "enumerate_paths", partial(enumerate_paths, cap=2))
+    with pytest.raises(PathExplosionError,
+                       match=f"^molecule {probe_graph.id}: more than 2 paths rooted at node 0"):
+        build_path_cache(probe_graph, small_config())
