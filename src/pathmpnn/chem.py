@@ -161,8 +161,8 @@ def feature_width(path_length: int) -> int:
     return RING_FLAG_DIM * path_length + GROUP_FLAG_DIM
 
 
-def substructure_path_features(graph, path, ring_table=None, groups=None) -> SubstructureFeatures:
-    """Flags for one path: per non-root-node ring flags plus group bits.
+def substructure_path_features(graph, nodes, ring_table=None, groups=None) -> SubstructureFeatures:
+    """Flags for the path `nodes`: per non-root-node ring flags plus group bits.
 
     ring_table/groups accept precomputed results so per-graph work happens
     once; otherwise they are computed here.
@@ -171,7 +171,6 @@ def substructure_path_features(graph, path, ring_table=None, groups=None) -> Sub
         ring_table = ring_membership(graph)
     if groups is None:
         groups = detect_groups(graph)
-    nodes = path.nodes
     on_bond = 0.0
     touches = 0.0
     for g in groups:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .paths import csr_adjacency, extensions
 from .tensor import (Tensor, add, concat, gather_rows, matmul, mul, relu,
                      segment_sum, glorot, zeros)
 
@@ -117,42 +118,35 @@ def init_gcn_params(config: PathGCNConfig, n_features: int, n_classes: int,
 
 
 def sample_citation_paths(graph: CitationGraph, config: PathGCNConfig,
-                          rng) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+                          rng) -> dict[int, np.ndarray]:
     """per_hop_budget uniformly sampled extensions per partial path per hop,
-    starting from every first-order neighbor of every node. Returns the
-    higher-order paths grouped by length as (root ids, non-root node
-    columns); lengths that drew no path are left out. Budget 0 returns {}
-    without drawing from rng."""
+    starting from every first-order neighbor of every node, as node tables
+    of lengths 2..path_length (those that drew paths). Budget 1 draws one
+    number per partial path; a larger budget draws a key per admissible
+    extension and keeps the `budget` smallest, a uniform choice without
+    replacement. Budget 0 returns {} without drawing from rng."""
     budget = config.per_hop_budget
-    by_len: dict[int, tuple[list, list]] = {
-        k: ([], []) for k in range(2, config.path_length + 1)}
-    if budget > 0:
-        adj = graph.adjacency
-        frontier = [(v, w) for v in range(graph.n) for w in adj[v]]
-        for hop in range(2, config.path_length + 1):
-            draws = rng.random(len(frontier))
-            nxt = []
-            roots, cols = by_len[hop]
-            for i, partial in enumerate(frontier):
-                admissible = [y for y in adj[partial[-1]] if y not in partial]
-                if not admissible:
-                    continue
-                if budget == 1:
-                    extended = (partial + (admissible[int(draws[i] * len(admissible))],),)
-                else:
-                    take = min(budget, len(admissible))
-                    picks = rng.choice(len(admissible), size=take, replace=False)
-                    extended = tuple(partial + (admissible[j],) for j in sorted(picks))
-                for path in extended:
-                    roots.append(path[0])
-                    cols.append(path[1:])
-                    nxt.append(path)
-            frontier = nxt
+    if budget == 0:
+        return {}
+    csr = csr_adjacency(graph.adjacency)
+    frontier = np.stack(extensions(np.arange(graph.n)[:, None], csr), axis=1)
     groups = {}
-    for k, (roots, cols) in by_len.items():
-        if roots:
-            groups[k] = (np.asarray(roots, dtype=np.int64),
-                         np.asarray(cols, dtype=np.int64))
+    for hop in range(2, config.path_length + 1):
+        row, nxt = extensions(frontier, csr)
+        count = np.bincount(row, minlength=len(frontier))
+        first = np.cumsum(count) - count
+        if budget == 1:
+            draws = rng.random(len(frontier))
+            extended = np.flatnonzero(count)
+            picks = first[extended] + (draws[extended] * count[extended]).astype(np.int64)
+        else:
+            keys = rng.random(len(row))
+            by_key = np.lexsort((keys, row))
+            rank = np.arange(len(row)) - first[row[by_key]]
+            picks = np.sort(by_key[rank < budget])
+        frontier = np.concatenate([frontier[row[picks]], nxt[picks, None]], axis=1)
+        if len(frontier):
+            groups[hop] = frontier
     return groups
 
 
@@ -177,13 +171,14 @@ def _layer_with_paths(h, adj, params, layer: str, paths: dict, n: int,
     z = matmul(h, params[f"gcn{layer}.W"])
     weighted = mul(gather_rows(z, adj.src), Tensor(adj.weight[:, None]))
     agg = segment_sum(weighted, adj.dst, n)
-    for k, (roots, cols) in sorted(paths.items()):
+    for k, table in sorted(paths.items()):
+        roots = table[:, 0]
         # transform once per position, then gather narrow rows; equal to
-        # matmul(citation_path_features(h, cols), stacked per-position maps)
+        # matmul(citation_path_features(h, table[:, 1:]), stacked per-position maps)
         msg = None
         for pos in range(k):
             zp = gather_rows(matmul(h, params[f"path{layer}.len{k}.M{pos}"]),
-                             cols[:, pos])
+                             table[:, pos + 1])
             msg = zp if msg is None else add(msg, zp)
         # per-root mean keeps the path term on the same scale as the
         # degree-normalized first-order aggregation

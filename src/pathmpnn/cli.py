@@ -18,16 +18,16 @@ from .data import (DataFormatError, load_dataset, load_run_config,
                    write_molecule_file)
 from .geometry import DegenerateGeometryError
 from .gradchecks import TOLERANCE, full_model_gradcheck, op_gradchecks
-from .model import ConfigError, ModelConfig, path_feature_fn
+from .model import ConfigError, ModelConfig, init_params, path_feature_fn
 from .molgraph import FeaturizerConfig, MoleculeError, build_graph
-from .paths import PathExplosionError, enumerate_paths, path_tables, sample_paths
+from .paths import PathExplosionError, enumerate_paths, sample_paths
 from .synth import TASKS, generate_molecules, synth_citation
-from .tensor import load_params, save_params
+from .tensor import CheckpointError, load_params, save_params
 from .training import (evaluate_regression, save_report, summarize_reports,
                        train_node_classification, train_regression)
 
 VALIDATION_ERRORS = (ConfigError, MoleculeError, DataFormatError,
-                     DegenerateGeometryError, FileNotFoundError,
+                     DegenerateGeometryError, CheckpointError, FileNotFoundError,
                      json.JSONDecodeError)
 
 
@@ -37,12 +37,17 @@ def cmd_paths(args) -> int:
         raise ConfigError(f"molecule index {args.index} out of range "
                           f"({len(dataset.records)} molecules)")
     graph = build_graph(dataset.records[args.index], dataset.featurizer)
-    if args.sample is not None:
-        found = sample_paths(graph, args.node, args.length, args.sample, args.seed)
-    else:
-        found = enumerate_paths(graph, args.node, args.length)
-    for p in found:
-        print(" ".join(str(v) for v in p.nodes))
+    if not (0 <= args.node < graph.n):
+        raise ConfigError(f"molecule {graph.id}: --node {args.node} out of range ({graph.n} atoms)")
+    if args.length < 1:
+        raise ConfigError(f"molecule {graph.id}: --length must be >= 1, got {args.length}")
+    if args.sample is not None and args.sample < 1:
+        raise ConfigError(f"molecule {graph.id}: --sample must be >= 1, got {args.sample}")
+    tables = (enumerate_paths(graph, [args.node], args.length) if args.sample is None else
+              sample_paths(graph, [args.node], args.length, args.sample, args.seed))
+    # lexicographic, a prefix before its extensions: depth-first order
+    for path in sorted(p for t in tables.values() for p in t.tolist()):
+        print(" ".join(str(v) for v in path))
     return 0
 
 
@@ -53,17 +58,17 @@ def cmd_featurize(args) -> int:
             graph = build_graph(record, dataset.featurizer)
             try:
                 path_features = path_feature_fn(graph, args.mode)
-                found = [p for v in range(graph.n)
-                         for p in enumerate_paths(graph, v, args.length)]
-                rows = {k: iter(path_features(paths).tolist())
-                        for k, paths in path_tables(found).items()}
+                tables = enumerate_paths(graph, range(graph.n), args.length)
+                rows = {k: path_features(paths).tolist() for k, paths in tables.items()}
             except (ConfigError, DegenerateGeometryError, PathExplosionError) as err:
                 raise type(err)(f"molecule {record.id}: {err}") from None
-            for p in found:
+            # per root in depth-first order, lengths interleaved
+            for path, k, i in sorted((p, k, i) for k, t in tables.items()
+                                     for i, p in enumerate(t.tolist())):
                 fh.write(json.dumps({
                     "molecule": record.id,
-                    "path": list(p.nodes),
-                    "features": next(rows[p.length]),
+                    "path": path,
+                    "features": rows[k][i],
                 }) + "\n")
     return 0
 
@@ -155,6 +160,15 @@ def cmd_eval(args) -> int:
     featurizer = FeaturizerConfig(tuple(meta["element_vocab"]),
                                   meta["explicit_hydrogens"])
     dataset = load_dataset(args.input, featurizer.explicit_hydrogens)
+    # the shapes training gives: edge width from the first molecule's coords
+    with_coords = bool(dataset.records) and dataset.records[0].coords is not None
+    expected = init_params(model_config, featurizer.node_dim, featurizer.edge_dim(with_coords))
+    for name in sorted(expected.keys() | params.keys()):
+        got, want = (str(p[name].values.shape) if name in p else "absent"
+                     for p in (params, expected))
+        if got != want:
+            raise ConfigError(f"{args.checkpoint}: parameter {name}: {got} in the "
+                              f"checkpoint, {want} for its model config and input")
     metrics = evaluate_regression(dataset.records, params, model_config,
                                   featurizer, np.asarray(meta["target_mean"]),
                                   np.asarray(meta["target_std"]))

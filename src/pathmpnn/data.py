@@ -271,10 +271,3 @@ def load_run_config(path) -> RunConfig:
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path}: invalid JSON ({err.msg})") from None
     return run_config_from_dict(data)
-
-
-def run_config_to_dict(config: RunConfig) -> dict:
-    from dataclasses import asdict
-
-    out = asdict(config)
-    return out

@@ -98,15 +98,14 @@ def feature_width(path_length: int) -> int:
     return widths[path_length]
 
 
-def geometry_path_features(graph, path) -> GeometryFeatures:
-    """Assemble lengths/angles/dihedral for a path of length 1..3.
+def geometry_path_features(graph, nodes) -> GeometryFeatures:
+    """Assemble lengths/angles/dihedral for the path `nodes` of length 1..3.
 
     A degenerate (collinear) dihedral falls back to cos=1, sin=0 with the
     degenerate indicator set; degenerate bond angles propagate as errors.
     """
     if graph.coords is None:
         raise ValueError("geometry features need atomic coordinates")
-    nodes = path.nodes
     k = len(nodes) - 1
     if k > 3:
         raise ValueError(f"geometry features defined for lengths 1..3, got {k}")

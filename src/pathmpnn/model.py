@@ -17,7 +17,7 @@ import numpy as np
 
 from . import chem, geometry
 from .geometry import DegenerateGeometryError
-from .paths import PathExplosionError, enumerate_paths, path_tables, sample_paths
+from .paths import PathExplosionError, enumerate_paths, sample_paths
 from .tensor import (Tensor, add, concat, gather_rows, leaky_relu, lstm_cell,
                      matmul, mul, reduce_sum, relu, segment_softmax,
                      segment_sum, sigmoid, glorot, zeros)
@@ -97,27 +97,22 @@ def build_path_cache(graph, config: ModelConfig, seed=None) -> dict[int, PathGro
     Feature-mode, geometry and path-cap errors name the molecule."""
     if seed is None:
         seed = config.seed
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     cache = {}
     try:
         path_features = path_feature_fn(graph, config.feature_mode)
-        all_paths = []
-        for v in range(graph.n):
-            if config.sample_budget is None:
-                all_paths.extend(enumerate_paths(
-                    graph, v, config.path_length,
-                    exact_length_only=config.exact_length_only))
-            else:
-                sampled = sample_paths(graph, v, config.path_length,
-                                       config.sample_budget, rng)
-                if config.exact_length_only:
-                    sampled = [p for p in sampled if p.length == config.path_length]
-                all_paths.extend(sampled)
+        if config.sample_budget is None:
+            tables = enumerate_paths(graph, range(graph.n), config.path_length,
+                                     exact_length_only=config.exact_length_only)
+        else:
+            tables = sample_paths(graph, range(graph.n), config.path_length,
+                                  config.sample_budget, seed)
+            if config.exact_length_only:
+                tables = {k: t for k, t in tables.items() if k == config.path_length}
         edge_table = np.array(list(graph.edge_features.values()))
         edge_id = np.zeros((graph.n, graph.n), dtype=np.int64)   # row in edge_table
         for i, (a, b) in enumerate(graph.edge_features):
             edge_id[a, b] = i
-        for k, paths in path_tables(all_paths).items():
+        for k, paths in tables.items():
             parts = [edge_table[edge_id[paths[:, :-1], paths[:, 1:]]].reshape(len(paths), -1)]
             if path_features is not None:
                 parts.append(path_features(paths))

@@ -1,15 +1,12 @@
-"""Simple-path enumeration and sampling.
-
-A path is rooted at a node v and visits distinct nodes along edges. The
-enumerator returns every simple path of length 1..max_length in lexicographic
-order; the sampler draws a random subset when full enumeration is too
-expensive. Both work on anything exposing .n and .adjacency.
+"""Simple-path enumeration and sampling on anything exposing .n and
+.adjacency (sorted neighbor tuples). Paths come as node tables: {length k:
+(P, k+1) int64 array}, lengths ascending and only those with paths, rows
+root-major (roots in the order given) and lexicographic within a root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -20,67 +17,74 @@ class PathExplosionError(RuntimeError):
     """Enumeration exceeded the path cap; use sample_paths instead."""
 
 
-@dataclass(frozen=True)
-class Path:
-    nodes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.nodes) < 2:
-            raise ValueError("a path has at least one edge")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"repeated node in path {self.nodes}")
-
-    @property
-    def root(self) -> int:
-        return self.nodes[0]
-
-    @property
-    def length(self) -> int:
-        return len(self.nodes) - 1
+def csr_adjacency(adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of an adjacency list: the neighbors of v are
+    indices[indptr[v]:indptr[v+1]], in adjacency order."""
+    indptr = np.concatenate([[0], np.cumsum([len(nbrs) for nbrs in adjacency], dtype=np.int64)])
+    indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
+                          count=int(indptr[-1]))
+    return indptr, indices
 
 
-def enumerate_paths(graph, v: int, max_length: int, *, exact_length_only: bool = False,
-                    cap: int = DEFAULT_PATH_CAP) -> list[Path]:
-    """All simple paths rooted at v with length 1..max_length.
+def extensions(table: np.ndarray, csr) -> tuple[np.ndarray, np.ndarray]:
+    """Every one-edge extension of the paths in a (P, m) node table, as
+    (row, next_node): row-major, neighbors of each row's last node in
+    adjacency order, nodes already on the row's path left out. Extending a
+    lexicographic table row by row gives a lexicographic table."""
+    indptr, indices = csr
+    tips = table[:, -1]
+    count = indptr[tips + 1] - indptr[tips]
+    row = np.repeat(np.arange(len(table)), count)
+    # position of each candidate in the flat neighbor array
+    flat = np.arange(len(row)) + np.repeat(indptr[tips] - (np.cumsum(count) - count), count)
+    nxt = indices[flat]
+    fresh = (table[row] != nxt[:, None]).all(axis=1)
+    return row[fresh], nxt[fresh]
 
-    Paths come out in lexicographic order of their node sequences (sorted
-    adjacency, prefix before extension), so featurization is reproducible.
-    With exact_length_only, only paths of length exactly max_length survive.
-    """
-    if not (0 <= v < graph.n):
-        raise ValueError(f"root {v} out of range for graph with {graph.n} nodes")
+
+def _check_roots(graph, roots) -> np.ndarray:
+    roots = np.asarray(roots, dtype=np.int64)
+    bad = roots[(roots < 0) | (roots >= graph.n)]
+    if bad.size:
+        raise ValueError(f"root {bad[0]} out of range for graph with {graph.n} nodes")
+    return roots
+
+
+def enumerate_paths(graph, roots, max_length: int, *, exact_length_only: bool = False,
+                    cap: int = DEFAULT_PATH_CAP) -> dict[int, np.ndarray]:
+    """All simple paths of length 1..max_length from the roots, each
+    length's table extended from the previous one; with exact_length_only
+    only the max_length table. More than `cap` paths from one root raise
+    PathExplosionError naming the first such root in `roots`; once one
+    crosses, only the roots before it are extended (they may cross later)."""
+    roots = _check_roots(graph, roots)
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-
-    out: list[Path] = []
-    stack = [v]
-    on_path = {v}
-
-    emitted = 0
-
-    def extend():
-        nonlocal emitted
-        tip = stack[-1]
-        for w in graph.adjacency[tip]:
-            if w in on_path:
-                continue
-            stack.append(w)
-            on_path.add(w)
-            emitted += 1
-            if emitted > cap:
-                raise PathExplosionError(
-                    f"more than {cap} paths rooted at node {v}; "
-                    "use sample_paths with a budget"
-                )
-            if not exact_length_only or len(stack) - 1 == max_length:
-                out.append(Path(tuple(stack)))
-            if len(stack) - 1 < max_length:
-                extend()
-            on_path.discard(w)
-            stack.pop()
-
-    extend()
-    return out
+    csr = csr_adjacency(graph.adjacency)
+    table = roots[:, None]
+    owner = np.arange(len(roots))          # position in roots of each row's root
+    emitted = np.zeros(len(roots), dtype=np.int64)
+    first_over = len(roots)
+    tables = {}
+    for k in range(1, max_length + 1):
+        row, nxt = extensions(table, csr)
+        emitted += np.bincount(owner[row], minlength=len(roots))
+        over = np.flatnonzero(emitted > cap)
+        if over.size:
+            first_over = over[0]
+            keep = owner[row] < first_over
+            row, nxt = row[keep], nxt[keep]
+        table = np.concatenate([table[row], nxt[:, None]], axis=1)
+        owner = owner[row]
+        if not len(table):
+            break
+        if not exact_length_only or k == max_length:
+            tables[k] = table
+    if first_over < len(roots):
+        raise PathExplosionError(
+            f"more than {cap} paths rooted at node {roots[first_over]}; "
+            "use sample_paths with a budget")
+    return tables
 
 
 def count_paths_oracle(graph, v: int, max_length: int) -> dict[int, int]:
@@ -105,56 +109,35 @@ def count_paths_oracle(graph, v: int, max_length: int) -> dict[int, int]:
     return counts
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_paths(graph, v: int, max_length: int, budget: int, seed) -> list[Path]:
-    """Sample simple paths rooted at v, deterministic given the seed.
-
-    Randomized depth-first enumeration, truncated after `budget` emitted
-    paths. Each extension picks uniformly among admissible neighbors, so a
-    budget covering the whole path set reproduces enumerate_paths exactly
-    (up to order; output is sorted).
-    """
-    if not (0 <= v < graph.n):
-        raise ValueError(f"root {v} out of range for graph with {graph.n} nodes")
-    rng = _as_rng(seed)
-
+def sample_paths(graph, roots, max_length: int, budget: int, seed) -> dict[int, np.ndarray]:
+    """Sampled simple paths from each root in turn, one rng for all:
+    randomized depth-first enumeration, truncated after `budget` paths per
+    root. Each extension picks uniformly among admissible neighbors, so a
+    budget covering a root's whole path set reproduces enumerate_paths."""
+    roots = _check_roots(graph, roots)
+    rng = np.random.default_rng(seed)   # a Generator passes through as is
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    out: list[Path] = []
-    stack = [v]
-    on_path = {v}
+    rows: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, max_length + 1)}
+    for v in roots.tolist():
+        out: list[tuple[int, ...]] = []
+        stack = [v]
 
-    def extend() -> bool:
-        tip = stack[-1]
-        admissible = [w for w in graph.adjacency[tip] if w not in on_path]
-        order = rng.permutation(len(admissible)) if len(admissible) > 1 else range(len(admissible))
-        for idx in order:
-            w = admissible[idx]
-            stack.append(w)
-            on_path.add(w)
-            out.append(Path(tuple(stack)))
-            done = len(out) >= budget
-            if not done and len(stack) - 1 < max_length:
-                done = extend()
-            on_path.discard(w)
-            stack.pop()
-            if done:
-                return True
-        return False
+        def extend() -> bool:
+            free = [w for w in graph.adjacency[stack[-1]] if w not in stack]
+            order = rng.permutation(len(free)) if len(free) > 1 else range(len(free))
+            for idx in order:
+                stack.append(free[idx])
+                out.append(tuple(stack))
+                done = len(out) >= budget or (len(stack) - 1 < max_length and extend())
+                stack.pop()
+                if done:
+                    return True
+            return False
 
-    extend()
-    return sorted(out, key=lambda p: p.nodes)
-
-
-def path_tables(paths: list[Path]) -> dict[int, np.ndarray]:
-    """One (P, k+1) int64 node table per path length k, rows in the order
-    the paths come in, lengths in order of first appearance."""
-    rows: dict[int, list[tuple[int, ...]]] = {}
-    for p in paths:
-        rows.setdefault(p.length, []).append(p.nodes)
-    return {k: np.asarray(r, dtype=np.int64) for k, r in rows.items()}
+        extend()
+        for path in sorted(out):
+            rows[len(path) - 1].append(path)
+    return {k: np.asarray(r, dtype=np.int64) for k, r in rows.items() if r}

@@ -15,7 +15,7 @@ import numpy as np
 from .citation import CitationGraph
 from .geometry import geometry_features
 from .molgraph import FeaturizerConfig, MoleculeRecord, build_graph
-from .paths import enumerate_paths, path_tables
+from .paths import enumerate_paths
 
 TASKS = ("alcohol-count", "dihedral-sum", "solubility")
 
@@ -95,8 +95,7 @@ def synth_dihedral_sum(n_molecules: int, seed: int = 0) -> list[MoleculeRecord]:
         record = MoleculeRecord(id=f"dih{idx}", elements=elements,
                                 bonds=tuple(bonds), coords=coords)
         graph = build_graph(record, featurizer)
-        chains = path_tables([p for v in range(graph.n)
-                              for p in enumerate_paths(graph, v, 3, exact_length_only=True)])
+        chains = enumerate_paths(graph, range(graph.n), 3, exact_length_only=True)
         total = 0.0
         if chains:   # column 5 of a length-3 geometry row is the dihedral cosine
             for cos in geometry_features(graph.coords, chains[3])[:, 5].tolist():

@@ -8,6 +8,8 @@ need the precision.
 
 from __future__ import annotations
 
+import json
+import os
 import struct
 
 import numpy as np
@@ -423,11 +425,13 @@ def adam_step(params, state: AdamState, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
 CHECKPOINT_MAGIC = b"PMPN0001"
 
 
+class CheckpointError(ValueError):
+    """A file that is not a whole parameter checkpoint."""
+
+
 def save_params(path, params, metadata=None):
     """Binary checkpoint: magic, JSON metadata block, then a flat list of
     (name, shape, little-endian float64 values)."""
-    import json
-
     meta = json.dumps(metadata or {}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -446,26 +450,34 @@ def save_params(path, params, metadata=None):
 
 
 def load_params(path):
-    """Returns (params dict of Tensors with requires_grad, metadata dict)."""
-    import json
-
+    """Returns (params dict of Tensors with requires_grad, metadata dict).
+    Raises CheckpointError naming the file if it is no whole checkpoint."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a parameter checkpoint")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        metadata = json.loads(fh.read(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        file_size = os.fstat(fh.fileno()).st_size
+
+        def read(size):
+            # checked before reading: a corrupt shape can ask for any size
+            if fh.tell() + size > file_size:
+                raise CheckpointError(f"{path}: truncated checkpoint ({file_size} bytes)")
+            return fh.read(size)
+
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a parameter checkpoint")
+        (meta_len,) = struct.unpack("<I", read(4))
+        try:
+            metadata = json.loads(read(meta_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise CheckpointError(f"{path}: unreadable checkpoint metadata ({err})") from None
+        (count,) = struct.unpack("<I", read(4))
         params = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
+            (name_len,) = struct.unpack("<H", read(2))
+            name = read(name_len).decode("utf-8", errors="replace")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
             n_values = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * n_values)
-            values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-            params[name] = Tensor(values.copy(), requires_grad=True)
+            values = np.frombuffer(read(8 * n_values), dtype="<f8").astype(np.float64)
+            params[name] = Tensor(values.reshape(shape), requires_grad=True)
     return params, metadata
 
 

@@ -64,6 +64,15 @@ def accuracy(logits_values, labels, idx) -> float:
     return float((pred[idx] == np.asarray(labels)[idx]).mean())
 
 
+def _finite_loss(loss, epoch: int, batch: int) -> float:
+    """The loss of one step; raises naming the epoch and batch if it diverged."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise FloatingPointError(
+            f"training diverged: loss is {value} at epoch {epoch}, batch {batch}")
+    return value
+
+
 # -- splits ----------------------------------------------------------------
 
 def split_dataset(n: int, fractions=(0.8, 0.1, 0.1), seed=0):
@@ -239,9 +248,9 @@ def train_regression(records, config: mdl.ModelConfig,
             pred = mdl.forward_batched(mdl.merge_batch(
                 [graphs[i] for i in batch], [caches[i] for i in batch]), params, config)
             loss = rmse_loss(pred, z_targets[batch])
+            losses.append(_finite_loss(loss, epoch, lo // settings.batch_size))
             backward(loss)
             adam_step(params, state, lr=settings.lr)
-            losses.append(loss.item())
         val_pred = predict_values([graphs[i] for i in val_idx],
                                   [caches[i] for i in val_idx],
                                   params, config, mean, std)
@@ -365,13 +374,14 @@ def train_node_classification(graph: cit.CitationGraph,
         loss = cross_entropy(logits, graph.labels, graph.train_idx)
         if config.weight_decay > 0:
             loss = loss + _l2_penalty(params, config.weight_decay)
+        train_loss = _finite_loss(loss, epoch, 0)
         backward(loss)
         adam_step(params, state, lr=config.lr)
 
         eval_logits = _citation_logits(graph, adj, params, config, eval_paths)
         val_acc = accuracy(eval_logits, graph.labels, graph.val_idx)
         train_acc = accuracy(eval_logits, graph.labels, graph.train_idx)
-        report.epochs.append({"epoch": epoch, "train_loss": loss.item(),
+        report.epochs.append({"epoch": epoch, "train_loss": train_loss,
                               "train_accuracy": train_acc, "val_metric": val_acc})
         if val_acc > best_val + 1e-12:
             best_val = val_acc

@@ -10,7 +10,7 @@ from pathmpnn.chem import (GROUP_DETECTORS, GroupMatch, RING_SIZES,
                            rings_oracle, substructure_features,
                            substructure_path_features)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
-from pathmpnn.paths import Path, enumerate_paths, path_tables
+from pathmpnn.paths import enumerate_paths
 
 
 def molecule(elements, edges, explicit_h=False):
@@ -113,18 +113,18 @@ def test_disconnected_component_does_not_change_flags():
 
 
 def test_alcohol_path_flags():
-    feats = substructure_path_features(ETHANOL, Path((0, 1, 2)))
+    feats = substructure_path_features(ETHANOL, (0, 1, 2))
     assert feats.on_group_bond == 1.0 and feats.touches_group == 1.0
-    feats_away = substructure_path_features(ETHANOL, Path((2, 1, 0)))
+    feats_away = substructure_path_features(ETHANOL, (2, 1, 0))
     assert feats_away.on_group_bond == 1.0
-    no_group = substructure_path_features(DIMETHYL_ETHER, Path((0, 1, 2)))
+    no_group = substructure_path_features(DIMETHYL_ETHER, (0, 1, 2))
     assert no_group.on_group_bond == 0.0 and no_group.touches_group == 0.0
 
 
 def test_cyclohexanol_paths_to_hydroxyl_carry_flag():
-    flagged = substructure_path_features(CYCLOHEXANOL, Path((1, 0, 6)))
+    flagged = substructure_path_features(CYCLOHEXANOL, (1, 0, 6))
     assert flagged.on_group_bond == 1.0
-    ring_only = substructure_path_features(CYCLOHEXANOL, Path((1, 2, 3)))
+    ring_only = substructure_path_features(CYCLOHEXANOL, (1, 2, 3))
     assert ring_only.on_group_bond == 0.0
     col = RING_SIZES.index(6)
     assert np.all(ring_only.ring_flags[:, col] == 1.0)
@@ -132,7 +132,7 @@ def test_cyclohexanol_paths_to_hydroxyl_carry_flag():
 
 def test_feature_vector_width():
     for k in (1, 2, 3):
-        path = Path(tuple(range(k + 1)))
+        path = tuple(range(k + 1))
         chain = molecule("C" * (k + 1), [(i, i + 1) for i in range(k)])
         vec = substructure_path_features(chain, path).to_vector()
         assert vec.shape == (feature_width(k),)
@@ -183,11 +183,11 @@ def test_500_random_molecules_match_cycle_oracle():
 # -- batched flags against the per-path oracle; tolerance 0 (exact) ------------
 
 def assert_batched_flags_equal_oracle(g):
-    tables = path_tables([p for v in range(g.n) for p in enumerate_paths(g, v, 3)])
+    tables = enumerate_paths(g, range(g.n), 3)
     assert tables or g.n < 2
     for k, paths in tables.items():
         feats = substructure_features(paths, ring_membership(g), detect_groups(g))
-        oracle = np.stack([substructure_path_features(g, Path(tuple(row))).to_vector()
+        oracle = np.stack([substructure_path_features(g, tuple(row)).to_vector()
                            for row in paths.tolist()])
         assert feats.shape == (len(paths), feature_width(k))
         assert np.array_equal(feats, oracle)

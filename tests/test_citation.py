@@ -150,10 +150,8 @@ def test_star_leaves_see_sibling_leaves():
     config = PathGCNConfig(hidden_dim=4, path_length=2, per_hop_budget=1, seed=5)
     params = init_gcn_params(config, 6, 2)
     paths = sample_citation_paths(star, config, np.random.default_rng(1))
-    roots, cols = paths[2]
-    leaf_paths = {(r, tuple(c)) for r, c in zip(roots, cols)}
     # a leaf root reaches another leaf through the center
-    assert any(r != 0 and c[1] != 0 and c[0] == 0 for r, c in leaf_paths)
+    assert any(r != 0 and c != 0 and b == 0 for r, b, c in paths[2].tolist())
 
 
 def test_sampled_paths_deterministic_given_seed():
@@ -163,8 +161,7 @@ def test_sampled_paths_deterministic_given_seed():
     b = sample_citation_paths(g, config, np.random.default_rng(42))
     assert a.keys() == b.keys() == {2, 3}
     for k in a:
-        assert np.array_equal(a[k][0], b[k][0])
-        assert np.array_equal(a[k][1], b[k][1])
+        assert np.array_equal(a[k], b[k])
 
 
 def test_sampled_paths_are_simple_and_adjacent():
@@ -172,10 +169,9 @@ def test_sampled_paths_are_simple_and_adjacent():
     config = PathGCNConfig(per_hop_budget=2, seed=0)
     paths = sample_citation_paths(g, config, np.random.default_rng(3))
     adj_sets = [set(nbrs) for nbrs in g.adjacency]
-    for k, (roots, cols) in paths.items():
-        for root, tail in zip(roots, cols):
-            seq = (root,) + tuple(tail)
-            assert len(set(seq)) == len(seq)
+    for k, table in paths.items():
+        for seq in table.tolist():
+            assert len(seq) == k + 1 and len(set(seq)) == len(seq)
             for a, b in zip(seq, seq[1:]):
                 assert b in adj_sets[a]
 
@@ -187,9 +183,9 @@ def test_per_hop_uniform_choices(k4):
     draws = 10_000
     counts = {}
     for seed in range(draws):
-        roots, cols = sample_citation_paths(k4, config, np.random.default_rng(seed))[2]
-        for tail in cols[(roots == 0) & (cols[:, 0] == 1)]:
-            counts[tail[1]] = counts.get(tail[1], 0) + 1
+        table = sample_citation_paths(k4, config, np.random.default_rng(seed))[2]
+        for path in table[(table[:, 0] == 0) & (table[:, 1] == 1)]:
+            counts[path[2]] = counts.get(path[2], 0) + 1
     assert set(counts) == {2, 3}
     expected = draws / 2
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -201,12 +197,83 @@ def test_per_hop_mode_structure(k4):
     config = PathGCNConfig(path_length=3, per_hop_budget=1)
     paths = sample_citation_paths(k4, config, np.random.default_rng(4))
     assert sorted(paths) == [2, 3]
-    for k, (roots, cols) in paths.items():
-        assert cols.shape == (12, k)
+    for k, table in paths.items():
+        assert table.shape == (12, k + 1)
         # one extension per first-order neighbor of every root
-        assert np.array_equal(np.bincount(roots), [3, 3, 3, 3])
+        assert np.array_equal(np.bincount(table[:, 0]), [3, 3, 3, 3])
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
     zero = PathGCNConfig(path_length=3, per_hop_budget=0)
     assert sample_citation_paths(k4, zero, rng) == {}
     assert rng.bit_generator.state == before      # budget 0 draws nothing
+
+
+def test_budget_two_picks_uniform_pairs_without_replacement():
+    # K5 from the partial path (0, 1): three admissible extensions, two
+    # picked without replacement, so each of the 3 pairs has probability 1/3
+    k5 = tiny_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    config = PathGCNConfig(path_length=2, per_hop_budget=2)
+    draws = 10_000
+    counts = {}
+    for seed in range(draws):
+        table = sample_citation_paths(k5, config, np.random.default_rng(seed))[2]
+        pair = tuple(table[(table[:, 0] == 0) & (table[:, 1] == 1), 2].tolist())
+        counts[pair] = counts.get(pair, 0) + 1
+    assert set(counts) == {(2, 3), (2, 4), (3, 4)}     # in adjacency order
+    expected = draws / 3
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    # chi-square with 2 dof: mean 2, sd 2; 3 sigma above the mean is 8
+    assert chi2 < 8.0, counts
+
+
+def per_partial_path_oracle(graph, config, rng):
+    """The budget-1 sampler one partial path at a time, as a Python loop
+    over the frontier; returns {length: (roots, non-root columns)}."""
+    budget = config.per_hop_budget
+    by_len = {k: ([], []) for k in range(2, config.path_length + 1)}
+    if budget > 0:
+        adj = graph.adjacency
+        frontier = [(v, w) for v in range(graph.n) for w in adj[v]]
+        for hop in range(2, config.path_length + 1):
+            draws = rng.random(len(frontier))
+            nxt = []
+            roots, cols = by_len[hop]
+            for i, partial in enumerate(frontier):
+                admissible = [y for y in adj[partial[-1]] if y not in partial]
+                if not admissible:
+                    continue
+                if budget == 1:
+                    extended = (partial + (admissible[int(draws[i] * len(admissible))],),)
+                else:
+                    take = min(budget, len(admissible))
+                    picks = rng.choice(len(admissible), size=take, replace=False)
+                    extended = tuple(partial + (admissible[j],) for j in sorted(picks))
+                for path in extended:
+                    roots.append(path[0])
+                    cols.append(path[1:])
+                    nxt.append(path)
+            frontier = nxt
+    groups = {}
+    for k, (roots, cols) in by_len.items():
+        if roots:
+            groups[k] = (np.asarray(roots, dtype=np.int64),
+                         np.asarray(cols, dtype=np.int64))
+    return groups
+
+
+@pytest.mark.parametrize("n_nodes", [1, 50, 300])
+@pytest.mark.parametrize("path_length", [2, 3, 4])
+def test_budget_one_equals_per_partial_path_oracle(n_nodes, path_length):
+    # tolerance 0: same paths in the same order, same rng end state
+    graph = synth_citation(n_nodes=n_nodes, seed=n_nodes)
+    config = PathGCNConfig(path_length=path_length, per_hop_budget=1)
+    for seed in range(3):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            got = sample_citation_paths(graph, config, rng)
+            want = per_partial_path_oracle(graph, config, oracle_rng)
+            assert list(got) == list(want)
+            for k, (roots, cols) in want.items():
+                assert got[k].dtype == np.int64
+                assert np.array_equal(got[k], np.concatenate([roots[:, None], cols], axis=1))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import pathmpnn.tensor as T
 from pathmpnn.cli import main
 from pathmpnn.data import (DataFormatError, load_dataset, load_run_config,
                            parse_citation_files, parse_molecule_file,
@@ -155,6 +156,21 @@ def test_cli_bad_arguments_exit_one(capsys):
     assert main(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--node", "99", "--length", "2"], "--node 99 out of range (4 atoms)"),
+    (["--node", "-1", "--length", "2"], "--node -1 out of range (4 atoms)"),
+    (["--node", "0", "--length", "0"], "--length must be >= 1, got 0"),
+    (["--node", "0", "--length", "2", "--sample", "0"], "--sample must be >= 1, got 0"),
+])
+def test_cli_paths_bad_values_exit_one_naming_the_molecule(tmp_path, capsys, args, message):
+    data = tmp_path / "three.jsonl"
+    write_molecule_file(data, [P4, P4, P4])
+    assert main(["paths", "--input", str(data), "--index", "1"] + args) == 1
+    err = capsys.readouterr().err
+    assert f"error: molecule p4: {message}" in err
+    assert "runtime error" not in err
+
+
 def test_cli_gradcheck_single_op(capsys):
     assert main(["gradcheck", "--op", "matmul"]) == 0
     out = capsys.readouterr().out
@@ -177,9 +193,12 @@ def test_cli_synth_featurize(tmp_path, capsys):
     expected = []
     for record in dataset.records:
         graph = build_graph(record, dataset.featurizer)
-        expected += [{"molecule": record.id, "path": list(p.nodes),
-                      "features": geometry_path_features(graph, p).to_vector().tolist()}
-                     for v in range(graph.n) for p in enumerate_paths(graph, v, 3)]
+        for v in range(graph.n):
+            found = sorted(tuple(p) for t in enumerate_paths(graph, [v], 3).values()
+                           for p in t.tolist())
+            expected += [{"molecule": record.id, "path": list(p),
+                          "features": geometry_path_features(graph, p).to_vector().tolist()}
+                         for p in found]
     assert rows == expected
 
 
@@ -361,3 +380,51 @@ def test_replayed_config_reproduces_run(tmp_path):
     second = [json.loads(l) for l in (tmp_path / "r2.jsonl").read_text().splitlines()]
     assert strip(report_lines) == strip(second)
     assert (tmp_path / "a.ckpt").read_bytes() == first_ckpt
+
+
+def test_cli_eval_bad_checkpoints_exit_one(tmp_path, capsys):
+    data = tmp_path / "alc.jsonl"
+    main(["synth", "--task", "alcohol-count", "--n", "20", "--seed", "3", "--out", str(data)])
+    good = tmp_path / "model.ckpt"
+    config = {"task": "regression", "dataset": str(data),
+              "model": {"hidden_dim": 3, "steps": 1, "path_length": 2,
+                        "feature_mode": "substructure", "set2set_steps": 1},
+              "train": {"epochs": 1, "batch_size": 8}, "checkpoint": str(good)}
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--report", str(tmp_path / "r.jsonl")]) == 0
+    params, meta = T.load_params(good)
+
+    truncated = tmp_path / "truncated.ckpt"
+    truncated.write_bytes(good.read_bytes()[:-5])
+    foreign = tmp_path / "foreign.ckpt"
+    foreign.write_text("not a checkpoint at all\n")
+    renamed = tmp_path / "renamed.ckpt"
+    T.save_params(renamed, {("head.Wx" if k == "head.W" else k): t for k, t in params.items()},
+                  metadata=meta)
+    reshaped = tmp_path / "reshaped.ckpt"
+    T.save_params(reshaped, {**params, "head.b": T.Tensor(np.zeros(2))}, metadata=meta)
+    for path, message in ((truncated, "truncated checkpoint"),
+                          (foreign, "not a parameter checkpoint"),
+                          (renamed, "parameter head.W: absent in the checkpoint, (6, 1) "
+                                    "for its model config and input"),
+                          (reshaped, "parameter head.b: (2,) in the checkpoint, (1,) "
+                                     "for its model config and input")):
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--input", str(data)]) == 1, path
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_train_divergence_exits_two_naming_epoch_and_batch(tmp_path, capsys):
+    data = tmp_path / "alc.jsonl"
+    main(["synth", "--task", "alcohol-count", "--n", "40", "--seed", "0", "--out", str(data)])
+    config = {"task": "regression", "dataset": str(data),
+              "model": {"hidden_dim": 4, "path_length": 2, "feature_mode": "substructure"},
+              "train": {"epochs": 3, "lr": 1e300}}
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--report", str(tmp_path / "r.jsonl")]) == 2
+    assert ("runtime error: FloatingPointError: training diverged: loss is nan "
+            "at epoch 1, batch") in capsys.readouterr().err

@@ -8,7 +8,7 @@ from pathmpnn.geometry import (DegenerateGeometryError, GeometryFeatures,
                                feature_width, geometry_features,
                                geometry_path_features)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
-from pathmpnn.paths import Path, enumerate_paths, path_tables
+from pathmpnn.paths import enumerate_paths
 
 
 def chain_graph(coords):
@@ -25,11 +25,11 @@ def tree_graph(coords, edges):
 
 def tables_by_length(g):
     """Every path of g up to length 3, one node table per length."""
-    return path_tables([p for v in range(g.n) for p in enumerate_paths(g, v, 3)])
+    return enumerate_paths(g, range(g.n), 3)
 
 
 def oracle_rows(g, paths):
-    return np.stack([geometry_path_features(g, Path(tuple(row))).to_vector()
+    return np.stack([geometry_path_features(g, tuple(row)).to_vector()
                      for row in paths.tolist()])
 
 
@@ -117,7 +117,7 @@ def test_collinear_dihedral_raises():
 
 def test_path_features_trans_chain():
     g = chain_graph(TRANS)
-    (p3,) = [p for p in enumerate_paths(g, 0, 3) if p.length == 3]
+    (p3,) = map(tuple, enumerate_paths(g, [0], 3)[3].tolist())
     feats = geometry_path_features(g, p3)
     assert feats.dihedral_cos == pytest.approx(-1.0)
     assert feats.dihedral_sin == pytest.approx(0.0, abs=1e-12)
@@ -129,17 +129,17 @@ def test_path_features_trans_chain():
 
 def test_path_features_shorter_lengths():
     g = chain_graph(TRANS)
-    f1 = geometry_path_features(g, Path((0, 1)))
+    f1 = geometry_path_features(g, (0, 1))
     assert f1.dihedral_cos is None and f1.angle_cosines == ()
     assert f1.to_vector().shape == (feature_width(1),)
-    f2 = geometry_path_features(g, Path((0, 1, 2)))
+    f2 = geometry_path_features(g, (0, 1, 2))
     assert f2.dihedral_cos is None and len(f2.angle_cosines) == 1
     assert f2.to_vector().shape == (feature_width(2),)
 
 
 def test_degenerate_dihedral_fallback_flag():
     g = chain_graph([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0.0, 0]])
-    feats = geometry_path_features(g, Path((0, 1, 2, 3)))
+    feats = geometry_path_features(g, (0, 1, 2, 3))
     assert feats.dihedral_degenerate
     assert feats.dihedral_cos == 1.0 and feats.dihedral_sin == 0.0
 
@@ -149,7 +149,7 @@ def test_rigid_motion_invariance_100_trials():
     base = np.array([[0.0, 0, 0], [1.4, 0.2, 0.1], [2.1, 1.3, -0.4],
                      [3.3, 1.1, 0.6]])
     g = chain_graph(base)
-    (p3,) = [p for p in enumerate_paths(g, 0, 3) if p.length == 3]
+    (p3,) = map(tuple, enumerate_paths(g, [0], 3)[3].tolist())
     reference = geometry_path_features(g, p3).to_vector()
     for _ in range(100):
         rot = random_rotation(rng)
@@ -162,7 +162,7 @@ def test_dihedral_sin_is_the_only_chirality_sensitive_entry():
     rng = np.random.default_rng(11)
     base = rng.normal(size=(4, 3)) * 2.0
     g = chain_graph(base)
-    (p3,) = [p for p in enumerate_paths(g, 0, 3) if p.length == 3]
+    (p3,) = map(tuple, enumerate_paths(g, [0], 3)[3].tolist())
     feats = geometry_path_features(g, p3)
     mirrored = base.copy()
     mirrored[:, 0] = -mirrored[:, 0]
@@ -188,7 +188,7 @@ def test_geometry_needs_coordinates():
     record = MoleculeRecord("dry", ("C", "C"), ((0, 1, "single"),))
     g = build_graph(record, FeaturizerConfig(("C",)))
     with pytest.raises(ValueError, match="coordinates"):
-        geometry_path_features(g, Path((0, 1)))
+        geometry_path_features(g, (0, 1))
 
 
 # -- batched features against the per-path oracle; tolerance 0 (exact) --------
@@ -232,7 +232,7 @@ def test_batched_coincident_atoms_raise_naming_the_first_path():
                        match=r"angle \(3, 2, 1\) on path \(3, 2, 1, 0\)"):
         geometry_features(g.coords, paths)
     with pytest.raises(DegenerateGeometryError):
-        geometry_path_features(g, Path((3, 2, 1, 0)))
+        geometry_path_features(g, (3, 2, 1, 0))
     # bond lengths need no angle: length-1 rows stay defined (0 for the pair)
     assert np.array_equal(geometry_features(g.coords, np.array([[1, 2]])), [[0.0]])
 

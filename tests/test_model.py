@@ -287,21 +287,22 @@ def oracle_cache(graph, config, seed):
     found = []
     for v in range(graph.n):
         if config.sample_budget is None:
-            found.extend(enumerate_paths(graph, v, config.path_length,
-                                         exact_length_only=config.exact_length_only))
+            tables = enumerate_paths(graph, [v], config.path_length,
+                                     exact_length_only=config.exact_length_only)
         else:
-            found.extend(p for p in sample_paths(graph, v, config.path_length,
-                                                 config.sample_budget, rng)
-                         if not config.exact_length_only or p.length == config.path_length)
+            tables = sample_paths(graph, [v], config.path_length,
+                                  config.sample_budget, rng)
+        found.extend(tuple(row) for k, t in tables.items() for row in t.tolist()
+                     if not config.exact_length_only or k == config.path_length)
     groups = {}
     for p in found:
-        parts = [graph.edge_features[(a, b)] for a, b in zip(p.nodes, p.nodes[1:])]
+        parts = [graph.edge_features[(a, b)] for a, b in zip(p, p[1:])]
         if config.feature_mode == "substructure":
             parts.append(substructure_path_features(
                 graph, p, ring_membership(graph), detect_groups(graph)).to_vector())
         elif config.feature_mode == "geometry":
             parts.append(geometry_path_features(graph, p).to_vector())
-        groups.setdefault(p.length, []).append((p.root, p.nodes[1:], np.concatenate(parts)))
+        groups.setdefault(len(p) - 1, []).append((p[0], p[1:], np.concatenate(parts)))
     return {k: (np.array([r[0] for r in rows], dtype=np.int64),
                 np.array([r[1] for r in rows], dtype=np.int64),
                 np.stack([r[2] for r in rows]))

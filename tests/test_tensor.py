@@ -183,3 +183,15 @@ def test_lstm_cell_shapes():
                        (T.Tensor(np.zeros((3, d))), T.Tensor(np.zeros((3, d)))),
                        params, prefix="s")
     assert h.values.shape == (3, d) and c.values.shape == (3, d)
+
+
+def test_checkpoint_cut_anywhere_raises_naming_the_file(tmp_path):
+    params = {"layer.W": T.Tensor(np.ones((3, 2)), requires_grad=True)}
+    path = tmp_path / "params.ckpt"
+    T.save_params(path, params, metadata={"note": "fixture"})
+    whole = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for size in range(len(whole)):
+        cut.write_bytes(whole[:size])
+        with pytest.raises(T.CheckpointError, match=f"^{cut}: "):
+            T.load_params(cut)

@@ -187,3 +187,16 @@ def test_train_node_classification_deterministic_and_sane():
     assert 0.0 <= a.report.final["test_accuracy"] <= 1.0
     assert a.report.final["val_accuracy_best"] == pytest.approx(
         max(e["val_metric"] for e in a.report.epochs))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergent_training_raises_naming_epoch_and_batch():
+    records = synth_alcohol_count(40, seed=0)
+    config = ModelConfig(hidden_dim=4, path_length=2, feature_mode="substructure")
+    with pytest.raises(FloatingPointError,
+                       match=r"^training diverged: loss is nan at epoch 1, batch 1$"):
+        train_regression(records, config, TrainSettings(epochs=3, lr=1e300))
+    graph = synth_citation(n_nodes=200, seed=0)
+    with pytest.raises(FloatingPointError,
+                       match=r"^training diverged: loss is nan at epoch 2, batch 0$"):
+        train_node_classification(graph, PathGCNConfig(lr=1e300), epochs=5)
