@@ -1,9 +1,8 @@
 """Substructure flags attached to paths: ring membership by ring size and
 functional-group indicators.
 
-Ring flags are size-resolved over sizes 3..8 plus an any-ring bit. The only
-named group shipped is the alcohol (hydroxyl oxygen); detectors live in a
-registry so further groups can be added without touching this module.
+Ring flags are size-resolved over sizes 3..8 plus an any-ring bit. The one
+functional group is the alcohol (hydroxyl oxygen).
 
 substructure_features flags a whole table of same-length paths at once;
 substructure_path_features flags one path and is its test oracle.
@@ -134,15 +133,9 @@ def detect_alcohol(graph) -> GroupMatch:
     return GroupMatch("alcohol", frozenset(members), frozenset(bonds))
 
 
-GROUP_DETECTORS = {"alcohol": detect_alcohol}
-
-
-def register_group(name: str, detector) -> None:
-    GROUP_DETECTORS[name] = detector
-
-
-def detect_groups(graph, names=("alcohol",)) -> list[GroupMatch]:
-    return [GROUP_DETECTORS[name](graph) for name in names]
+def detect_groups(graph) -> list[GroupMatch]:
+    """The functional groups whose footprints the substructure flags read."""
+    return [detect_alcohol(graph)]
 
 
 @dataclass(frozen=True)

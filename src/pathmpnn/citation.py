@@ -94,8 +94,7 @@ def init_gcn_params(config: PathGCNConfig, n_features: int, n_classes: int,
                     rng=None) -> dict[str, Tensor]:
     """Plain-GCN weights first so a fixed seed gives the same W/b whether or
     not the path maps exist."""
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(
-        config.seed if rng is None else rng)
+    rng = np.random.default_rng(config.seed if rng is None else rng)
     d = config.hidden_dim
     params = {
         "gcn1.W": glorot(rng, n_features, d),

@@ -14,11 +14,11 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .data import (DataFormatError, load_dataset, load_run_config,
-                   parse_citation_files, write_citation_files,
-                   write_molecule_file)
+                   model_config_from_dict, parse_citation_files,
+                   write_citation_files, write_molecule_file)
 from .geometry import DegenerateGeometryError
 from .gradchecks import TOLERANCE, full_model_gradcheck, op_gradchecks
-from .model import ConfigError, ModelConfig, init_params, path_feature_fn
+from .model import ConfigError, init_params, path_feature_fn
 from .molgraph import FeaturizerConfig, MoleculeError, build_graph
 from .paths import PathExplosionError, enumerate_paths, sample_paths
 from .synth import TASKS, generate_molecules, synth_citation
@@ -156,7 +156,7 @@ def cmd_eval(args) -> int:
     params, meta = load_params(args.checkpoint)
     if meta.get("task") != "regression":
         raise ConfigError(f"{args.checkpoint}: not a regression checkpoint")
-    model_config = ModelConfig(**meta["model"])
+    model_config = model_config_from_dict(meta["model"], f"{args.checkpoint}: model")
     featurizer = FeaturizerConfig(tuple(meta["element_vocab"]),
                                   meta["explicit_hydrogens"])
     dataset = load_dataset(args.input, featurizer.explicit_hydrogens)

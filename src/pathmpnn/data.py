@@ -17,7 +17,8 @@ import numpy as np
 from . import citation as cit
 from . import model as mdl
 from .model import ConfigError
-from .molgraph import FeaturizerConfig, MoleculeRecord, validate_record
+from .molgraph import (FeaturizerConfig, MoleculeRecord, validate_record,
+                       vocab_from_records)
 from .training import TrainSettings
 
 
@@ -103,7 +104,7 @@ def load_dataset(path, explicit_hydrogens: bool | None = None) -> MoleculeDatase
     if "element_vocab" in header:
         vocab = tuple(header["element_vocab"])
     else:
-        vocab = tuple(sorted({el for r in records for el in r.elements}))
+        vocab = vocab_from_records(records)
     if explicit_hydrogens is None:
         explicit_hydrogens = bool(header.get("explicit_hydrogens", False))
     return MoleculeDataset(records=records,
@@ -115,7 +116,7 @@ def write_molecule_file(path, records, element_vocab=None,
     with open(path, "w") as fh:
         header = {"explicit_hydrogens": explicit_hydrogens}
         if element_vocab is None:
-            element_vocab = sorted({el for r in records for el in r.elements})
+            element_vocab = vocab_from_records(records)
         header["element_vocab"] = list(element_vocab)
         fh.write(json.dumps(header) + "\n")
         for record in records:
@@ -241,22 +242,39 @@ def _from_dict(dc_type, data, where):
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in ("fractions",) and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
     try:
-        return dc_type(**kwargs)
+        return dc_type(**data)
     except TypeError as err:
         raise ConfigError(f"{where}: {err}") from None
+
+
+# Model settings that no longer exist, with the one value each had in every
+# run. Older checkpoints and report snapshots carry them; that value is
+# dropped, any other is refused.
+RETIRED_MODEL_KEYS = {"attention_heads": 1, "joint_attention": True,
+                      "exact_length_only": False}
+
+
+def model_config_from_dict(data: dict, where: str = "model") -> mdl.ModelConfig:
+    """A ModelConfig from a run config's model block, a report's config
+    snapshot or a checkpoint's metadata."""
+    data = dict(data)
+    for key, default in RETIRED_MODEL_KEYS.items():
+        if key in data:
+            value = data.pop(key)
+            if type(value) is not type(default) or value != default:
+                raise ConfigError(f"{where}: {key} is no longer a setting; only its "
+                                  f"former default {json.dumps(default)} is accepted, "
+                                  f"got {json.dumps(value)}")
+    return _from_dict(mdl.ModelConfig, data, where)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
     data = dict(data)
     nested = {}
-    for key, dc_type in (("model", mdl.ModelConfig), ("train", TrainSettings),
-                         ("gcn", cit.PathGCNConfig)):
+    if "model" in data:
+        nested["model"] = model_config_from_dict(data.pop("model"))
+    for key, dc_type in (("train", TrainSettings), ("gcn", cit.PathGCNConfig)):
         if key in data:
             nested[key] = _from_dict(dc_type, data.pop(key), key)
     config = _from_dict(RunConfig, {**data, **nested}, "run config")

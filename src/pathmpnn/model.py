@@ -36,9 +36,6 @@ class ModelConfig:
     path_length: int = 2
     feature_mode: str = "base"
     set2set_steps: int = 3
-    attention_heads: int = 1
-    exact_length_only: bool = False
-    joint_attention: bool = True
     sample_budget: int | None = None
     n_targets: int = 1
     seed: int = 0
@@ -50,12 +47,8 @@ class ModelConfig:
             raise ConfigError(f"path_length must be 1, 2 or 3, got {self.path_length}")
         if self.feature_mode not in FEATURE_MODES:
             raise ConfigError(f"feature_mode must be one of {FEATURE_MODES}")
-        if self.attention_heads < 1:
-            raise ConfigError("attention_heads must be positive")
 
     def lengths(self) -> tuple[int, ...]:
-        if self.exact_length_only:
-            return (self.path_length,)
         return tuple(range(1, self.path_length + 1))
 
 
@@ -101,13 +94,10 @@ def build_path_cache(graph, config: ModelConfig, seed=None) -> dict[int, PathGro
     try:
         path_features = path_feature_fn(graph, config.feature_mode)
         if config.sample_budget is None:
-            tables = enumerate_paths(graph, range(graph.n), config.path_length,
-                                     exact_length_only=config.exact_length_only)
+            tables = enumerate_paths(graph, range(graph.n), config.path_length)
         else:
             tables = sample_paths(graph, range(graph.n), config.path_length,
                                   config.sample_budget, seed)
-            if config.exact_length_only:
-                tables = {k: t for k, t in tables.items() if k == config.path_length}
         edge_table = np.array(list(graph.edge_features.values()))
         edge_id = np.zeros((graph.n, graph.n), dtype=np.int64)   # row in edge_table
         for i, (a, b) in enumerate(graph.edge_features):
@@ -125,8 +115,7 @@ def build_path_cache(graph, config: ModelConfig, seed=None) -> dict[int, PathGro
 
 def init_params(config: ModelConfig, node_dim: int, edge_dim: int,
                 rng=None) -> dict[str, Tensor]:
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(
-        config.seed if rng is None else rng)
+    rng = np.random.default_rng(config.seed if rng is None else rng)
     d = config.hidden_dim
     params: dict[str, Tensor] = {}
     params["embed.W"] = glorot(rng, node_dim, d)
@@ -136,8 +125,7 @@ def init_params(config: ModelConfig, node_dim: int, edge_dim: int,
             width = d + k * d + static_feature_width(config.feature_mode, k, edge_dim)
             params[f"msg{t}.len{k}.W"] = glorot(rng, width, d)
             params[f"msg{t}.len{k}.b"] = zeros(d)
-        for head in range(config.attention_heads):
-            params[f"attn{t}.h{head}"] = glorot(rng, 2 * d, 1)
+        params[f"attn{t}.h0"] = glorot(rng, 2 * d, 1)
         params[f"upd{t}.W"] = glorot(rng, 2 * d, d)
         params[f"upd{t}.b"] = zeros(d)
     params["s2s.proj.W"] = glorot(rng, d + node_dim, d)
@@ -165,22 +153,13 @@ def message_path(h_root, hidden_parts, static, W, b):
 
 
 def attention_aggregate(h, messages, root_ids, n, attn_params, slope=0.2):
-    """Score each message against its root, softmax within the root's
-    message set, return the weighted sums. Heads are averaged. Nodes with no
-    messages get a zero vector."""
-    h_roots = gather_rows(h, root_ids)
-    pair = concat([h_roots, messages], axis=1)
-    per_head = []
-    for a in attn_params:
-        scores = leaky_relu(matmul(pair, a), slope=slope)
-        weights = segment_softmax(scores, root_ids, n)
-        per_head.append(segment_sum(mul(weights, messages), root_ids, n))
-    out = per_head[0]
-    for extra in per_head[1:]:
-        out = add(out, extra)
-    if len(per_head) > 1:
-        out = mul(out, 1.0 / len(per_head))
-    return out
+    """Score each message against its root with the (2d, 1) attention
+    vector attn_params, softmax within the root's message set, return the
+    weighted sums. Nodes with no messages get a zero vector."""
+    pair = concat([gather_rows(h, root_ids), messages], axis=1)
+    scores = leaky_relu(matmul(pair, attn_params), slope=slope)
+    weights = segment_softmax(scores, root_ids, n)
+    return segment_sum(mul(weights, messages), root_ids, n)
 
 
 def node_update(h, m, W, b):
@@ -189,7 +168,6 @@ def node_update(h, m, W, b):
 
 def _propagate_step(h, cache: dict[int, PathGroup], params, config: ModelConfig, t: int):
     n = h.values.shape[0]
-    attn = [params[f"attn{t}.h{i}"] for i in range(config.attention_heads)]
     msgs_parts, roots_parts = [], []
     for k in config.lengths():
         group = cache.get(k)
@@ -204,14 +182,10 @@ def _propagate_step(h, cache: dict[int, PathGroup], params, config: ModelConfig,
 
     if not msgs_parts:
         m_v = Tensor(np.zeros((n, config.hidden_dim)))
-    elif config.joint_attention:
+    else:   # one attention over the messages of every length
         messages = msgs_parts[0] if len(msgs_parts) == 1 else concat(msgs_parts, axis=0)
         roots = roots_parts[0] if len(roots_parts) == 1 else np.concatenate(roots_parts)
-        m_v = attention_aggregate(h, messages, roots, n, attn)
-    else:
-        m_v = attention_aggregate(h, msgs_parts[0], roots_parts[0], n, attn)
-        for msg, roots in zip(msgs_parts[1:], roots_parts[1:]):
-            m_v = add(m_v, attention_aggregate(h, msg, roots, n, attn))
+        m_v = attention_aggregate(h, messages, roots, n, params[f"attn{t}.h0"])
     return node_update(h, m_v, params[f"upd{t}.W"], params[f"upd{t}.b"])
 
 
@@ -307,12 +281,11 @@ def forward_base_mpnn(graph, params, config: ModelConfig):
     x = Tensor(graph.node_features)
     h = add(matmul(x, params["embed.W"]), params["embed.b"])
     for t in range(config.steps):
-        attn = [params[f"attn{t}.h{i}"] for i in range(config.attention_heads)]
         if roots.size:
             msg = message_standard(gather_rows(h, roots), gather_rows(h, nbrs),
                                    efeat, params[f"msg{t}.len1.W"],
                                    params[f"msg{t}.len1.b"])
-            m_v = attention_aggregate(h, msg, roots, graph.n, attn)
+            m_v = attention_aggregate(h, msg, roots, graph.n, params[f"attn{t}.h0"])
         else:
             m_v = Tensor(np.zeros((graph.n, config.hidden_dim)))
         h = node_update(h, m_v, params[f"upd{t}.W"], params[f"upd{t}.b"])

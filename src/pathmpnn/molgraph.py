@@ -7,7 +7,7 @@ immutable Graph with dense node features and symmetric edge features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,8 +86,14 @@ class FeaturizerConfig:
         return len(BOND_ORDERS) + (1 if with_coords else 0)
 
 
-# eq=False: graphs are compared with graphs_equal, identity hash keeps them
-# usable as cache keys.
+def vocab_from_records(records) -> tuple[str, ...]:
+    """The element vocabulary of a dataset whose header pins none: the
+    sorted set of symbols in its records."""
+    return tuple(sorted({el for r in records for el in r.elements}))
+
+
+# eq=False: field-wise == on numpy arrays is ambiguous; identity hash keeps
+# graphs usable as cache keys.
 @dataclass(frozen=True, eq=False)
 class Graph:
     n: int
@@ -96,7 +102,6 @@ class Graph:
     edge_features: dict                            # (v, w) -> (e,) array, both orientations
     elements: tuple[str, ...] | None = None
     coords: np.ndarray | None = None               # (n, 3)
-    labels: np.ndarray | None = None               # (n,) class ids
     targets: tuple[float, ...] = ()
     id: str = ""
 
@@ -116,27 +121,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-
-def graphs_equal(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.adjacency != b.adjacency or a.elements != b.elements:
-        return False
-    if not np.array_equal(a.node_features, b.node_features):
-        return False
-    if sorted(a.edge_features) != sorted(b.edge_features):
-        return False
-    for key, val in a.edge_features.items():
-        if not np.array_equal(val, b.edge_features[key]):
-            return False
-    if (a.coords is None) != (b.coords is None):
-        return False
-    if a.coords is not None and not np.array_equal(a.coords, b.coords):
-        return False
-    if (a.labels is None) != (b.labels is None):
-        return False
-    if a.labels is not None and not np.array_equal(a.labels, b.labels):
-        return False
-    return a.targets == b.targets
 
 
 def build_graph(record: MoleculeRecord, config: FeaturizerConfig) -> Graph:
@@ -207,58 +191,4 @@ def build_graph(record: MoleculeRecord, config: FeaturizerConfig) -> Graph:
         coords=coords,
         targets=tuple(float(t) for t in record.targets),
         id=record.id,
-    )
-
-
-def graph_to_dict(graph: Graph) -> dict:
-    """JSON-serializable form of a graph. Floats survive the round trip
-    bit-exactly (repr-based JSON encoding)."""
-    edges = {}
-    for (v, w), feat in graph.edge_features.items():
-        if v < w:
-            edges[f"{v},{w}"] = [float(x) for x in feat]
-    out = {
-        "id": graph.id,
-        "n": graph.n,
-        "adjacency": [list(row) for row in graph.adjacency],
-        "node_features": [[float(x) for x in row] for row in graph.node_features],
-        "edge_features": edges,
-        "targets": list(graph.targets),
-    }
-    if graph.elements is not None:
-        out["elements"] = list(graph.elements)
-    if graph.coords is not None:
-        out["coords"] = [[float(x) for x in row] for row in graph.coords]
-    if graph.labels is not None:
-        out["labels"] = [int(x) for x in graph.labels]
-    return out
-
-
-def graph_from_dict(data: dict) -> Graph:
-    edge_features = {}
-    for key, val in data["edge_features"].items():
-        v, w = (int(x) for x in key.split(","))
-        feat = np.asarray(val, dtype=np.float64)
-        feat.setflags(write=False)
-        edge_features[(v, w)] = feat
-        edge_features[(w, v)] = feat
-    node_features = np.asarray(data["node_features"], dtype=np.float64)
-    node_features.setflags(write=False)
-    coords = None
-    if "coords" in data:
-        coords = np.asarray(data["coords"], dtype=np.float64)
-        coords.setflags(write=False)
-    labels = None
-    if "labels" in data:
-        labels = np.asarray(data["labels"], dtype=np.int64)
-    return Graph(
-        n=int(data["n"]),
-        adjacency=tuple(tuple(row) for row in data["adjacency"]),
-        node_features=node_features,
-        edge_features=edge_features,
-        elements=tuple(data["elements"]) if "elements" in data else None,
-        coords=coords,
-        labels=labels,
-        targets=tuple(data.get("targets", ())),
-        id=data.get("id", ""),
     )

@@ -50,13 +50,13 @@ def _check_roots(graph, roots) -> np.ndarray:
     return roots
 
 
-def enumerate_paths(graph, roots, max_length: int, *, exact_length_only: bool = False,
+def enumerate_paths(graph, roots, max_length: int, *,
                     cap: int = DEFAULT_PATH_CAP) -> dict[int, np.ndarray]:
     """All simple paths of length 1..max_length from the roots, each
-    length's table extended from the previous one; with exact_length_only
-    only the max_length table. More than `cap` paths from one root raise
-    PathExplosionError naming the first such root in `roots`; once one
-    crosses, only the roots before it are extended (they may cross later)."""
+    length's table extended from the previous one. More than `cap` paths
+    from one root raise PathExplosionError naming the first such root in
+    `roots`; once one crosses, only the roots before it are extended (they
+    may cross later)."""
     roots = _check_roots(graph, roots)
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
@@ -78,8 +78,7 @@ def enumerate_paths(graph, roots, max_length: int, *, exact_length_only: bool = 
         owner = owner[row]
         if not len(table):
             break
-        if not exact_length_only or k == max_length:
-            tables[k] = table
+        tables[k] = table
     if first_over < len(roots):
         raise PathExplosionError(
             f"more than {cap} paths rooted at node {roots[first_over]}; "

@@ -95,9 +95,9 @@ def synth_dihedral_sum(n_molecules: int, seed: int = 0) -> list[MoleculeRecord]:
         record = MoleculeRecord(id=f"dih{idx}", elements=elements,
                                 bonds=tuple(bonds), coords=coords)
         graph = build_graph(record, featurizer)
-        chains = enumerate_paths(graph, range(graph.n), 3, exact_length_only=True)
+        chains = enumerate_paths(graph, range(graph.n), 3)
         total = 0.0
-        if chains:   # column 5 of a length-3 geometry row is the dihedral cosine
+        if 3 in chains:   # column 5 of a length-3 geometry row is the dihedral cosine
             for cos in geometry_features(graph.coords, chains[3])[:, 5].tolist():
                 total += cos
         records.append(MoleculeRecord(
@@ -207,7 +207,8 @@ def synth_citation(n_nodes: int = 800, n_classes: int = 7,
 
     train = np.concatenate([
         by_class[c][:train_per_class] for c in range(n_classes)])
-    rest = np.asarray([v for v in range(n_nodes) if v not in set(train.tolist())])
+    rest = np.asarray([v for v in range(n_nodes) if v not in set(train.tolist())],
+                      dtype=np.int64)
     val = rest[:min(val_size, len(rest) // 2)]
     test = rest[len(val):][-test_size:]
     return CitationGraph(

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import citation as cit
 from . import model as mdl
-from .molgraph import FeaturizerConfig, build_graph
+from .molgraph import FeaturizerConfig, build_graph, vocab_from_records
 from .tensor import (AdamState, Tensor, adam_step, backward, exp,
                      gather_rows, log, mul, reduce_sum, sub, sqrt, zero_grad)
 
@@ -39,9 +39,6 @@ def percent_error_metric(pred, target) -> float:
     pred, target = np.asarray(pred), np.asarray(target)
     denom = np.maximum(np.abs(target), 1e-12)
     return float((np.abs(pred - target) / denom).mean() * 100.0)
-
-
-METRICS = {"mae": mae_metric, "rmse": rmse_metric, "percent": percent_error_metric}
 
 
 def cross_entropy(logits, labels, idx):
@@ -75,14 +72,20 @@ def _finite_loss(loss, epoch: int, batch: int) -> float:
 
 # -- splits ----------------------------------------------------------------
 
-def split_dataset(n: int, fractions=(0.8, 0.1, 0.1), seed=0):
-    """Deterministic shuffled split into train/val/test index arrays."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"split fractions must sum to 1, got {fractions}")
+def split_dataset(n: int, seed=0):
+    """Deterministic shuffled 0.8/0.1/0.1 split into train/val/test index
+    arrays."""
     order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(0.8 * n))
+    n_val = int(round(0.1 * n))
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
+
+
+def _check_splits(what: str, **splits):
+    """Raise ConfigError naming the first empty split."""
+    for name, idx in splits.items():
+        if not len(idx):
+            raise mdl.ConfigError(f"{what} is too small to split: the {name} split is empty")
 
 
 # -- reports ---------------------------------------------------------------
@@ -165,9 +168,7 @@ class TrainSettings:
     batch_size: int = 16
     lr: float = 1e-3
     patience: int = 25
-    fractions: tuple = (0.8, 0.1, 0.1)
     split_seed: int = 0
-    val_metric: str = ""   # "" picks mae for multi-target, rmse otherwise
 
 
 @dataclass
@@ -181,8 +182,8 @@ class TrainResult:
 
 
 def featurizer_from_records(records, explicit_hydrogens=False) -> FeaturizerConfig:
-    vocab = sorted({el for r in records for el in r.elements})
-    return FeaturizerConfig(tuple(vocab), explicit_hydrogens=explicit_hydrogens)
+    return FeaturizerConfig(vocab_from_records(records),
+                            explicit_hydrogens=explicit_hydrogens)
 
 
 def predict_values(graphs, caches, params, config, mean, std,
@@ -203,11 +204,12 @@ def constant_baseline_rmse(train_targets, test_targets) -> float:
 def train_regression(records, config: mdl.ModelConfig,
                      settings: TrainSettings = TrainSettings(),
                      featurizer: FeaturizerConfig | None = None) -> TrainResult:
-    """Mini-batch training with early stopping on the validation metric and
-    best-checkpoint restore. Paired comparisons between model variants should
-    share settings.split_seed and config.seed."""
+    """Mini-batch training with early stopping on the validation metric
+    (mae for multi-target, else rmse) and best-checkpoint restore. Paired
+    comparisons between model variants should share settings.split_seed and
+    config.seed."""
     if not records:
-        raise ValueError("empty dataset")
+        raise mdl.ConfigError("empty dataset")
     started = time.time()
     if featurizer is None:
         featurizer = featurizer_from_records(records)
@@ -217,10 +219,9 @@ def train_regression(records, config: mdl.ModelConfig,
         raise ValueError(
             f"config expects {config.n_targets} targets, dataset has {targets.shape[1]}")
 
-    train_idx, val_idx, test_idx = split_dataset(len(records), settings.fractions,
-                                                 settings.split_seed)
-    if not (len(train_idx) and len(val_idx) and len(test_idx)):
-        raise ValueError("a split is empty; dataset too small for the fractions")
+    train_idx, val_idx, test_idx = split_dataset(len(records), settings.split_seed)
+    _check_splits(f"a dataset of {len(records)} molecules",
+                  training=train_idx, validation=val_idx, test=test_idx)
 
     mean = targets[train_idx].mean(axis=0)
     std = targets[train_idx].std(axis=0)
@@ -232,8 +233,8 @@ def train_regression(records, config: mdl.ModelConfig,
     params = mdl.init_params(config, graphs[0].node_dim, graphs[0].edge_dim, rng)
     state = AdamState(params)
 
-    metric_name = settings.val_metric or ("mae" if config.n_targets > 1 else "rmse")
-    metric = METRICS[metric_name]
+    metric_name, metric = (("mae", mae_metric) if config.n_targets > 1
+                           else ("rmse", rmse_metric))
 
     report = TrainReport(seed=config.seed, config=asdict(config))
     best_val = np.inf
@@ -339,6 +340,8 @@ def train_node_classification(graph: cit.CitationGraph,
     """Full-batch training with dropout, L2 weight decay, early stopping on
     validation accuracy and best-checkpoint restore. per_hop_budget=0 trains
     a plain GCN through the identical loop."""
+    _check_splits(f"a citation network of {graph.n} nodes", training=graph.train_idx,
+                  validation=graph.val_idx, test=graph.test_idx)
     started = time.time()
     rng = np.random.default_rng(config.seed)
     adj = cit.normalize_adjacency(graph)

@@ -4,9 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import AdjacencyGraph, random_graph
-from pathmpnn.chem import (GROUP_DETECTORS, GroupMatch, RING_SIZES,
-                           all_simple_cycles, detect_alcohol, detect_groups,
-                           feature_width, register_group, ring_membership,
+from pathmpnn.chem import (RING_SIZES, all_simple_cycles, detect_alcohol,
+                           detect_groups, feature_width, ring_membership,
                            rings_oracle, substructure_features,
                            substructure_path_features)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
@@ -137,18 +136,6 @@ def test_feature_vector_width():
         vec = substructure_path_features(chain, path).to_vector()
         assert vec.shape == (feature_width(k),)
         assert set(np.unique(vec)) <= {0.0, 1.0}
-
-
-def test_group_registry_extensible():
-    def detect_nothing(graph):
-        return GroupMatch("nothing", frozenset(), frozenset())
-
-    register_group("nothing", detect_nothing)
-    try:
-        matches = detect_groups(ETHANOL, names=("alcohol", "nothing"))
-        assert [m.name for m in matches] == ["alcohol", "nothing"]
-    finally:
-        GROUP_DETECTORS.pop("nothing")
 
 
 @given(st.integers(0, 5_000))

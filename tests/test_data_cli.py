@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ from pathmpnn.data import (DataFormatError, load_dataset, load_run_config,
                            run_config_from_dict, write_citation_files,
                            write_molecule_file)
 from pathmpnn.geometry import geometry_path_features
-from pathmpnn.model import ConfigError
+from pathmpnn.model import ConfigError, ModelConfig
 from pathmpnn.molgraph import MoleculeRecord, build_graph
 from pathmpnn.paths import enumerate_paths
 from pathmpnn.synth import synth_citation, synth_dihedral_sum
 from pathmpnn.training import load_report, load_reports
+
+# the retired model keys at the one value every run gave them
+RETIRED = {"attention_heads": 1, "joint_attention": True, "exact_length_only": False}
 
 P4 = MoleculeRecord("p4", ("C", "C", "C", "C"),
                     ((0, 1, "single"), (1, 2, "single"), (2, 3, "single")),
@@ -113,6 +118,25 @@ def test_run_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown keys"):
         run_config_from_dict({"task": "regression", "dataset": "x",
                               "mystery": True})
+
+
+def test_run_config_accepts_retired_model_keys_only_at_their_default():
+    model = {"hidden_dim": 4, **RETIRED}
+    config = run_config_from_dict({"task": "regression", "dataset": "x", "model": model})
+    assert config.model == ModelConfig(hidden_dim=4)
+    for key, value in (("attention_heads", 2), ("joint_attention", False),
+                       ("exact_length_only", True), ("attention_heads", True)):
+        with pytest.raises(ConfigError, match=f"^model: {key} is no longer a setting"):
+            run_config_from_dict({"task": "regression", "dataset": "x",
+                                  "model": {**model, key: value}})
+
+
+def test_readme_regression_run_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"A regression run config is JSON.*?```json\n(.*?)```", readme,
+                      re.DOTALL).group(1)
+    config = run_config_from_dict(json.loads(block))
+    assert config.task == "regression" and config.dataset
 
 
 def test_run_config_requires_paths():
@@ -382,7 +406,8 @@ def test_replayed_config_reproduces_run(tmp_path):
     assert (tmp_path / "a.ckpt").read_bytes() == first_ckpt
 
 
-def test_cli_eval_bad_checkpoints_exit_one(tmp_path, capsys):
+def train_small_checkpoint(tmp_path):
+    """A one-epoch substructure model on 20 molecules: (data, checkpoint)."""
     data = tmp_path / "alc.jsonl"
     main(["synth", "--task", "alcohol-count", "--n", "20", "--seed", "3", "--out", str(data)])
     good = tmp_path / "model.ckpt"
@@ -393,6 +418,16 @@ def test_cli_eval_bad_checkpoints_exit_one(tmp_path, capsys):
     (tmp_path / "run.json").write_text(json.dumps(config))
     assert main(["train", "--config", str(tmp_path / "run.json"),
                  "--report", str(tmp_path / "r.jsonl")]) == 0
+    return data, good
+
+
+def with_model_keys(path, params, meta, **keys):
+    T.save_params(path, params, metadata={**meta, "model": {**meta["model"], **keys}})
+    return path
+
+
+def test_cli_eval_bad_checkpoints_exit_one(tmp_path, capsys):
+    data, good = train_small_checkpoint(tmp_path)
     params, meta = T.load_params(good)
 
     truncated = tmp_path / "truncated.ckpt"
@@ -404,8 +439,13 @@ def test_cli_eval_bad_checkpoints_exit_one(tmp_path, capsys):
                   metadata=meta)
     reshaped = tmp_path / "reshaped.ckpt"
     T.save_params(reshaped, {**params, "head.b": T.Tensor(np.zeros(2))}, metadata=meta)
+    heads = with_model_keys(tmp_path / "heads.ckpt", params, meta,
+                            **{**RETIRED, "attention_heads": 2})
+    unknown = with_model_keys(tmp_path / "unknown.ckpt", params, meta, wrong=1)
     for path, message in ((truncated, "truncated checkpoint"),
                           (foreign, "not a parameter checkpoint"),
+                          (heads, "model: attention_heads is no longer a setting"),
+                          (unknown, "model: unknown keys ['wrong']"),
                           (renamed, "parameter head.W: absent in the checkpoint, (6, 1) "
                                     "for its model config and input"),
                           (reshaped, "parameter head.b: (2,) in the checkpoint, (1,) "
@@ -428,3 +468,32 @@ def test_cli_train_divergence_exits_two_naming_epoch_and_batch(tmp_path, capsys)
                  "--report", str(tmp_path / "r.jsonl")]) == 2
     assert ("runtime error: FloatingPointError: training diverged: loss is nan "
             "at epoch 1, batch") in capsys.readouterr().err
+
+
+def test_cli_eval_accepts_older_checkpoints_with_retired_keys(tmp_path, capsys):
+    data, good = train_small_checkpoint(tmp_path)
+    params, meta = T.load_params(good)
+    older = with_model_keys(tmp_path / "older.ckpt", params, meta, **RETIRED)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(good), "--input", str(data)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["eval", "--checkpoint", str(older), "--input", str(data)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_train_too_small_to_split_exits_one(tmp_path, capsys):
+    molecules, net = tmp_path / "alc.jsonl", tmp_path / "net"
+    main(["synth", "--task", "alcohol-count", "--n", "3", "--seed", "0", "--out", str(molecules)])
+    main(["synth", "--task", "citation", "--n", "60", "--seed", "2", "--out", str(net)])
+    for config, message in (
+            ({"task": "regression", "dataset": str(molecules)},
+             "a dataset of 3 molecules is too small to split: the validation split is empty"),
+            ({"task": "citation", "content": f"{net}.content", "cites": f"{net}.cites"},
+             "a citation network of 60 nodes is too small to split: "
+             "the validation split is empty")):
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["train", "--config", str(tmp_path / "run.json"),
+                     "--report", str(tmp_path / "r.jsonl")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()

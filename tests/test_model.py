@@ -46,7 +46,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(hidden_dim=0)
     assert ModelConfig(path_length=3).lengths() == (1, 2, 3)
-    assert ModelConfig(path_length=3, exact_length_only=True).lengths() == (3,)
 
 
 def test_geometry_mode_requires_coords():
@@ -84,7 +83,7 @@ def test_attention_single_message_passes_through():
     rng = np.random.default_rng(2)
     h = T.Tensor(rng.normal(size=(3, 4)))
     msg = T.Tensor(rng.normal(size=(1, 4)))
-    attn = [T.Tensor(rng.normal(size=(8, 1)))]
+    attn = T.Tensor(rng.normal(size=(8, 1)))
     out = attention_aggregate(h, msg, np.array([1]), 3, attn)
     assert np.allclose(out.values[1], msg.values[0])
     assert np.all(out.values[[0, 2]] == 0.0)   # no messages -> zero vector
@@ -95,7 +94,7 @@ def test_attention_identical_messages_convex():
     h = T.Tensor(rng.normal(size=(2, 4)))
     row = rng.normal(size=4)
     msgs = T.Tensor(np.tile(row, (5, 1)))
-    attn = [T.Tensor(rng.normal(size=(8, 1)))]
+    attn = T.Tensor(rng.normal(size=(8, 1)))
     out = attention_aggregate(h, msgs, np.zeros(5, dtype=int), 2, attn)
     assert np.allclose(out.values[0], row)
 
@@ -268,9 +267,8 @@ def test_forward_is_finite_under_debug_checks(probe_graph):
         T.DEBUG_CHECKS = False
 
 
-def test_sampled_cache_and_joint_attention_flag(probe_graph):
-    config = small_config(feature_mode="base", path_length=2,
-                          sample_budget=3, joint_attention=False)
+def test_sampled_cache_gives_finite_forward(probe_graph):
+    config = small_config(feature_mode="base", path_length=2, sample_budget=3)
     params = init_params(config, probe_graph.node_dim, probe_graph.edge_dim)
     cache = build_path_cache(probe_graph, config, seed=0)
     assert all(len(g.roots) > 0 for g in cache.values())
@@ -287,13 +285,11 @@ def oracle_cache(graph, config, seed):
     found = []
     for v in range(graph.n):
         if config.sample_budget is None:
-            tables = enumerate_paths(graph, [v], config.path_length,
-                                     exact_length_only=config.exact_length_only)
+            tables = enumerate_paths(graph, [v], config.path_length)
         else:
             tables = sample_paths(graph, [v], config.path_length,
                                   config.sample_budget, rng)
-        found.extend(tuple(row) for k, t in tables.items() for row in t.tolist()
-                     if not config.exact_length_only or k == config.path_length)
+        found.extend(tuple(row) for t in tables.values() for row in t.tolist())
     groups = {}
     for p in found:
         parts = [graph.edge_features[(a, b)] for a, b in zip(p, p[1:])]
@@ -335,12 +331,9 @@ def cache_graphs():
 
 @pytest.mark.parametrize("mode", ["base", "substructure", "geometry"])
 @pytest.mark.parametrize("path_length", [1, 2, 3])
-@pytest.mark.parametrize("exact_length_only", [False, True])
 @pytest.mark.parametrize("sample_budget", [None, 3])
-def test_path_cache_equals_per_path_oracle(mode, path_length, exact_length_only,
-                                           sample_budget):
+def test_path_cache_equals_per_path_oracle(mode, path_length, sample_budget):
     config = small_config(feature_mode=mode, path_length=path_length,
-                          exact_length_only=exact_length_only,
                           sample_budget=sample_budget)
     for graph in cache_graphs():
         if mode == "geometry" and graph.coords is None:

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from pathmpnn.molgraph import (BOND_ORDERS, FeaturizerConfig, MoleculeError,
                                MoleculeRecord, UnknownElementError,
-                               build_graph, graph_from_dict, graph_to_dict,
-                               graphs_equal, validate_record)
+                               build_graph, validate_record)
 
 WATER = MoleculeRecord("water", ("O", "H", "H"),
                        ((0, 1, "single"), (0, 2, "single")))
@@ -102,12 +101,3 @@ def test_symmetry_invariants(record):
             assert np.array_equal(g.edge_features[(v, w)], g.edge_features[(w, v)])
     widths = {feat.shape for feat in g.edge_features.values()}
     assert len(widths) <= 1
-
-
-@given(molecule_records())
-def test_serialization_round_trip_bit_exact(record):
-    import json
-
-    g = build_graph(record, FeaturizerConfig(("C", "N", "O")))
-    data = json.loads(json.dumps(graph_to_dict(g)))
-    assert graphs_equal(g, graph_from_dict(data))

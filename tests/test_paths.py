@@ -19,13 +19,12 @@ def rows(tables):
     return [tuple(row) for t in tables.values() for row in t.tolist()]
 
 
-def brute_force_tables(graph, roots, max_length, exact_length_only):
+def brute_force_tables(graph, roots, max_length):
     """Every node sequence from each root, checked for adjacency and
     distinctness as count_paths_oracle does, sorted within a root."""
     adj_sets = [set(nbrs) for nbrs in graph.adjacency]
     out = {}
-    lengths = [max_length] if exact_length_only else range(1, max_length + 1)
-    for length in lengths:
+    for length in range(1, max_length + 1):
         found = [(v,) + tail for v in roots
                  for tail in product(range(graph.n), repeat=length)
                  if len(set((v,) + tail)) == length + 1
@@ -58,11 +57,6 @@ def test_oracle_triangle_and_edge_cases():
     assert count_paths_oracle(edge, 0, 5) == {1: 1, 2: 0, 3: 0, 4: 0, 5: 0}
     lonely = AdjacencyGraph(3, [(1, 2)])
     assert count_paths_oracle(lonely, 0, 3) == {1: 0, 2: 0, 3: 0}
-
-
-def test_exact_length_only(k4):
-    found = enumerate_paths(k4, [0], 3, exact_length_only=True)
-    assert lengths_histogram(found) == {3: 6}
 
 
 def test_enumeration_cap(k4):
@@ -147,13 +141,13 @@ def test_enumeration_matches_oracle(seed, n, p, max_len):
 
 # tolerance 0: the tables equal the brute-force node sequences exactly
 @given(st.integers(0, 10_000), st.integers(1, 8),
-       st.sampled_from([0.2, 0.5, 0.8]), st.integers(1, 4), st.booleans())
-def test_tables_equal_brute_force_sequences(seed, n, p, max_len, exact):
+       st.sampled_from([0.2, 0.5, 0.8]), st.integers(1, 4))
+def test_tables_equal_brute_force_sequences(seed, n, p, max_len):
     rng = np.random.default_rng(seed)
     graph = random_graph(rng, n, p)
     roots = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
-    got = enumerate_paths(graph, roots, max_len, exact_length_only=exact)
-    want = brute_force_tables(graph, roots, max_len, exact)
+    got = enumerate_paths(graph, roots, max_len)
+    want = brute_force_tables(graph, roots, max_len)
     assert list(got) == list(want)
     for k in want:
         assert got[k].dtype == np.int64 and np.array_equal(got[k], want[k])

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pathmpnn.citation as cit
 import pathmpnn.tensor as T
-from pathmpnn.model import ModelConfig
+from pathmpnn.model import ConfigError, ModelConfig
 from pathmpnn.synth import synth_alcohol_count, synth_citation
 from pathmpnn.citation import PathGCNConfig, init_gcn_params
 from pathmpnn.training import (TrainReport, TrainSettings, _l2_penalty, accuracy,
@@ -41,11 +42,6 @@ def test_mae_examples():
 
 def test_percent_error():
     assert percent_error_metric([110.0], [100.0]) == pytest.approx(10.0)
-
-
-def test_split_fractions_validated():
-    with pytest.raises(ValueError, match="sum to 1"):
-        split_dataset(10, fractions=(0.5, 0.2, 0.2))
 
 
 def test_split_disjoint_exhaustive_deterministic():
@@ -129,6 +125,18 @@ def test_train_regression_empty_dataset():
         train_regression([], ModelConfig())
 
 
+def test_datasets_too_small_to_split_are_config_errors():
+    with pytest.raises(ConfigError, match=r"^a dataset of 3 molecules is too small to "
+                                          r"split: the validation split is empty$"):
+        train_regression(synth_alcohol_count(3, seed=0), ModelConfig())
+    graph = synth_citation(n_nodes=60, seed=0)   # 7 classes x 20 nodes take all 60
+    assert [idx.dtype for idx in (graph.train_idx, graph.val_idx, graph.test_idx)] == [
+        np.int64] * 3
+    with pytest.raises(ConfigError, match=r"^a citation network of 60 nodes is too small "
+                                          r"to split: the validation split is empty$"):
+        train_node_classification(graph, PathGCNConfig())
+
+
 def test_train_regression_smoke_and_early_stopping():
     records = synth_alcohol_count(60, seed=5)
     config = ModelConfig(hidden_dim=6, steps=1, path_length=2,
@@ -187,6 +195,33 @@ def test_train_node_classification_deterministic_and_sane():
     assert 0.0 <= a.report.final["test_accuracy"] <= 1.0
     assert a.report.final["val_accuracy_best"] == pytest.approx(
         max(e["val_metric"] for e in a.report.epochs))
+
+
+def test_path_gcn_without_resampling_uses_one_sample(monkeypatch):
+    graph = synth_citation(n_nodes=120, seed=3)
+    config = PathGCNConfig(hidden_dim=8, per_hop_budget=1, resample_each_epoch=False,
+                           seed=5)
+    draws, used = [], set()
+    sample, forward = cit.sample_citation_paths, cit.path_gcn_forward
+
+    def counting_sample(*args):
+        draws.append(sample(*args))
+        return draws[-1]
+
+    def recording_forward(graph, adj, params, paths, *rest):
+        used.add(id(paths))
+        return forward(graph, adj, params, paths, *rest)
+
+    monkeypatch.setattr(cit, "sample_citation_paths", counting_sample)
+    monkeypatch.setattr(cit, "path_gcn_forward", recording_forward)
+    a = train_node_classification(graph, config, epochs=6, patience=6)
+    # every training step, validation and the final evaluation use the one draw
+    assert len(draws) == 1 and draws[0] and used == {id(draws[0])}
+    b = train_node_classification(graph, config, epochs=6, patience=6)
+    assert len(draws) == 2
+    assert a.report.epochs == b.report.epochs and a.report.final == b.report.final
+    for name in a.params:
+        assert np.array_equal(a.params[name].values, b.params[name].values)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
