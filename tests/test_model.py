@@ -278,9 +278,10 @@ def test_sampled_cache_gives_finite_forward(probe_graph):
 
 # -- the batched path cache against the per-path oracle; tolerance 0 (exact) --
 
-def oracle_cache(graph, config, seed):
+def oracle_cache(graph, config, seed, exact_length_only=False):
     """build_path_cache one path at a time: enumerate or sample, then one
-    static row per path from the edge features and the scalar features."""
+    static row per path from the edge features and the scalar features;
+    with exact_length_only only the paths of length config.path_length."""
     rng = np.random.default_rng(seed)
     found = []
     for v in range(graph.n):
@@ -289,7 +290,8 @@ def oracle_cache(graph, config, seed):
         else:
             tables = sample_paths(graph, [v], config.path_length,
                                   config.sample_budget, rng)
-        found.extend(tuple(row) for t in tables.values() for row in t.tolist())
+        found.extend(tuple(row) for k, t in tables.items() for row in t.tolist()
+                     if not exact_length_only or k == config.path_length)
     groups = {}
     for p in found:
         parts = [graph.edge_features[(a, b)] for a, b in zip(p, p[1:])]
@@ -331,15 +333,22 @@ def cache_graphs():
 
 @pytest.mark.parametrize("mode", ["base", "substructure", "geometry"])
 @pytest.mark.parametrize("path_length", [1, 2, 3])
+@pytest.mark.parametrize("exact_length_only", [False, True])
 @pytest.mark.parametrize("sample_budget", [None, 3])
-def test_path_cache_equals_per_path_oracle(mode, path_length, sample_budget):
+def test_path_cache_equals_per_path_oracle(mode, path_length, exact_length_only,
+                                           sample_budget):
+    """With exact_length_only the cache is read as callers read exact-length
+    paths, by its path_length group alone, and that view must equal the
+    oracle's exact-length paths."""
     config = small_config(feature_mode=mode, path_length=path_length,
                           sample_budget=sample_budget)
     for graph in cache_graphs():
         if mode == "geometry" and graph.coords is None:
             continue
         cache = build_path_cache(graph, config, seed=4)
-        oracle = oracle_cache(graph, config, seed=4)
+        if exact_length_only:
+            cache = {k: g for k, g in cache.items() if k == path_length}
+        oracle = oracle_cache(graph, config, seed=4, exact_length_only=exact_length_only)
         assert list(cache) == list(oracle), graph.id
         for k, (roots, nodes, static) in oracle.items():
             group = cache[k]

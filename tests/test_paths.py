@@ -59,6 +59,13 @@ def test_oracle_triangle_and_edge_cases():
     assert count_paths_oracle(lonely, 0, 3) == {1: 0, 2: 0, 3: 0}
 
 
+def test_exact_length_only(k4):
+    # the max_length table alone is the exact-length view synth_dihedral_sum reads
+    found = enumerate_paths(k4, [0], 3)
+    assert lengths_histogram({3: found[3]}) == {3: 6}
+    assert {len(row) for row in found[3].tolist()} == {4}
+
+
 def test_enumeration_cap(k4):
     with pytest.raises(PathExplosionError, match="sample_paths"):
         enumerate_paths(k4, [0], 3, cap=5)
