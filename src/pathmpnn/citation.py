@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import ConfigError
 from .paths import csr_adjacency, extensions
 from .tensor import (Tensor, add, concat, gather_rows, matmul, mul, relu,
                      segment_sum, glorot, zeros)
@@ -89,6 +90,11 @@ class PathGCNConfig:
     eval_samples: int = 8
     seed: int = 0
 
+    def __post_init__(self):
+        if self.per_hop_budget not in (0, 1):
+            raise ConfigError(f"per_hop_budget must be 0 (plain GCN) or 1, "
+                              f"got {self.per_hop_budget!r}")
+
 
 def init_gcn_params(config: PathGCNConfig, n_features: int, n_classes: int,
                     rng=None) -> dict[str, Tensor]:
@@ -118,14 +124,11 @@ def init_gcn_params(config: PathGCNConfig, n_features: int, n_classes: int,
 
 def sample_citation_paths(graph: CitationGraph, config: PathGCNConfig,
                           rng) -> dict[int, np.ndarray]:
-    """per_hop_budget uniformly sampled extensions per partial path per hop,
-    starting from every first-order neighbor of every node, as node tables
-    of lengths 2..path_length (those that drew paths). Budget 1 draws one
-    number per partial path; a larger budget draws a key per admissible
-    extension and keeps the `budget` smallest, a uniform choice without
-    replacement. Budget 0 returns {} without drawing from rng."""
-    budget = config.per_hop_budget
-    if budget == 0:
+    """One uniformly sampled extension per partial path per hop, starting
+    from every first-order neighbor of every node, as node tables of lengths
+    2..path_length (those that drew paths): one draw per partial path.
+    Budget 0 returns {} without drawing from rng."""
+    if config.per_hop_budget == 0:
         return {}
     csr = csr_adjacency(graph.adjacency)
     frontier = np.stack(extensions(np.arange(graph.n)[:, None], csr), axis=1)
@@ -134,15 +137,9 @@ def sample_citation_paths(graph: CitationGraph, config: PathGCNConfig,
         row, nxt = extensions(frontier, csr)
         count = np.bincount(row, minlength=len(frontier))
         first = np.cumsum(count) - count
-        if budget == 1:
-            draws = rng.random(len(frontier))
-            extended = np.flatnonzero(count)
-            picks = first[extended] + (draws[extended] * count[extended]).astype(np.int64)
-        else:
-            keys = rng.random(len(row))
-            by_key = np.lexsort((keys, row))
-            rank = np.arange(len(row)) - first[row[by_key]]
-            picks = np.sort(by_key[rank < budget])
+        draws = rng.random(len(frontier))
+        extended = np.flatnonzero(count)
+        picks = first[extended] + (draws[extended] * count[extended]).astype(np.int64)
         frontier = np.concatenate([frontier[row[picks]], nxt[picks, None]], axis=1)
         if len(frontier):
             groups[hop] = frontier

@@ -20,7 +20,7 @@ from .geometry import DegenerateGeometryError
 from .gradchecks import TOLERANCE, full_model_gradcheck, op_gradchecks
 from .model import ConfigError, init_params, path_feature_fn
 from .molgraph import FeaturizerConfig, MoleculeError, build_graph
-from .paths import PathExplosionError, enumerate_paths, sample_paths
+from .paths import PathExplosionError, enumerate_paths
 from .synth import TASKS, generate_molecules, synth_citation
 from .tensor import CheckpointError, load_params, save_params
 from .training import (evaluate_regression, save_report, summarize_reports,
@@ -41,10 +41,10 @@ def cmd_paths(args) -> int:
         raise ConfigError(f"molecule {graph.id}: --node {args.node} out of range ({graph.n} atoms)")
     if args.length < 1:
         raise ConfigError(f"molecule {graph.id}: --length must be >= 1, got {args.length}")
-    if args.sample is not None and args.sample < 1:
-        raise ConfigError(f"molecule {graph.id}: --sample must be >= 1, got {args.sample}")
-    tables = (enumerate_paths(graph, [args.node], args.length) if args.sample is None else
-              sample_paths(graph, [args.node], args.length, args.sample, args.seed))
+    try:
+        tables = enumerate_paths(graph, [args.node], args.length)
+    except PathExplosionError as err:
+        raise PathExplosionError(f"molecule {graph.id}: {err}") from None
     # lexicographic, a prefix before its extensions: depth-first order
     for path in sorted(p for t in tables.values() for p in t.tolist()):
         print(" ".join(str(v) for v in path))
@@ -200,8 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--sample", type=int, default=None, metavar="K")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--index", type=int, default=0, help="molecule index in the file")
     p.add_argument("--explicit-h", action="store_true")
     p.set_defaults(func=cmd_paths)

@@ -237,9 +237,15 @@ class RunConfig:
             raise ConfigError("repeats must be positive")
 
 
+def _json_object(data, where) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {json.dumps(data)}")
+    return data
+
+
 def _from_dict(dc_type, data, where):
     known = {f.name: f for f in fields(dc_type)}
-    unknown = set(data) - set(known)
+    unknown = set(_json_object(data, where)) - set(known)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     try:
@@ -252,13 +258,13 @@ def _from_dict(dc_type, data, where):
 # run. Older checkpoints and report snapshots carry them; that value is
 # dropped, any other is refused.
 RETIRED_MODEL_KEYS = {"attention_heads": 1, "joint_attention": True,
-                      "exact_length_only": False}
+                      "exact_length_only": False, "sample_budget": None}
 
 
 def model_config_from_dict(data: dict, where: str = "model") -> mdl.ModelConfig:
     """A ModelConfig from a run config's model block, a report's config
     snapshot or a checkpoint's metadata."""
-    data = dict(data)
+    data = dict(_json_object(data, where))
     for key, default in RETIRED_MODEL_KEYS.items():
         if key in data:
             value = data.pop(key)
@@ -270,7 +276,7 @@ def model_config_from_dict(data: dict, where: str = "model") -> mdl.ModelConfig:
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    data = dict(data)
+    data = dict(_json_object(data, "run config"))
     nested = {}
     if "model" in data:
         nested["model"] = model_config_from_dict(data.pop("model"))

@@ -12,12 +12,13 @@ independent implementation for reduction testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import chem, geometry
 from .geometry import DegenerateGeometryError
-from .paths import PathExplosionError, enumerate_paths, sample_paths
+from .paths import PathExplosionError, enumerate_paths
 from .tensor import (Tensor, add, concat, gather_rows, leaky_relu, lstm_cell,
                      matmul, mul, reduce_sum, relu, segment_softmax,
                      segment_sum, sigmoid, glorot, zeros)
@@ -36,7 +37,6 @@ class ModelConfig:
     path_length: int = 2
     feature_mode: str = "base"
     set2set_steps: int = 3
-    sample_budget: int | None = None
     n_targets: int = 1
     seed: int = 0
 
@@ -61,10 +61,8 @@ def static_feature_width(mode: str, k: int, edge_dim: int) -> int:
     return k * edge_dim + extra
 
 
-@dataclass
-class PathGroup:
-    roots: np.ndarray   # (P,)
-    nodes: np.ndarray   # (P, k) path nodes after the root
+class PathGroup(NamedTuple):
+    paths: np.ndarray   # (P, k+1) node table, root first
     static: np.ndarray  # (P, static_feature_width)
 
 
@@ -87,17 +85,12 @@ def path_feature_fn(graph, mode: str):
 def build_path_cache(graph, config: ModelConfig, seed=None) -> dict[int, PathGroup]:
     """Per-graph path enumeration plus the step-independent feature parts,
     one PathGroup per path length, each length featurized in one pass.
-    Feature-mode, geometry and path-cap errors name the molecule."""
-    if seed is None:
-        seed = config.seed
+    Feature-mode, geometry and path-cap errors name the molecule. `seed` is
+    unused; it stays accepted because perfbench/workloads.py passes it."""
     cache = {}
     try:
         path_features = path_feature_fn(graph, config.feature_mode)
-        if config.sample_budget is None:
-            tables = enumerate_paths(graph, range(graph.n), config.path_length)
-        else:
-            tables = sample_paths(graph, range(graph.n), config.path_length,
-                                  config.sample_budget, seed)
+        tables = enumerate_paths(graph, range(graph.n), config.path_length)
         edge_table = np.array(list(graph.edge_features.values()))
         edge_id = np.zeros((graph.n, graph.n), dtype=np.int64)   # row in edge_table
         for i, (a, b) in enumerate(graph.edge_features):
@@ -106,8 +99,7 @@ def build_path_cache(graph, config: ModelConfig, seed=None) -> dict[int, PathGro
             parts = [edge_table[edge_id[paths[:, :-1], paths[:, 1:]]].reshape(len(paths), -1)]
             if path_features is not None:
                 parts.append(path_features(paths))
-            cache[k] = PathGroup(roots=paths[:, 0].copy(), nodes=paths[:, 1:].copy(),
-                                 static=np.concatenate(parts, axis=1))
+            cache[k] = PathGroup(paths, np.concatenate(parts, axis=1))
     except (ConfigError, DegenerateGeometryError, PathExplosionError) as err:
         raise type(err)(f"molecule {graph.id}: {err}") from None
     return cache
@@ -171,14 +163,14 @@ def _propagate_step(h, cache: dict[int, PathGroup], params, config: ModelConfig,
     msgs_parts, roots_parts = [], []
     for k in config.lengths():
         group = cache.get(k)
-        if group is None or group.roots.size == 0:
+        if group is None:
             continue
-        hidden_parts = [gather_rows(h, group.nodes[:, col]) for col in range(k)]
-        msg = message_path(gather_rows(h, group.roots), hidden_parts,
+        hidden_parts = [gather_rows(h, group.paths[:, col]) for col in range(1, k + 1)]
+        msg = message_path(gather_rows(h, group.paths[:, 0]), hidden_parts,
                            Tensor(group.static),
                            params[f"msg{t}.len{k}.W"], params[f"msg{t}.len{k}.b"])
         msgs_parts.append(msg)
-        roots_parts.append(group.roots)
+        roots_parts.append(group.paths[:, 0])
 
     if not msgs_parts:
         m_v = Tensor(np.zeros((n, config.hidden_dim)))
@@ -194,7 +186,7 @@ def forward(graph, params, config: ModelConfig,
     """Graph-level prediction, shape (1, n_targets): forward_batched on a
     batch of one."""
     if cache is None:
-        cache = build_path_cache(graph, config, seed=config.seed)
+        cache = build_path_cache(graph, config)
     return forward_batched(merge_batch([graph], [cache]), params, config)
 
 
@@ -217,15 +209,9 @@ def merge_batch(graphs, caches) -> GraphBatch:
     merged: dict[int, list[PathGroup]] = {}
     for off, cache in zip(offsets, caches):
         for k, group in cache.items():
-            merged.setdefault(k, []).append(
-                PathGroup(roots=group.roots + off, nodes=group.nodes + off,
-                          static=group.static))
-    groups = {
-        k: PathGroup(roots=np.concatenate([g.roots for g in parts]),
-                     nodes=np.concatenate([g.nodes for g in parts]),
-                     static=np.concatenate([g.static for g in parts]))
-        for k, parts in merged.items()
-    }
+            merged.setdefault(k, []).append(PathGroup(group.paths + off, group.static))
+    groups = {k: PathGroup(*(np.concatenate(column) for column in zip(*parts)))
+              for k, parts in merged.items()}
     return GraphBatch(x=x, graph_ids=graph_ids, n_graphs=len(graphs),
                       cache=groups)
 

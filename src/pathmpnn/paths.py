@@ -1,4 +1,4 @@
-"""Simple-path enumeration and sampling on anything exposing .n and
+"""Simple-path enumeration on anything exposing .n and
 .adjacency (sorted neighbor tuples). Paths come as node tables: {length k:
 (P, k+1) int64 array}, lengths ascending and only those with paths, rows
 root-major (roots in the order given) and lexicographic within a root.
@@ -14,7 +14,7 @@ DEFAULT_PATH_CAP = 100_000
 
 
 class PathExplosionError(RuntimeError):
-    """Enumeration exceeded the path cap; use sample_paths instead."""
+    """Enumeration exceeded the path cap."""
 
 
 def csr_adjacency(adjacency) -> tuple[np.ndarray, np.ndarray]:
@@ -42,14 +42,6 @@ def extensions(table: np.ndarray, csr) -> tuple[np.ndarray, np.ndarray]:
     return row[fresh], nxt[fresh]
 
 
-def _check_roots(graph, roots) -> np.ndarray:
-    roots = np.asarray(roots, dtype=np.int64)
-    bad = roots[(roots < 0) | (roots >= graph.n)]
-    if bad.size:
-        raise ValueError(f"root {bad[0]} out of range for graph with {graph.n} nodes")
-    return roots
-
-
 def enumerate_paths(graph, roots, max_length: int, *,
                     cap: int = DEFAULT_PATH_CAP) -> dict[int, np.ndarray]:
     """All simple paths of length 1..max_length from the roots, each
@@ -57,7 +49,10 @@ def enumerate_paths(graph, roots, max_length: int, *,
     from one root raise PathExplosionError naming the first such root in
     `roots`; once one crosses, only the roots before it are extended (they
     may cross later)."""
-    roots = _check_roots(graph, roots)
+    roots = np.asarray(roots, dtype=np.int64)
+    bad = roots[(roots < 0) | (roots >= graph.n)]
+    if bad.size:
+        raise ValueError(f"root {bad[0]} out of range for graph with {graph.n} nodes")
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     csr = csr_adjacency(graph.adjacency)
@@ -82,7 +77,7 @@ def enumerate_paths(graph, roots, max_length: int, *,
     if first_over < len(roots):
         raise PathExplosionError(
             f"more than {cap} paths rooted at node {roots[first_over]}; "
-            "use sample_paths with a budget")
+            "use a shorter path length")
     return tables
 
 
@@ -106,37 +101,3 @@ def count_paths_oracle(graph, v: int, max_length: int) -> dict[int, int]:
                 c += 1
         counts[length] = c
     return counts
-
-
-def sample_paths(graph, roots, max_length: int, budget: int, seed) -> dict[int, np.ndarray]:
-    """Sampled simple paths from each root in turn, one rng for all:
-    randomized depth-first enumeration, truncated after `budget` paths per
-    root. Each extension picks uniformly among admissible neighbors, so a
-    budget covering a root's whole path set reproduces enumerate_paths."""
-    roots = _check_roots(graph, roots)
-    rng = np.random.default_rng(seed)   # a Generator passes through as is
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rows: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, max_length + 1)}
-    for v in roots.tolist():
-        out: list[tuple[int, ...]] = []
-        stack = [v]
-
-        def extend() -> bool:
-            free = [w for w in graph.adjacency[stack[-1]] if w not in stack]
-            order = rng.permutation(len(free)) if len(free) > 1 else range(len(free))
-            for idx in order:
-                stack.append(free[idx])
-                out.append(tuple(stack))
-                done = len(out) >= budget or (len(stack) - 1 < max_length and extend())
-                stack.pop()
-                if done:
-                    return True
-            return False
-
-        extend()
-        for path in sorted(out):
-            rows[len(path) - 1].append(path)
-    return {k: np.asarray(r, dtype=np.int64) for k, r in rows.items() if r}

@@ -216,8 +216,8 @@ def train_regression(records, config: mdl.ModelConfig,
     graphs = [build_graph(r, featurizer) for r in records]
     targets = np.asarray([g.targets for g in graphs], dtype=np.float64)
     if targets.shape[1] != config.n_targets:
-        raise ValueError(
-            f"config expects {config.n_targets} targets, dataset has {targets.shape[1]}")
+        raise mdl.ConfigError(f"model.n_targets is {config.n_targets}, but the dataset "
+                              f"has {targets.shape[1]} targets per molecule")
 
     train_idx, val_idx, test_idx = split_dataset(len(records), settings.split_seed)
     _check_splits(f"a dataset of {len(records)} molecules",
@@ -229,7 +229,7 @@ def train_regression(records, config: mdl.ModelConfig,
     z_targets = (targets - mean) / std
 
     rng = np.random.default_rng(config.seed)
-    caches = [mdl.build_path_cache(g, config, seed=config.seed) for g in graphs]
+    caches = [mdl.build_path_cache(g, config) for g in graphs]
     params = mdl.init_params(config, graphs[0].node_dim, graphs[0].edge_dim, rng)
     state = AdamState(params)
 
@@ -294,7 +294,7 @@ def train_regression(records, config: mdl.ModelConfig,
 def evaluate_regression(records, params, config: mdl.ModelConfig,
                         featurizer: FeaturizerConfig, mean, std) -> dict:
     graphs = [build_graph(r, featurizer) for r in records]
-    caches = [mdl.build_path_cache(g, config, seed=config.seed) for g in graphs]
+    caches = [mdl.build_path_cache(g, config) for g in graphs]
     targets = np.asarray([g.targets for g in graphs], dtype=np.float64)
     pred = predict_values(graphs, caches, params, config, np.asarray(mean), np.asarray(std))
     return {

@@ -6,6 +6,7 @@ from pathmpnn.citation import (CitationGraph, PathGCNConfig,
                                citation_path_features, gcn_forward, gcn_layer,
                                init_gcn_params, normalize_adjacency,
                                path_gcn_forward, sample_citation_paths)
+from pathmpnn.model import ConfigError
 from pathmpnn.synth import synth_citation
 from pathmpnn.tensor import Tensor, gradcheck
 
@@ -166,7 +167,7 @@ def test_sampled_paths_deterministic_given_seed():
 
 def test_sampled_paths_are_simple_and_adjacent():
     g = synth_citation(n_nodes=50, seed=2)
-    config = PathGCNConfig(per_hop_budget=2, seed=0)
+    config = PathGCNConfig(per_hop_budget=1, seed=0)
     paths = sample_citation_paths(g, config, np.random.default_rng(3))
     adj_sets = [set(nbrs) for nbrs in g.adjacency]
     for k, table in paths.items():
@@ -208,30 +209,18 @@ def test_per_hop_mode_structure(k4):
     assert rng.bit_generator.state == before      # budget 0 draws nothing
 
 
-def test_budget_two_picks_uniform_pairs_without_replacement():
-    # K5 from the partial path (0, 1): three admissible extensions, two
-    # picked without replacement, so each of the 3 pairs has probability 1/3
-    k5 = tiny_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    config = PathGCNConfig(path_length=2, per_hop_budget=2)
-    draws = 10_000
-    counts = {}
-    for seed in range(draws):
-        table = sample_citation_paths(k5, config, np.random.default_rng(seed))[2]
-        pair = tuple(table[(table[:, 0] == 0) & (table[:, 1] == 1), 2].tolist())
-        counts[pair] = counts.get(pair, 0) + 1
-    assert set(counts) == {(2, 3), (2, 4), (3, 4)}     # in adjacency order
-    expected = draws / 3
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    # chi-square with 2 dof: mean 2, sd 2; 3 sigma above the mean is 8
-    assert chi2 < 8.0, counts
+@pytest.mark.parametrize("budget", [-1, 2, 3])
+def test_budgets_other_than_zero_and_one_are_rejected(budget):
+    with pytest.raises(ConfigError,
+                       match=rf"^per_hop_budget must be 0 \(plain GCN\) or 1, got {budget}$"):
+        PathGCNConfig(per_hop_budget=budget)
 
 
 def per_partial_path_oracle(graph, config, rng):
     """The budget-1 sampler one partial path at a time, as a Python loop
     over the frontier; returns {length: (roots, non-root columns)}."""
-    budget = config.per_hop_budget
     by_len = {k: ([], []) for k in range(2, config.path_length + 1)}
-    if budget > 0:
+    if config.per_hop_budget > 0:
         adj = graph.adjacency
         frontier = [(v, w) for v in range(graph.n) for w in adj[v]]
         for hop in range(2, config.path_length + 1):
@@ -242,16 +231,10 @@ def per_partial_path_oracle(graph, config, rng):
                 admissible = [y for y in adj[partial[-1]] if y not in partial]
                 if not admissible:
                     continue
-                if budget == 1:
-                    extended = (partial + (admissible[int(draws[i] * len(admissible))],),)
-                else:
-                    take = min(budget, len(admissible))
-                    picks = rng.choice(len(admissible), size=take, replace=False)
-                    extended = tuple(partial + (admissible[j],) for j in sorted(picks))
-                for path in extended:
-                    roots.append(path[0])
-                    cols.append(path[1:])
-                    nxt.append(path)
+                path = partial + (admissible[int(draws[i] * len(admissible))],)
+                roots.append(path[0])
+                cols.append(path[1:])
+                nxt.append(path)
             frontier = nxt
     groups = {}
     for k, (roots, cols) in by_len.items():

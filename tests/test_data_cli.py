@@ -1,13 +1,15 @@
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pathmpnn.tensor as T
+from pathmpnn.citation import PathGCNConfig
 from pathmpnn.cli import main
-from pathmpnn.data import (DataFormatError, load_dataset, load_run_config,
+from pathmpnn.data import (DataFormatError, RunConfig, load_dataset, load_run_config,
                            parse_citation_files, parse_molecule_file,
                            run_config_from_dict, write_citation_files,
                            write_molecule_file)
@@ -16,10 +18,11 @@ from pathmpnn.model import ConfigError, ModelConfig
 from pathmpnn.molgraph import MoleculeRecord, build_graph
 from pathmpnn.paths import enumerate_paths
 from pathmpnn.synth import synth_citation, synth_dihedral_sum
-from pathmpnn.training import load_report, load_reports
+from pathmpnn.training import TrainSettings, load_report, load_reports
 
 # the retired model keys at the one value every run gave them
-RETIRED = {"attention_heads": 1, "joint_attention": True, "exact_length_only": False}
+RETIRED = {"attention_heads": 1, "joint_attention": True, "exact_length_only": False,
+           "sample_budget": None}
 
 P4 = MoleculeRecord("p4", ("C", "C", "C", "C"),
                     ((0, 1, "single"), (1, 2, "single"), (2, 3, "single")),
@@ -125,7 +128,8 @@ def test_run_config_accepts_retired_model_keys_only_at_their_default():
     config = run_config_from_dict({"task": "regression", "dataset": "x", "model": model})
     assert config.model == ModelConfig(hidden_dim=4)
     for key, value in (("attention_heads", 2), ("joint_attention", False),
-                       ("exact_length_only", True), ("attention_heads", True)):
+                       ("exact_length_only", True), ("attention_heads", True),
+                       ("sample_budget", 3), ("sample_budget", 0)):
         with pytest.raises(ConfigError, match=f"^model: {key} is no longer a setting"):
             run_config_from_dict({"task": "regression", "dataset": "x",
                                   "model": {**model, key: value}})
@@ -137,6 +141,42 @@ def test_readme_regression_run_config_parses():
                       re.DOTALL).group(1)
     config = run_config_from_dict(json.loads(block))
     assert config.task == "regression" and config.dataset
+
+
+def test_readme_run_config_keys_are_the_settings():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"The keys, all optional except the paths the task needs:\n\n(.*?)\n\n",
+                      readme, re.DOTALL).group(1)
+    listed = {}
+    for bullet in block.split("\n- "):
+        head, _, body = bullet.lstrip("- ").partition(":")
+        # names are the backticked words outside parentheses (those give values)
+        listed[head.strip("`")] = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", body))
+    settings = {"top level": RunConfig, "model": ModelConfig, "train": TrainSettings,
+                "gcn": PathGCNConfig}
+    assert listed == {key: [f.name for f in fields(dc_type)]
+                      for key, dc_type in settings.items()}
+
+
+@pytest.mark.parametrize("key,value", [("model", 3), ("model", None), ("train", [1]),
+                                       ("gcn", "wide"), ("run config", [1])])
+def test_cli_train_non_object_block_exits_one_naming_it(tmp_path, capsys, key, value):
+    config = {"task": "regression", "dataset": "absent.jsonl", key: value}
+    (tmp_path / "run.json").write_text(json.dumps(value if key == "run config" else config))
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--report", str(tmp_path / "r.jsonl")]) == 1
+    assert (f"error: {key}: expected a JSON object, got {json.dumps(value)}"
+            in capsys.readouterr().err)
+
+
+def test_cli_train_per_hop_budget_above_one_exits_one(tmp_path, capsys):
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"task": "citation", "content": "net.content", "cites": "net.cites",
+         "gcn": {"per_hop_budget": 2}}))
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--report", str(tmp_path / "r.jsonl")]) == 1
+    assert ("error: per_hop_budget must be 0 (plain GCN) or 1, got 2"
+            in capsys.readouterr().err)
 
 
 def test_run_config_requires_paths():
@@ -157,15 +197,18 @@ def test_cli_paths_matches_engine(tmp_path, capsys):
     assert out == ["0 1", "0 1 2", "0 1 2 3"]
 
 
-def test_cli_paths_sampled_deterministic(tmp_path, capsys):
-    data = tmp_path / "p4.jsonl"
-    write_molecule_file(data, [P4])
-    main(["paths", "--input", str(data), "--node", "0", "--length", "3",
-          "--sample", "2", "--seed", "5"])
-    first = capsys.readouterr().out
-    main(["paths", "--input", str(data), "--node", "0", "--length", "3",
-          "--sample", "2", "--seed", "5"])
-    assert capsys.readouterr().out == first
+def test_cli_paths_over_the_cap_exits_two_naming_the_molecule(tmp_path, capsys):
+    # every atom of a complete 11-atom graph roots 10 + 10*9 + ... + 10*9*8*7*6*5
+    # = 187,300 paths up to length 6, over the 100,000 cap
+    bonds = tuple((i, j, "single") for i in range(11) for j in range(i + 1, 11))
+    data = tmp_path / "k11.jsonl"
+    write_molecule_file(data, [P4, MoleculeRecord("k11", ("C",) * 11, bonds)])
+    assert main(["paths", "--input", str(data), "--index", "1", "--node", "0",
+                 "--length", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("runtime error: PathExplosionError: molecule k11: more than 100000 paths "
+            "rooted at node 0; use a shorter path length") in captured.err
 
 
 def test_cli_missing_dataset_is_validation_error(tmp_path, capsys):
@@ -184,7 +227,6 @@ def test_cli_bad_arguments_exit_one(capsys):
     (["--node", "99", "--length", "2"], "--node 99 out of range (4 atoms)"),
     (["--node", "-1", "--length", "2"], "--node -1 out of range (4 atoms)"),
     (["--node", "0", "--length", "0"], "--length must be >= 1, got 0"),
-    (["--node", "0", "--length", "2", "--sample", "0"], "--sample must be >= 1, got 0"),
 ])
 def test_cli_paths_bad_values_exit_one_naming_the_molecule(tmp_path, capsys, args, message):
     data = tmp_path / "three.jsonl"
@@ -442,10 +484,13 @@ def test_cli_eval_bad_checkpoints_exit_one(tmp_path, capsys):
     heads = with_model_keys(tmp_path / "heads.ckpt", params, meta,
                             **{**RETIRED, "attention_heads": 2})
     unknown = with_model_keys(tmp_path / "unknown.ckpt", params, meta, wrong=1)
+    scalar = tmp_path / "scalar.ckpt"
+    T.save_params(scalar, params, metadata={**meta, "model": 3})
     for path, message in ((truncated, "truncated checkpoint"),
                           (foreign, "not a parameter checkpoint"),
                           (heads, "model: attention_heads is no longer a setting"),
                           (unknown, "model: unknown keys ['wrong']"),
+                          (scalar, "model: expected a JSON object, got 3"),
                           (renamed, "parameter head.W: absent in the checkpoint, (6, 1) "
                                     "for its model config and input"),
                           (reshaped, "parameter head.b: (2,) in the checkpoint, (1,) "
@@ -479,6 +524,18 @@ def test_cli_eval_accepts_older_checkpoints_with_retired_keys(tmp_path, capsys):
     expected = capsys.readouterr().out
     assert main(["eval", "--checkpoint", str(older), "--input", str(data)]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_cli_train_target_count_mismatch_exits_one(tmp_path, capsys):
+    data = tmp_path / "alc.jsonl"
+    main(["synth", "--task", "alcohol-count", "--n", "20", "--seed", "0", "--out", str(data)])
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"task": "regression", "dataset": str(data), "model": {"n_targets": 2}}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--report", str(tmp_path / "r.jsonl")]) == 1
+    assert ("error: model.n_targets is 2, but the dataset has 1 targets per molecule"
+            in capsys.readouterr().err)
 
 
 def test_cli_train_too_small_to_split_exits_one(tmp_path, capsys):

@@ -8,13 +8,13 @@ import pathmpnn.tensor as T
 from pathmpnn.chem import detect_groups, ring_membership, substructure_path_features
 from pathmpnn.geometry import DegenerateGeometryError, geometry_path_features
 from pathmpnn.gradchecks import TOLERANCE, full_model_gradcheck, probe_molecule
-from pathmpnn.model import (ConfigError, ModelConfig, attention_aggregate,
+from pathmpnn.model import (ConfigError, ModelConfig, PathGroup, attention_aggregate,
                             build_path_cache, forward, forward_base_mpnn,
                             forward_batched, init_params, merge_batch,
                             message_path, message_standard, node_update,
                             set2set_readout_batched, static_feature_width)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
-from pathmpnn.paths import PathExplosionError, enumerate_paths, sample_paths
+from pathmpnn.paths import PathExplosionError, enumerate_paths
 from pathmpnn.synth import generate_molecules
 
 S60 = np.sqrt(3.0) / 2.0
@@ -229,11 +229,9 @@ def test_sibling_path_permutation_leaves_message_unchanged(probe_graph):
     cache = build_path_cache(probe_graph, config)
     y = forward(probe_graph, params, config, cache).values
     rng = np.random.default_rng(10)
-    for group in cache.values():
-        perm = rng.permutation(len(group.roots))
-        group.roots = group.roots[perm]
-        group.nodes = group.nodes[perm]
-        group.static = group.static[perm]
+    for k, group in cache.items():
+        perm = rng.permutation(len(group.paths))
+        cache[k] = PathGroup(group.paths[perm], group.static[perm])
     y_p = forward(probe_graph, params, config, cache).values
     assert np.abs(y - y_p).max() < 1e-10
 
@@ -267,29 +265,15 @@ def test_forward_is_finite_under_debug_checks(probe_graph):
         T.DEBUG_CHECKS = False
 
 
-def test_sampled_cache_gives_finite_forward(probe_graph):
-    config = small_config(feature_mode="base", path_length=2, sample_budget=3)
-    params = init_params(config, probe_graph.node_dim, probe_graph.edge_dim)
-    cache = build_path_cache(probe_graph, config, seed=0)
-    assert all(len(g.roots) > 0 for g in cache.values())
-    y = forward(probe_graph, params, config, cache)
-    assert np.isfinite(y.values).all()
-
-
 # -- the batched path cache against the per-path oracle; tolerance 0 (exact) --
 
-def oracle_cache(graph, config, seed, exact_length_only=False):
-    """build_path_cache one path at a time: enumerate or sample, then one
+def oracle_cache(graph, config, exact_length_only=False):
+    """build_path_cache one path at a time: enumerate from each root, then one
     static row per path from the edge features and the scalar features;
     with exact_length_only only the paths of length config.path_length."""
-    rng = np.random.default_rng(seed)
     found = []
     for v in range(graph.n):
-        if config.sample_budget is None:
-            tables = enumerate_paths(graph, [v], config.path_length)
-        else:
-            tables = sample_paths(graph, [v], config.path_length,
-                                  config.sample_budget, rng)
+        tables = enumerate_paths(graph, [v], config.path_length)
         found.extend(tuple(row) for k, t in tables.items() for row in t.tolist()
                      if not exact_length_only or k == config.path_length)
     groups = {}
@@ -334,25 +318,24 @@ def cache_graphs():
 @pytest.mark.parametrize("mode", ["base", "substructure", "geometry"])
 @pytest.mark.parametrize("path_length", [1, 2, 3])
 @pytest.mark.parametrize("exact_length_only", [False, True])
-@pytest.mark.parametrize("sample_budget", [None, 3])
-def test_path_cache_equals_per_path_oracle(mode, path_length, exact_length_only,
-                                           sample_budget):
+@pytest.mark.parametrize("seed", [None, 3])
+def test_path_cache_equals_per_path_oracle(mode, path_length, exact_length_only, seed):
     """With exact_length_only the cache is read as callers read exact-length
     paths, by its path_length group alone, and that view must equal the
-    oracle's exact-length paths."""
-    config = small_config(feature_mode=mode, path_length=path_length,
-                          sample_budget=sample_budget)
+    oracle's exact-length paths. build_path_cache's seed keyword is unused:
+    passing one (3) or none (None) gives the same cache."""
+    config = small_config(feature_mode=mode, path_length=path_length)
     for graph in cache_graphs():
         if mode == "geometry" and graph.coords is None:
             continue
-        cache = build_path_cache(graph, config, seed=4)
+        cache = build_path_cache(graph, config, seed=seed)
         if exact_length_only:
             cache = {k: g for k, g in cache.items() if k == path_length}
-        oracle = oracle_cache(graph, config, seed=4, exact_length_only=exact_length_only)
+        oracle = oracle_cache(graph, config, exact_length_only=exact_length_only)
         assert list(cache) == list(oracle), graph.id
         for k, (roots, nodes, static) in oracle.items():
             group = cache[k]
-            for got, want in ((group.roots, roots), (group.nodes, nodes),
+            for got, want in ((group.paths[:, 0], roots), (group.paths[:, 1:], nodes),
                               (group.static, static)):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (graph.id, k)
     assert build_path_cache(build_graph(SINGLE_ATOM, FEAT), config) == {}

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import AdjacencyGraph, random_graph
-from pathmpnn.paths import (PathExplosionError, count_paths_oracle,
-                            enumerate_paths, sample_paths)
+from pathmpnn.paths import PathExplosionError, count_paths_oracle, enumerate_paths
 
 
 def lengths_histogram(tables):
@@ -67,7 +66,7 @@ def test_exact_length_only(k4):
 
 
 def test_enumeration_cap(k4):
-    with pytest.raises(PathExplosionError, match="sample_paths"):
+    with pytest.raises(PathExplosionError, match="use a shorter path length"):
         enumerate_paths(k4, [0], 3, cap=5)
 
 
@@ -87,54 +86,6 @@ def test_cap_error_names_the_lowest_root_over_the_cap():
     # roots count in the order given
     with pytest.raises(PathExplosionError, match="rooted at node 6;"):
         enumerate_paths(graph, [6, 5], 2, cap=1)
-
-
-def test_sampling_deterministic(k4):
-    a = sample_paths(k4, [0], 3, budget=7, seed=123)
-    b = sample_paths(k4, [0], 3, budget=7, seed=123)
-    assert rows(a) == rows(b)
-    assert len(rows(a)) <= 7
-
-
-def test_exhaustive_budget_reproduces_enumeration(k4, path4):
-    for graph in (k4, path4):
-        full = enumerate_paths(graph, range(graph.n), 3)
-        sampled = sample_paths(graph, range(graph.n), 3, budget=1000, seed=9)
-        assert list(full) == list(sampled)
-        for k in full:
-            assert np.array_equal(full[k], sampled[k])
-
-
-def test_all_roots_sample_equals_one_root_at_a_time():
-    graph = random_graph(np.random.default_rng(5), 9, 0.5)
-    together_rng = np.random.default_rng(2)
-    together = sample_paths(graph, range(graph.n), 3, 4, together_rng)
-    single_rng = np.random.default_rng(2)
-    single = [sample_paths(graph, [v], 3, 4, single_rng) for v in range(graph.n)]
-    assert together_rng.bit_generator.state == single_rng.bit_generator.state
-    for k, table in together.items():
-        expected = [t[k] for t in single if k in t]
-        assert np.array_equal(table, np.concatenate(expected))
-
-
-def test_sampled_paths_are_simple(k4):
-    for seed in range(30):
-        for p in rows(sample_paths(k4, [1], 3, budget=4, seed=seed)):
-            assert len(set(p)) == len(p)
-
-
-def test_first_hop_uniform_chi_square(k4):
-    # budget=1 returns a single length-1 path; its endpoint should be
-    # uniform over the three neighbors (3 sigma on a chi-square basis)
-    draws = 10_000
-    counts = {1: 0, 2: 0, 3: 0}
-    for seed in range(draws):
-        (p,) = rows(sample_paths(k4, [0], 1, budget=1, seed=seed))
-        counts[p[1]] += 1
-    expected = draws / 3
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    # chi-square with 2 dof: mean 2, sd 2; 3 sigma above the mean is 8
-    assert chi2 < 8.0, counts
 
 
 @given(st.integers(0, 10_000), st.integers(3, 10),
@@ -182,5 +133,3 @@ def test_roots_out_of_range_rejected(k4):
     for bad in ([4], [-1], [0, 7]):
         with pytest.raises(ValueError, match="out of range"):
             enumerate_paths(k4, bad, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            sample_paths(k4, bad, 2, 3, seed=0)
