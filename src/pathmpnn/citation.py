@@ -7,7 +7,7 @@ extension per first-order neighbor per hop). Each layer transforms before
 aggregating (A_hat (H W) rather than (A_hat H) W, same map, far cheaper on
 wide inputs), and per-length linear maps carry the concatenated path states
 into the same output space, added before the bias and activation. With a
-zero sampling budget the op sequence is exactly the plain GCN's.
+zero sampling budget the outputs are bit-identical to the plain GCN's.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from .model import ConfigError
 from .paths import csr_adjacency, extensions
-from .tensor import (Tensor, add, concat, gather_rows, matmul, mul, relu,
-                     segment_sum, glorot, zeros)
+from .tensor import (Tensor, add, columns, concat, gather_rows, matmul, mul,
+                     relu, segment_sum, glorot, zeros)
 
 
 @dataclass(eq=False)
@@ -164,17 +164,23 @@ def gcn_layer(h, adj: NormalizedAdjacency, W, b, activation=None):
 
 def _layer_with_paths(h, adj, params, layer: str, paths: dict, n: int,
                       activation):
-    z = matmul(h, params[f"gcn{layer}.W"])
-    weighted = mul(gather_rows(z, adj.src), Tensor(adj.weight[:, None]))
+    # one matmul against the GCN weight and every per-position path map side
+    # by side, then each map's block of columns; transforming before the
+    # gather keeps the gathered rows narrow
+    names = [f"gcn{layer}.W"] + [f"path{layer}.len{k}.M{pos}"
+                                 for k in sorted(paths) for pos in range(k)]
+    z = matmul(h, concat([params[name] for name in names], axis=1))
+    width = params[f"gcn{layer}.W"].values.shape[1]
+    block = {name: columns(z, i * width, (i + 1) * width)
+             for i, name in enumerate(names)}
+    weighted = mul(gather_rows(block[f"gcn{layer}.W"], adj.src),
+                   Tensor(adj.weight[:, None]))
     agg = segment_sum(weighted, adj.dst, n)
     for k, table in sorted(paths.items()):
         roots = table[:, 0]
-        # transform once per position, then gather narrow rows; equal to
-        # matmul(citation_path_features(h, table[:, 1:]), stacked per-position maps)
         msg = None
         for pos in range(k):
-            zp = gather_rows(matmul(h, params[f"path{layer}.len{k}.M{pos}"]),
-                             table[:, pos + 1])
+            zp = gather_rows(block[f"path{layer}.len{k}.M{pos}"], table[:, pos + 1])
             msg = zp if msg is None else add(msg, zp)
         # per-root mean keeps the path term on the same scale as the
         # degree-normalized first-order aggregation
@@ -200,8 +206,8 @@ def gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params,
 
 def path_gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params,
                      paths: dict | None, dropout_masks=None):
-    """Two-layer path GCN. With no sampled paths (None or {}) the op
-    sequence is exactly the plain GCN's."""
+    """Two-layer path GCN. With no sampled paths (None or {}) the outputs
+    are bit-identical to the plain GCN's."""
     paths = paths or {}
     h = Tensor(graph.features)
     if dropout_masks is not None:

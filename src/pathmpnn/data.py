@@ -9,8 +9,10 @@ vocabulary. Citation data uses the classic two-file format: a content file
 from __future__ import annotations
 
 import json
+import types
 import warnings
 from dataclasses import dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -243,15 +245,34 @@ def _json_object(data, where) -> dict:
     return data
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
+               str: "a string", type(None): "null"}
+
+
+def _has_type(value, hint) -> bool:
+    """JSON's types against a field's annotation: a bool is no number, an
+    integer is a valid float."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, arg) for arg in get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _from_dict(dc_type, data, where):
-    known = {f.name: f for f in fields(dc_type)}
-    unknown = set(_json_object(data, where)) - set(known)
+    hints = get_type_hints(dc_type)
+    unknown = set(_json_object(data, where)) - {f.name for f in fields(dc_type)}
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    try:
-        return dc_type(**data)
-    except TypeError as err:
-        raise ConfigError(f"{where}: {err}") from None
+    for key, value in data.items():
+        hint = hints[key]
+        if not _has_type(value, hint):
+            expected = " or ".join(_TYPE_NAMES[t] for t in get_args(hint) or (hint,))
+            raise ConfigError(f"{where}: {key} must be {expected}, "
+                              f"got {json.dumps(value)}")
+    return dc_type(**data)
 
 
 # Model settings that no longer exist, with the one value each had in every

@@ -63,6 +63,9 @@ def op_gradchecks(seed: int = 0) -> dict[str, float]:
     run("segment_softmax", {"scores": scores, "x": x},
         lambda: T.mul(T.segment_softmax(scores, seg_ids, 4), x))
     run("gather_rows", {"x": x}, lambda: T.gather_rows(x, np.array([2, 0, 2, 4])))
+    # overlapping blocks, so two views add into the same columns
+    run("columns", {"x": x}, lambda: T.concat([T.columns(x, 1, 3), T.columns(x, 0, 4)],
+                                              axis=1))
 
     d_h = 3
     lstm = {}

@@ -102,6 +102,69 @@ def test_decomposed_path_maps_equal_concat_matmul():
     assert np.allclose(block_route, decomposed, atol=1e-12)
 
 
+def per_position_layer(h, adj, params, layer, paths, n):
+    """The path layer with one matmul per map: the GCN weight, then each
+    position's block applied to that position's column of
+    citation_path_features."""
+    z = T.matmul(h, params[f"gcn{layer}.W"])
+    weighted = T.mul(T.gather_rows(z, adj.src), Tensor(adj.weight[:, None]))
+    agg = T.segment_sum(weighted, adj.dst, n)
+    for k, table in sorted(paths.items()):
+        roots = table[:, 0]
+        msg = None
+        for pos in range(k):
+            zp = citation_path_features(T.matmul(h, params[f"path{layer}.len{k}.M{pos}"]),
+                                        table[:, pos + 1:pos + 2])
+            msg = zp if msg is None else T.add(msg, zp)
+        counts = np.bincount(roots, minlength=n).astype(np.float64)
+        counts[counts == 0] = 1.0
+        agg = T.add(agg, T.segment_sum(T.mul(msg, Tensor(1.0 / counts[roots][:, None])),
+                                       roots, n))
+    return T.add(agg, params[f"gcn{layer}.b"])
+
+
+@pytest.mark.parametrize("layer", ["1", "2"])
+def test_one_matmul_layer_equals_per_position_form(layer):
+    # layer 1 takes the constant input features: its values and parameter
+    # gradients are exactly those of the per-position form (each output
+    # column comes out of the same dot products). Layer 2 takes a
+    # hidden state that needs gradients; summing h.grad over one matmul
+    # instead of one per map may move the last ulp, so values and gradients
+    # there are held to 1e-12 relative.
+    from pathmpnn.citation import _layer_with_paths
+    g = synth_citation(n_nodes=120, n_features=40, seed=3)
+    adj = normalize_adjacency(g)
+    config = PathGCNConfig(hidden_dim=8, path_length=3, per_hop_budget=1, seed=4)
+    params = init_gcn_params(config, 40, g.n_classes)
+    paths = sample_citation_paths(g, config, np.random.default_rng(6))
+    rng = np.random.default_rng(7)
+    width = 40 if layer == "1" else config.hidden_dim
+    h_values = g.features if layer == "1" else rng.normal(size=(g.n, width))
+    probe = Tensor(rng.normal(size=(g.n, params[f"gcn{layer}.b"].values.shape[0])))
+
+    def run(layer_fn):
+        T.zero_grad(params)
+        h = Tensor(h_values, requires_grad=layer == "2")
+        out = layer_fn(h, adj, params, layer, paths, g.n)
+        T.backward(T.mul(out, probe).sum())
+        grads = {name: t.grad for name, t in params.items()
+                 if name.split(".")[0].endswith(layer)}
+        return out.values, grads, h.grad
+
+    fused = run(lambda *args: _layer_with_paths(*args, activation=None))
+    split = run(per_position_layer)
+    pairs = [(fused[0], split[0])] + [(fused[1][k], split[1][k]) for k in split[1]]
+    assert fused[1].keys() == split[1].keys() and len(split[1]) == 7
+    if layer == "1":
+        assert fused[2] is None and split[2] is None
+        for a, b in pairs:
+            assert np.array_equal(a, b)
+    else:
+        pairs.append((fused[2], split[2]))
+        for a, b in pairs:
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
 def test_zero_budget_reduces_to_plain_gcn_bit_exact():
     g = synth_citation(n_nodes=60, seed=0)
     adj = normalize_adjacency(g)

@@ -123,6 +123,48 @@ def test_run_config_rejects_unknown_keys():
                               "mystery": True})
 
 
+@pytest.mark.parametrize("block,key,value,expected", [
+    ("model", "path_length", True, "an integer"),
+    ("model", "hidden_dim", 16.0, "an integer"),
+    ("model", "feature_mode", None, "a string"),
+    ("gcn", "per_hop_budget", True, "an integer"),
+    ("gcn", "dropout", False, "a number"),
+    ("gcn", "resample_each_epoch", 1, "a boolean"),
+    ("train", "lr", "0.01", "a number"),
+    ("train", "epochs", 2.5, "an integer"),
+    ("run config", "explicit_hydrogens", 0, "a boolean or null"),
+    ("run config", "dataset", 7, "a string"),
+    ("run config", "repeats", True, "an integer"),
+])
+def test_run_config_rejects_values_of_the_wrong_type(block, key, value, expected):
+    config = {"task": "regression", "dataset": "x"}
+    if block == "run config":
+        config[key] = value
+    else:
+        config[block] = {key: value}
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{block}: {key} must be {expected}, got {json.dumps(value)}")):
+        run_config_from_dict(config)
+
+
+def test_run_config_takes_integers_for_numbers_and_null_hydrogens():
+    config = run_config_from_dict({"task": "regression", "dataset": "x",
+                                   "explicit_hydrogens": None,
+                                   "train": {"lr": 1}, "gcn": {"dropout": 0}})
+    assert config.train.lr == 1 and config.gcn.dropout == 0
+    assert config.explicit_hydrogens is None
+
+
+def test_cli_train_wrong_type_exits_one_naming_block_and_key(tmp_path, capsys):
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"task": "citation", "content": "net.content", "cites": "net.cites",
+         "gcn": {"per_hop_budget": True}}))
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--report", str(tmp_path / "r.jsonl")]) == 1
+    assert ("error: gcn: per_hop_budget must be an integer, got true"
+            in capsys.readouterr().err)
+
+
 def test_run_config_accepts_retired_model_keys_only_at_their_default():
     model = {"hidden_dim": 4, **RETIRED}
     config = run_config_from_dict({"task": "regression", "dataset": "x", "model": model})

@@ -49,6 +49,44 @@ def test_segment_sum_permutation_covariant(seed):
     assert np.allclose(a, b, atol=1e-12)
 
 
+@given(rows=st.integers(0, 12), segments=st.integers(1, 6),
+       width=st.sampled_from([None, 0, 1, 3]), view=st.booleans(),
+       seed=st.integers(0, 10_000))
+def test_scatter_equals_add_at_exactly(rows, segments, width, view, seed):
+    # tolerance 0: one bincount per column adds rows in input order, as
+    # np.add.at does. Ids are unsorted and repeat, and some segments stay
+    # empty; width None is 1-D values, and a view is a non-contiguous block
+    # of columns, as T.columns makes.
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, segments, size=rows)
+    if width is None:
+        values = rng.normal(size=rows)
+    elif view:
+        values = rng.normal(size=(rows, width + 3))[:, 2:2 + width]
+    else:
+        values = rng.normal(size=(rows, width))
+    expected = np.zeros((segments,) + values.shape[1:])
+    np.add.at(expected, ids, values)
+
+    summed = T.segment_sum(T.Tensor(values), ids, segments).values
+    assert summed.shape == expected.shape and np.array_equal(summed, expected)
+
+    # gather_rows backward scatters its output gradient (here `values`
+    # itself, the gradient of sum(gathered * values)) back by the same ids
+    source = T.Tensor(np.zeros((segments,) + values.shape[1:]), requires_grad=True)
+    T.backward(T.mul(T.gather_rows(source, ids), T.Tensor(values)).sum())
+    assert np.array_equal(source.grad, expected)
+
+
+def test_columns_is_a_view_whose_gradient_lands_in_its_columns():
+    x = T.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    block = T.columns(x, 1, 3)
+    assert np.shares_memory(block.values, x.values)
+    assert np.array_equal(block.values, x.values[:, 1:3])
+    T.backward(T.add(T.mul(block, 2.0), T.columns(x, 2, 4)).sum())
+    assert x.grad.tolist() == [[0.0, 2.0, 3.0, 1.0]] * 3
+
+
 def test_backward_rejects_non_scalar():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
