@@ -333,6 +333,29 @@ def _citation_logits(graph, adj, params, config, paths, rng=None):
     return total / max(1, config.eval_samples)
 
 
+def _citation_step(graph, adj, params, state, config, paths, rng, epoch: int) -> float:
+    """One full-batch step with fresh dropout masks; returns the training
+    loss. A function of its own so that the masks and the tape (each holding
+    feature-sized arrays) are freed on return, before the next step draws
+    its masks, rather than living on through it."""
+    masks = None
+    if config.dropout > 0:
+        keep = 1.0 - config.dropout
+        masks = (
+            (rng.random(graph.features.shape) < keep) / keep,
+            (rng.random((graph.n, config.hidden_dim)) < keep) / keep,
+        )
+    zero_grad(params)
+    logits = cit.path_gcn_forward(graph, adj, params, paths, masks)
+    loss = cross_entropy(logits, graph.labels, graph.train_idx)
+    if config.weight_decay > 0:
+        loss = loss + _l2_penalty(params, config.weight_decay)
+    train_loss = _finite_loss(loss, epoch, 0)
+    backward(loss)
+    adam_step(params, state, lr=config.lr)
+    return train_loss
+
+
 def train_node_classification(graph: cit.CitationGraph,
                               config: cit.PathGCNConfig,
                               epochs: int = 200,
@@ -362,24 +385,10 @@ def train_node_classification(graph: cit.CitationGraph,
     best_val = -np.inf
     best_params = None
     since_best = 0
-    keep = 1.0 - config.dropout
     for epoch in range(1, epochs + 1):
         if config.resample_each_epoch:
             paths = cit.sample_citation_paths(graph, config, rng)
-        masks = None
-        if config.dropout > 0:
-            masks = (
-                (rng.random(graph.features.shape) < keep) / keep,
-                (rng.random((graph.n, config.hidden_dim)) < keep) / keep,
-            )
-        zero_grad(params)
-        logits = cit.path_gcn_forward(graph, adj, params, paths, masks)
-        loss = cross_entropy(logits, graph.labels, graph.train_idx)
-        if config.weight_decay > 0:
-            loss = loss + _l2_penalty(params, config.weight_decay)
-        train_loss = _finite_loss(loss, epoch, 0)
-        backward(loss)
-        adam_step(params, state, lr=config.lr)
+        train_loss = _citation_step(graph, adj, params, state, config, paths, rng, epoch)
 
         eval_logits = _citation_logits(graph, adj, params, config, eval_paths)
         val_acc = accuracy(eval_logits, graph.labels, graph.val_idx)
