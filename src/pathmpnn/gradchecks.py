@@ -77,7 +77,8 @@ def op_gradchecks(seed: int = 0) -> dict[str, float]:
     state = (T.Tensor(rng.normal(size=(2, d_h))), T.Tensor(rng.normal(size=(2, d_h))))
 
     def lstm_out():
-        h, c = T.lstm_cell(xin, state, lstm)
+        W, b = T.lstm_weights(lstm)
+        h, c = T.lstm_cell([xin], state, W, b)
         return T.concat([h, c], axis=1)
 
     run("lstm_cell", lstm, lstm_out)
@@ -85,6 +86,16 @@ def op_gradchecks(seed: int = 0) -> dict[str, float]:
     # gradient accumulation across reuse of one tensor
     w = param((3, 3))
     run("reused_tensor", {"w": w}, lambda: T.add(T.matmul(w, w), T.mul(w, 2.0)))
+
+    # three parts, one of them constant, with and without a bias; drawn last,
+    # so the checks above keep their inputs
+    w7, bias = param((7, 2)), param((2,))
+    const = T.Tensor(rng.normal(size=(3, 1)))
+    run("dense", {"c1": c1, "c2": c2, "w7": w7, "bias": bias},
+        lambda: T.dense([c1, c2, const], w7, bias))
+    run("dense_no_bias", {"c1": c1, "c2": c2, "w7": w7},
+        lambda: T.dense([c1, c2, const], w7))
+    run("reshape", {"c2": c2}, lambda: T.reshape(c2, (2, 6)))
     return results
 
 

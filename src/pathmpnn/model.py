@@ -19,9 +19,9 @@ import numpy as np
 from . import chem, geometry
 from .geometry import DegenerateGeometryError
 from .paths import PathExplosionError, enumerate_paths
-from .tensor import (Tensor, add, concat, gather_rows, leaky_relu, lstm_cell,
-                     matmul, mul, reduce_sum, relu, segment_softmax,
-                     segment_sum, sigmoid, glorot, zeros)
+from .tensor import (Tensor, concat, dense, gather_rows, leaky_relu, lstm_cell,
+                     lstm_weights, mul, reduce_sum, relu, reshape,
+                     segment_softmax, segment_sum, sigmoid, glorot, zeros)
 
 FEATURE_MODES = ("base", "substructure", "geometry")
 
@@ -135,39 +135,40 @@ def init_params(config: ModelConfig, node_dim: int, edge_dim: int,
 
 def message_standard(h_v, h_w, e_vw, W, b):
     """Dense relu message over concatenated node and edge features."""
-    return relu(add(matmul(concat([h_v, h_w, e_vw], axis=1), W), b))
+    return relu(dense([h_v, h_w, e_vw], W, b))
 
 
-def message_path(h_root, hidden_parts, static, W, b):
-    """Dense relu message over root state, path hidden states and the static
-    path feature block. For length-1 paths this is message_standard."""
-    return relu(add(matmul(concat([h_root] + hidden_parts + [static], axis=1), W), b))
+def message_path(h_path, static, W, b):
+    """Dense relu message over the path's node states, root first, side by
+    side in one (P, (k+1)d) block, and the static path feature block. For
+    length-1 paths this is message_standard."""
+    return relu(dense([h_path, static], W, b))
 
 
 def attention_aggregate(h, messages, root_ids, n, attn_params, slope=0.2):
     """Score each message against its root with the (2d, 1) attention
     vector attn_params, softmax within the root's message set, return the
     weighted sums. Nodes with no messages get a zero vector."""
-    pair = concat([gather_rows(h, root_ids), messages], axis=1)
-    scores = leaky_relu(matmul(pair, attn_params), slope=slope)
+    scores = leaky_relu(dense([gather_rows(h, root_ids), messages], attn_params),
+                        slope=slope)
     weights = segment_softmax(scores, root_ids, n)
     return segment_sum(mul(weights, messages), root_ids, n)
 
 
 def node_update(h, m, W, b):
-    return sigmoid(add(matmul(concat([h, m], axis=1), W), b))
+    return sigmoid(dense([h, m], W, b))
 
 
 def _propagate_step(h, cache: dict[int, PathGroup], params, config: ModelConfig, t: int):
-    n = h.values.shape[0]
+    n, d = h.values.shape
     msgs_parts, roots_parts = [], []
     for k in config.lengths():
         group = cache.get(k)
         if group is None:
             continue
-        hidden_parts = [gather_rows(h, group.paths[:, col]) for col in range(1, k + 1)]
-        msg = message_path(gather_rows(h, group.paths[:, 0]), hidden_parts,
-                           Tensor(group.static),
+        # one gather of the whole (P, k+1) node table, rows laid side by side
+        h_path = reshape(gather_rows(h, group.paths), (len(group.paths), (k + 1) * d))
+        msg = message_path(h_path, Tensor(group.static),
                            params[f"msg{t}.len{k}.W"], params[f"msg{t}.len{k}.b"])
         msgs_parts.append(msg)
         roots_parts.append(group.paths[:, 0])
@@ -220,14 +221,14 @@ def set2set_readout_batched(h, x, graph_ids, n_graphs, params, steps: int):
     """Permutation-invariant readout per graph: LSTM-driven attention over
     the projected node states of each graph (rows grouped by graph_ids),
     returning concat(query, read) of width 2d per graph."""
-    mem = add(matmul(concat([h, x], axis=1), params["s2s.proj.W"]),
-              params["s2s.proj.b"])
+    mem = dense([h, x], params["s2s.proj.W"], params["s2s.proj.b"])
     d = mem.values.shape[1]
+    lstm_W, lstm_b = lstm_weights(params, prefix="s2s.lstm")
     q = Tensor(np.zeros((n_graphs, d)))
     c = Tensor(np.zeros((n_graphs, d)))
     r = Tensor(np.zeros((n_graphs, d)))
     for _ in range(steps):
-        q, c = lstm_cell(concat([q, r], axis=1), (q, c), params, prefix="s2s.lstm")
+        q, c = lstm_cell([q, r], (q, c), lstm_W, lstm_b)
         scores = reduce_sum(mul(mem, gather_rows(q, graph_ids)), axis=1, keepdims=True)
         attention = segment_softmax(scores, graph_ids, n_graphs)
         r = segment_sum(mul(attention, mem), graph_ids, n_graphs)
@@ -238,12 +239,12 @@ def forward_batched(batch: GraphBatch, params, config: ModelConfig):
     """Predictions for a whole batch in one op stream, shape
     (n_graphs, n_targets)."""
     x = Tensor(batch.x)
-    h = add(matmul(x, params["embed.W"]), params["embed.b"])
+    h = dense([x], params["embed.W"], params["embed.b"])
     for t in range(config.steps):
         h = _propagate_step(h, batch.cache, params, config, t)
     read = set2set_readout_batched(h, x, batch.graph_ids, batch.n_graphs,
                                    params, config.set2set_steps)
-    return add(matmul(read, params["head.W"]), params["head.b"])
+    return dense([read], params["head.W"], params["head.b"])
 
 
 def forward_base_mpnn(graph, params, config: ModelConfig):
@@ -265,7 +266,7 @@ def forward_base_mpnn(graph, params, config: ModelConfig):
         efeat = Tensor(np.stack([graph.edge_features[(v, w)]
                                  for v, w in zip(roots, nbrs)]))
     x = Tensor(graph.node_features)
-    h = add(matmul(x, params["embed.W"]), params["embed.b"])
+    h = dense([x], params["embed.W"], params["embed.b"])
     for t in range(config.steps):
         if roots.size:
             msg = message_standard(gather_rows(h, roots), gather_rows(h, nbrs),
@@ -277,4 +278,4 @@ def forward_base_mpnn(graph, params, config: ModelConfig):
         h = node_update(h, m_v, params[f"upd{t}.W"], params[f"upd{t}.b"])
     read = set2set_readout_batched(h, x, np.zeros(graph.n, dtype=np.int64), 1,
                                    params, config.set2set_steps)
-    return add(matmul(read, params["head.W"]), params["head.b"])
+    return dense([read], params["head.W"], params["head.b"])

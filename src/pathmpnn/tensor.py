@@ -105,9 +105,10 @@ def _make(values, parents, backward_fn, op: str) -> Tensor:
 def _accumulate(t: Tensor, g):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+    if t.grad is None:   # g always has the tensor's own shape
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(grad, shape):
@@ -122,17 +123,16 @@ def _unbroadcast(grad, shape):
 
 def _scatter_rows(ids, values, n: int):
     """Sum the rows of `values` into `n` rows by id. One weighted bincount
-    per column adds rows in input order, as an unbuffered scatter-add does,
-    so the sums are bit-identical to one and several times faster."""
+    over the (id, column) bins adds each bin's entries in input order, as
+    an unbuffered scatter-add does, so the sums are bit-identical to one
+    and several times faster."""
     row_shape = values.shape[ids.ndim:]
     width = math.prod(row_shape)
-    out = np.zeros((n,) + row_shape, dtype=np.float64)
-    flat_out = out.reshape(n, width)
-    flat_ids = ids.reshape(-1)
-    flat_values = values.reshape(flat_ids.size, width)
-    for col in range(width):
-        flat_out[:, col] = np.bincount(flat_ids, weights=flat_values[:, col], minlength=n)
-    return out
+    bins = ids.reshape(-1)
+    if width != 1:
+        bins = ((bins * width)[:, None] + np.arange(width)).reshape(-1)
+    out = np.bincount(bins, weights=values.reshape(-1), minlength=n * width)
+    return out.astype(np.float64, copy=False).reshape((n,) + row_shape)   # int if empty
 
 
 # -- forward ops ---------------------------------------------------------
@@ -224,6 +224,50 @@ def concat(tensors, axis=0):
     return _make(out_values, tensors, backward_fn, "concat")
 
 
+def dense(parts, W, b=None):
+    """concat(parts, axis=1) @ W (+ b) as one op. The backward does the
+    three ops' arithmetic: one g @ W.T sliced per part, x.T @ g and the
+    bias's column sums, so values and gradients are bit-identical to
+    add(matmul(concat(parts, axis=1), W), b)."""
+    parts = [as_tensor(p) for p in parts]
+    W = as_tensor(W)
+    x = (parts[0].values if len(parts) == 1
+         else np.concatenate([p.values for p in parts], axis=1))
+    if x.ndim != 2 or W.values.ndim != 2 or x.shape[1] != W.values.shape[0]:
+        raise ShapeError(f"dense: incompatible shapes {x.shape} and {W.values.shape}")
+    out_values = x @ W.values
+    parents = parts + [W]
+    if b is not None:
+        b = as_tensor(b)
+        out_values = out_values + b.values
+        parents.append(b)
+    sizes = [p.values.shape[1] for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward_fn(g):
+        if any(p.requires_grad for p in parts):
+            gx = g @ W.values.T
+            for p, lo, hi in zip(parts, offsets, offsets[1:]):
+                if p.requires_grad:
+                    _accumulate(p, gx[:, lo:hi])
+        if W.requires_grad:
+            _accumulate(W, x.T @ g)
+        if b is not None and b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.values.shape))
+
+    return _make(out_values, parents, backward_fn, "dense")
+
+
+def reshape(a, shape):
+    a = as_tensor(a)
+    out_values = a.values.reshape(shape)
+
+    def backward_fn(g):
+        _accumulate(a, g.reshape(a.values.shape))
+
+    return _make(out_values, (a,), backward_fn, "reshape")
+
+
 def columns(a, lo: int, hi: int):
     """Columns lo:hi of a 2-D tensor, as a view; the gradient is added into
     the same columns of a's gradient."""
@@ -262,11 +306,10 @@ def leaky_relu(a, slope=0.2):
 
 def sigmoid(a):
     a = as_tensor(a)
-    out_values = np.empty_like(a.values)
+    # exp of -|x| never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
     pos = a.values >= 0
-    out_values[pos] = 1.0 / (1.0 + np.exp(-a.values[pos]))
-    ez = np.exp(a.values[~pos])
-    out_values[~pos] = ez / (1.0 + ez)
+    ez = np.exp(np.where(pos, -a.values, a.values))
+    out_values = np.where(pos, 1.0, ez) / (1.0 + ez)
 
     def backward_fn(g):
         _accumulate(a, g * out_values * (1.0 - out_values))
@@ -356,17 +399,23 @@ def segment_sum(a, segment_ids, num_segments: int):
 
 
 def segment_softmax(scores, segment_ids, num_segments: int):
-    """Softmax within each segment. Scores are (P, ...) with one weight per
-    row; the max shift per segment is treated as a constant, which leaves
-    the gradient exact."""
+    """Softmax within each segment, as one op. Scores are (P, ...) with one
+    weight per row; the max shift per segment is treated as a constant,
+    which leaves the gradient exact. Backward: w * (g - segment_sum(w * g)
+    gathered back to the rows)."""
     scores = as_tensor(scores)
     ids = np.asarray(segment_ids, dtype=np.int64)
     seg_max = np.full((num_segments,) + scores.values.shape[1:], -np.inf)
     np.maximum.at(seg_max, ids, scores.values)
     seg_max[~np.isfinite(seg_max)] = 0.0  # empty segments
-    shifted = exp(sub(scores, Tensor(seg_max[ids])))
-    denom = segment_sum(shifted, ids, num_segments)
-    return div(shifted, gather_rows(denom, ids))
+    shifted = np.exp(scores.values - seg_max[ids])
+    out_values = shifted / _scatter_rows(ids, shifted, num_segments)[ids]
+
+    def backward_fn(g):
+        inner = _scatter_rows(ids, out_values * g, num_segments)[ids]
+        _accumulate(scores, out_values * (g - inner))
+
+    return _make(out_values, (scores,), backward_fn, "segment_softmax")
 
 
 def gather_rows(a, indices):
@@ -381,21 +430,33 @@ def gather_rows(a, indices):
     return _make(out_values, (a,), backward_fn, "gather_rows")
 
 
-def lstm_cell(x, state, params, prefix="lstm"):
-    """One LSTM step built from the primitive ops.
+LSTM_GATES = ("i", "f", "o", "g")   # the three sigmoid gates first, then tanh
 
-    params holds {prefix}.W{i,f,g,o}, {prefix}.U{i,f,g,o}, {prefix}.b{i,f,g,o};
-    state is (h, c). Returns the new (h, c).
-    """
+
+def lstm_weights(params, prefix="lstm"):
+    """An LSTM's per-gate parameters {prefix}.W{gate} (input rows),
+    {prefix}.U{gate} (state rows) and {prefix}.b{gate}, joined into one
+    (in + d, 4d) matrix [W; U] and one 4d bias, gates in LSTM_GATES order.
+    Built with ops from the parameter tensors, so gradients reach them."""
+    W = concat([concat([params[f"{prefix}.W{gate}"] for gate in LSTM_GATES], axis=1),
+                concat([params[f"{prefix}.U{gate}"] for gate in LSTM_GATES], axis=1)],
+               axis=0)
+    b = concat([params[f"{prefix}.b{gate}"] for gate in LSTM_GATES])
+    return W, b
+
+
+def lstm_cell(inputs, state, W, b):
+    """One LSTM step on the input parts `inputs` (joined by columns) and
+    state (h, c), with the joined weights of lstm_weights: one dense over
+    [inputs, h], one sigmoid over the i, f, o columns and one tanh over the
+    g columns. Returns the new (h, c)."""
     h, c = state
-    gates = {}
-    for gate in ("i", "f", "g", "o"):
-        pre = add(add(matmul(x, params[f"{prefix}.W{gate}"]),
-                      matmul(h, params[f"{prefix}.U{gate}"])),
-                  params[f"{prefix}.b{gate}"])
-        gates[gate] = tanh(pre) if gate == "g" else sigmoid(pre)
-    c_new = add(mul(gates["f"], c), mul(gates["i"], gates["g"]))
-    h_new = mul(gates["o"], tanh(c_new))
+    d = h.values.shape[1]
+    pre = dense(list(inputs) + [h], W, b)
+    gates = sigmoid(columns(pre, 0, 3 * d))
+    i, f, o = (columns(gates, lo, lo + d) for lo in (0, d, 2 * d))
+    c_new = add(mul(f, c), mul(i, tanh(columns(pre, 3 * d, 4 * d))))
+    h_new = mul(o, tanh(c_new))
     return h_new, c_new
 
 

@@ -35,10 +35,15 @@ def rmse_metric(pred, target) -> float:
     return float(np.sqrt((d * d).mean()))
 
 
-def percent_error_metric(pred, target) -> float:
+def percent_error_metric(pred, target) -> float | None:
+    """Mean absolute error in percent of the target, over the entries whose
+    target is not zero (a zero target has no percent error); None when
+    every target is zero."""
     pred, target = np.asarray(pred), np.asarray(target)
-    denom = np.maximum(np.abs(target), 1e-12)
-    return float((np.abs(pred - target) / denom).mean() * 100.0)
+    nonzero = target != 0
+    if not nonzero.any():
+        return None
+    return float((np.abs(pred - target)[nonzero] / np.abs(target[nonzero])).mean() * 100.0)
 
 
 def cross_entropy(logits, labels, idx):

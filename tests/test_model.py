@@ -2,7 +2,10 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 import pathmpnn.model as model_module
 import pathmpnn.tensor as T
 from pathmpnn.chem import detect_groups, ring_membership, substructure_path_features
@@ -16,6 +19,7 @@ from pathmpnn.model import (ConfigError, ModelConfig, PathGroup, attention_aggre
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
 from pathmpnn.paths import PathExplosionError, enumerate_paths
 from pathmpnn.synth import generate_molecules
+from pathmpnn.training import featurizer_from_records, rmse_loss
 
 S60 = np.sqrt(3.0) / 2.0
 CHAIN_BONDS = ((0, 1, "single"), (1, 2, "single"), (2, 3, "single"))
@@ -75,7 +79,7 @@ def test_message_path_length_one_is_message_standard():
     W = T.Tensor(rng.normal(size=(14, 5)))
     b = T.Tensor(rng.normal(size=(5,)))
     a = message_standard(h_v, h_w, e, W, b)
-    b_out = message_path(h_v, [h_w], e, W, b)
+    b_out = message_path(T.concat([h_v, h_w], axis=1), e, W, b)
     assert np.array_equal(a.values, b_out.values)
 
 
@@ -357,3 +361,71 @@ def test_path_cache_names_molecule_past_the_path_cap(monkeypatch, probe_graph):
     with pytest.raises(PathExplosionError,
                        match=f"^molecule {probe_graph.id}: more than 2 paths rooted at node 0"):
         build_path_cache(probe_graph, small_config())
+
+
+# task and feature mode pairs the synthetic generators support
+TASK_MODES = [("dihedral-sum", "geometry"), ("solubility", "substructure"),
+              ("alcohol-count", "base"), ("alcohol-count", "substructure")]
+
+
+def random_batch(task, mode, path_length, n_molecules, seed, hidden_dim):
+    records = generate_molecules(task, n_molecules, seed)
+    featurizer = featurizer_from_records(records)
+    graphs = [build_graph(r, featurizer) for r in records]
+    config = ModelConfig(hidden_dim=hidden_dim, steps=2, path_length=path_length,
+                         feature_mode=mode, set2set_steps=3, n_targets=1, seed=seed)
+    batch = merge_batch(graphs, [build_path_cache(g, config) for g in graphs])
+    return batch, config, init_params(config, graphs[0].node_dim, graphs[0].edge_dim)
+
+
+@given(task_mode=st.sampled_from(TASK_MODES), path_length=st.integers(1, 3),
+       n_molecules=st.integers(1, 4), seed=st.integers(0, 10_000))
+def test_one_gather_step_equals_per_column_form(task_mode, path_length, n_molecules, seed):
+    # within 1e-12 of each tensor's largest entry, forward and every
+    # gradient: one gather per length with fused ops against a gather per
+    # path position with the per-op forms (tests/oracles.py)
+    batch, config, params = random_batch(*task_mode, path_length, n_molecules, seed, 5)
+    rng = np.random.default_rng(seed)
+    h = T.Tensor(rng.normal(size=(len(batch.x), config.hidden_dim)), requires_grad=True)
+    probe = T.Tensor(rng.normal(size=h.values.shape))
+    inputs = params | {"h": h}
+    results = []
+    for step in (model_module._propagate_step, oracles.per_column_propagate_step):
+        T.zero_grad(inputs)
+        out = step(h, batch.cache, params, config, 1)
+        T.backward(T.mul(out, probe).sum())
+        results.append((out.values, {k: t.grad for k, t in inputs.items()}))
+    (got, got_grads), (want, want_grads) = results
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for name in inputs:
+        if want_grads[name] is None:   # step 0's parameters take no part
+            assert got_grads[name] is None, name
+            continue
+        scale = np.abs(want_grads[name]).max()
+        assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12 * scale, name
+
+
+def reachable_tape(loss):
+    """The walk of perfbench.spans.count_tape_nodes: every tensor reachable
+    from the loss through its parents."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("task, mode, path_length, bound", [
+    ("dihedral-sum", "geometry", 3, 160),
+    ("solubility", "substructure", 2, 146),
+])
+def test_training_step_tape_stays_small(task, mode, path_length, bound):
+    # one 16-molecule training step of the benchmark's model (hidden 12, two
+    # steps, three set2set steps) records at most `bound` tape nodes; it
+    # was 247 (geometry) and 225 (substructure) before the fused ops
+    batch, config, params = random_batch(task, mode, path_length, 16, 1, 12)
+    assert sorted(batch.cache) == list(config.lengths())
+    loss = rmse_loss(forward_batched(batch, params, config), np.zeros((16, 1)))
+    assert reachable_tape(loss) <= bound

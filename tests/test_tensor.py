@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 import pathmpnn.tensor as T
 from pathmpnn.gradchecks import TOLERANCE, op_gradchecks
 
@@ -217,9 +218,9 @@ def test_lstm_cell_shapes():
         params[f"s.W{gate}"] = T.Tensor(rng.normal(size=(2 * d, d)))
         params[f"s.U{gate}"] = T.Tensor(rng.normal(size=(d, d)))
         params[f"s.b{gate}"] = T.Tensor(np.zeros(d))
-    h, c = T.lstm_cell(T.Tensor(rng.normal(size=(3, 2 * d))),
+    h, c = T.lstm_cell([T.Tensor(rng.normal(size=(3, 2 * d)))],
                        (T.Tensor(np.zeros((3, d))), T.Tensor(np.zeros((3, d)))),
-                       params, prefix="s")
+                       *T.lstm_weights(params, prefix="s"))
     assert h.values.shape == (3, d) and c.values.shape == (3, d)
 
 
@@ -233,3 +234,119 @@ def test_checkpoint_cut_anywhere_raises_naming_the_file(tmp_path):
         cut.write_bytes(whole[:size])
         with pytest.raises(T.CheckpointError, match=f"^{cut}: "):
             T.load_params(cut)
+
+
+# -- fused ops against the per-op forms in oracles.py ------------------------
+
+def max_relative_error(got, want):
+    """Largest entry-wise difference over the largest entry of `want`."""
+    scale = np.abs(want).max() if want.size else 0.0
+    return float(np.abs(got - want).max() / scale) if scale > 0 else 0.0
+
+
+def _grads(build, inputs, probe):
+    T.zero_grad(inputs)
+    out = build()
+    T.backward(T.mul(out, probe).sum())
+    return out.values, {k: (t.grad.copy() if t.grad is not None else None)
+                        for k, t in inputs.items()}
+
+
+@given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       needs_grad=st.lists(st.booleans(), min_size=3, max_size=3),
+       rows=st.integers(0, 6), bias=st.booleans(), seed=st.integers(0, 10_000))
+def test_dense_equals_add_matmul_concat_exactly(widths, needs_grad, rows, bias, seed):
+    # tolerance 0, forward and every gradient: dense's backward does the
+    # three ops' arithmetic. Parts that need no gradient get none.
+    rng = np.random.default_rng(seed)
+    parts = [T.Tensor(rng.normal(size=(rows, w)), requires_grad=flag)
+             for w, flag in zip(widths, needs_grad)]
+    W = T.Tensor(rng.normal(size=(sum(widths), 3)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=3), requires_grad=True) if bias else None
+    inputs = {f"part{i}": p for i, p in enumerate(parts)} | {"W": W}
+    if bias:
+        inputs["b"] = b
+    probe = T.Tensor(rng.normal(size=(rows, 3)))
+    fused, fused_grads = _grads(lambda: T.dense(parts, W, b), inputs, probe)
+    composed, composed_grads = _grads(lambda: oracles.composed_dense(parts, W, b),
+                                      inputs, probe)
+    assert np.array_equal(fused, composed)
+    for name, t in inputs.items():
+        if t.requires_grad:
+            assert np.array_equal(fused_grads[name], composed_grads[name]), name
+        else:
+            assert fused_grads[name] is None, name
+
+
+EXTREMES = [0.0, -0.0, 1e-310, -1e-310, 5e-324, -5e-324, 1e-300, -1e-300, 36.0, -36.0,
+            709.0, -709.0, 745.0, -745.0, 1e3, -1e3, 1e308, -1e308, np.inf, -np.inf]
+
+
+@given(st.lists(st.floats(-1e3, 1e3) | st.sampled_from(EXTREMES), min_size=1, max_size=30))
+def test_sigmoid_equals_masked_form_exactly(values):
+    # tolerance 0 over +-1e3, denormals and infinities, forward and backward
+    x = T.Tensor(np.array(values), requires_grad=True)
+    out = T.sigmoid(x)
+    assert np.array_equal(out.values, oracles.masked_sigmoid(x.values))
+    T.backward(out.sum())
+    want = oracles.masked_sigmoid(x.values)
+    assert np.array_equal(x.grad, want * (1.0 - want))
+
+
+@given(rows=st.integers(1, 12), segments=st.integers(1, 6), width=st.sampled_from([1, 2]),
+       scale=st.sampled_from([1.0, 30.0]), seed=st.integers(0, 10_000))
+def test_fused_segment_softmax_equals_composed_form(rows, segments, width, scale, seed):
+    # within 1e-12 relative, forward and backward; unsorted repeated ids and
+    # empty segments. The gradient w * (g - sum(w * g)) cancels when one
+    # weight is near 1, so its error is taken relative to the size of the
+    # terms that cancel, max|w| * max|g|, not to the small difference.
+    rng = np.random.default_rng(seed)
+    scores = T.Tensor(scale * rng.normal(size=(rows, width)), requires_grad=True)
+    ids = rng.integers(0, segments, size=rows)
+    probe = T.Tensor(rng.normal(size=(rows, width)))
+    fused, fused_grads = _grads(lambda: T.segment_softmax(scores, ids, segments),
+                                {"scores": scores}, probe)
+    composed, composed_grads = _grads(
+        lambda: oracles.composed_segment_softmax(scores, ids, segments),
+        {"scores": scores}, probe)
+    assert max_relative_error(fused, composed) <= 1e-12
+    terms = np.abs(composed).max() * np.abs(probe.values).max()
+    assert np.abs(fused_grads["scores"] - composed_grads["scores"]).max() <= 1e-12 * terms
+
+
+@given(rows=st.integers(1, 5), d=st.integers(1, 4), seed=st.integers(0, 10_000))
+def test_fused_lstm_cell_equals_per_gate_form(rows, d, seed):
+    # within 1e-12 of the largest entry, forward and backward: the fused
+    # cell's [x, h] @ [W; U] sums each gate's two products in one dot
+    rng = np.random.default_rng(seed)
+    params = {}
+    for gate in ("i", "f", "g", "o"):
+        params[f"s.W{gate}"] = T.Tensor(rng.normal(size=(2 * d, d)), requires_grad=True)
+        params[f"s.U{gate}"] = T.Tensor(rng.normal(size=(d, d)), requires_grad=True)
+        params[f"s.b{gate}"] = T.Tensor(rng.normal(size=d), requires_grad=True)
+    q, r, c = (T.Tensor(rng.normal(size=(rows, d)), requires_grad=True) for _ in range(3))
+    inputs = params | {"q": q, "r": r, "c": c}
+    probe = T.Tensor(rng.normal(size=(rows, 2 * d)))
+
+    def fused():
+        h_new, c_new = T.lstm_cell([q, r], (q, c), *T.lstm_weights(params, prefix="s"))
+        return T.concat([h_new, c_new], axis=1)
+
+    def per_gate():
+        h_new, c_new = oracles.per_gate_lstm_cell(T.concat([q, r], axis=1), (q, c),
+                                                  params, prefix="s")
+        return T.concat([h_new, c_new], axis=1)
+
+    got, got_grads = _grads(fused, inputs, probe)
+    want, want_grads = _grads(per_gate, inputs, probe)
+    assert max_relative_error(got, want) <= 1e-12
+    for name in inputs:
+        assert max_relative_error(got_grads[name], want_grads[name]) <= 1e-12, name
+
+
+def test_reshape_round_trips_values_and_gradient():
+    x = T.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    out = T.reshape(x, (2, 6))
+    assert np.array_equal(out.values, np.arange(12.0).reshape(2, 6))
+    T.backward(T.mul(out, T.Tensor(np.arange(12.0).reshape(2, 6))).sum())
+    assert np.array_equal(x.grad, np.arange(12.0).reshape(3, 4))

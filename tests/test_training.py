@@ -10,6 +10,7 @@ from pathmpnn.synth import synth_alcohol_count, synth_citation
 from pathmpnn.citation import PathGCNConfig, init_gcn_params
 from pathmpnn.training import (TrainReport, TrainSettings, _l2_penalty, accuracy,
                                constant_baseline_rmse, cross_entropy,
+                               evaluate_regression,
                                load_report, load_reports, mae_metric,
                                percent_error_metric,
                                rmse_loss, rmse_metric, save_report,
@@ -42,6 +43,31 @@ def test_mae_examples():
 
 def test_percent_error():
     assert percent_error_metric([110.0], [100.0]) == pytest.approx(10.0)
+
+
+def test_percent_error_leaves_out_zero_targets():
+    # a zero target has no percent error: the mean runs over the others,
+    # and with every target zero there is no value
+    assert percent_error_metric([0.5, 3.0], [0.0, 2.0]) == pytest.approx(50.0)
+    assert percent_error_metric([[0.5], [-1.0]], [[0.0], [0.0]]) is None
+
+
+def test_reports_give_percent_error_without_zero_targets(tmp_path):
+    records = synth_alcohol_count(80, seed=6)
+    zeros = [r for r in records if r.targets == (0.0,)]
+    config = ModelConfig(hidden_dim=5, steps=1, path_length=1,
+                         feature_mode="base", set2set_steps=2, n_targets=1, seed=2)
+    settings = TrainSettings(epochs=2, batch_size=8, patience=5, split_seed=0)
+    mixed = train_regression(records, config, settings)
+    assert mixed.report.final["test_percent_error"] < 1e3   # was ~1e13
+    only_zeros = train_regression(zeros, config, settings)
+    assert only_zeros.report.final["test_percent_error"] is None
+    metrics = evaluate_regression(zeros, mixed.params, config, mixed.featurizer,
+                                  mixed.target_mean, mixed.target_std)
+    assert metrics["percent_error"] is None and np.isfinite(metrics["rmse"])
+    path = tmp_path / "report.jsonl"
+    save_report(path, only_zeros.report)
+    assert load_reports(path) == [only_zeros.report]
 
 
 def test_split_disjoint_exhaustive_deterministic():
