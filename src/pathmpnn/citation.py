@@ -56,25 +56,15 @@ class NormalizedAdjacency:
 
 
 def normalize_adjacency(graph: CitationGraph) -> NormalizedAdjacency:
-    deg = np.zeros(graph.n, dtype=np.float64)
-    for u, v in graph.edges:
-        deg[u] += 1
-        deg[v] += 1
-    inv = 1.0 / np.sqrt(deg + 1.0)
-    src, dst, weight = [], [], []
-    for u, v in graph.edges:
-        src.extend((u, v))
-        dst.extend((v, u))
-        w = inv[u] * inv[v]
-        weight.extend((w, w))
-    for v in range(graph.n):
-        src.append(v)
-        dst.append(v)
-        weight.append(inv[v] * inv[v])
+    """Each edge's two directions in edge order, then every self-loop."""
+    pairs = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
+    inv = 1.0 / np.sqrt(np.bincount(pairs.ravel(), minlength=graph.n) + 1.0)
+    nodes = np.arange(graph.n, dtype=np.int64)
     return NormalizedAdjacency(
-        src=np.asarray(src, dtype=np.int64),
-        dst=np.asarray(dst, dtype=np.int64),
-        weight=np.asarray(weight, dtype=np.float64),
+        src=np.concatenate([pairs.ravel(), nodes]),
+        dst=np.concatenate([pairs[:, ::-1].ravel(), nodes]),
+        weight=np.concatenate([np.repeat(inv[pairs[:, 0]] * inv[pairs[:, 1]], 2),
+                               inv * inv]),
     )
 
 

@@ -85,13 +85,10 @@ def cmd_gradcheck(args) -> int:
             rows.append((f"full_model[{mode}]", err))
     else:
         rows.extend(sorted(op_gradchecks(seed=args.seed).items()))
-    failed = False
     width = max(len(name) for name, _ in rows)
     for name, err in rows:
-        ok = err < TOLERANCE
-        failed = failed or not ok
-        print(f"{name:<{width}}  {err:12.3e}  {'PASS' if ok else 'FAIL'}")
-    if failed:
+        print(f"{name:<{width}}  {err:12.3e}  {'PASS' if err < TOLERANCE else 'FAIL'}")
+    if not all(err < TOLERANCE for _, err in rows):
         print("gradient check failed", file=sys.stderr)
         return 2
     return 0
@@ -99,23 +96,16 @@ def cmd_gradcheck(args) -> int:
 
 def _train_regression_runs(config, repeats):
     dataset = load_dataset(config.dataset, config.explicit_hydrogens)
-    results = []
-    for r in range(repeats):
-        model_config = replace(config.model, seed=config.model.seed + r)
-        results.append(train_regression(dataset.records, model_config,
-                                        config.train, dataset.featurizer))
-    return results
+    return [train_regression(dataset.records,
+                             replace(config.model, seed=config.model.seed + r),
+                             config.train, dataset.featurizer) for r in range(repeats)]
 
 
 def _train_citation_runs(config, repeats):
     graph = parse_citation_files(config.content, config.cites)
-    results = []
-    for r in range(repeats):
-        gcn_config = replace(config.gcn, seed=config.gcn.seed + r)
-        results.append(train_node_classification(graph, gcn_config,
-                                                 epochs=config.epochs,
-                                                 patience=config.patience))
-    return results
+    return [train_node_classification(graph, replace(config.gcn, seed=config.gcn.seed + r),
+                                      epochs=config.epochs, patience=config.patience)
+            for r in range(repeats)]
 
 
 def cmd_train(args) -> int:

@@ -2,13 +2,15 @@
 
 Molecule datasets are one JSON object per line; an optional first line
 without an "id" key is the dataset header and may declare the element
-vocabulary. Citation data uses the classic two-file format: a content file
-(id, binary word features, label) and a cites file (id pairs).
+vocabulary and the hydrogen convention. Citation data uses the classic
+two-file format: a content file (id, word features, label) and a cites file
+(id pairs).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import types
 import warnings
 from dataclasses import dataclass, field, fields
@@ -42,20 +44,51 @@ def record_to_dict(record: MoleculeRecord) -> dict:
     return out
 
 
+def _checked_list(data: dict, key: str, ok, what: str, where: str) -> list:
+    """data[key], which must be a JSON list whose every item passes ok."""
+    value = data[key]
+    if not isinstance(value, list):
+        raise DataFormatError(f"{where}: {key} must be a list, got {json.dumps(value)}")
+    for i, item in enumerate(value):
+        if not ok(item):
+            raise DataFormatError(f"{where}: {key}[{i}] must be {what}, "
+                                  f"got {json.dumps(item)}")
+    return value
+
+
+# item checks on values as json.loads gives them: a boolean is no integer,
+# an integer is a number
+def _is_number(x) -> bool:
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max   # finite
+
+
+def _is_bond(x) -> bool:
+    return type(x) is list and len(x) == 3 and type(x[0]) is int and type(x[1]) is int
+
+
+def _is_point(x) -> bool:
+    return type(x) is list and len(x) == 3 and all(map(_is_number, x))
+
+
 def record_from_dict(data: dict, where: str = "") -> MoleculeRecord:
+    """A molecule from one line's object. Nothing is coerced: elements are
+    strings, bond atom indices integers, targets and coords finite numbers."""
+    data = {"targets": [], "coords": None, **data}
     try:
         record = MoleculeRecord(
             id=str(data["id"]),
-            elements=tuple(data["elements"]),
-            bonds=tuple((int(i), int(j), str(order)) for i, j, order in data["bonds"]),
-            targets=tuple(float(t) for t in data.get("targets", [])),
-            coords=np.asarray(data["coords"], dtype=np.float64)
-            if data.get("coords") is not None else None,
+            elements=tuple(_checked_list(data, "elements", lambda x: isinstance(x, str),
+                                         "a string", where)),
+            bonds=tuple((i, j, str(order)) for i, j, order in _checked_list(
+                data, "bonds", _is_bond, "[i, j, order] with integer atom indices", where)),
+            targets=tuple(float(t) for t in _checked_list(
+                data, "targets", _is_number, "a finite number", where)),
+            coords=None if data["coords"] is None else np.asarray(_checked_list(
+                data, "coords", _is_point, "[x, y, z] of finite numbers", where),
+                dtype=np.float64),
         )
     except KeyError as err:
         raise DataFormatError(f"{where}: missing field {err.args[0]!r}") from None
-    except (TypeError, ValueError) as err:
-        raise DataFormatError(f"{where}: {err}") from None
     try:
         validate_record(record)
     except ValueError as err:
@@ -63,33 +96,19 @@ def record_from_dict(data: dict, where: str = "") -> MoleculeRecord:
     return record
 
 
-def parse_molecule_file(path) -> list[MoleculeRecord]:
-    """One molecule per line; malformed lines fail with their line number."""
-    records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({err.msg})") from None
-            if "id" not in data:
-                if lineno == 1:
-                    continue  # dataset header
-                raise DataFormatError(f"{path}:{lineno}: missing field 'id'")
-            records.append(record_from_dict(data, where=f"{path}:{lineno}"))
-    return records
-
-
-def read_dataset_header(path) -> dict:
-    with open(path) as fh:
-        first = fh.readline().strip()
-    if not first:
-        return {}
-    data = json.loads(first)
-    return data if "id" not in data else {}
+def _check_header(header: dict, where: str):
+    unknown = set(header) - {"element_vocab", "explicit_hydrogens"}
+    if unknown:
+        raise DataFormatError(f"{where}: unknown header keys {sorted(unknown)} "
+                              f"(a molecule line needs an 'id')")
+    if "element_vocab" in header:
+        vocab = _checked_list(header, "element_vocab", lambda x: isinstance(x, str),
+                              "a string", where)
+        if len(set(vocab)) != len(vocab):
+            raise DataFormatError(f"{where}: element_vocab lists a symbol twice")
+    if not isinstance(header.get("explicit_hydrogens", False), bool):
+        raise DataFormatError(f"{where}: explicit_hydrogens must be a boolean, "
+                              f"got {json.dumps(header['explicit_hydrogens'])}")
 
 
 @dataclass
@@ -99,28 +118,49 @@ class MoleculeDataset:
 
 
 def load_dataset(path, explicit_hydrogens: bool | None = None) -> MoleculeDataset:
-    """Parse a molecule file and settle the featurizer: vocabulary from the
-    header when present, otherwise from the symbols in the file."""
-    header = read_dataset_header(path)
-    records = parse_molecule_file(path)
-    if "element_vocab" in header:
-        vocab = tuple(header["element_vocab"])
-    else:
-        vocab = vocab_from_records(records)
+    """Parse a molecule file in one pass and settle the featurizer:
+    vocabulary from the header when present, otherwise from the symbols in
+    the file. A malformed line fails naming the file and line."""
+    header, records = {}, []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise DataFormatError(f"{where}: invalid JSON ({err.msg})") from None
+            if not isinstance(data, dict):
+                raise DataFormatError(f"{where}: expected a JSON object, "
+                                      f"got {json.dumps(data)}")
+            if "id" in data:
+                records.append(record_from_dict(data, where))
+            elif lineno == 1:
+                _check_header(data, where)
+                header = data
+            else:
+                raise DataFormatError(f"{where}: missing field 'id'")
+    vocab = (tuple(header["element_vocab"]) if "element_vocab" in header
+             else vocab_from_records(records))
     if explicit_hydrogens is None:
-        explicit_hydrogens = bool(header.get("explicit_hydrogens", False))
+        explicit_hydrogens = header.get("explicit_hydrogens", False)
     return MoleculeDataset(records=records,
                            featurizer=FeaturizerConfig(vocab, explicit_hydrogens))
 
 
+def parse_molecule_file(path) -> list[MoleculeRecord]:
+    """The molecules of a file load_dataset reads."""
+    return load_dataset(path).records
+
+
 def write_molecule_file(path, records, element_vocab=None,
                         explicit_hydrogens=False):
+    vocab = vocab_from_records(records) if element_vocab is None else element_vocab
     with open(path, "w") as fh:
-        header = {"explicit_hydrogens": explicit_hydrogens}
-        if element_vocab is None:
-            element_vocab = vocab_from_records(records)
-        header["element_vocab"] = list(element_vocab)
-        fh.write(json.dumps(header) + "\n")
+        fh.write(json.dumps({"explicit_hydrogens": explicit_hydrogens,
+                             "element_vocab": list(vocab)}) + "\n")
         for record in records:
             fh.write(json.dumps(record_to_dict(record)) + "\n")
 
@@ -132,10 +172,8 @@ def parse_citation_files(content_path, cites_path, train_per_class: int = 20,
     """Read the classic content/cites pair. Document ids become dense
     indices by first appearance; citations naming unknown ids are dropped
     with a counted warning."""
-    ids: list[str] = []
     index: dict[str, int] = {}
     rows = []
-    label_names: list[str] = []
     label_index: dict[str, int] = {}
     labels = []
     n_features = None
@@ -154,13 +192,13 @@ def parse_citation_files(content_path, cites_path, train_per_class: int = 20,
                     f"{content_path}:{lineno}: {len(feat)} features, expected {n_features}")
             if doc_id in index:
                 raise DataFormatError(f"{content_path}:{lineno}: duplicate id {doc_id!r}")
-            index[doc_id] = len(ids)
-            ids.append(doc_id)
-            rows.append([float(x) for x in feat])
-            if label not in label_index:
-                label_index[label] = len(label_names)
-                label_names.append(label)
-            labels.append(label_index[label])
+            index[doc_id] = len(index)
+            try:
+                rows.append([float(x) for x in feat])
+            except ValueError as err:
+                raise DataFormatError(f"{content_path}:{lineno}: feature values must be "
+                                      f"numbers ({err})") from None
+            labels.append(label_index.setdefault(label, len(label_index)))
 
     edges = set()
     dropped = 0
@@ -181,23 +219,18 @@ def parse_citation_files(content_path, cites_path, train_per_class: int = 20,
     if dropped:
         warnings.warn(f"{cites_path}: dropped {dropped} citation pairs with unknown ids")
 
-    n = len(ids)
+    n = len(index)
     labels = np.asarray(labels, dtype=np.int64)
-    n_classes = len(label_names)
-    taken = []
-    per_class = {c: 0 for c in range(n_classes)}
-    for v in range(n):
-        if per_class[labels[v]] < train_per_class:
-            per_class[labels[v]] += 1
-            taken.append(v)
-    train = np.asarray(taken, dtype=np.int64)
-    pool = np.asarray([v for v in range(n) if v not in set(taken)], dtype=np.int64)
+    n_classes = len(label_index)
+    train = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.flatnonzero(labels == c)[:train_per_class] for c in range(n_classes)]))
+    pool = np.setdiff1d(np.arange(n, dtype=np.int64), train)
     val = pool[:min(val_size, len(pool) // 2)]
     test = pool[len(val):][-test_size:]
     return cit.CitationGraph(
         n=n, edges=tuple(sorted(edges)), features=np.asarray(rows),
         labels=labels, train_idx=train, val_idx=val, test_idx=test,
-        n_classes=n_classes, ids=tuple(ids))
+        n_classes=n_classes, ids=tuple(index))
 
 
 def write_citation_files(content_path, cites_path, graph: cit.CitationGraph):

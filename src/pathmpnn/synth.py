@@ -207,8 +207,7 @@ def synth_citation(n_nodes: int = 800, n_classes: int = 7,
 
     train = np.concatenate([
         by_class[c][:train_per_class] for c in range(n_classes)])
-    rest = np.asarray([v for v in range(n_nodes) if v not in set(train.tolist())],
-                      dtype=np.int64)
+    rest = np.setdiff1d(np.arange(n_nodes, dtype=np.int64), train)
     val = rest[:min(val_size, len(rest) // 2)]
     test = rest[len(val):][-test_size:]
     return CitationGraph(

@@ -46,6 +46,13 @@ def percent_error_metric(pred, target) -> float | None:
     return float((np.abs(pred - target)[nonzero] / np.abs(target[nonzero])).mean() * 100.0)
 
 
+def _errors(pred, target, prefix: str = "") -> dict:
+    """The regression test metrics, their names prefixed."""
+    return {f"{prefix}mae": mae_metric(pred, target),
+            f"{prefix}rmse": rmse_metric(pred, target),
+            f"{prefix}percent_error": percent_error_metric(pred, target)}
+
+
 def cross_entropy(logits, labels, idx):
     """Mean cross entropy over the rows in idx. The per-row max shift is a
     constant, keeping the log-sum-exp stable without touching gradients."""
@@ -66,15 +73,6 @@ def accuracy(logits_values, labels, idx) -> float:
     return float((pred[idx] == np.asarray(labels)[idx]).mean())
 
 
-def _finite_loss(loss, epoch: int, batch: int) -> float:
-    """The loss of one step; raises naming the epoch and batch if it diverged."""
-    value = loss.item()
-    if not np.isfinite(value):
-        raise FloatingPointError(
-            f"training diverged: loss is {value} at epoch {epoch}, batch {batch}")
-    return value
-
-
 # -- splits ----------------------------------------------------------------
 
 def split_dataset(n: int, seed=0):
@@ -91,6 +89,45 @@ def _check_splits(what: str, **splits):
     for name, idx in splits.items():
         if not len(idx):
             raise mdl.ConfigError(f"{what} is too small to split: the {name} split is empty")
+
+
+# -- the training loop ------------------------------------------------------
+
+def _step(params, state, lr, loss_fn, epoch: int, batch: int) -> float:
+    """One Adam step on loss_fn()'s loss; returns the loss, or raises naming
+    the epoch and batch if it diverged. Whatever loss_fn draws and the tape
+    are freed on return, before the next step builds its own."""
+    zero_grad(params)
+    loss = loss_fn()
+    value = loss.item()
+    if not np.isfinite(value):
+        raise FloatingPointError(
+            f"training diverged: loss is {value} at epoch {epoch}, batch {batch}")
+    backward(loss)
+    adam_step(params, state, lr=lr)
+    return value
+
+
+def _fit(params, epochs: int, patience: int, run_epoch):
+    """Run run_epoch(epoch) -> (entry, score) until patience epochs in a row
+    fail to lower the best score by 1e-12, then restore the best epoch's
+    parameters. Returns the entries and the best score (inf if none ran)."""
+    entries = []
+    best, best_params, since_best = np.inf, None, 0
+    for epoch in range(1, epochs + 1):
+        entry, score = run_epoch(epoch)
+        entries.append(entry)
+        if score < best - 1e-12:
+            best, since_best = score, 0
+            best_params = {k: t.values.copy() for k, t in params.items()}
+        else:
+            since_best += 1
+            if since_best >= patience:
+                break
+    if best_params is not None:
+        for k, t in params.items():
+            t.values = best_params[k]
+    return entries, best
 
 
 # -- reports ---------------------------------------------------------------
@@ -241,51 +278,31 @@ def train_regression(records, config: mdl.ModelConfig,
     metric_name, metric = (("mae", mae_metric) if config.n_targets > 1
                            else ("rmse", rmse_metric))
 
-    report = TrainReport(seed=config.seed, config=asdict(config))
-    best_val = np.inf
-    best_params = None
-    since_best = 0
-    for epoch in range(1, settings.epochs + 1):
+    def run_epoch(epoch):
         order = rng.permutation(train_idx)
         losses = []
         for lo in range(0, len(order), settings.batch_size):
             batch = order[lo:lo + settings.batch_size]
-            zero_grad(params)
-            pred = mdl.forward_batched(mdl.merge_batch(
-                [graphs[i] for i in batch], [caches[i] for i in batch]), params, config)
-            loss = rmse_loss(pred, z_targets[batch])
-            losses.append(_finite_loss(loss, epoch, lo // settings.batch_size))
-            backward(loss)
-            adam_step(params, state, lr=settings.lr)
-        val_pred = predict_values([graphs[i] for i in val_idx],
-                                  [caches[i] for i in val_idx],
-                                  params, config, mean, std)
-        val_metric = metric(val_pred, targets[val_idx])
-        report.epochs.append({"epoch": epoch,
-                              "train_loss": float(np.mean(losses)),
-                              "val_metric": val_metric})
-        if val_metric < best_val - 1e-12:
-            best_val = val_metric
-            best_params = {k: t.values.copy() for k, t in params.items()}
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= settings.patience:
-                break
+            merged = mdl.merge_batch([graphs[i] for i in batch], [caches[i] for i in batch])
+            losses.append(_step(params, state, settings.lr,
+                                lambda: rmse_loss(mdl.forward_batched(merged, params, config),
+                                                  z_targets[batch]),
+                                epoch, lo // settings.batch_size))
+        val_metric = metric(predict_values([graphs[i] for i in val_idx],
+                                           [caches[i] for i in val_idx],
+                                           params, config, mean, std), targets[val_idx])
+        return {"epoch": epoch, "train_loss": float(np.mean(losses)),
+                "val_metric": val_metric}, val_metric
 
-    if best_params is not None:
-        for k, t in params.items():
-            t.values = best_params[k]
-
+    report = TrainReport(seed=config.seed, config=asdict(config))
+    report.epochs, best_val = _fit(params, settings.epochs, settings.patience, run_epoch)
     test_pred = predict_values([graphs[i] for i in test_idx],
                                [caches[i] for i in test_idx],
                                params, config, mean, std)
     report.final = {
         "val_metric_best": best_val,
         "val_metric_name": metric_name,
-        "test_mae": mae_metric(test_pred, targets[test_idx]),
-        "test_rmse": rmse_metric(test_pred, targets[test_idx]),
-        "test_percent_error": percent_error_metric(test_pred, targets[test_idx]),
+        **_errors(test_pred, targets[test_idx], "test_"),
         "baseline_rmse": constant_baseline_rmse(targets[train_idx], targets[test_idx]),
         "n_train": int(len(train_idx)),
         "n_val": int(len(val_idx)),
@@ -302,12 +319,7 @@ def evaluate_regression(records, params, config: mdl.ModelConfig,
     caches = [mdl.build_path_cache(g, config) for g in graphs]
     targets = np.asarray([g.targets for g in graphs], dtype=np.float64)
     pred = predict_values(graphs, caches, params, config, np.asarray(mean), np.asarray(std))
-    return {
-        "mae": mae_metric(pred, targets),
-        "rmse": rmse_metric(pred, targets),
-        "percent_error": percent_error_metric(pred, targets),
-        "n": len(records),
-    }
+    return {**_errors(pred, targets), "n": len(records)}
 
 
 # -- node classification -----------------------------------------------------
@@ -338,29 +350,6 @@ def _citation_logits(graph, adj, params, config, paths, rng=None):
     return total / max(1, config.eval_samples)
 
 
-def _citation_step(graph, adj, params, state, config, paths, rng, epoch: int) -> float:
-    """One full-batch step with fresh dropout masks; returns the training
-    loss. A function of its own so that the masks and the tape (each holding
-    feature-sized arrays) are freed on return, before the next step draws
-    its masks, rather than living on through it."""
-    masks = None
-    if config.dropout > 0:
-        keep = 1.0 - config.dropout
-        masks = (
-            (rng.random(graph.features.shape) < keep) / keep,
-            (rng.random((graph.n, config.hidden_dim)) < keep) / keep,
-        )
-    zero_grad(params)
-    logits = cit.path_gcn_forward(graph, adj, params, paths, masks)
-    loss = cross_entropy(logits, graph.labels, graph.train_idx)
-    if config.weight_decay > 0:
-        loss = loss + _l2_penalty(params, config.weight_decay)
-    train_loss = _finite_loss(loss, epoch, 0)
-    backward(loss)
-    adam_step(params, state, lr=config.lr)
-    return train_loss
-
-
 def train_node_classification(graph: cit.CitationGraph,
                               config: cit.PathGCNConfig,
                               epochs: int = 200,
@@ -377,45 +366,43 @@ def train_node_classification(graph: cit.CitationGraph,
     state = AdamState(params)
     eval_rng_seed = int(rng.integers(2 ** 31))
 
-    paths = None
-    if config.resample_each_epoch:
-        # fixed sample for per-epoch validation keeps checkpoint selection
-        # stable; the final metrics average fresh samples
-        eval_paths = cit.sample_citation_paths(
-            graph, config, np.random.default_rng(eval_rng_seed))
-    else:
-        paths = eval_paths = cit.sample_citation_paths(graph, config, rng)
+    # fixed sample for per-epoch validation keeps checkpoint selection
+    # stable; with resampling, the final metrics average fresh samples
+    eval_paths = cit.sample_citation_paths(graph, config, np.random.default_rng(
+        eval_rng_seed) if config.resample_each_epoch else rng)
 
-    report = TrainReport(seed=config.seed, config=asdict(config))
-    best_val = -np.inf
-    best_params = None
-    since_best = 0
-    for epoch in range(1, epochs + 1):
-        if config.resample_each_epoch:
-            paths = cit.sample_citation_paths(graph, config, rng)
-        train_loss = _citation_step(graph, adj, params, state, config, paths, rng, epoch)
+    def run_epoch(epoch):
+        paths = (cit.sample_citation_paths(graph, config, rng)
+                 if config.resample_each_epoch else eval_paths)
 
+        def loss_fn():
+            # fresh dropout masks, drawn here so that they and the tape (each
+            # holding feature-sized arrays) are freed when the step returns
+            masks = None
+            if config.dropout > 0:
+                keep = 1.0 - config.dropout
+                masks = tuple((rng.random(shape) < keep) / keep for shape in
+                              (graph.features.shape, (graph.n, config.hidden_dim)))
+            logits = cit.path_gcn_forward(graph, adj, params, paths, masks)
+            loss = cross_entropy(logits, graph.labels, graph.train_idx)
+            if config.weight_decay > 0:
+                loss = loss + _l2_penalty(params, config.weight_decay)
+            return loss
+
+        train_loss = _step(params, state, config.lr, loss_fn, epoch, 0)
         eval_logits = _citation_logits(graph, adj, params, config, eval_paths)
         val_acc = accuracy(eval_logits, graph.labels, graph.val_idx)
         train_acc = accuracy(eval_logits, graph.labels, graph.train_idx)
-        report.epochs.append({"epoch": epoch, "train_loss": train_loss,
-                              "train_accuracy": train_acc, "val_metric": val_acc})
-        if val_acc > best_val + 1e-12:
-            best_val = val_acc
-            best_params = {k: t.values.copy() for k, t in params.items()}
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= patience:
-                break
+        # accuracy is higher-is-better; its negation is exact
+        return {"epoch": epoch, "train_loss": train_loss,
+                "train_accuracy": train_acc, "val_metric": val_acc}, -val_acc
 
-    if best_params is not None:
-        for k, t in params.items():
-            t.values = best_params[k]
-    eval_logits = _citation_logits(graph, adj, params, config, paths,
+    report = TrainReport(seed=config.seed, config=asdict(config))
+    report.epochs, best = _fit(params, epochs, patience, run_epoch)
+    eval_logits = _citation_logits(graph, adj, params, config, eval_paths,
                                    np.random.default_rng(eval_rng_seed))
     report.final = {
-        "val_accuracy_best": best_val,
+        "val_accuracy_best": -best,
         "test_accuracy": accuracy(eval_logits, graph.labels, graph.test_idx),
         "train_accuracy": accuracy(eval_logits, graph.labels, graph.train_idx),
     }

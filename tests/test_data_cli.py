@@ -596,3 +596,60 @@ def test_cli_train_too_small_to_split_exits_one(tmp_path, capsys):
                      "--report", str(tmp_path / "r.jsonl")]) == 1
         assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "r.jsonl").exists()
+
+
+ETHANOL = {"id": "eth", "elements": ["C", "C", "O"],
+           "bonds": [[0, 1, "single"], [1, 2, "single"]], "targets": [1.0]}
+
+
+@pytest.mark.parametrize("lines,where,message", [
+    ([ETHANOL, 3], 2, "expected a JSON object, got 3"),
+    ([[1, 2], ETHANOL], 1, "expected a JSON object, got [1, 2]"),
+    (["not json", ETHANOL], 1, "invalid JSON (Expecting value)"),
+    ([{"element_vocab": "CO"}, ETHANOL], 1, 'element_vocab must be a list, got "CO"'),
+    ([{"element_vocab": ["C", "O", "C"]}, ETHANOL], 1, "element_vocab lists a symbol twice"),
+    ([{"explicit_hydrogens": 1}, ETHANOL], 1, "explicit_hydrogens must be a boolean, got 1"),
+    ([{"elements": ["C"], "bonds": []}, ETHANOL], 1,
+     "unknown header keys ['bonds', 'elements'] (a molecule line needs an 'id')"),
+], ids=["record-not-object", "header-not-object", "header-not-json", "vocab-string",
+        "vocab-duplicate", "hydrogens-number", "record-without-id"])
+def test_cli_molecule_file_lines_that_are_not_records_exit_one_naming_the_line(
+        tmp_path, capsys, lines, where, message):
+    data = tmp_path / "bad.jsonl"
+    data.write_text("".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
+                            for line in lines))
+    assert main(["paths", "--input", str(data), "--node", "0", "--length", "1"]) == 1
+    assert f"error: {data}:{where}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("elements", "CCO", 'elements must be a list, got "CCO"'),
+    ("elements", ["C", 6, "O"], "elements[1] must be a string, got 6"),
+    ("targets", "12", 'targets must be a list, got "12"'),
+    ("targets", [True], "targets[0] must be a finite number, got true"),
+    ("bonds", [[0, 1.7, "single"], [1, 2, "single"]],
+     'bonds[0] must be [i, j, order] with integer atom indices, got [0, 1.7, "single"]'),
+    ("bonds", [[0, 1, "single"], [1, True, "single"]],
+     'bonds[1] must be [i, j, order] with integer atom indices, got [1, true, "single"]'),
+    ("coords", [[0, 0, 0], [1.5, 0, 0], [2.2, "1.1", 0]],
+     'coords[2] must be [x, y, z] of finite numbers, got [2.2, "1.1", 0]'),
+], ids=["elements-string", "element-number", "targets-string", "target-boolean",
+        "bond-index-float", "bond-index-boolean", "coord-string"])
+def test_cli_record_fields_of_the_wrong_type_exit_one_naming_the_line(
+        tmp_path, capsys, field, value, message):
+    data = tmp_path / "bad.jsonl"
+    data.write_text(json.dumps(ETHANOL) + "\n" + json.dumps({**ETHANOL, field: value}) + "\n")
+    assert main(["paths", "--input", str(data), "--node", "0", "--length", "1"]) == 1
+    assert f"error: {data}:2: {message}" in capsys.readouterr().err
+
+
+def test_cli_citation_non_numeric_feature_exits_one_naming_the_line(tmp_path, capsys):
+    content, cites = tmp_path / "t.content", tmp_path / "t.cites"
+    content.write_text("d1 1 0 A\nd2 1 x B\n")
+    cites.write_text("d1 d2\n")
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"task": "citation", "content": str(content), "cites": str(cites)}))
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--report", str(tmp_path / "r.jsonl")]) == 1
+    assert (f"error: {content}:2: feature values must be numbers "
+            "(could not convert string to float: 'x')") in capsys.readouterr().err

@@ -223,6 +223,43 @@ def test_train_node_classification_deterministic_and_sane():
         max(e["val_metric"] for e in a.report.epochs))
 
 
+def test_trainers_keep_the_best_epoch_and_stop_patience_epochs_after_it(monkeypatch):
+    # regression keeps its lowest validation rmse: the returned parameters
+    # give exactly that rmse on the validation molecules
+    records = synth_alcohol_count(80, seed=5)
+    config = ModelConfig(hidden_dim=6, steps=1, path_length=2,
+                         feature_mode="substructure", set2set_steps=2, n_targets=1, seed=0)
+    settings = TrainSettings(epochs=40, batch_size=8, lr=1e-2, patience=3, split_seed=1)
+    result = train_regression(records, config, settings)
+    scores = [e["val_metric"] for e in result.report.epochs]
+    best = int(np.argmin(scores)) + 1
+    assert best > 1 and len(scores) == best + settings.patience < settings.epochs
+    val_idx = split_dataset(len(records), settings.split_seed)[1]
+    metrics = evaluate_regression([records[i] for i in val_idx], result.params, config,
+                                  result.featurizer, result.target_mean, result.target_std)
+    assert metrics["rmse"] == scores[best - 1] == result.report.final["val_metric_best"]
+
+    # the citation trainer keeps its first highest-accuracy epoch, measured on
+    # the fixed validation sample, which is the first draw ({} at budget 0)
+    graph = synth_citation(n_nodes=300, n_features=200, seed=3)
+    adj = cit.normalize_adjacency(graph)
+    sample, draws = cit.sample_citation_paths, []
+    monkeypatch.setattr(cit, "sample_citation_paths",
+                        lambda *args: draws.append(sample(*args)) or draws[-1])
+    for budget, epochs, patience, stops_early in ((0, 60, 3, True), (1, 60, 3, True),
+                                                   (1, 8, 60, False)):
+        draws.clear()
+        result = train_node_classification(
+            graph, PathGCNConfig(hidden_dim=8, per_hop_budget=budget, seed=5),
+            epochs=epochs, patience=patience)
+        scores = [e["val_metric"] for e in result.report.epochs]
+        best = int(np.argmax(scores)) + 1
+        assert len(scores) == (best + patience if stops_early else epochs)
+        logits = cit.path_gcn_forward(graph, adj, result.params, draws[0]).values
+        assert (accuracy(logits, graph.labels, graph.val_idx) == scores[best - 1]
+                == result.report.final["val_accuracy_best"])
+
+
 def test_path_gcn_without_resampling_uses_one_sample(monkeypatch):
     graph = synth_citation(n_nodes=120, seed=3)
     config = PathGCNConfig(hidden_dim=8, per_hop_budget=1, resample_each_epoch=False,
