@@ -11,7 +11,6 @@ substructure_path_features flags one path and is its test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 import numpy as np
 
@@ -39,15 +38,15 @@ def all_simple_cycles(adjacency, max_size: int = 8) -> list[tuple[int, ...]]:
                 if len(stack) >= 3 and stack[1] < stack[-1]:
                     cycles.append(tuple(stack))
                 continue
-            if w in on_stack or len(stack) == max_size:
-                continue
+            if w in on_stack or len(stack) == max_size or len(adjacency[w]) < 2:
+                continue                 # a node of degree 1 is on no cycle
             stack.append(w)
             on_stack.add(w)
             search(start)
             on_stack.discard(w)
             stack.pop()
 
-    for start in range(n):
+    for start in (v for v in range(n) if len(adjacency[v]) > 1):
         stack = [start]
         on_stack = {start}
         search(start)
@@ -71,29 +70,6 @@ def ring_membership(graph) -> np.ndarray:
     return flags
 
 
-def rings_oracle(graph) -> np.ndarray:
-    """Independent ring-flag computation for tests: for every node subset of
-    size s, check whether the induced subgraph has a Hamiltonian cycle."""
-    adj_sets = [set(nbrs) for nbrs in graph.adjacency]
-    flags = np.zeros((graph.n, RING_FLAG_DIM), dtype=np.float64)
-    nodes = range(graph.n)
-    for size in RING_SIZES:
-        col = RING_SIZES.index(size)
-        for subset in combinations(nodes, size):
-            anchor, rest = subset[0], subset[1:]
-            found = False
-            for perm in permutations(rest):
-                seq = (anchor,) + perm
-                if all(seq[(i + 1) % size] in adj_sets[seq[i]] for i in range(size)):
-                    found = True
-                    break
-            if found:
-                for v in subset:
-                    flags[v, col] = 1.0
-                    flags[v, -1] = 1.0
-    return flags
-
-
 @dataclass(frozen=True)
 class GroupMatch:
     """One functional group's footprint: member atoms and the bonds whose
@@ -108,11 +84,12 @@ def detect_alcohol(graph) -> GroupMatch:
     """Hydroxyl oxygens.
 
     Heavy-atom convention: an O of degree 1 bonded to a C is taken as R-OH.
-    With explicit hydrogens the O must bond exactly one H and one C.
+    With explicit hydrogens (the molecule lists an H; a disjoint union says
+    so per node in graph.explicit_h) the O must bond exactly one H and one C.
     """
     if graph.elements is None:
         raise ValueError("alcohol detection needs element symbols on the graph")
-    explicit_h = "H" in graph.elements
+    explicit_h = getattr(graph, "explicit_h", ("H" in graph.elements,) * graph.n)
     members: set[int] = set()
     bonds: set[frozenset] = set()
     for v, el in enumerate(graph.elements):
@@ -120,7 +97,7 @@ def detect_alcohol(graph) -> GroupMatch:
             continue
         nbrs = graph.adjacency[v]
         nbr_els = [graph.elements[w] for w in nbrs]
-        if explicit_h:
+        if explicit_h[v]:
             if sorted(nbr_els) != ["C", "H"]:
                 continue
         else:
@@ -182,15 +159,17 @@ def substructure_features(paths: np.ndarray, ring_table, groups) -> np.ndarray:
     """substructure_path_features for every row of a (P, k+1) node table of
     paths of one length k, from the graph's ring_membership and
     detect_groups: the stacked per-path vectors as a (P, feature_width(k))
-    array."""
-    n = len(ring_table)
-    group_bond = np.zeros((n, n), dtype=bool)
+    array. Group bonds are found by their keys a*n+b, not an (n, n) table."""
+    n, k = len(ring_table), paths.shape[1] - 1
+    pairs = [tuple(pair) for g in groups for pair in g.bonds]
+    bond_keys = np.array(sorted([a * n + b for a, b in pairs] + [b * n + a for a, b in pairs])
+                         + [n * n], dtype=np.int64)   # n*n: above every key
     member = np.zeros(n, dtype=bool)
     for g in groups:
-        for a, b in g.bonds:
-            group_bond[a, b] = group_bond[b, a] = True
         member[list(g.member_nodes)] = True
-    on_bond = group_bond[paths[:, :-1], paths[:, 1:]].any(axis=1)
-    touches = member[paths].any(axis=1)
-    return np.concatenate([ring_table[paths[:, 1:]].reshape(len(paths), -1),
-                           np.stack([on_bond, touches], axis=1)], axis=1)
+    steps = paths[:, :-1] * n + paths[:, 1:]
+    out = np.empty((len(paths), feature_width(k)))
+    out[:, :-2] = ring_table[paths[:, 1:]].reshape(len(paths), -1)
+    out[:, -2] = (bond_keys[bond_keys.searchsorted(steps)] == steps).any(axis=1)
+    out[:, -1] = member[paths].any(axis=1)
+    return out

@@ -18,7 +18,7 @@ from .data import (DataFormatError, load_dataset, load_run_config,
                    write_citation_files, write_molecule_file)
 from .geometry import DegenerateGeometryError
 from .gradchecks import TOLERANCE, full_model_gradcheck, op_gradchecks
-from .model import ConfigError, init_params, path_feature_fn
+from .model import ConfigError, ModelConfig, build_path_cache, init_params
 from .molgraph import FeaturizerConfig, MoleculeError, build_graph
 from .paths import PathExplosionError, enumerate_paths
 from .synth import TASKS, generate_molecules, synth_citation
@@ -53,18 +53,16 @@ def cmd_paths(args) -> int:
 
 def cmd_featurize(args) -> int:
     dataset = load_dataset(args.input, args.explicit_h or None)
+    config = ModelConfig(path_length=args.length, feature_mode=args.mode)
     with open(args.out, "w") as fh:
         for record in dataset.records:
             graph = build_graph(record, dataset.featurizer)
-            try:
-                path_features = path_feature_fn(graph, args.mode)
-                tables = enumerate_paths(graph, range(graph.n), args.length)
-                rows = {k: path_features(paths).tolist() for k, paths in tables.items()}
-            except (ConfigError, DegenerateGeometryError, PathExplosionError) as err:
-                raise type(err)(f"molecule {record.id}: {err}") from None
+            cache = build_path_cache(graph, config)     # its errors name the molecule
+            # a static row holds k edge feature blocks, then the mode's features
+            rows = {k: g.static[:, k * graph.edge_dim:].tolist() for k, g in cache.items()}
             # per root in depth-first order, lengths interleaved
-            for path, k, i in sorted((p, k, i) for k, t in tables.items()
-                                     for i, p in enumerate(t.tolist())):
+            for path, k, i in sorted((p, k, i) for k, g in cache.items()
+                                     for i, p in enumerate(g.paths.tolist())):
                 fh.write(json.dumps({
                     "molecule": record.id,
                     "path": path,

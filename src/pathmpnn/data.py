@@ -71,12 +71,14 @@ def _is_point(x) -> bool:
 
 
 def record_from_dict(data: dict, where: str = "") -> MoleculeRecord:
-    """A molecule from one line's object. Nothing is coerced: elements are
-    strings, bond atom indices integers, targets and coords finite numbers."""
+    """A molecule from one line's object. Nothing is coerced: id and elements
+    are strings, bond atom indices integers, targets and coords finite."""
     data = {"targets": [], "coords": None, **data}
     try:
+        if not isinstance(data["id"], str):
+            raise DataFormatError(f"{where}: id must be a string, got {json.dumps(data['id'])}")
         record = MoleculeRecord(
-            id=str(data["id"]),
+            id=data["id"],
             elements=tuple(_checked_list(data, "elements", lambda x: isinstance(x, str),
                                          "a string", where)),
             bonds=tuple((i, j, str(order)) for i, j, order in _checked_list(
@@ -120,8 +122,8 @@ class MoleculeDataset:
 def load_dataset(path, explicit_hydrogens: bool | None = None) -> MoleculeDataset:
     """Parse a molecule file in one pass and settle the featurizer:
     vocabulary from the header when present, otherwise from the symbols in
-    the file. A malformed line fails naming the file and line."""
-    header, records = {}, []
+    the file. A malformed line or a repeated id fails naming file and line."""
+    header, records, id_lines = {}, [], {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -136,7 +138,12 @@ def load_dataset(path, explicit_hydrogens: bool | None = None) -> MoleculeDatase
                 raise DataFormatError(f"{where}: expected a JSON object, "
                                       f"got {json.dumps(data)}")
             if "id" in data:
-                records.append(record_from_dict(data, where))
+                record = record_from_dict(data, where)
+                if record.id in id_lines:
+                    raise DataFormatError(f"{where}: repeated id {record.id!r} "
+                                          f"(first on line {id_lines[record.id]})")
+                id_lines[record.id] = lineno
+                records.append(record)
             elif lineno == 1:
                 _check_header(data, where)
                 header = data
@@ -173,7 +180,7 @@ def parse_citation_files(content_path, cites_path, train_per_class: int = 20,
     indices by first appearance; citations naming unknown ids are dropped
     with a counted warning."""
     index: dict[str, int] = {}
-    rows = []
+    rows, row_lines = [], []
     label_index: dict[str, int] = {}
     labels = []
     n_features = None
@@ -193,12 +200,19 @@ def parse_citation_files(content_path, cites_path, train_per_class: int = 20,
             if doc_id in index:
                 raise DataFormatError(f"{content_path}:{lineno}: duplicate id {doc_id!r}")
             index[doc_id] = len(index)
+            row_lines.append(lineno)
             try:
                 rows.append([float(x) for x in feat])
             except ValueError as err:
                 raise DataFormatError(f"{content_path}:{lineno}: feature values must be "
                                       f"numbers ({err})") from None
             labels.append(label_index.setdefault(label, len(label_index)))
+    features = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=-1))   # float() reads nan, inf
+    if bad.size:
+        value = next(v for v in features[bad[0]] if not np.isfinite(v))
+        raise DataFormatError(f"{content_path}:{row_lines[bad[0]]}: feature values must be "
+                              f"finite numbers, got {value}")
 
     edges = set()
     dropped = 0
@@ -228,7 +242,7 @@ def parse_citation_files(content_path, cites_path, train_per_class: int = 20,
     val = pool[:min(val_size, len(pool) // 2)]
     test = pool[len(val):][-test_size:]
     return cit.CitationGraph(
-        n=n, edges=tuple(sorted(edges)), features=np.asarray(rows),
+        n=n, edges=tuple(sorted(edges)), features=features,
         labels=labels, train_idx=train, val_idx=val, test_idx=test,
         n_classes=n_classes, ids=tuple(index))
 

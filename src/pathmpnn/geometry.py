@@ -147,6 +147,13 @@ def _norm(a):
     return np.sqrt(_dot(a, a))
 
 
+def _cross(a, b):
+    """np.cross of 3-vectors over the last axis: its arithmetic, not its axis handling."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
 def geometry_features(coords, paths: np.ndarray) -> np.ndarray:
     """geometry_path_features for every row of a (P, k+1) node table of
     paths of one length k in 1..3: the stacked per-path vectors, bit for
@@ -171,10 +178,10 @@ def geometry_features(coords, paths: np.ndarray) -> np.ndarray:
                 f"zero-length bond vector in angle {path[i:i + 3]} on path {path}")
         parts.append(np.cos(np.arccos(np.clip(_dot(a, b) / (na * nb), -1.0, 1.0))))
     if k == 3:
-        normals = np.cross(bonds[:, :2], bonds[:, 1:])        # b1 x b2, b2 x b3
+        normals = _cross(bonds[:, :2], bonds[:, 1:])        # b1 x b2, b2 x b3
         n1, n2 = normals[:, 0], normals[:, 1]
         b2_hat = bonds[:, 1] / lengths[:, 1:2]
-        phi = np.arctan2(_dot(np.cross(n1, n2), b2_hat), _dot(n1, n2))
+        phi = np.arctan2(_dot(_cross(n1, n2), b2_hat), _dot(n1, n2))
         phi[phi <= -np.pi] = np.pi
         torsion = np.stack([np.cos(phi), np.sin(phi), np.zeros(len(phi))], axis=1)
         torsion[(_norm(normals) < NORM_EPS).any(axis=1)] = (1.0, 0.0, 1.0)   # collinear

@@ -12,13 +12,16 @@ independent implementation for reduction testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import chem, geometry
 from .geometry import DegenerateGeometryError
-from .paths import PathExplosionError, enumerate_paths
+from .paths import PathExplosionError, csr_adjacency, enumerate_paths
 from .tensor import (Tensor, concat, dense, gather_rows, leaky_relu, lstm_cell,
                      lstm_weights, mul, reduce_sum, relu, reshape,
                      segment_softmax, segment_sum, sigmoid, glorot, zeros)
@@ -82,27 +85,62 @@ def path_feature_fn(graph, mode: str):
     return None
 
 
-def build_path_cache(graph, config: ModelConfig, seed=None) -> dict[int, PathGroup]:
-    """Per-graph path enumeration plus the step-independent feature parts,
-    one PathGroup per path length, each length featurized in one pass.
-    Feature-mode, geometry and path-cap errors name the molecule. `seed` is
-    unused; it stays accepted because perfbench/workloads.py passes it."""
-    cache = {}
+def _union(graphs, csr, mode: str) -> SimpleNamespace:
+    """The graphs' disjoint union as path_feature_fn reads a graph."""
+    union = SimpleNamespace(n=len(csr[0]) - 1, coords=None)
+    if mode == "substructure":
+        indptr, indices = (a.tolist() for a in csr)
+        union.adjacency = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
+        union.elements = tuple(chain.from_iterable(g.elements for g in graphs))
+        union.explicit_h = tuple(chain.from_iterable(("H" in g.elements,) * g.n for g in graphs))
+    elif all(g.coords is not None for g in graphs):
+        union.coords = np.concatenate([g.coords for g in graphs])
+    return union
+
+
+def featurize(graphs, config: ModelConfig) -> GraphBatch:
+    """The GraphBatch of the graphs' disjoint union: one path enumeration,
+    then each length's static rows in one pass. Rows are root-major, so a
+    graph's rows are contiguous and in the order it alone gives. An error
+    names the first bad molecule, in its own node indices."""
     try:
-        path_features = path_feature_fn(graph, config.feature_mode)
-        tables = enumerate_paths(graph, range(graph.n), config.path_length)
-        edge_table = np.array(list(graph.edge_features.values()))
-        edge_id = np.zeros((graph.n, graph.n), dtype=np.int64)   # row in edge_table
-        for i, (a, b) in enumerate(graph.edge_features):
-            edge_id[a, b] = i
-        for k, paths in tables.items():
-            parts = [edge_table[edge_id[paths[:, :-1], paths[:, 1:]]].reshape(len(paths), -1)]
-            if path_features is not None:
-                parts.append(path_features(paths))
-            cache[k] = PathGroup(paths, np.concatenate(parts, axis=1))
+        return _featurize(graphs, config)
     except (ConfigError, DegenerateGeometryError, PathExplosionError) as err:
-        raise type(err)(f"molecule {graph.id}: {err}") from None
-    return cache
+        if len(graphs) == 1:
+            raise type(err)(f"molecule {graphs[0].id}: {err}") from None
+        for graph in graphs:   # alone, a graph's error is in its own indices
+            featurize([graph], config)
+        raise
+
+
+def _featurize(graphs, config: ModelConfig) -> GraphBatch:
+    ptr = np.array([0, *accumulate(g.n for g in graphs)])
+    indptr, local = csr_adjacency([nbrs for g in graphs for nbrs in g.adjacency])
+    csr = (indptr, local + ptr[:-1].repeat([sum(map(len, g.adjacency)) for g in graphs]))
+    path_features = path_feature_fn(
+        graphs[0] if len(graphs) == 1 else _union(graphs, csr, config.feature_mode),
+        config.feature_mode)
+    n = int(ptr[-1])
+    tables = enumerate_paths(None, np.arange(n), config.path_length, csr=csr)
+    # one edge row per CSR entry: the length-1 table's order, so its keys ascend
+    edge_table = np.array([g.edge_features[v, w] for g in graphs
+                           for v, nbrs in enumerate(g.adjacency) for w in nbrs])
+    cache = {}
+    for k, paths in tables.items():
+        steps = paths[:, :-1] * n + paths[:, 1:]
+        edge_keys = steps[:, 0] if k == 1 else edge_keys
+        parts = [edge_table[edge_keys.searchsorted(steps)].reshape(len(paths), -1)]
+        if path_features is not None:
+            parts.append(path_features(paths))
+        cache[k] = PathGroup(paths, np.concatenate(parts, axis=1))
+    return GraphBatch(np.concatenate([g.node_features for g in graphs]),
+                      np.arange(len(graphs)).repeat(ptr[1:] - ptr[:-1]), ptr, cache)
+
+
+def build_path_cache(graph, config: ModelConfig, seed=None) -> dict[int, PathGroup]:
+    """One graph's path groups: featurize on a batch of one. `seed` is
+    unused; it stays accepted because perfbench/workloads.py passes it."""
+    return featurize([graph], config).cache
 
 
 def init_params(config: ModelConfig, node_dim: int, edge_dim: int,
@@ -182,39 +220,59 @@ def _propagate_step(h, cache: dict[int, PathGroup], params, config: ModelConfig,
     return node_update(h, m_v, params[f"upd{t}.W"], params[f"upd{t}.b"])
 
 
+@dataclass
+class GraphBatch:
+    """Disjoint union of graphs: stacked node features, per-node graph ids
+    for the readout segments, and one path group per length in union node
+    indices, rows root-major. Graph i owns nodes ptr[i]:ptr[i+1]."""
+    x: np.ndarray
+    graph_ids: np.ndarray
+    ptr: np.ndarray
+    cache: dict[int, PathGroup]
+
+    @property
+    def n_graphs(self) -> int:
+        return len(self.ptr) - 1
+
+    @cached_property
+    def row_ptr(self) -> dict[int, np.ndarray]:
+        """Per length, each graph's row offset, from the owners graph_ids[paths[:, 0]]."""
+        bounds = np.arange(self.n_graphs + 1)
+        return {k: np.searchsorted(self.graph_ids[g.paths[:, 0]], bounds)
+                for k, g in self.cache.items()}
+
+
+def _ranges(ptr: np.ndarray, idx: np.ndarray):
+    """The ranges ptr[i]:ptr[i+1] for i in idx end to end, and their offsets."""
+    counts = ptr[idx + 1] - ptr[idx]
+    offsets = np.concatenate([[0], counts.cumsum()])
+    return np.arange(offsets[-1]) + (ptr[idx] - offsets[:-1]).repeat(counts), offsets
+
+
+def take(batch: GraphBatch, idx) -> GraphBatch:
+    """The sub-batch of the graphs idx, in that order, by offset arithmetic."""
+    idx = np.asarray(idx, dtype=np.int64)
+    nodes, ptr = _ranges(batch.ptr, idx)
+    shift = ptr[:-1] - batch.ptr[idx]          # each graph's new first node minus its old
+    cache = {}
+    for k, group in batch.cache.items():
+        rows, offsets = _ranges(batch.row_ptr[k], idx)
+        if len(rows):
+            paths = group.paths[rows] + shift.repeat(offsets[1:] - offsets[:-1])[:, None]
+            cache[k] = PathGroup(paths, group.static[rows])
+    return GraphBatch(batch.x[nodes], np.arange(len(idx)).repeat(ptr[1:] - ptr[:-1]), ptr, cache)
+
+
+merge_batch = take   # the name perfbench/spans.py traces; nothing calls it, so it reads 0
+
+
 def forward(graph, params, config: ModelConfig,
             cache: dict[int, PathGroup] | None = None):
     """Graph-level prediction, shape (1, n_targets): forward_batched on a
-    batch of one."""
-    if cache is None:
-        cache = build_path_cache(graph, config)
-    return forward_batched(merge_batch([graph], [cache]), params, config)
-
-
-@dataclass
-class GraphBatch:
-    """Disjoint union of several graphs: one node table, path groups with
-    node indices shifted into the union, and per-node graph ids for the
-    readout segments."""
-    x: np.ndarray
-    graph_ids: np.ndarray
-    n_graphs: int
-    cache: dict[int, PathGroup]
-
-
-def merge_batch(graphs, caches) -> GraphBatch:
-    offsets = np.cumsum([0] + [g.n for g in graphs])
-    x = np.concatenate([g.node_features for g in graphs], axis=0)
-    graph_ids = np.concatenate([
-        np.full(g.n, i, dtype=np.int64) for i, g in enumerate(graphs)])
-    merged: dict[int, list[PathGroup]] = {}
-    for off, cache in zip(offsets, caches):
-        for k, group in cache.items():
-            merged.setdefault(k, []).append(PathGroup(group.paths + off, group.static))
-    groups = {k: PathGroup(*(np.concatenate(column) for column in zip(*parts)))
-              for k, parts in merged.items()}
-    return GraphBatch(x=x, graph_ids=graph_ids, n_graphs=len(graphs),
-                      cache=groups)
+    batch of one, from featurize or from the given path cache."""
+    batch = featurize([graph], config) if cache is None else GraphBatch(
+        graph.node_features, np.zeros(graph.n, dtype=np.int64), np.array([0, graph.n]), cache)
+    return forward_batched(batch, params, config)
 
 
 def set2set_readout_batched(h, x, graph_ids, n_graphs, params, steps: int):

@@ -6,7 +6,7 @@ root-major (roots in the order given) and lexicographic within a root.
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -20,7 +20,7 @@ class PathExplosionError(RuntimeError):
 def csr_adjacency(adjacency) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) of an adjacency list: the neighbors of v are
     indices[indptr[v]:indptr[v+1]], in adjacency order."""
-    indptr = np.concatenate([[0], np.cumsum([len(nbrs) for nbrs in adjacency], dtype=np.int64)])
+    indptr = np.array([0, *accumulate(map(len, adjacency))], dtype=np.int64)
     indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
                           count=int(indptr[-1]))
     return indptr, indices
@@ -33,29 +33,32 @@ def extensions(table: np.ndarray, csr) -> tuple[np.ndarray, np.ndarray]:
     lexicographic table row by row gives a lexicographic table."""
     indptr, indices = csr
     tips = table[:, -1]
-    count = indptr[tips + 1] - indptr[tips]
-    row = np.repeat(np.arange(len(table)), count)
+    start = indptr[tips]
+    count = indptr[tips + 1] - start
+    row = np.arange(len(table)).repeat(count)
     # position of each candidate in the flat neighbor array
-    flat = np.arange(len(row)) + np.repeat(indptr[tips] - (np.cumsum(count) - count), count)
+    flat = np.arange(len(row)) + (start - (count.cumsum() - count)).repeat(count)
     nxt = indices[flat]
     fresh = (table[row] != nxt[:, None]).all(axis=1)
     return row[fresh], nxt[fresh]
 
 
-def enumerate_paths(graph, roots, max_length: int, *,
-                    cap: int = DEFAULT_PATH_CAP) -> dict[int, np.ndarray]:
-    """All simple paths of length 1..max_length from the roots, each
-    length's table extended from the previous one. More than `cap` paths
-    from one root raise PathExplosionError naming the first such root in
-    `roots`; once one crosses, only the roots before it are extended (they
-    may cross later)."""
+def enumerate_paths(graph, roots, max_length: int, *, cap: int = DEFAULT_PATH_CAP,
+                    csr=None) -> dict[int, np.ndarray]:
+    """All simple paths of length 1..max_length from the roots, each length's
+    table extended from the previous one, over the graph's csr_adjacency (or
+    `csr`, if given; the graph is then not read). More than `cap` paths from
+    one root raise PathExplosionError naming the first such root in `roots`;
+    once one crosses, only the roots before it are extended (they may cross later)."""
+    if csr is None:
+        csr = csr_adjacency(graph.adjacency)
+    n = len(csr[0]) - 1
     roots = np.asarray(roots, dtype=np.int64)
-    bad = roots[(roots < 0) | (roots >= graph.n)]
+    bad = roots[(roots < 0) | (roots >= n)]
     if bad.size:
-        raise ValueError(f"root {bad[0]} out of range for graph with {graph.n} nodes")
+        raise ValueError(f"root {bad[0]} out of range for graph with {n} nodes")
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    csr = csr_adjacency(graph.adjacency)
     table = roots[:, None]
     owner = np.arange(len(roots))          # position in roots of each row's root
     emitted = np.zeros(len(roots), dtype=np.int64)
@@ -64,7 +67,7 @@ def enumerate_paths(graph, roots, max_length: int, *,
     for k in range(1, max_length + 1):
         row, nxt = extensions(table, csr)
         emitted += np.bincount(owner[row], minlength=len(roots))
-        over = np.flatnonzero(emitted > cap)
+        over = (emitted > cap).nonzero()[0]
         if over.size:
             first_over = over[0]
             keep = owner[row] < first_over
@@ -79,25 +82,3 @@ def enumerate_paths(graph, roots, max_length: int, *,
             f"more than {cap} paths rooted at node {roots[first_over]}; "
             "use a shorter path length")
     return tables
-
-
-def count_paths_oracle(graph, v: int, max_length: int) -> dict[int, int]:
-    """Exhaustive path counter used to cross-check enumerate_paths.
-
-    Checks every node sequence of each length for adjacency and
-    distinctness; no search tree shared with the enumerator. Intended for
-    small graphs (n <= 12).
-    """
-    adj_sets = [set(nbrs) for nbrs in graph.adjacency]
-    counts: dict[int, int] = {}
-    nodes = range(graph.n)
-    for length in range(1, max_length + 1):
-        c = 0
-        for tail in product(nodes, repeat=length):
-            seq = (v,) + tail
-            if len(set(seq)) != length + 1:
-                continue
-            if all(b in adj_sets[a] for a, b in zip(seq, seq[1:])):
-                c += 1
-        counts[length] = c
-    return counts

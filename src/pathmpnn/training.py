@@ -228,12 +228,12 @@ def featurizer_from_records(records, explicit_hydrogens=False) -> FeaturizerConf
                             explicit_hydrogens=explicit_hydrogens)
 
 
-def predict_values(graphs, caches, params, config, mean, std,
-                   chunk: int = 64) -> np.ndarray:
-    out = np.zeros((len(graphs), config.n_targets))
-    for lo in range(0, len(graphs), chunk):
-        batch = mdl.merge_batch(graphs[lo:lo + chunk], caches[lo:lo + chunk])
-        out[lo:lo + chunk] = mdl.forward_batched(batch, params, config).values
+def predict_values(batch, params, config, mean, std, chunk: int = 64) -> np.ndarray:
+    """Predictions for a GraphBatch, forwarded in slices of at most `chunk` graphs."""
+    n = batch.n_graphs
+    parts = [batch] if n <= chunk else [mdl.take(batch, np.arange(lo, min(lo + chunk, n)))
+                                        for lo in range(0, n, chunk)]
+    out = np.concatenate([mdl.forward_batched(p, params, config).values for p in parts])
     return out * std + mean
 
 
@@ -271,7 +271,8 @@ def train_regression(records, config: mdl.ModelConfig,
     z_targets = (targets - mean) / std
 
     rng = np.random.default_rng(config.seed)
-    caches = [mdl.build_path_cache(g, config) for g in graphs]
+    data = mdl.featurize(graphs, config)
+    val_batch, test_batch = mdl.take(data, val_idx), mdl.take(data, test_idx)
     params = mdl.init_params(config, graphs[0].node_dim, graphs[0].edge_dim, rng)
     state = AdamState(params)
 
@@ -283,22 +284,19 @@ def train_regression(records, config: mdl.ModelConfig,
         losses = []
         for lo in range(0, len(order), settings.batch_size):
             batch = order[lo:lo + settings.batch_size]
-            merged = mdl.merge_batch([graphs[i] for i in batch], [caches[i] for i in batch])
+            merged = mdl.take(data, batch)
             losses.append(_step(params, state, settings.lr,
                                 lambda: rmse_loss(mdl.forward_batched(merged, params, config),
                                                   z_targets[batch]),
                                 epoch, lo // settings.batch_size))
-        val_metric = metric(predict_values([graphs[i] for i in val_idx],
-                                           [caches[i] for i in val_idx],
-                                           params, config, mean, std), targets[val_idx])
+        val_metric = metric(predict_values(val_batch, params, config, mean, std),
+                            targets[val_idx])
         return {"epoch": epoch, "train_loss": float(np.mean(losses)),
                 "val_metric": val_metric}, val_metric
 
     report = TrainReport(seed=config.seed, config=asdict(config))
     report.epochs, best_val = _fit(params, settings.epochs, settings.patience, run_epoch)
-    test_pred = predict_values([graphs[i] for i in test_idx],
-                               [caches[i] for i in test_idx],
-                               params, config, mean, std)
+    test_pred = predict_values(test_batch, params, config, mean, std)
     report.final = {
         "val_metric_best": best_val,
         "val_metric_name": metric_name,
@@ -315,10 +313,12 @@ def train_regression(records, config: mdl.ModelConfig,
 
 def evaluate_regression(records, params, config: mdl.ModelConfig,
                         featurizer: FeaturizerConfig, mean, std) -> dict:
+    if not records:
+        raise mdl.ConfigError("empty dataset")
     graphs = [build_graph(r, featurizer) for r in records]
-    caches = [mdl.build_path_cache(g, config) for g in graphs]
     targets = np.asarray([g.targets for g in graphs], dtype=np.float64)
-    pred = predict_values(graphs, caches, params, config, np.asarray(mean), np.asarray(std))
+    pred = predict_values(mdl.featurize(graphs, config), params, config,
+                          np.asarray(mean), np.asarray(std))
     return {**_errors(pred, targets), "n": len(records)}
 
 

@@ -1,9 +1,14 @@
-"""The per-op forms that the library's fused ops replaced, built from the
-primitive ops (or plain numpy), kept as oracles for the property tests."""
+"""Reference forms for the property tests: the per-op forms that the
+library's fused ops replaced, built from the primitive ops (or plain numpy),
+the exhaustive path counter and ring finder, and the per-graph batch merge."""
+
+from itertools import combinations, permutations, product
 
 import numpy as np
 
 import pathmpnn.tensor as T
+from pathmpnn.chem import RING_FLAG_DIM, RING_SIZES
+from pathmpnn.model import GraphBatch, PathGroup
 
 
 def composed_dense(parts, W, b=None):
@@ -72,3 +77,72 @@ def per_column_propagate_step(h, cache, params, config, t):
         weights = composed_segment_softmax(scores, roots, n)
         m_v = T.segment_sum(T.mul(weights, messages), roots, n)
     return T.sigmoid(composed_dense([h, m_v], params[f"upd{t}.W"], params[f"upd{t}.b"]))
+
+
+def merge_batch(graphs, caches) -> GraphBatch:
+    """One batch from per-graph path caches, shifting each graph's node
+    table by its offset and concatenating: the reference form of
+    model.take over model.featurize."""
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    x = np.concatenate([g.node_features for g in graphs], axis=0)
+    graph_ids = np.concatenate([
+        np.full(g.n, i, dtype=np.int64) for i, g in enumerate(graphs)])
+    merged: dict[int, list[PathGroup]] = {}
+    for off, cache in zip(offsets, caches):
+        for k, group in cache.items():
+            merged.setdefault(k, []).append(PathGroup(group.paths + off, group.static))
+    groups = {k: PathGroup(*(np.concatenate(column) for column in zip(*parts)))
+              for k, parts in merged.items()}
+    return GraphBatch(x, graph_ids, offsets, groups)
+
+
+def count_paths_oracle(graph, v: int, max_length: int) -> dict[int, int]:
+    """Exhaustive path counter used to cross-check enumerate_paths.
+
+    Checks every node sequence of each length for adjacency and
+    distinctness; no search tree shared with the enumerator. Intended for
+    small graphs (n <= 12).
+    """
+    adj_sets = [set(nbrs) for nbrs in graph.adjacency]
+    counts: dict[int, int] = {}
+    nodes = range(graph.n)
+    for length in range(1, max_length + 1):
+        c = 0
+        for tail in product(nodes, repeat=length):
+            seq = (v,) + tail
+            if len(set(seq)) != length + 1:
+                continue
+            if all(b in adj_sets[a] for a, b in zip(seq, seq[1:])):
+                c += 1
+        counts[length] = c
+    return counts
+
+
+def rings_oracle(graph) -> np.ndarray:
+    """Independent ring-flag computation for tests: for every node subset of
+    size s, check whether the induced subgraph has a Hamiltonian cycle."""
+    adj_sets = [set(nbrs) for nbrs in graph.adjacency]
+    flags = np.zeros((graph.n, RING_FLAG_DIM), dtype=np.float64)
+    nodes = range(graph.n)
+    for size in RING_SIZES:
+        col = RING_SIZES.index(size)
+        for subset in combinations(nodes, size):
+            anchor, rest = subset[0], subset[1:]
+            found = False
+            for perm in permutations(rest):
+                seq = (anchor,) + perm
+                if all(seq[(i + 1) % size] in adj_sets[seq[i]] for i in range(size)):
+                    found = True
+                    break
+            if found:
+                for v in subset:
+                    flags[v, col] = 1.0
+                    flags[v, -1] = 1.0
+    return flags
+
+
+def citation_path_features(h, path_nodes: np.ndarray):
+    """Concatenated hidden states of the path's non-root nodes; citation
+    edges carry no features of their own."""
+    k = path_nodes.shape[1]
+    return T.concat([T.gather_rows(h, path_nodes[:, col]) for col in range(k)], axis=1)

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -272,7 +272,8 @@ def test_cli_bad_arguments_exit_one(capsys):
 ])
 def test_cli_paths_bad_values_exit_one_naming_the_molecule(tmp_path, capsys, args, message):
     data = tmp_path / "three.jsonl"
-    write_molecule_file(data, [P4, P4, P4])
+    # ids are unique within a file; the molecule at index 1 is p4
+    write_molecule_file(data, [replace(P4, id="p4a"), P4, replace(P4, id="p4c")])
     assert main(["paths", "--input", str(data), "--index", "1"] + args) == 1
     err = capsys.readouterr().err
     assert f"error: molecule p4: {message}" in err
@@ -653,3 +654,36 @@ def test_cli_citation_non_numeric_feature_exits_one_naming_the_line(tmp_path, ca
                  "--report", str(tmp_path / "r.jsonl")]) == 1
     assert (f"error: {content}:2: feature values must be numbers "
             "(could not convert string to float: 'x')") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_citation_non_finite_feature_exits_one_naming_the_line(tmp_path, capsys, value):
+    # float() reads these, so only the finished feature array shows them
+    content, cites = tmp_path / "t.content", tmp_path / "t.cites"
+    content.write_text(f"d1 1 0 A\nd2 1 0 B\n\nd3 0 {value} A\n")
+    cites.write_text("d1 d2\n")
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"task": "citation", "content": str(content), "cites": str(cites)}))
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--report", str(tmp_path / "r.jsonl")]) == 1
+    assert (f"error: {content}:4: feature values must be finite numbers, "
+            f"got {value}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [7, None, ["eth"]], ids=["number", "null", "list"])
+def test_cli_record_id_that_is_not_a_string_exits_one_naming_the_line(tmp_path, capsys,
+                                                                       value):
+    data = tmp_path / "bad.jsonl"
+    data.write_text(json.dumps(ETHANOL) + "\n" + json.dumps({**ETHANOL, "id": value}) + "\n")
+    assert main(["paths", "--input", str(data), "--node", "0", "--length", "1"]) == 1
+    assert (f"error: {data}:2: id must be a string, got {json.dumps(value)}"
+            in capsys.readouterr().err)
+
+
+def test_cli_repeated_molecule_id_exits_one_naming_the_second_line(tmp_path, capsys):
+    data = tmp_path / "bad.jsonl"
+    lines = [{"element_vocab": ["C", "O"]}, ETHANOL, {**ETHANOL, "id": "other"}, ETHANOL]
+    data.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert main(["paths", "--input", str(data), "--node", "0", "--length", "1"]) == 1
+    assert (f"error: {data}:4: repeated id 'eth' (first on line 2)"
+            in capsys.readouterr().err)

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -11,11 +13,12 @@ import pathmpnn.tensor as T
 from pathmpnn.chem import detect_groups, ring_membership, substructure_path_features
 from pathmpnn.geometry import DegenerateGeometryError, geometry_path_features
 from pathmpnn.gradchecks import TOLERANCE, full_model_gradcheck, probe_molecule
+from oracles import merge_batch
 from pathmpnn.model import (ConfigError, ModelConfig, PathGroup, attention_aggregate,
-                            build_path_cache, forward, forward_base_mpnn,
-                            forward_batched, init_params, merge_batch,
-                            message_path, message_standard, node_update,
-                            set2set_readout_batched, static_feature_width)
+                            build_path_cache, featurize, forward, forward_base_mpnn,
+                            forward_batched, init_params, message_path,
+                            message_standard, node_update, set2set_readout_batched,
+                            static_feature_width, take)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
 from pathmpnn.paths import PathExplosionError, enumerate_paths
 from pathmpnn.synth import generate_molecules
@@ -366,6 +369,112 @@ def test_path_cache_names_molecule_past_the_path_cap(monkeypatch, probe_graph):
 # task and feature mode pairs the synthetic generators support
 TASK_MODES = [("dihedral-sum", "geometry"), ("solubility", "substructure"),
               ("alcohol-count", "base"), ("alcohol-count", "substructure")]
+
+
+# -- featurize over a disjoint union against the per-graph caches --------------
+
+def test_featurize_names_a_later_molecule_with_coincident_atoms():
+    # the third molecule's degenerate angle, in its own node indices
+    coincident = geometry_record("coincident", [[0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 1, 0]],
+                                 [(0, 1), (1, 2), (2, 3)])
+    graphs = [build_graph(r, FEAT) for r in (CIS, TRANS, coincident, NO_LENGTH_3)]
+    config = small_config(feature_mode="geometry", path_length=3)
+    with pytest.raises(DegenerateGeometryError,
+                       match=r"^molecule coincident: zero-length bond vector "
+                             r"in angle \(0, 1, 2\) on path \(0, 1, 2\)$"):
+        featurize(graphs, config)
+
+
+def test_featurize_names_a_later_molecule_past_the_path_cap(monkeypatch, probe_graph):
+    # the second molecule crosses the cap at its own node 0, union node 2
+    monkeypatch.setattr(model_module, "enumerate_paths", partial(enumerate_paths, cap=2))
+    pair = geometry_record("pair", [[0, 0, 0], [1, 0, 0]], [(0, 1)])
+    graphs = [build_graph(pair, FEAT), probe_graph, build_graph(CIS, FEAT)]
+    with pytest.raises(PathExplosionError,
+                       match=f"^molecule {probe_graph.id}: more than 2 paths rooted at node 0"):
+        featurize(graphs, small_config())
+
+
+def test_featurize_names_a_later_molecule_without_coordinates():
+    dry = MoleculeRecord("dry", ("C", "C"), ((0, 1, "single"),), targets=(0.0,))
+    graphs = [build_graph(r, FEAT) for r in (CIS, dry, TRANS)]
+    with pytest.raises(ConfigError, match="^molecule dry: geometry feature mode needs "
+                                          "coordinates on the graph$"):
+        featurize(graphs, small_config(feature_mode="geometry"))
+
+
+def test_featurize_keeps_each_molecules_hydrogen_convention():
+    # with explicit hydrogens kept, a molecule that lists none still follows
+    # the heavy-atom alcohol rule, and one that lists some the explicit rule
+    featurizer = FeaturizerConfig(("C", "H", "O"), explicit_hydrogens=True)
+    records = [MoleculeRecord("ethanol", ("C", "C", "O"), ((0, 1, "single"), (1, 2, "single"))),
+               MoleculeRecord("formaldehyde", ("C", "O", "H", "H"),
+                              ((0, 1, "double"), (0, 2, "single"), (0, 3, "single"))),
+               MoleculeRecord("methanol", ("C", "O", "H"), ((0, 1, "single"), (1, 2, "single")))]
+    graphs = [build_graph(r, featurizer) for r in records]
+    config = small_config(feature_mode="substructure", path_length=2)
+    assert_take_equals_merge(featurize(graphs, config), graphs, config, range(3))
+    touches = [build_path_cache(g, config)[1].static[:, -1].any() for g in graphs]
+    assert touches == [True, False, True]
+
+
+def assert_take_equals_merge(batch, graphs, config, idx):
+    """take(batch, idx) against the reference merge of the graphs' own
+    caches, every array at tolerance 0 with its dtype."""
+    got = take(batch, idx)
+    want = merge_batch([graphs[i] for i in idx],
+                       [build_path_cache(graphs[i], config) for i in idx])
+    assert got.n_graphs == want.n_graphs
+    for a, b in ((got.x, want.x), (got.graph_ids, want.graph_ids), (got.ptr, want.ptr)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert list(got.cache) == list(want.cache)
+    for k, group in want.cache.items():
+        for a, b in zip(got.cache[k], group):
+            assert a.dtype == b.dtype and np.array_equal(a, b), k
+
+
+def union_graphs(task):
+    """Six synthetic molecules plus molecules with no paths of length 1, 2
+    or 3: a single atom, a bonded pair and a bent triple, with coordinates
+    when the task's molecules have them (they set the edge width)."""
+    records = generate_molecules(task, 6, seed=4)
+    pair = geometry_record("pair", [[0, 0, 0], [1, 0, 0]], [(0, 1)])
+    small = [SINGLE_ATOM, pair, NO_LENGTH_3]
+    if records[0].coords is None:
+        small = [replace(r, coords=None) for r in small]
+    records += small
+    featurizer = featurizer_from_records(records)
+    return [build_graph(r, featurizer) for r in records]
+
+
+@given(task_mode=st.sampled_from(TASK_MODES), path_length=st.integers(1, 3),
+       idx=st.lists(st.integers(0, 8), min_size=1, max_size=12))
+def test_take_of_featurize_equals_merged_per_graph_caches(task_mode, path_length, idx):
+    # any order, repeats allowed, including batches of only path-less graphs
+    task, mode = task_mode
+    graphs = union_graphs(task)
+    config = small_config(feature_mode=mode, path_length=path_length)
+    assert_take_equals_merge(featurize(graphs, config), graphs, config, idx)
+
+
+@pytest.mark.parametrize("task, mode, path_length, n_molecules", [
+    ("solubility", "substructure", 2, 400),
+    ("dihedral-sum", "geometry", 3, 600),
+])
+def test_featurize_memory_grows_with_paths_not_nodes_squared(task, mode, path_length,
+                                                             n_molecules):
+    # about 5,000 union nodes: one (n, n) int64 table would take about 200 MB
+    records = generate_molecules(task, n_molecules, seed=1)
+    featurizer = featurizer_from_records(records)
+    graphs = [build_graph(r, featurizer) for r in records]
+    assert sum(g.n for g in graphs) > 4_500
+    tracemalloc.start()
+    try:
+        featurize(graphs, small_config(feature_mode=mode, path_length=path_length))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def random_batch(task, mode, path_length, n_molecules, seed, hidden_dim):

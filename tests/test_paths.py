@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import AdjacencyGraph, random_graph
-from pathmpnn.paths import PathExplosionError, count_paths_oracle, enumerate_paths
+from oracles import count_paths_oracle
+from pathmpnn.paths import PathExplosionError, enumerate_paths
 
 
 def lengths_histogram(tables):

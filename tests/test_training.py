@@ -151,6 +151,12 @@ def test_train_regression_empty_dataset():
         train_regression([], ModelConfig())
 
 
+def test_evaluate_regression_empty_dataset_is_a_config_error():
+    # an empty file evaluated to nan metrics before; now it is a validation error
+    with pytest.raises(ConfigError, match="^empty dataset$"):
+        evaluate_regression([], {}, ModelConfig(), None, np.zeros(1), np.ones(1))
+
+
 def test_datasets_too_small_to_split_are_config_errors():
     with pytest.raises(ConfigError, match=r"^a dataset of 3 molecules is too small to "
                                           r"split: the validation split is empty$"):
