@@ -14,7 +14,7 @@ from .citation import (CitationGraph, PathGCNConfig, gcn_forward,
 from .geometry import bond_angle, dihedral, geometry_features, geometry_path_features
 from .model import ModelConfig, build_path_cache, forward, forward_base_mpnn, init_params
 from .molgraph import FeaturizerConfig, Graph, MoleculeRecord, build_graph
-from .paths import enumerate_paths
+from .paths import count_paths_oracle, enumerate_paths
 from .tensor import Tensor, adam_step, backward
 from .training import (TrainSettings, rmse_loss, split_dataset,
                        train_node_classification, train_regression)

@@ -136,6 +136,13 @@ def sample_citation_paths(graph: CitationGraph, config: PathGCNConfig,
     return groups
 
 
+def citation_path_features(h, path_nodes: np.ndarray):
+    """Concatenated hidden states of the path's non-root nodes; citation
+    edges carry no features of their own."""
+    k = path_nodes.shape[1]
+    return concat([gather_rows(h, path_nodes[:, col]) for col in range(k)], axis=1)
+
+
 def gcn_layer(h, adj: NormalizedAdjacency, W, b, activation=None):
     """Dense transform, weighted neighbor+self sum, bias. Activation only
     where asked (hidden layers); logits stay linear."""

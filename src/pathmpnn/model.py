@@ -92,8 +92,8 @@ def _union(graphs, csr, mode: str) -> SimpleNamespace:
         indptr, indices = (a.tolist() for a in csr)
         union.adjacency = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
         union.elements = tuple(chain.from_iterable(g.elements for g in graphs))
-        union.explicit_h = tuple(chain.from_iterable(("H" in g.elements,) * g.n for g in graphs))
-    elif all(g.coords is not None for g in graphs):
+        union.explicit_h = [h for g in graphs for h in ("H" in g.elements,) * g.n]
+    elif mode == "geometry" and all(g.coords is not None for g in graphs):
         union.coords = np.concatenate([g.coords for g in graphs])
     return union
 
@@ -117,19 +117,19 @@ def _featurize(graphs, config: ModelConfig) -> GraphBatch:
     ptr = np.array([0, *accumulate(g.n for g in graphs)])
     indptr, local = csr_adjacency([nbrs for g in graphs for nbrs in g.adjacency])
     csr = (indptr, local + ptr[:-1].repeat([sum(map(len, g.adjacency)) for g in graphs]))
-    path_features = path_feature_fn(
-        graphs[0] if len(graphs) == 1 else _union(graphs, csr, config.feature_mode),
-        config.feature_mode)
+    path_features = path_feature_fn(_union(graphs, csr, config.feature_mode), config.feature_mode)
     n = int(ptr[-1])
     tables = enumerate_paths(None, np.arange(n), config.path_length, csr=csr)
-    # one edge row per CSR entry: the length-1 table's order, so its keys ascend
-    edge_table = np.array([g.edge_features[v, w] for g in graphs
-                           for v, nbrs in enumerate(g.adjacency) for w in nbrs])
+    # one edge row per directed edge (a, b) of the union, found by its key a*n+b
+    edge_table = np.array([f for g in graphs for f in g.edge_features.values()])
+    edge_keys = np.array([(a + off) * n + b + off for g, off in zip(graphs, ptr.tolist())
+                          for a, b in g.edge_features], dtype=np.int64)
+    edge_rows = edge_keys.argsort()
+    edge_keys = edge_keys[edge_rows]
     cache = {}
     for k, paths in tables.items():
         steps = paths[:, :-1] * n + paths[:, 1:]
-        edge_keys = steps[:, 0] if k == 1 else edge_keys
-        parts = [edge_table[edge_keys.searchsorted(steps)].reshape(len(paths), -1)]
+        parts = [edge_table[edge_rows[edge_keys.searchsorted(steps)]].reshape(len(paths), -1)]
         if path_features is not None:
             parts.append(path_features(paths))
         cache[k] = PathGroup(paths, np.concatenate(parts, axis=1))

@@ -6,7 +6,7 @@ root-major (roots in the order given) and lexicographic within a root.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 
 import numpy as np
 
@@ -82,3 +82,25 @@ def enumerate_paths(graph, roots, max_length: int, *, cap: int = DEFAULT_PATH_CA
             f"more than {cap} paths rooted at node {roots[first_over]}; "
             "use a shorter path length")
     return tables
+
+
+def count_paths_oracle(graph, v: int, max_length: int) -> dict[int, int]:
+    """Exhaustive path counter used to cross-check enumerate_paths.
+
+    Checks every node sequence of each length for adjacency and
+    distinctness; no search tree shared with the enumerator. Intended for
+    small graphs (n <= 12).
+    """
+    adj_sets = [set(nbrs) for nbrs in graph.adjacency]
+    counts: dict[int, int] = {}
+    nodes = range(graph.n)
+    for length in range(1, max_length + 1):
+        c = 0
+        for tail in product(nodes, repeat=length):
+            seq = (v,) + tail
+            if len(set(seq)) != length + 1:
+                continue
+            if all(b in adj_sets[a] for a, b in zip(seq, seq[1:])):
+                c += 1
+        counts[length] = c
+    return counts

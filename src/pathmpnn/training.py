@@ -231,8 +231,7 @@ def featurizer_from_records(records, explicit_hydrogens=False) -> FeaturizerConf
 def predict_values(batch, params, config, mean, std, chunk: int = 64) -> np.ndarray:
     """Predictions for a GraphBatch, forwarded in slices of at most `chunk` graphs."""
     n = batch.n_graphs
-    parts = [batch] if n <= chunk else [mdl.take(batch, np.arange(lo, min(lo + chunk, n)))
-                                        for lo in range(0, n, chunk)]
+    parts = [mdl.take(batch, np.arange(lo, min(lo + chunk, n))) for lo in range(0, n, chunk)]
     out = np.concatenate([mdl.forward_batched(p, params, config).values for p in parts])
     return out * std + mean
 

@@ -1,13 +1,10 @@
 """Reference forms for the property tests: the per-op forms that the
 library's fused ops replaced, built from the primitive ops (or plain numpy),
-the exhaustive path counter and ring finder, and the per-graph batch merge."""
-
-from itertools import combinations, permutations, product
+and the per-graph batch merge."""
 
 import numpy as np
 
 import pathmpnn.tensor as T
-from pathmpnn.chem import RING_FLAG_DIM, RING_SIZES
 from pathmpnn.model import GraphBatch, PathGroup
 
 
@@ -94,55 +91,3 @@ def merge_batch(graphs, caches) -> GraphBatch:
     groups = {k: PathGroup(*(np.concatenate(column) for column in zip(*parts)))
               for k, parts in merged.items()}
     return GraphBatch(x, graph_ids, offsets, groups)
-
-
-def count_paths_oracle(graph, v: int, max_length: int) -> dict[int, int]:
-    """Exhaustive path counter used to cross-check enumerate_paths.
-
-    Checks every node sequence of each length for adjacency and
-    distinctness; no search tree shared with the enumerator. Intended for
-    small graphs (n <= 12).
-    """
-    adj_sets = [set(nbrs) for nbrs in graph.adjacency]
-    counts: dict[int, int] = {}
-    nodes = range(graph.n)
-    for length in range(1, max_length + 1):
-        c = 0
-        for tail in product(nodes, repeat=length):
-            seq = (v,) + tail
-            if len(set(seq)) != length + 1:
-                continue
-            if all(b in adj_sets[a] for a, b in zip(seq, seq[1:])):
-                c += 1
-        counts[length] = c
-    return counts
-
-
-def rings_oracle(graph) -> np.ndarray:
-    """Independent ring-flag computation for tests: for every node subset of
-    size s, check whether the induced subgraph has a Hamiltonian cycle."""
-    adj_sets = [set(nbrs) for nbrs in graph.adjacency]
-    flags = np.zeros((graph.n, RING_FLAG_DIM), dtype=np.float64)
-    nodes = range(graph.n)
-    for size in RING_SIZES:
-        col = RING_SIZES.index(size)
-        for subset in combinations(nodes, size):
-            anchor, rest = subset[0], subset[1:]
-            found = False
-            for perm in permutations(rest):
-                seq = (anchor,) + perm
-                if all(seq[(i + 1) % size] in adj_sets[seq[i]] for i in range(size)):
-                    found = True
-                    break
-            if found:
-                for v in subset:
-                    flags[v, col] = 1.0
-                    flags[v, -1] = 1.0
-    return flags
-
-
-def citation_path_features(h, path_nodes: np.ndarray):
-    """Concatenated hidden states of the path's non-root nodes; citation
-    edges carry no features of their own."""
-    k = path_nodes.shape[1]
-    return T.concat([T.gather_rows(h, path_nodes[:, col]) for col in range(k)], axis=1)

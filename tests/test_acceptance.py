@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from oracles import count_paths_oracle
 from pathmpnn.citation import PathGCNConfig, gcn_forward, init_gcn_params, \
     normalize_adjacency, path_gcn_forward
 from pathmpnn.gradchecks import full_model_gradcheck, probe_molecule
@@ -16,7 +15,7 @@ from pathmpnn.geometry import DegenerateGeometryError, dihedral
 from pathmpnn.model import (ModelConfig, build_path_cache, forward,
                             forward_base_mpnn, init_params)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
-from pathmpnn.paths import enumerate_paths
+from pathmpnn.paths import count_paths_oracle, enumerate_paths
 from pathmpnn.data import parse_citation_files
 from pathmpnn.synth import (synth_alcohol_count, synth_citation,
                             synth_dihedral_sum, synth_solubility)

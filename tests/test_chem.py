@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import AdjacencyGraph, random_graph
-from oracles import rings_oracle
 from pathmpnn.chem import (RING_SIZES, all_simple_cycles, detect_alcohol,
                            detect_groups, feature_width, ring_membership,
-                           substructure_features, substructure_path_features)
+                           rings_oracle, substructure_features,
+                           substructure_path_features)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
 from pathmpnn.paths import enumerate_paths
 

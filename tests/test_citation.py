@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import pathmpnn.tensor as T
-from oracles import citation_path_features
-from pathmpnn.citation import (CitationGraph, PathGCNConfig, gcn_forward, gcn_layer,
+from pathmpnn.citation import (CitationGraph, PathGCNConfig,
+                               citation_path_features, gcn_forward, gcn_layer,
                                init_gcn_params, normalize_adjacency,
                                path_gcn_forward, sample_citation_paths)
 from pathmpnn.model import ConfigError

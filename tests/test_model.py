@@ -418,6 +418,17 @@ def test_featurize_keeps_each_molecules_hydrogen_convention():
     assert touches == [True, False, True]
 
 
+def test_featurize_finds_edge_rows_whatever_the_neighbour_order():
+    # the same molecule with every adjacency list reversed enumerates its
+    # paths in another order, but each path keeps its static row
+    graph = build_graph(CIS, FEAT)
+    flipped = replace(graph, adjacency=tuple(tuple(reversed(nbrs)) for nbrs in graph.adjacency))
+    config = small_config(feature_mode="geometry", path_length=3)
+    rows = [{tuple(p): s.tolist() for p, s in zip(g.paths.tolist(), g.static)}
+            for g in (featurize([build_graph(TRANS, FEAT), x], config).cache[3] for x in (graph, flipped))]
+    assert rows[0] == rows[1]
+
+
 def assert_take_equals_merge(batch, graphs, config, idx):
     """take(batch, idx) against the reference merge of the graphs' own
     caches, every array at tolerance 0 with its dtype."""

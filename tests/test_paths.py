@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import AdjacencyGraph, random_graph
-from oracles import count_paths_oracle
-from pathmpnn.paths import PathExplosionError, enumerate_paths
+from pathmpnn.paths import PathExplosionError, count_paths_oracle, enumerate_paths
 
 
 def lengths_histogram(tables):
