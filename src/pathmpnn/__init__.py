@@ -15,7 +15,7 @@ from .geometry import bond_angle, dihedral, geometry_features, geometry_path_fea
 from .model import ModelConfig, build_path_cache, forward, forward_base_mpnn, init_params
 from .molgraph import FeaturizerConfig, Graph, MoleculeRecord, build_graph
 from .paths import count_paths_oracle, enumerate_paths
-from .tensor import Tensor, adam_step, backward
+from .tensor import Tensor, adam_step, backward, no_grad
 from .training import (TrainSettings, rmse_loss, split_dataset,
                        train_node_classification, train_regression)
 

@@ -122,7 +122,8 @@ class MoleculeDataset:
 def load_dataset(path, explicit_hydrogens: bool | None = None) -> MoleculeDataset:
     """Parse a molecule file in one pass and settle the featurizer:
     vocabulary from the header when present, otherwise from the symbols in
-    the file. A malformed line or a repeated id fails naming file and line."""
+    the file. A malformed line, a repeated id or a molecule that has coords
+    when the first has none, or none when it has, fails naming file and line."""
     header, records, id_lines = {}, [], {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -143,6 +144,11 @@ def load_dataset(path, explicit_hydrogens: bool | None = None) -> MoleculeDatase
                     raise DataFormatError(f"{where}: repeated id {record.id!r} "
                                           f"(first on line {id_lines[record.id]})")
                 id_lines[record.id] = lineno
+                if records and (record.coords is None) != (records[0].coords is None):
+                    has = "has no" if record.coords is None else "has"
+                    raise DataFormatError(
+                        f"{where}: molecule {record.id!r} {has} coords, unlike the "
+                        f"first molecule (line {id_lines[records[0].id]})")
                 records.append(record)
             elif lineno == 1:
                 _check_header(data, where)

@@ -8,6 +8,7 @@ need the precision.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -16,6 +17,20 @@ import struct
 import numpy as np
 
 DEBUG_CHECKS = False  # when True, every op asserts its output is finite
+GRAD_ENABLED = True   # False inside no_grad(): ops record no tape
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inside the block, or a function decorated @no_grad(), ops record no
+    tape and give the same values, so each intermediate is freed once the
+    next op has used it."""
+    global GRAD_ENABLED
+    previous, GRAD_ENABLED = GRAD_ENABLED, False
+    try:
+        yield
+    finally:
+        GRAD_ENABLED = previous
 
 
 class ShapeError(ValueError):
@@ -95,7 +110,7 @@ def as_tensor(x) -> Tensor:
 def _make(values, parents, backward_fn, op: str) -> Tensor:
     _check_finite(values, op)
     out = Tensor(values)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = GRAD_ENABLED and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -466,6 +481,9 @@ def backward(loss: Tensor):
     """Populate .grad on every reachable tensor that requires gradients."""
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
+    if not loss.requires_grad:
+        raise ValueError("backward on a loss that requires no gradient (computed "
+                         "under no_grad or only from constants)")
     topo: list[Tensor] = []
     visited = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -614,14 +632,15 @@ def gradcheck(loss_fn, params, eps=1e-5):
         numeric = np.zeros_like(t.values)
         flat = t.values.reshape(-1)
         num_flat = numeric.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            hi = loss_fn().item()
-            flat[i] = keep - eps
-            lo = loss_fn().item()
-            flat[i] = keep
-            num_flat[i] = (hi - lo) / (2 * eps)
+        with no_grad():
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + eps
+                hi = loss_fn().item()
+                flat[i] = keep - eps
+                lo = loss_fn().item()
+                flat[i] = keep
+                num_flat[i] = (hi - lo) / (2 * eps)
         diff = np.abs(analytic[name] - numeric)
         denom = np.maximum(np.abs(analytic[name]) + np.abs(numeric), 1e-6)
         errors[name] = float((diff / denom).max()) if flat.size else 0.0

@@ -12,8 +12,8 @@ import numpy as np
 from . import citation as cit
 from . import model as mdl
 from .molgraph import FeaturizerConfig, build_graph, vocab_from_records
-from .tensor import (AdamState, Tensor, adam_step, backward, exp,
-                     gather_rows, log, mul, reduce_sum, sub, sqrt, zero_grad)
+from .tensor import (AdamState, Tensor, adam_step, backward, exp, gather_rows,
+                     log, mul, no_grad, reduce_sum, sub, sqrt, zero_grad)
 
 
 # -- losses and metrics ----------------------------------------------------
@@ -228,8 +228,10 @@ def featurizer_from_records(records, explicit_hydrogens=False) -> FeaturizerConf
                             explicit_hydrogens=explicit_hydrogens)
 
 
+@no_grad()
 def predict_values(batch, params, config, mean, std, chunk: int = 64) -> np.ndarray:
-    """Predictions for a GraphBatch, forwarded in slices of at most `chunk` graphs."""
+    """Predictions for a GraphBatch, forwarded tape-free in slices of at most
+    `chunk` graphs."""
     n = batch.n_graphs
     parts = [mdl.take(batch, np.arange(lo, min(lo + chunk, n))) for lo in range(0, n, chunk)]
     out = np.concatenate([mdl.forward_batched(p, params, config).values for p in parts])
@@ -336,9 +338,10 @@ def _l2_penalty(params, coefficient):
     return mul(term, coefficient)
 
 
+@no_grad()
 def _citation_logits(graph, adj, params, config, paths, rng=None):
-    """Eval-time logits. With resampling active and an rng supplied, the
-    final evaluation averages logits over fresh path draws."""
+    """Eval-time logits, computed tape-free. With resampling active and an
+    rng supplied, the final evaluation averages logits over fresh path draws."""
     if config.per_hop_budget == 0 or not config.resample_each_epoch or rng is None:
         return cit.path_gcn_forward(graph, adj, params, paths).values
     total = None

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+import pathmpnn.tensor as T
 from pathmpnn.gradchecks import probe_molecule
 from pathmpnn.molgraph import build_graph
 
@@ -8,6 +9,16 @@ settings.register_profile(
     "suite", deadline=None, max_examples=40,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def tape_recording_stays_on():
+    """Fail a test that leaves tape recording switched off: every later
+    training step would record nothing and silently update nothing."""
+    yield
+    if not T.GRAD_ENABLED:
+        T.GRAD_ENABLED = True
+        pytest.fail("the test left tape recording switched off (tensor.GRAD_ENABLED)")
 
 
 @pytest.fixture

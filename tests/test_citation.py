@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pathmpnn.tensor as T
 from pathmpnn.citation import (CitationGraph, PathGCNConfig,
@@ -323,3 +325,25 @@ def test_budget_one_equals_per_partial_path_oracle(n_nodes, path_length):
                 assert got[k].dtype == np.int64
                 assert np.array_equal(got[k], np.concatenate([roots[:, None], cols], axis=1))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@given(budget=st.sampled_from([0, 1]), path_length=st.integers(2, 3),
+       dropout=st.booleans(), seed=st.integers(0, 10_000))
+def test_tape_free_path_gcn_forward_equals_taped_forward(budget, path_length, dropout,
+                                                         seed):
+    # tolerance 0: the same numpy calls run on the same arrays
+    g = synth_citation(n_nodes=80, seed=seed % 7)
+    config = PathGCNConfig(hidden_dim=6, per_hop_budget=budget, path_length=path_length,
+                           seed=seed)
+    rng = np.random.default_rng(seed)
+    params = init_gcn_params(config, g.features.shape[1], g.n_classes, rng)
+    paths = sample_citation_paths(g, config, rng) if budget else None
+    masks = (tuple((rng.random(shape) < 0.5) / 0.5
+                   for shape in (g.features.shape, (g.n, config.hidden_dim)))
+             if dropout else None)
+    adj = normalize_adjacency(g)
+    taped = path_gcn_forward(g, adj, params, paths, masks)
+    with T.no_grad():
+        free = path_gcn_forward(g, adj, params, paths, masks)
+    assert taped.requires_grad and not free.requires_grad
+    assert np.array_equal(free.values, taped.values)

@@ -687,3 +687,34 @@ def test_cli_repeated_molecule_id_exits_one_naming_the_second_line(tmp_path, cap
     assert main(["paths", "--input", str(data), "--node", "0", "--length", "1"]) == 1
     assert (f"error: {data}:4: repeated id 'eth' (first on line 2)"
             in capsys.readouterr().err)
+
+
+def test_cli_train_on_molecules_with_and_without_coords_exits_one_naming_the_line(
+        tmp_path, capsys):
+    # without coords the edge features are one column narrower, so a mixed
+    # file cannot make one batch; it failed as a runtime error (exit 2)
+    data = tmp_path / "mixed.jsonl"
+    assert main(["synth", "--task", "dihedral-sum", "--n", "30", "--seed", "1",
+                 "--out", str(data)]) == 0
+    lines = [json.loads(line) for line in data.read_text().splitlines()]
+    del lines[5]["coords"]
+    data.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    (tmp_path / "run.json").write_text(json.dumps({
+        "task": "regression", "dataset": str(data),
+        "model": {"hidden_dim": 4, "path_length": 2, "feature_mode": "base"},
+        "train": {"epochs": 1}}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--report", str(tmp_path / "r.jsonl")]) == 1
+    assert (f"error: {data}:6: molecule {lines[5]['id']!r} has no coords, unlike the "
+            f"first molecule (line 2)") in capsys.readouterr().err
+
+
+def test_molecule_with_coords_after_one_without_is_rejected_naming_both_lines(tmp_path):
+    data = tmp_path / "mixed.jsonl"
+    with_coords = {**ETHANOL, "id": "eth3d", "coords": [[0, 0, 0], [1.5, 0, 0], [2, 1, 0]]}
+    data.write_text("".join(json.dumps(line) + "\n"
+                            for line in [ETHANOL, {**ETHANOL, "id": "b"}, with_coords]))
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"{data}:3: molecule 'eth3d' has coords, unlike the first molecule (line 1)")):
+        load_dataset(data)

@@ -14,7 +14,8 @@ from pathmpnn.chem import detect_groups, ring_membership, substructure_path_feat
 from pathmpnn.geometry import DegenerateGeometryError, geometry_path_features
 from pathmpnn.gradchecks import TOLERANCE, full_model_gradcheck, probe_molecule
 from oracles import merge_batch
-from pathmpnn.model import (ConfigError, ModelConfig, PathGroup, attention_aggregate,
+from pathmpnn.model import (FEATURE_MODES, ConfigError, ModelConfig, PathGroup,
+                            attention_aggregate,
                             build_path_cache, featurize, forward, forward_base_mpnn,
                             forward_batched, init_params, message_path,
                             message_standard, node_update, set2set_readout_batched,
@@ -523,6 +524,24 @@ def test_one_gather_step_equals_per_column_form(task_mode, path_length, n_molecu
             continue
         scale = np.abs(want_grads[name]).max()
         assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12 * scale, name
+
+
+# a synthetic task whose molecules each feature mode can read
+MODE_TASKS = {"base": "alcohol-count", "substructure": "solubility",
+              "geometry": "dihedral-sum"}
+
+
+@given(mode=st.sampled_from(FEATURE_MODES), path_length=st.integers(1, 3),
+       n_molecules=st.integers(1, 4), seed=st.integers(0, 10_000))
+def test_tape_free_forward_equals_taped_forward(mode, path_length, n_molecules, seed):
+    # tolerance 0: the same numpy calls run on the same arrays
+    batch, config, params = random_batch(MODE_TASKS[mode], mode, path_length,
+                                         n_molecules, seed, 5)
+    taped = forward_batched(batch, params, config)
+    with T.no_grad():
+        free = forward_batched(batch, params, config)
+    assert taped.requires_grad and not free.requires_grad
+    assert np.array_equal(free.values, taped.values)
 
 
 def reachable_tape(loss):

@@ -94,6 +94,35 @@ def test_backward_rejects_non_scalar():
         T.backward(T.mul(x, x))
 
 
+def test_backward_rejects_a_loss_that_requires_no_gradient():
+    # before, backward ran nothing and left every gradient None, which
+    # adam_step treats as zero: a silent no-op step
+    x = T.Tensor(np.ones(3), requires_grad=True)
+    with T.no_grad():
+        loss = T.mul(x, x).sum()
+    with pytest.raises(ValueError, match="requires no gradient"):
+        T.backward(loss)
+    with pytest.raises(ValueError, match="requires no gradient"):
+        T.backward(T.mul(T.Tensor(np.ones(3)), 2.0).sum())
+    assert x.grad is None
+
+
+def test_no_grad_restores_the_flag_after_a_raise_and_after_nested_blocks():
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError
+    assert T.GRAD_ENABLED
+    with T.no_grad():
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError
+        assert not T.GRAD_ENABLED
+        with T.no_grad():
+            assert not T.GRAD_ENABLED
+        assert not T.GRAD_ENABLED
+    assert T.GRAD_ENABLED
+
+
 def test_linear_gradient_is_input():
     x = np.array([[1.0, 2.0, 3.0]])
     w = T.Tensor(np.zeros((3, 1)), requires_grad=True)

@@ -5,12 +5,14 @@ import pytest
 
 import pathmpnn.citation as cit
 import pathmpnn.tensor as T
-from pathmpnn.model import ConfigError, ModelConfig
+from pathmpnn.gradchecks import probe_molecule
+from pathmpnn.model import ConfigError, ModelConfig, featurize, forward_batched, init_params
+from pathmpnn.molgraph import build_graph
 from pathmpnn.synth import synth_alcohol_count, synth_citation
 from pathmpnn.citation import PathGCNConfig, init_gcn_params
-from pathmpnn.training import (TrainReport, TrainSettings, _l2_penalty, accuracy,
-                               constant_baseline_rmse, cross_entropy,
-                               evaluate_regression,
+from pathmpnn.training import (TrainReport, TrainSettings, _citation_logits, _l2_penalty,
+                               _step, accuracy, constant_baseline_rmse, cross_entropy,
+                               evaluate_regression, featurizer_from_records, predict_values,
                                load_report, load_reports, mae_metric,
                                percent_error_metric,
                                rmse_loss, rmse_metric, save_report,
@@ -304,3 +306,86 @@ def test_divergent_training_raises_naming_epoch_and_batch():
     with pytest.raises(FloatingPointError,
                        match=r"^training diverged: loss is nan at epoch 2, batch 0$"):
         train_node_classification(graph, PathGCNConfig(lr=1e300), epochs=5)
+
+
+@pytest.fixture
+def made_tensors(monkeypatch):
+    """Every tensor an op makes while the test runs, in order."""
+    made = []
+    make = T._make
+
+    def recording_make(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(T, "_make", recording_make)
+    return made
+
+
+def molecule_and_citation_losses():
+    """A geometry L3 molecular loss and a dropout path GCN loss with weight
+    decay, on parameters that require gradients: between them every op the
+    models use."""
+    graph = build_graph(*probe_molecule())
+    config = ModelConfig(hidden_dim=4, steps=2, path_length=3, feature_mode="geometry",
+                         set2set_steps=2, n_targets=2)
+    params = init_params(config, graph.node_dim, graph.edge_dim)
+    mol_loss = rmse_loss(forward_batched(featurize([graph], config), params, config),
+                         np.zeros((1, 2)))
+    cgraph = synth_citation(n_nodes=120, seed=0)
+    gcn = PathGCNConfig(hidden_dim=6, per_hop_budget=1, seed=2)
+    gparams = init_gcn_params(gcn, cgraph.features.shape[1], cgraph.n_classes)
+    rng = np.random.default_rng(0)
+    masks = tuple((rng.random(shape) < 0.5) / 0.5
+                  for shape in (cgraph.features.shape, (cgraph.n, gcn.hidden_dim)))
+    logits = cit.path_gcn_forward(cgraph, cit.normalize_adjacency(cgraph), gparams,
+                                  cit.sample_citation_paths(cgraph, gcn, rng), masks)
+    cit_loss = cross_entropy(logits, cgraph.labels, cgraph.train_idx) + _l2_penalty(
+        gparams, 5e-4)
+    return mol_loss, cit_loss
+
+
+def test_no_grad_forwards_keep_no_tape(made_tensors):
+    with T.no_grad():
+        losses = molecule_and_citation_losses()
+    assert len(made_tensors) > 100
+    for t in made_tensors:
+        assert not t.requires_grad and t._parents == () and t._backward_fn is None
+    made_tensors.clear()
+    losses = molecule_and_citation_losses()
+    assert all(t.requires_grad and t._backward_fn is not None for t in losses)
+
+
+def alcohol_model():
+    """20 alcohol-count molecules and an untrained substructure model."""
+    records = synth_alcohol_count(20, seed=0)
+    featurizer = featurizer_from_records(records)
+    graphs = [build_graph(r, featurizer) for r in records]
+    config = ModelConfig(hidden_dim=4, path_length=2, feature_mode="substructure")
+    return records, featurizer, graphs, config, init_params(config, graphs[0].node_dim,
+                                                            graphs[0].edge_dim)
+
+
+def test_evaluation_forwards_record_no_tape(made_tensors):
+    records, featurizer, graphs, config, params = alcohol_model()
+    predict_values(featurize(graphs, config), params, config, 0.0, 1.0, chunk=8)
+    evaluate_regression(records, params, config, featurizer, [0.0], [1.0])
+    graph = synth_citation(n_nodes=120, seed=0)
+    gcn = PathGCNConfig(hidden_dim=6, per_hop_budget=1, eval_samples=3, seed=2)
+    gparams = init_gcn_params(gcn, graph.features.shape[1], graph.n_classes)
+    adj = cit.normalize_adjacency(graph)
+    paths = cit.sample_citation_paths(graph, gcn, np.random.default_rng(0))
+    _citation_logits(graph, adj, gparams, gcn, paths)
+    _citation_logits(graph, adj, gparams, gcn, paths, np.random.default_rng(1))
+    assert made_tensors and not any(t.requires_grad for t in made_tensors)
+
+
+def test_step_after_tape_free_predictions_fills_every_gradient():
+    _, _, graphs, config, params = alcohol_model()
+    batch = featurize(graphs, config)
+    predict_values(batch, params, config, 0.0, 1.0)
+    targets = np.array([g.targets for g in graphs])
+    _step(params, T.AdamState(params), 1e-3,
+          lambda: rmse_loss(forward_batched(batch, params, config), targets), 1, 0)
+    for name, t in params.items():
+        assert t.grad is not None and np.any(t.grad != 0), name
