@@ -96,6 +96,11 @@ def op_gradchecks(seed: int = 0) -> dict[str, float]:
     run("dense_no_bias", {"c1": c1, "c2": c2, "w7": w7},
         lambda: T.dense([c1, c2, const], w7))
     run("reshape", {"c2": c2}, lambda: T.reshape(c2, (2, 6)))
+    # the fused readout ops: weights one per row, q rows gathered unsorted
+    weights, q = param((5, 1)), param((3, 4))
+    run("segment_weighted_sum", {"weights": weights, "x": x},
+        lambda: T.segment_weighted_sum(weights, x, seg_ids, 4))
+    run("row_dot", {"x": x, "q": q}, lambda: T.row_dot(x, q, np.array([2, 0, 2, 1, 0])))
     return results
 
 

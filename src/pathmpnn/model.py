@@ -23,8 +23,8 @@ from . import chem, geometry
 from .geometry import DegenerateGeometryError
 from .paths import PathExplosionError, csr_adjacency, enumerate_paths
 from .tensor import (Tensor, concat, dense, gather_rows, leaky_relu, lstm_cell,
-                     lstm_weights, mul, reduce_sum, relu, reshape,
-                     segment_softmax, segment_sum, sigmoid, glorot, zeros)
+                     lstm_weights, relu, reshape, row_dot, segment_softmax,
+                     segment_weighted_sum, sigmoid, glorot, zeros)
 
 FEATURE_MODES = ("base", "substructure", "geometry")
 
@@ -190,7 +190,7 @@ def attention_aggregate(h, messages, root_ids, n, attn_params, slope=0.2):
     scores = leaky_relu(dense([gather_rows(h, root_ids), messages], attn_params),
                         slope=slope)
     weights = segment_softmax(scores, root_ids, n)
-    return segment_sum(mul(weights, messages), root_ids, n)
+    return segment_weighted_sum(weights, messages, root_ids, n)
 
 
 def node_update(h, m, W, b):
@@ -287,9 +287,8 @@ def set2set_readout_batched(h, x, graph_ids, n_graphs, params, steps: int):
     r = Tensor(np.zeros((n_graphs, d)))
     for _ in range(steps):
         q, c = lstm_cell([q, r], (q, c), lstm_W, lstm_b)
-        scores = reduce_sum(mul(mem, gather_rows(q, graph_ids)), axis=1, keepdims=True)
-        attention = segment_softmax(scores, graph_ids, n_graphs)
-        r = segment_sum(mul(attention, mem), graph_ids, n_graphs)
+        attention = segment_softmax(row_dot(mem, q, graph_ids), graph_ids, n_graphs)
+        r = segment_weighted_sum(attention, mem, graph_ids, n_graphs)
     return concat([q, r], axis=1)
 
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+from itertools import accumulate
 
 import numpy as np
 
@@ -136,17 +137,26 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+_COLUMN_SCATTER_MAX_WIDTH = 8   # measured: per-column bincounts win up to 8 columns
+
+
 def _scatter_rows(ids, values, n: int):
-    """Sum the rows of `values` into `n` rows by id. One weighted bincount
-    over the (id, column) bins adds each bin's entries in input order, as
-    an unbuffered scatter-add does, so the sums are bit-identical to one
-    and several times faster."""
+    """Sum the rows of `values` into `n` rows by id. Up to
+    _COLUMN_SCATTER_MAX_WIDTH columns, one bincount per column; wider rows,
+    one bincount over the (id, column) bins. Either adds each bin's entries
+    in input order, as an unbuffered scatter-add does, so the sums are
+    bit-identical to one and several times faster."""
     row_shape = values.shape[ids.ndim:]
     width = math.prod(row_shape)
     bins = ids.reshape(-1)
-    if width != 1:
+    flat = values.reshape(len(bins), width)
+    if width <= _COLUMN_SCATTER_MAX_WIDTH:
+        out = np.empty((n, width))
+        for j in range(width):
+            out[:, j] = np.bincount(bins, weights=flat[:, j], minlength=n)
+    else:
         bins = ((bins * width)[:, None] + np.arange(width)).reshape(-1)
-    out = np.bincount(bins, weights=values.reshape(-1), minlength=n * width)
+        out = np.bincount(bins, weights=flat.reshape(-1), minlength=n * width)
     return out.astype(np.float64, copy=False).reshape((n,) + row_shape)   # int if empty
 
 
@@ -225,8 +235,7 @@ def concat(tensors, axis=0):
     if not tensors:
         raise ShapeError("concat of zero tensors")
     out_values = np.concatenate([t.values for t in tensors], axis=axis)
-    sizes = [t.values.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(accumulate((t.values.shape[axis] for t in tensors), initial=0))
 
     def backward_fn(g):
         for t, lo, hi in zip(tensors, offsets, offsets[1:]):
@@ -256,8 +265,7 @@ def dense(parts, W, b=None):
         b = as_tensor(b)
         out_values = out_values + b.values
         parents.append(b)
-    sizes = [p.values.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(accumulate((p.values.shape[1] for p in parts), initial=0))
 
     def backward_fn(g):
         if any(p.requires_grad for p in parts):
@@ -413,6 +421,48 @@ def segment_sum(a, segment_ids, num_segments: int):
     return _make(out_values, (a,), backward_fn, "segment_sum")
 
 
+def segment_weighted_sum(weights, values, segment_ids, num_segments: int):
+    """segment_sum(mul(weights, values), ...) as one op: the rows of
+    weights * values (weights broadcast, e.g. one per row) summed per
+    segment. The backward does the two ops' arithmetic, so values and
+    gradients are bit-identical to the composed form."""
+    w, v = as_tensor(weights), as_tensor(values)
+    ids = np.asarray(segment_ids, dtype=np.int64)
+    if ids.shape[0] != v.values.shape[0]:
+        raise ShapeError(
+            f"segment_weighted_sum: {v.values.shape[0]} rows vs {ids.shape[0]} segment ids")
+    out_values = _scatter_rows(ids, w.values * v.values, num_segments)
+
+    def backward_fn(g):
+        g = g[ids]
+        if w.requires_grad:
+            _accumulate(w, _unbroadcast(g * v.values, w.values.shape))
+        if v.requires_grad:
+            _accumulate(v, _unbroadcast(g * w.values, v.values.shape))
+
+    return _make(out_values, (w, v), backward_fn, "segment_weighted_sum")
+
+
+def row_dot(a, q, indices):
+    """Row i of `a` dotted with row indices[i] of `q`, shape (P, 1): the
+    composed reduce_sum(mul(a, gather_rows(q, indices)), axis=1,
+    keepdims=True) as one op, with the same arithmetic forward and back."""
+    a, q = as_tensor(a), as_tensor(q)
+    idx = np.asarray(indices, dtype=np.int64)
+    gathered = q.values[idx]
+    if gathered.shape != a.values.shape:
+        raise ShapeError(f"row_dot: rows {a.values.shape} vs gathered rows {gathered.shape}")
+    out_values = (a.values * gathered).sum(axis=1, keepdims=True)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            _accumulate(a, g * gathered)
+        if q.requires_grad:
+            _accumulate(q, _scatter_rows(idx, g * a.values, q.values.shape[0]))
+
+    return _make(out_values, (a, q), backward_fn, "row_dot")
+
+
 def segment_softmax(scores, segment_ids, num_segments: int):
     """Softmax within each segment, as one op. Scores are (P, ...) with one
     weight per row; the max shift per segment is treated as a constant,
@@ -506,37 +556,87 @@ def backward(loss: Tensor):
 
 
 def zero_grad(params):
+    """Zero every gradient in place, so a packed parameter's gradient stays
+    a view of its AdamState's buffer; a gradient never set stays None."""
     for t in params.values():
-        t.grad = None
+        if t.grad is not None:
+            t.grad.fill(0.0)
 
 
 # -- optimizer -----------------------------------------------------------
 
+_ADAM_CHUNK = 32768   # numbers per pass: a chunk's temporaries stay in cache
+
+
 class AdamState:
+    """Adam's moments over the parameters packed into one flat buffer.
+
+    Packing copies each parameter's values, and any gradient it already
+    has, into the flat `values` and `grads` buffers and rebinds t.values
+    and t.grad to reshaped views of them, in dict order. From then on the
+    parameters must be updated in place, never rebound: adam_step refuses
+    a parameter whose values or gradient no longer views the buffers."""
+
     def __init__(self, params):
-        self.m = {k: np.zeros_like(t.values) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.values) for k, t in params.items()}
+        sizes = [t.values.size for t in params.values()]
+        total = sum(sizes)
+        self.values, self.grads = np.empty(total), np.zeros(total)
+        self.m, self.v = np.zeros(total), np.zeros(total)
         self.t = 0
+        self.views = {}
+        for (name, t), lo in zip(params.items(), accumulate(sizes, initial=0)):
+            shape, hi = t.values.shape, lo + t.values.size
+            self.values[lo:hi] = t.values.reshape(-1)
+            if t.grad is not None:
+                self.grads[lo:hi] = t.grad.reshape(-1)
+            t.values = self.values[lo:hi].reshape(shape)
+            t.grad = self.grads[lo:hi].reshape(shape)
+            self.views[name] = (t.values, t.grad)
+        # per chunk: views of the four buffers and of a preallocated scratch pair
+        scratch = np.empty((2, min(total, _ADAM_CHUNK)))
+        self.chunks = []
+        for lo in range(0, total, _ADAM_CHUNK):
+            part, size = slice(lo, lo + _ADAM_CHUNK), min(_ADAM_CHUNK, total - lo)
+            self.chunks.append((self.values[part], self.grads[part], self.m[part],
+                                self.v[part], scratch[0, :size], scratch[1, :size]))
+
+    def check_views(self, params):
+        """Raise ValueError naming a parameter that is not the state's, or
+        whose values or gradient was rebound after packing."""
+        if len(params) != len(self.views):
+            raise ValueError(f"AdamState packs {len(self.views)} parameters, got {len(params)}")
+        for name, t in params.items():
+            values, grad = self.views.get(name, (None, None))
+            if t.values is not values or t.grad is not grad:
+                raise ValueError(f"parameter {name}: values or gradient no longer views "
+                                 "the AdamState buffers (rebound after packing)")
 
 
 def adam_step(params, state: AdamState, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
-    """In-place Adam update with bias correction. Missing gradients are
-    treated as zero."""
+    """In-place Adam update with bias correction over the packed buffers, in
+    chunks, every temporary written into the state's scratch. The
+    elementwise operations and their order are those of the per-tensor
+    update, so the result is bit-identical to it."""
+    state.check_views(params)
     b1, b2 = betas
     state.t += 1
     correct1 = 1.0 - b1 ** state.t
     correct2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.values)
-        m = state.m[name]
-        v = state.v[name]
+    for p, g, m, v, a, b in state.chunks:
         m *= b1
-        m += (1 - b1) * g
+        np.multiply(g, 1 - b1, out=a)
+        m += a
         v *= b2
-        v += (1 - b2) * g * g
-        p.values -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+        np.multiply(g, 1 - b2, out=a)
+        a *= g
+        v += a
+        np.divide(m, correct1, out=a)
+        a *= lr
+        np.divide(v, correct2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
 
 
 # -- parameter checkpoints ------------------------------------------------

@@ -104,29 +104,34 @@ def _step(params, state, lr, loss_fn, epoch: int, batch: int) -> float:
         raise FloatingPointError(
             f"training diverged: loss is {value} at epoch {epoch}, batch {batch}")
     backward(loss)
+    if not np.isfinite(state.grads.sum()):   # one pass; inf - inf and nan stay non-finite
+        bad = [name for name, t in params.items() if not np.isfinite(t.grad).all()]
+        if bad:   # else only the sum of finite entries overflowed
+            raise FloatingPointError(f"training diverged: the gradient of {bad[0]} is not "
+                                     f"finite at epoch {epoch}, batch {batch}")
     adam_step(params, state, lr=lr)
     return value
 
 
-def _fit(params, epochs: int, patience: int, run_epoch):
+def _fit(state: AdamState, epochs: int, patience: int, run_epoch):
     """Run run_epoch(epoch) -> (entry, score) until patience epochs in a row
     fail to lower the best score by 1e-12, then restore the best epoch's
-    parameters. Returns the entries and the best score (inf if none ran)."""
+    parameters into the packed buffer, in place. Returns the entries and the
+    best score (inf if none ran)."""
     entries = []
-    best, best_params, since_best = np.inf, None, 0
+    best, best_values, since_best = np.inf, None, 0
     for epoch in range(1, epochs + 1):
         entry, score = run_epoch(epoch)
         entries.append(entry)
         if score < best - 1e-12:
             best, since_best = score, 0
-            best_params = {k: t.values.copy() for k, t in params.items()}
+            best_values = state.values.copy()
         else:
             since_best += 1
             if since_best >= patience:
                 break
-    if best_params is not None:
-        for k, t in params.items():
-            t.values = best_params[k]
+    if best_values is not None:
+        state.values[:] = best_values
     return entries, best
 
 
@@ -296,7 +301,7 @@ def train_regression(records, config: mdl.ModelConfig,
                 "val_metric": val_metric}, val_metric
 
     report = TrainReport(seed=config.seed, config=asdict(config))
-    report.epochs, best_val = _fit(params, settings.epochs, settings.patience, run_epoch)
+    report.epochs, best_val = _fit(state, settings.epochs, settings.patience, run_epoch)
     test_pred = predict_values(test_batch, params, config, mean, std)
     report.final = {
         "val_metric_best": best_val,
@@ -400,7 +405,7 @@ def train_node_classification(graph: cit.CitationGraph,
                 "train_accuracy": train_acc, "val_metric": val_acc}, -val_acc
 
     report = TrainReport(seed=config.seed, config=asdict(config))
-    report.epochs, best = _fit(params, epochs, patience, run_epoch)
+    report.epochs, best = _fit(state, epochs, patience, run_epoch)
     eval_logits = _citation_logits(graph, adj, params, config, eval_paths,
                                    np.random.default_rng(eval_rng_seed))
     report.final = {

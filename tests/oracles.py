@@ -1,6 +1,6 @@
 """Reference forms for the property tests: the per-op forms that the
 library's fused ops replaced, built from the primitive ops (or plain numpy),
-and the per-graph batch merge."""
+the per-tensor Adam step and the per-graph batch merge."""
 
 import numpy as np
 
@@ -34,6 +34,45 @@ def composed_segment_softmax(scores, segment_ids, num_segments):
     shifted = T.exp(T.sub(scores, T.Tensor(seg_max[ids])))
     denom = T.segment_sum(shifted, ids, num_segments)
     return T.div(shifted, T.gather_rows(denom, ids))
+
+
+def composed_segment_weighted_sum(weights, values, segment_ids, num_segments):
+    """mul, then segment_sum: two tape nodes."""
+    return T.segment_sum(T.mul(weights, values), segment_ids, num_segments)
+
+
+def composed_row_dot(a, q, indices):
+    """gather_rows, mul, then reduce_sum over the columns: three tape nodes."""
+    return T.reduce_sum(T.mul(a, T.gather_rows(q, indices)), axis=1, keepdims=True)
+
+
+class PerTensorAdam:
+    """Adam's moments as one pair of arrays per parameter tensor."""
+
+    def __init__(self, params):
+        self.m = {k: np.zeros_like(t.values) for k, t in params.items()}
+        self.v = {k: np.zeros_like(t.values) for k, t in params.items()}
+        self.t = 0
+
+
+def per_tensor_adam_step(params, state, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    """In-place Adam update with bias correction, about ten numpy ops per
+    tensor; a missing gradient is treated as zero."""
+    b1, b2 = betas
+    state.t += 1
+    correct1 = 1.0 - b1 ** state.t
+    correct2 = 1.0 - b2 ** state.t
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            g = np.zeros_like(p.values)
+        m = state.m[name]
+        v = state.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        p.values -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
 
 
 def per_gate_lstm_cell(x, state, params, prefix="lstm"):

@@ -149,7 +149,7 @@ def test_one_matmul_layer_equals_per_position_form(layer):
         h = Tensor(h_values, requires_grad=layer == "2")
         out = layer_fn(h, adj, params, layer, paths, g.n)
         T.backward(T.mul(out, probe).sum())
-        grads = {name: t.grad for name, t in params.items()
+        grads = {name: t.grad.copy() for name, t in params.items()   # zeroed in place next run
                  if name.split(".")[0].endswith(layer)}
         return out.values, grads, h.grad
 

@@ -515,7 +515,9 @@ def test_one_gather_step_equals_per_column_form(task_mode, path_length, n_molecu
         T.zero_grad(inputs)
         out = step(h, batch.cache, params, config, 1)
         T.backward(T.mul(out, probe).sum())
-        results.append((out.values, {k: t.grad for k, t in inputs.items()}))
+        # copies: zero_grad zeroes the gradients in place before the next form
+        results.append((out.values, {k: (t.grad.copy() if t.grad is not None else None)
+                                     for k, t in inputs.items()}))
     (got, got_grads), (want, want_grads) = results
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     for name in inputs:

@@ -51,11 +51,13 @@ def test_segment_sum_permutation_covariant(seed):
 
 
 @given(rows=st.integers(0, 12), segments=st.integers(1, 6),
-       width=st.sampled_from([None, 0, 1, 3]), view=st.booleans(),
-       seed=st.integers(0, 10_000))
+       width=st.sampled_from([None, 0, 1, 3, T._COLUMN_SCATTER_MAX_WIDTH,
+                              T._COLUMN_SCATTER_MAX_WIDTH + 1, 16]),
+       view=st.booleans(), seed=st.integers(0, 10_000))
 def test_scatter_equals_add_at_exactly(rows, segments, width, view, seed):
-    # tolerance 0: one bincount per column adds rows in input order, as
-    # np.add.at does. Ids are unsorted and repeat, and some segments stay
+    # tolerance 0 on both sides of the width threshold: one bincount per
+    # column, and one over (id, column) bins, each add rows in input order,
+    # as np.add.at does. Ids are unsorted and repeat, and some segments stay
     # empty; width None is 1-D values, and a view is a non-contiguous block
     # of columns, as T.columns makes.
     rng = np.random.default_rng(seed)
@@ -215,6 +217,81 @@ def test_adam_deterministic_bit_identical():
 
     a, b = run(), run()
     assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+@pytest.mark.parametrize("size", ["molecular", "citation"])
+def test_flat_adam_equals_per_tensor_adam_exactly(size):
+    # tolerance 0 over 50 random steps: the flat step runs the per-tensor
+    # step's elementwise ops in its order. The citation model's 138,263
+    # numbers cross chunk boundaries; the molecular one has 36 tensors.
+    from pathmpnn.citation import PathGCNConfig, init_gcn_params
+    from pathmpnn.model import ModelConfig, init_params
+    if size == "molecular":
+        model = init_params(ModelConfig(hidden_dim=12, path_length=3, feature_mode="geometry"),
+                            3, 5)
+    else:
+        model = init_gcn_params(PathGCNConfig(hidden_dim=16, path_length=3, per_hop_budget=1),
+                                1433, 7)
+    rng = np.random.default_rng(3)
+    params = {k: T.Tensor(rng.normal(size=t.values.shape), requires_grad=True)
+              for k, t in model.items()}
+    twins = {k: T.Tensor(t.values.copy(), requires_grad=True) for k, t in params.items()}
+    oracle_state = oracles.PerTensorAdam(twins)
+    state = T.AdamState(params)
+    assert state.values.size == (6361 if size == "molecular" else 138_263)
+    assert len(state.chunks) == -(-state.values.size // T._ADAM_CHUNK)
+    for step in range(50):
+        scale = 10.0 ** rng.integers(-6, 3)
+        for name, t in params.items():
+            g = scale * rng.normal(size=t.values.shape)
+            g[rng.random(size=g.shape) < 0.1] = 0.0
+            t.grad[...] = g
+            twins[name].grad = g.copy()
+        T.adam_step(params, state, lr=1e-3 * (1 + step % 3))
+        oracles.per_tensor_adam_step(twins, oracle_state, lr=1e-3 * (1 + step % 3))
+    for name in params:
+        assert np.array_equal(params[name].values, twins[name].values), name
+    assert np.array_equal(state.m, np.concatenate([m.reshape(-1) for m in oracle_state.m.values()]))
+    assert np.array_equal(state.v, np.concatenate([v.reshape(-1) for v in oracle_state.v.values()]))
+
+
+def test_adam_state_packs_values_and_gradients_into_views():
+    params = {"W": T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
+              "b": T.Tensor(np.array([7.0]), requires_grad=True)}
+    params["W"].grad = np.full((2, 3), 0.5)
+    state = T.AdamState(params)
+    assert np.array_equal(state.values, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+    assert np.array_equal(state.grads, [0.5] * 6 + [0.0])
+    for t in params.values():
+        assert np.shares_memory(t.values, state.values)
+        assert np.shares_memory(t.grad, state.grads)
+    params["b"].values += 1.0   # in place: still the buffer
+    assert state.values[-1] == 8.0
+    T.zero_grad(params)         # in place: the gradient stays a view
+    assert not state.grads.any()
+    T.adam_step(params, state)
+
+
+@pytest.mark.parametrize("field", ["values", "grad"])
+def test_adam_step_refuses_a_parameter_rebound_after_packing(field):
+    # a rebound tensor no longer views the buffers, so every later step
+    # would silently leave it alone
+    params = {"a": T.Tensor(np.ones(2), requires_grad=True),
+              "b": T.Tensor(np.ones(3), requires_grad=True)}
+    state = T.AdamState(params)
+    setattr(params["b"], field, np.ones(3))
+    with pytest.raises(ValueError, match="parameter b: values or gradient no longer views"):
+        T.adam_step(params, state)
+    assert state.t == 0 and np.array_equal(state.values, np.ones(5))
+
+
+def test_adam_step_refuses_parameters_it_did_not_pack():
+    params = {"a": T.Tensor(np.ones(2), requires_grad=True)}
+    state = T.AdamState(params)
+    with pytest.raises(ValueError, match="packs 1 parameters, got 2"):
+        T.adam_step(params | {"c": T.Tensor(np.ones(1), requires_grad=True)}, state)
+    with pytest.raises(ValueError, match="parameter c"):
+        T.adam_step({"c": T.Tensor(np.ones(1), requires_grad=True)}, state)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -379,3 +456,68 @@ def test_reshape_round_trips_values_and_gradient():
     assert np.array_equal(out.values, np.arange(12.0).reshape(2, 6))
     T.backward(T.mul(out, T.Tensor(np.arange(12.0).reshape(2, 6))).sum())
     assert np.array_equal(x.grad, np.arange(12.0).reshape(3, 4))
+
+
+ONE_OR_BOTH = [(True, True), (True, False), (False, True)]   # of two inputs, needing gradients
+
+
+@given(rows=st.integers(0, 10), segments=st.integers(1, 5), width=st.integers(1, 4),
+       per_row=st.booleans(), needs_grad=st.sampled_from(ONE_OR_BOTH),
+       seed=st.integers(0, 10_000))
+def test_segment_weighted_sum_equals_composed_form_exactly(rows, segments, width, per_row,
+                                                           needs_grad, seed):
+    # tolerance 0, forward and both gradients: the fused backward does
+    # mul's and segment_sum's arithmetic. Weights are one per row (as the
+    # attention weights are) or one per entry; unsorted ids, empty segments.
+    rng = np.random.default_rng(seed)
+    w = T.Tensor(rng.normal(size=(rows, 1 if per_row else width)), requires_grad=needs_grad[0])
+    v = T.Tensor(rng.normal(size=(rows, width)), requires_grad=needs_grad[1])
+    ids = rng.integers(0, segments, size=rows)
+    probe = T.Tensor(rng.normal(size=(segments, width)))
+    inputs = {"w": w, "v": v}
+    fused, fused_grads = _grads(lambda: T.segment_weighted_sum(w, v, ids, segments),
+                                inputs, probe)
+    composed, composed_grads = _grads(
+        lambda: oracles.composed_segment_weighted_sum(w, v, ids, segments), inputs, probe)
+    assert np.array_equal(fused, composed)
+    for name, t in inputs.items():
+        if not t.requires_grad:
+            assert fused_grads[name] is None and composed_grads[name] is None
+        else:
+            assert np.array_equal(fused_grads[name], composed_grads[name]), name
+
+
+@given(rows=st.integers(0, 10), q_rows=st.integers(1, 4), width=st.integers(1, 5),
+       needs_grad=st.sampled_from(ONE_OR_BOTH),
+       seed=st.integers(0, 10_000))
+def test_row_dot_equals_composed_form_exactly(rows, q_rows, width, needs_grad, seed):
+    # tolerance 0, forward and both gradients; q's rows are gathered
+    # unsorted and repeated, and some are never read
+    rng = np.random.default_rng(seed)
+    a = T.Tensor(rng.normal(size=(rows, width)), requires_grad=needs_grad[0])
+    q = T.Tensor(rng.normal(size=(q_rows, width)), requires_grad=needs_grad[1])
+    ids = rng.integers(0, q_rows, size=rows)
+    probe = T.Tensor(rng.normal(size=(rows, 1)))
+    inputs = {"a": a, "q": q}
+    fused, fused_grads = _grads(lambda: T.row_dot(a, q, ids), inputs, probe)
+    composed, composed_grads = _grads(lambda: oracles.composed_row_dot(a, q, ids),
+                                      inputs, probe)
+    assert fused.shape == (rows, 1) and np.array_equal(fused, composed)
+    for name, t in inputs.items():
+        if not t.requires_grad:
+            assert fused_grads[name] is None and composed_grads[name] is None
+        else:
+            assert np.array_equal(fused_grads[name], composed_grads[name]), name
+
+
+def test_fused_readout_ops_are_gradchecked():
+    errors = op_gradchecks(seed=0)
+    for op in ("segment_weighted_sum", "row_dot"):
+        assert errors[op] < TOLERANCE, (op, errors[op])
+
+
+def test_fused_readout_ops_reject_mismatched_rows():
+    with pytest.raises(T.ShapeError, match="3 rows vs 2 segment ids"):
+        T.segment_weighted_sum(np.ones((3, 1)), np.ones((3, 2)), [0, 1], 2)
+    with pytest.raises(T.ShapeError, match="row_dot"):
+        T.row_dot(np.ones((2, 3)), np.ones((4, 2)), [0, 1])

@@ -10,8 +10,8 @@ from pathmpnn.model import ConfigError, ModelConfig, featurize, forward_batched,
 from pathmpnn.molgraph import build_graph
 from pathmpnn.synth import synth_alcohol_count, synth_citation
 from pathmpnn.citation import PathGCNConfig, init_gcn_params
-from pathmpnn.training import (TrainReport, TrainSettings, _citation_logits, _l2_penalty,
-                               _step, accuracy, constant_baseline_rmse, cross_entropy,
+from pathmpnn.training import (TrainReport, TrainSettings, _citation_logits, _fit,
+                               _l2_penalty, _step, accuracy, constant_baseline_rmse, cross_entropy,
                                evaluate_regression, featurizer_from_records, predict_values,
                                load_report, load_reports, mae_metric,
                                percent_error_metric,
@@ -306,6 +306,52 @@ def test_divergent_training_raises_naming_epoch_and_batch():
     with pytest.raises(FloatingPointError,
                        match=r"^training diverged: loss is nan at epoch 2, batch 0$"):
         train_node_classification(graph, PathGCNConfig(lr=1e300), epochs=5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gradient_raises_before_the_step_naming_epoch_and_batch():
+    # an exact fit: the loss sqrt(0) = 0 is finite, but sqrt's backward
+    # divides by 0, so the gradient is nan; the step would make it the
+    # parameters
+    params = {"b": T.Tensor(np.zeros(1), requires_grad=True),
+              "w": T.Tensor(np.array([1.0, -2.0]), requires_grad=True)}
+    state = T.AdamState(params)
+    with pytest.raises(FloatingPointError, match=r"^training diverged: the gradient of w "
+                                                 r"is not finite at epoch 4, batch 2$"):
+        _step(params, state, 1e-3, lambda: rmse_loss(params["w"], np.array([1.0, -2.0])), 4, 2)
+    assert params["w"].values.tolist() == [1.0, -2.0] and state.t == 0
+
+
+def test_fit_restores_the_best_epoch_in_place():
+    # the parameters must still view the packed buffer afterwards, or every
+    # later step would leave them alone
+    params = {"a": T.Tensor(np.zeros((2, 2)), requires_grad=True),
+              "b": T.Tensor(np.zeros(3), requires_grad=True)}
+    state = T.AdamState(params)
+    snapshots = []
+
+    def run_epoch(epoch):
+        for t in params.values():
+            t.values += epoch
+        snapshots.append(state.values.copy())
+        return {"epoch": epoch}, [3.0, 1.0, 2.0, 2.5, 4.0][epoch - 1]
+
+    entries, best = _fit(state, 5, 2, run_epoch)
+    assert best == 1.0 and len(entries) == 4
+    assert np.array_equal(state.values, snapshots[1])
+    assert params["b"].values.tolist() == [3.0] * 3
+    state.check_views(params)
+    T.adam_step(params, state)
+
+
+def test_trained_parameters_still_view_one_buffer():
+    graph = synth_citation(n_nodes=120, seed=3)
+    result = train_node_classification(graph, PathGCNConfig(hidden_dim=8, per_hop_budget=1,
+                                                            seed=5), epochs=12, patience=2)
+    assert len(result.report.epochs) < 12   # stopped early and restored an earlier epoch
+    base = next(iter(result.params.values())).values.base
+    assert base is not None and all(t.values.base is base for t in result.params.values())
+    assert base.size == sum(t.values.size for t in result.params.values())
 
 
 @pytest.fixture
