@@ -140,13 +140,41 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _regression_metadata(path, meta):
+    """A regression checkpoint's metadata, checked once: (model config,
+    featurizer, target mean, target std). Raises CheckpointError naming the
+    file and the field that is missing or of the wrong type."""
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata: expected a JSON object, got "
+                              f"{json.dumps(meta)}")
+    if meta.get("task") != "regression":
+        raise ConfigError(f"{path}: not a regression checkpoint")
+
+    def field(name, valid, expected):
+        if name not in meta:
+            raise CheckpointError(f"{path}: {name}: missing from the metadata")
+        if not valid(meta[name]):
+            raise CheckpointError(f"{path}: {name}: expected {expected}, got "
+                                  f"{json.dumps(meta[name])}")
+        return meta[name]
+
+    model = field("model", lambda v: isinstance(v, dict), "a JSON object")
+    model_config = model_config_from_dict(model, f"{path}: model")
+    vocab = field("element_vocab", lambda v: isinstance(v, list) and all(
+        isinstance(el, str) for el in v), "a list of strings")
+    explicit_h = field("explicit_hydrogens", lambda v: isinstance(v, bool), "a boolean")
+    n = model_config.n_targets
+    stats = [np.asarray(field(name, lambda v: isinstance(v, list) and len(v) == n
+                              and all(type(x) in (int, float) and np.isfinite(x) for x in v),
+                              f"a list of finite numbers, one per target ({n})"))
+             for name in ("target_mean", "target_std")]
+    return model_config, FeaturizerConfig(tuple(vocab), explicit_h), *stats
+
+
 def cmd_eval(args) -> int:
     params, meta = load_params(args.checkpoint)
-    if meta.get("task") != "regression":
-        raise ConfigError(f"{args.checkpoint}: not a regression checkpoint")
-    model_config = model_config_from_dict(meta["model"], f"{args.checkpoint}: model")
-    featurizer = FeaturizerConfig(tuple(meta["element_vocab"]),
-                                  meta["explicit_hydrogens"])
+    model_config, featurizer, target_mean, target_std = _regression_metadata(
+        args.checkpoint, meta)
     dataset = load_dataset(args.input, featurizer.explicit_hydrogens)
     # the shapes training gives: edge width from the first molecule's coords
     with_coords = bool(dataset.records) and dataset.records[0].coords is not None
@@ -158,8 +186,7 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"{args.checkpoint}: parameter {name}: {got} in the "
                               f"checkpoint, {want} for its model config and input")
     metrics = evaluate_regression(dataset.records, params, model_config,
-                                  featurizer, np.asarray(meta["target_mean"]),
-                                  np.asarray(meta["target_std"]))
+                                  featurizer, target_mean, target_std)
     print(json.dumps(metrics))
     return 0
 

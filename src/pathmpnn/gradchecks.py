@@ -101,6 +101,27 @@ def op_gradchecks(seed: int = 0) -> dict[str, float]:
     run("segment_weighted_sum", {"weights": weights, "x": x},
         lambda: T.segment_weighted_sum(weights, x, seg_ids, 4))
     run("row_dot", {"x": x, "q": q}, lambda: T.row_dot(x, q, np.array([2, 0, 2, 1, 0])))
+    # the one-node layer ops, drawn last: unsorted, repeated path nodes and
+    # roots, node 2 the root of no message
+    w6, b2 = param((6, 2)), param((2,))
+    for activation in ("relu", "sigmoid"):
+        run(f"dense_{activation}", {"c1": c1, "c2": c2, "w6": w6, "b2": b2},
+            lambda: T.dense([c1, c2], w6, b2, activation=activation))
+    h, paths = param((4, 3)), np.array([[3, 0, 1], [0, 3, 3], [2, 1, 0], [1, 1, 2], [3, 2, 0]])
+    static, w_msg, b3 = rng.normal(size=(5, 2)), param((11, 3)), param((3,))
+    run("path_message", {"h": h, "w_msg": w_msg, "b3": b3},
+        lambda: T.path_message(h, paths, static, w_msg, b3))
+    msgs, attn = param((6, 3)), param((6, 1))
+    roots = np.array([3, 0, 3, 1, 0, 3])
+    run("attention", {"h": h, "msgs": msgs, "attn": attn},
+        lambda: T.attention(h, msgs, roots, 4, attn))
+    q, r, c = param((2, d_h)), param((2, d_h)), param((2, d_h))
+
+    def lstm_state_out():
+        h_new, c_new = T.lstm_cell([q, r], (q, c), *T.lstm_weights(lstm))
+        return T.concat([h_new, c_new], axis=1)
+
+    run("lstm_cell_state", lstm | {"q": q, "r": r, "c": c}, lstm_state_out)
     return results
 
 

@@ -22,9 +22,9 @@ import numpy as np
 from . import chem, geometry
 from .geometry import DegenerateGeometryError
 from .paths import PathExplosionError, csr_adjacency, enumerate_paths
-from .tensor import (Tensor, concat, dense, gather_rows, leaky_relu, lstm_cell,
-                     lstm_weights, relu, reshape, row_dot, segment_softmax,
-                     segment_weighted_sum, sigmoid, glorot, zeros)
+from .tensor import (Tensor, attention, concat, dense, gather_rows, lstm_cell, lstm_weights,
+                     path_message, row_dot, segment_softmax, segment_weighted_sum, glorot,
+                     zeros)
 
 FEATURE_MODES = ("base", "substructure", "geometry")
 
@@ -173,42 +173,36 @@ def init_params(config: ModelConfig, node_dim: int, edge_dim: int,
 
 def message_standard(h_v, h_w, e_vw, W, b):
     """Dense relu message over concatenated node and edge features."""
-    return relu(dense([h_v, h_w, e_vw], W, b))
+    return dense([h_v, h_w, e_vw], W, b, activation="relu")
 
 
-def message_path(h_path, static, W, b):
-    """Dense relu message over the path's node states, root first, side by
-    side in one (P, (k+1)d) block, and the static path feature block. For
-    length-1 paths this is message_standard."""
-    return relu(dense([h_path, static], W, b))
+def message_path(h, paths, static, W, b):
+    """Dense relu message over each path's node states h[paths], root
+    first, side by side, and its static path feature row; one tape node.
+    For length-1 paths this is message_standard."""
+    return path_message(h, paths, static, W, b)
 
 
 def attention_aggregate(h, messages, root_ids, n, attn_params, slope=0.2):
     """Score each message against its root with the (2d, 1) attention
     vector attn_params, softmax within the root's message set, return the
-    weighted sums. Nodes with no messages get a zero vector."""
-    scores = leaky_relu(dense([gather_rows(h, root_ids), messages], attn_params),
-                        slope=slope)
-    weights = segment_softmax(scores, root_ids, n)
-    return segment_weighted_sum(weights, messages, root_ids, n)
+    weighted sums; one tape node. Nodes with no messages get a zero vector."""
+    return attention(h, messages, root_ids, n, attn_params, slope)
 
 
 def node_update(h, m, W, b):
-    return sigmoid(dense([h, m], W, b))
+    return dense([h, m], W, b, activation="sigmoid")
 
 
 def _propagate_step(h, cache: dict[int, PathGroup], params, config: ModelConfig, t: int):
-    n, d = h.values.shape
+    n = h.values.shape[0]
     msgs_parts, roots_parts = [], []
     for k in config.lengths():
         group = cache.get(k)
         if group is None:
             continue
-        # one gather of the whole (P, k+1) node table, rows laid side by side
-        h_path = reshape(gather_rows(h, group.paths), (len(group.paths), (k + 1) * d))
-        msg = message_path(h_path, Tensor(group.static),
-                           params[f"msg{t}.len{k}.W"], params[f"msg{t}.len{k}.b"])
-        msgs_parts.append(msg)
+        msgs_parts.append(message_path(h, group.paths, group.static,
+                                       params[f"msg{t}.len{k}.W"], params[f"msg{t}.len{k}.b"]))
         roots_parts.append(group.paths[:, 0])
 
     if not msgs_parts:
@@ -287,8 +281,8 @@ def set2set_readout_batched(h, x, graph_ids, n_graphs, params, steps: int):
     r = Tensor(np.zeros((n_graphs, d)))
     for _ in range(steps):
         q, c = lstm_cell([q, r], (q, c), lstm_W, lstm_b)
-        attention = segment_softmax(row_dot(mem, q, graph_ids), graph_ids, n_graphs)
-        r = segment_weighted_sum(attention, mem, graph_ids, n_graphs)
+        weights = segment_softmax(row_dot(mem, q, graph_ids), graph_ids, n_graphs)
+        r = segment_weighted_sum(weights, mem, graph_ids, n_graphs)
     return concat([q, r], axis=1)
 
 

@@ -248,36 +248,95 @@ def concat(tensors, axis=0):
     return _make(out_values, tensors, backward_fn, "concat")
 
 
-def dense(parts, W, b=None):
-    """concat(parts, axis=1) @ W (+ b) as one op. The backward does the
-    three ops' arithmetic: one g @ W.T sliced per part, x.T @ g and the
-    bias's column sums, so values and gradients are bit-identical to
-    add(matmul(concat(parts, axis=1), W), b)."""
-    parts = [as_tensor(p) for p in parts]
-    W = as_tensor(W)
-    x = (parts[0].values if len(parts) == 1
-         else np.concatenate([p.values for p in parts], axis=1))
+# -- shared formulas: each maps input values to (output values, a function
+#    from the output's gradient to the input's), for the ops below and for
+#    the fused layer ops that chain them ------------------------------------
+
+def _identity(x):
+    return x, lambda g: g
+
+
+def _relu(x):
+    mask = x > 0
+    return np.where(mask, x, 0.0), lambda g: g * mask
+
+
+def _leaky_relu(x, slope):
+    mask = x > 0
+    return np.where(mask, x, slope * x), lambda g: g * np.where(mask, 1.0, slope)
+
+
+def _sigmoid(x):
+    # exp of -|x| never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
+    pos = x >= 0
+    ez = np.exp(np.where(pos, -x, x))
+    out = np.where(pos, 1.0, ez) / (1.0 + ez)
+    return out, lambda g: g * out * (1.0 - out)
+
+
+def _tanh(x):
+    out = np.tanh(x)
+    return out, lambda g: g * (1.0 - out * out)
+
+
+def _segment_softmax(scores, ids, n: int):
+    """Softmax within each segment; the max shift per segment is treated as
+    a constant, which leaves the gradient exact: w * (g - segment_sum(w * g)
+    gathered back to the rows)."""
+    seg_max = np.full((n,) + scores.shape[1:], -np.inf)
+    np.maximum.at(seg_max, ids, scores)
+    seg_max[~np.isfinite(seg_max)] = 0.0  # empty segments
+    shifted = np.exp(scores - seg_max[ids])
+    out = shifted / _scatter_rows(ids, shifted, n)[ids]
+    return out, lambda g: out * (g - _scatter_rows(ids, out * g, n)[ids])
+
+
+_ACTIVATIONS = {None: _identity, "relu": _relu, "sigmoid": _sigmoid}
+
+
+def _dense_values(values, W: Tensor, b, op: str):
+    """The arrays `values` side by side as x, and x @ W (+ b)."""
+    x = values[0] if len(values) == 1 else np.concatenate(values, axis=1)
     if x.ndim != 2 or W.values.ndim != 2 or x.shape[1] != W.values.shape[0]:
-        raise ShapeError(f"dense: incompatible shapes {x.shape} and {W.values.shape}")
-    out_values = x @ W.values
-    parents = parts + [W]
-    if b is not None:
-        b = as_tensor(b)
-        out_values = out_values + b.values
-        parents.append(b)
-    offsets = list(accumulate((p.values.shape[1] for p in parts), initial=0))
+        raise ShapeError(f"{op}: incompatible shapes {x.shape} and {W.values.shape}")
+    out = x @ W.values
+    return x, (out if b is None else out + b.values)
+
+
+def _dense_param_grads(g, x, W: Tensor, b):
+    """A dense product's weight and bias gradients: x.T @ g and g's column sums."""
+    if W.requires_grad:
+        _accumulate(W, x.T @ g)
+    if b is not None and b.requires_grad:
+        _accumulate(b, _unbroadcast(g, b.values.shape))
+
+
+def _dense_backward(g, parts, x, W: Tensor, b):
+    """dense's backward: one g @ W.T sliced per part, then W's and b's."""
+    if any(p.requires_grad for p in parts):
+        gx = g @ W.values.T
+        offsets = list(accumulate((p.values.shape[1] for p in parts), initial=0))
+        for p, lo, hi in zip(parts, offsets, offsets[1:]):
+            if p.requires_grad:
+                _accumulate(p, gx[:, lo:hi])
+    _dense_param_grads(g, x, W, b)
+
+
+def dense(parts, W, b=None, activation=None):
+    """activation(concat(parts, axis=1) @ W (+ b)) as one op, the activation
+    None, "relu" or "sigmoid". The backward does the composed ops'
+    arithmetic: the activation's gradient, one g @ W.T sliced per part,
+    x.T @ g and the bias's column sums, so values and gradients are
+    bit-identical to activation(add(matmul(concat(parts, axis=1), W), b))."""
+    parts = [as_tensor(p) for p in parts]
+    W, b = as_tensor(W), (None if b is None else as_tensor(b))
+    x, pre = _dense_values([p.values for p in parts], W, b, "dense")
+    out_values, activation_grad = _ACTIVATIONS[activation](pre)
 
     def backward_fn(g):
-        if any(p.requires_grad for p in parts):
-            gx = g @ W.values.T
-            for p, lo, hi in zip(parts, offsets, offsets[1:]):
-                if p.requires_grad:
-                    _accumulate(p, gx[:, lo:hi])
-        if W.requires_grad:
-            _accumulate(W, x.T @ g)
-        if b is not None and b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.values.shape))
+        _dense_backward(activation_grad(g), parts, x, W, b)
 
+    parents = parts + [W] + ([] if b is None else [b])
     return _make(out_values, parents, backward_fn, "dense")
 
 
@@ -305,49 +364,27 @@ def columns(a, lo: int, hi: int):
     return _make(out_values, (a,), backward_fn, "columns")
 
 
-def relu(a):
+def _elementwise(a, formula, op: str):
+    """One op applying a shared formula to a's values."""
     a = as_tensor(a)
-    mask = a.values > 0
-    out_values = np.where(mask, a.values, 0.0)
+    out_values, grad = formula(a.values)
+    return _make(out_values, (a,), lambda g: _accumulate(a, grad(g)), op)
 
-    def backward_fn(g):
-        _accumulate(a, g * mask)
 
-    return _make(out_values, (a,), backward_fn, "relu")
+def relu(a):
+    return _elementwise(a, _relu, "relu")
 
 
 def leaky_relu(a, slope=0.2):
-    a = as_tensor(a)
-    mask = a.values > 0
-    out_values = np.where(mask, a.values, slope * a.values)
-
-    def backward_fn(g):
-        _accumulate(a, g * np.where(mask, 1.0, slope))
-
-    return _make(out_values, (a,), backward_fn, "leaky_relu")
+    return _elementwise(a, lambda x: _leaky_relu(x, slope), "leaky_relu")
 
 
 def sigmoid(a):
-    a = as_tensor(a)
-    # exp of -|x| never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
-    pos = a.values >= 0
-    ez = np.exp(np.where(pos, -a.values, a.values))
-    out_values = np.where(pos, 1.0, ez) / (1.0 + ez)
-
-    def backward_fn(g):
-        _accumulate(a, g * out_values * (1.0 - out_values))
-
-    return _make(out_values, (a,), backward_fn, "sigmoid")
+    return _elementwise(a, _sigmoid, "sigmoid")
 
 
 def tanh(a):
-    a = as_tensor(a)
-    out_values = np.tanh(a.values)
-
-    def backward_fn(g):
-        _accumulate(a, g * (1.0 - out_values * out_values))
-
-    return _make(out_values, (a,), backward_fn, "tanh")
+    return _elementwise(a, _tanh, "tanh")
 
 
 def exp(a):
@@ -464,23 +501,11 @@ def row_dot(a, q, indices):
 
 
 def segment_softmax(scores, segment_ids, num_segments: int):
-    """Softmax within each segment, as one op. Scores are (P, ...) with one
-    weight per row; the max shift per segment is treated as a constant,
-    which leaves the gradient exact. Backward: w * (g - segment_sum(w * g)
-    gathered back to the rows)."""
-    scores = as_tensor(scores)
+    """Softmax within each segment, as one op; scores are (P, ...) with one
+    weight per row."""
     ids = np.asarray(segment_ids, dtype=np.int64)
-    seg_max = np.full((num_segments,) + scores.values.shape[1:], -np.inf)
-    np.maximum.at(seg_max, ids, scores.values)
-    seg_max[~np.isfinite(seg_max)] = 0.0  # empty segments
-    shifted = np.exp(scores.values - seg_max[ids])
-    out_values = shifted / _scatter_rows(ids, shifted, num_segments)[ids]
-
-    def backward_fn(g):
-        inner = _scatter_rows(ids, out_values * g, num_segments)[ids]
-        _accumulate(scores, out_values * (g - inner))
-
-    return _make(out_values, (scores,), backward_fn, "segment_softmax")
+    return _elementwise(scores, lambda x: _segment_softmax(x, ids, num_segments),
+                        "segment_softmax")
 
 
 def gather_rows(a, indices):
@@ -512,23 +537,101 @@ def lstm_weights(params, prefix="lstm"):
 
 def lstm_cell(inputs, state, W, b):
     """One LSTM step on the input parts `inputs` (joined by columns) and
-    state (h, c), with the joined weights of lstm_weights: one dense over
-    [inputs, h], one sigmoid over the i, f, o columns and one tanh over the
-    g columns. Returns the new (h, c)."""
-    h, c = state
+    state (h, c), with the joined weights of lstm_weights, as one op: one
+    dense over [inputs, h], a sigmoid over the i, f, o columns and a tanh
+    over the g columns, c' = f c + i g and h' = o tanh(c'). Returns the new
+    (h, c) as column views of the op's [h' | c']. The backward does the
+    composed ops' arithmetic, so values and gradients are bit-identical to
+    them up to the sign of a zero."""
+    h, c = (as_tensor(t) for t in state)
+    parts = [as_tensor(p) for p in inputs] + [h]
+    W, b = as_tensor(W), as_tensor(b)
     d = h.values.shape[1]
-    pre = dense(list(inputs) + [h], W, b)
-    gates = sigmoid(columns(pre, 0, 3 * d))
-    i, f, o = (columns(gates, lo, lo + d) for lo in (0, d, 2 * d))
-    c_new = add(mul(f, c), mul(i, tanh(columns(pre, 3 * d, 4 * d))))
-    h_new = mul(o, tanh(c_new))
-    return h_new, c_new
+    x, pre = _dense_values([p.values for p in parts], W, b, "lstm_cell")
+    gates, gates_grad = _sigmoid(pre[:, :3 * d])
+    i, f, o = gates[:, :d], gates[:, d:2 * d], gates[:, 2 * d:]
+    g_values, g_grad = _tanh(pre[:, 3 * d:])
+    c_new = f * c.values + i * g_values
+    tc, tc_grad = _tanh(c_new)
+
+    def backward_fn(grad):
+        g_h = grad[:, :d]
+        g_c = grad[:, d:] + tc_grad(g_h * o)   # c' feeds the next step and tanh(c')
+        g_pre = np.empty_like(pre)
+        g_pre[:, :3 * d] = gates_grad(np.concatenate([g_c * g_values, g_c * c.values, g_h * tc],
+                                                     axis=1))
+        g_pre[:, 3 * d:] = g_grad(g_c * i)
+        if c.requires_grad:
+            _accumulate(c, g_c * f)
+        _dense_backward(g_pre, parts, x, W, b)
+
+    hc = _make(np.concatenate([o * tc, c_new], axis=1), parts + [c, W, b], backward_fn,
+               "lstm_cell")
+    return columns(hc, 0, d), columns(hc, d, 2 * d)
+
+
+def path_message(h, paths, static, W, b):
+    """relu(dense([reshape(gather_rows(h, paths), (P, (k+1)d)), static], W, b))
+    as one op: the message over each row of the (P, k+1) node table `paths`,
+    its nodes' states side by side, then its row of the constant array
+    `static`. The backward does the composed ops' arithmetic, so values and
+    gradients are bit-identical to them."""
+    h, W, b = as_tensor(h), as_tensor(W), as_tensor(b)
+    idx = np.asarray(paths, dtype=np.int64)
+    n, d = h.values.shape
+    width = idx.shape[1] * d
+    x, pre = _dense_values([h.values[idx].reshape(len(idx), width), static], W, b,
+                           "path_message")
+    out_values, relu_grad = _relu(pre)
+
+    def backward_fn(g):
+        g = relu_grad(g)
+        if h.requires_grad:
+            gx = (g @ W.values.T)[:, :width]
+            _accumulate(h, _scatter_rows(idx, gx.reshape(idx.shape + (d,)), n))
+        _dense_param_grads(g, x, W, b)
+
+    return _make(out_values, (h, W, b), backward_fn, "path_message")
+
+
+def attention(h, messages, roots, n: int, a, slope=0.2):
+    """segment_weighted_sum(segment_softmax(leaky_relu(dense([gather_rows(h,
+    roots), messages], a), slope), roots, n), messages, roots, n) as one op:
+    each message scored against its root's state with the (2d, 1) vector a,
+    softmax within each root's messages, the weighted sum per root (zero
+    for a root with none). The backward does the composed ops' arithmetic
+    in their order, so values and gradients are bit-identical to them."""
+    h, msgs, a = as_tensor(h), as_tensor(messages), as_tensor(a)
+    ids = np.asarray(roots, dtype=np.int64)
+    d = h.values.shape[1]
+    x, s = _dense_values([h.values[ids], msgs.values], a, None, "attention")
+    scores, leaky_grad = _leaky_relu(s, slope)
+    weights, softmax_grad = _segment_softmax(scores, ids, n)
+    out_values = _scatter_rows(ids, weights * msgs.values, n)
+
+    def backward_fn(g):
+        g = g[ids]
+        g_s = leaky_grad(softmax_grad(_unbroadcast(g * msgs.values, weights.shape)))
+        if msgs.requires_grad:
+            _accumulate(msgs, _unbroadcast(g * weights, msgs.values.shape))
+        if h.requires_grad or msgs.requires_grad:
+            gx = g_s @ a.values.T
+            if msgs.requires_grad:
+                _accumulate(msgs, gx[:, d:])
+            if h.requires_grad:
+                _accumulate(h, _scatter_rows(ids, gx[:, :d], h.values.shape[0]))
+        _dense_param_grads(g_s, x, a, None)
+
+    return _make(out_values, (h, msgs, a), backward_fn, "attention")
 
 
 # -- backward pass -------------------------------------------------------
 
 def backward(loss: Tensor):
-    """Populate .grad on every reachable tensor that requires gradients."""
+    """Populate .grad on every reachable tensor that requires gradients.
+    The walk passes over leaves, which have nothing to replay, and drops an
+    op output's gradient once its backward has run, so a second backward
+    on the same loss adds the same gradients to the leaves again."""
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
     if not loss.requires_grad:
@@ -547,12 +650,13 @@ def backward(loss: Tensor):
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent._backward_fn is not None and id(parent) not in visited:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.values)
     for node in reversed(topo):
-        if node._backward_fn is not None:
+        if node._backward_fn is not None:   # only the loss can be a leaf here
             node._backward_fn(node.grad)
+            node.grad = None
 
 
 def zero_grad(params):

@@ -46,6 +46,44 @@ def composed_row_dot(a, q, indices):
     return T.reduce_sum(T.mul(a, T.gather_rows(q, indices)), axis=1, keepdims=True)
 
 
+def composed_dense_activation(parts, W, b, activation):
+    """dense, then relu or sigmoid as an op of its own: two tape nodes."""
+    return {"relu": T.relu, "sigmoid": T.sigmoid}[activation](T.dense(parts, W, b))
+
+
+def composed_path_message(h, paths, static, W, b):
+    """gather_rows, reshape, dense over a constant static block, then relu:
+    four tape nodes and a leaf."""
+    h_path = T.reshape(T.gather_rows(h, paths), (len(paths), paths.shape[1] * h.values.shape[1]))
+    return T.relu(T.dense([h_path, T.Tensor(static)], W, b))
+
+
+def composed_attention(h, messages, roots, n, a, slope=0.2):
+    """gather_rows, dense, leaky_relu, segment_softmax and
+    segment_weighted_sum: five tape nodes."""
+    scores = T.leaky_relu(T.dense([T.gather_rows(h, roots), messages], a), slope=slope)
+    return T.segment_weighted_sum(T.segment_softmax(scores, roots, n), messages, roots, n)
+
+
+def composed_lstm_cell(inputs, state, W, b):
+    """One dense, then columns, sigmoid, tanh, mul and add: 13 tape nodes."""
+    h, c = state
+    d = h.values.shape[1]
+    pre = T.dense(list(inputs) + [h], W, b)
+    gates = T.sigmoid(T.columns(pre, 0, 3 * d))
+    i, f, o = (T.columns(gates, lo, lo + d) for lo in (0, d, 2 * d))
+    c_new = T.add(T.mul(f, c), T.mul(i, T.tanh(T.columns(pre, 3 * d, 4 * d))))
+    return T.mul(o, T.tanh(c_new)), c_new
+
+
+COMPOSED_LAYERS = {   # model function -> its composed form, for monkeypatching
+    "message_path": composed_path_message,
+    "attention_aggregate": composed_attention,
+    "node_update": lambda h, m, W, b: composed_dense_activation([h, m], W, b, "sigmoid"),
+    "lstm_cell": composed_lstm_cell,
+}
+
+
 class PerTensorAdam:
     """Adam's moments as one pair of arrays per parameter tensor."""
 

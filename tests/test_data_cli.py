@@ -543,6 +543,55 @@ def test_cli_eval_bad_checkpoints_exit_one(tmp_path, capsys):
         assert f"error: {path}: {message}" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    return train_small_checkpoint(tmp_path_factory.mktemp("small"))
+
+
+def without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def setting(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: [meta], 'metadata: expected a JSON object, got [{"task": "regression"'),
+    (lambda meta: "regression", 'metadata: expected a JSON object, got "regression"'),
+    (without("model"), "model: missing from the metadata"),
+    (without("element_vocab"), "element_vocab: missing from the metadata"),
+    (without("explicit_hydrogens"), "explicit_hydrogens: missing from the metadata"),
+    (without("target_mean"), "target_mean: missing from the metadata"),
+    (without("target_std"), "target_std: missing from the metadata"),
+    (setting("element_vocab", "CO"), 'element_vocab: expected a list of strings, got "CO"'),
+    (setting("element_vocab", ["C", 8]), 'element_vocab: expected a list of strings, got '
+                                         '["C", 8]'),
+    (setting("explicit_hydrogens", 0), "explicit_hydrogens: expected a boolean, got 0"),
+    (setting("target_mean", 1.5), "target_mean: expected a list of finite numbers, one per "
+                                  "target (1), got 1.5"),
+    (setting("target_mean", [0.5, 1.0]), "target_mean: expected a list of finite numbers, "
+                                         "one per target (1), got [0.5, 1.0]"),
+    (setting("target_std", [float("nan")]), "target_std: expected a list of finite numbers, "
+                                            "one per target (1), got [NaN]"),
+    (setting("target_std", [True]), "target_std: expected a list of finite numbers, one "
+                                    "per target (1), got [true]"),
+    (setting("target_std", ["1"]), "target_std: expected a list of finite numbers, one "
+                                   "per target (1), got [\"1\"]"),
+], ids=lambda case: case.split(":")[0] if isinstance(case, str) else None)
+def test_cli_eval_bad_checkpoint_metadata_exits_one(small_checkpoint, tmp_path, capsys,
+                                                    edit, message):
+    # before, a missing field exited 2 with `runtime error: KeyError` and
+    # metadata that is no object with an AttributeError
+    data, good = small_checkpoint
+    params, meta = T.load_params(good)
+    path = tmp_path / "bad.ckpt"
+    T.save_params(path, params, metadata=edit(meta))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--input", str(data)]) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_train_divergence_exits_two_naming_epoch_and_batch(tmp_path, capsys):
     data = tmp_path / "alc.jsonl"

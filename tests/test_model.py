@@ -83,7 +83,9 @@ def test_message_path_length_one_is_message_standard():
     W = T.Tensor(rng.normal(size=(14, 5)))
     b = T.Tensor(rng.normal(size=(5,)))
     a = message_standard(h_v, h_w, e, W, b)
-    b_out = message_path(T.concat([h_v, h_w], axis=1), e, W, b)
+    # the six length-1 paths (i, 6 + i) over the stacked states [h_v; h_w]
+    paths = np.stack([np.arange(6), np.arange(6, 12)], axis=1)
+    b_out = message_path(T.concat([h_v, h_w], axis=0), paths, e.values, W, b)
     assert np.array_equal(a.values, b_out.values)
 
 
@@ -559,14 +561,73 @@ def reachable_tape(loss):
 
 
 @pytest.mark.parametrize("task, mode, path_length, bound", [
-    ("dihedral-sum", "geometry", 3, 160),
-    ("solubility", "substructure", 2, 146),
+    ("dihedral-sum", "geometry", 3, 84),
+    ("solubility", "substructure", 2, 78),
 ])
 def test_training_step_tape_stays_small(task, mode, path_length, bound):
     # one 16-molecule training step of the benchmark's model (hidden 12, two
     # steps, three set2set steps) records at most `bound` tape nodes; it
-    # was 247 (geometry) and 225 (substructure) before the fused ops
+    # was 247 (geometry) and 225 (substructure) before the fused ops, and
+    # 149 and 135 before each message, attention, update and LSTM cell was
+    # one node
     batch, config, params = random_batch(task, mode, path_length, 16, 1, 12)
     assert sorted(batch.cache) == list(config.lengths())
     loss = rmse_loss(forward_batched(batch, params, config), np.zeros((16, 1)))
     assert reachable_tape(loss) <= bound
+
+
+@given(mode=st.sampled_from(FEATURE_MODES), path_length=st.integers(1, 3),
+       n_molecules=st.integers(1, 4), drop=st.sampled_from([None, 1, 2, 3]),
+       seed=st.integers(0, 10_000))
+def test_one_node_layers_equal_composed_layers_exactly(mode, path_length, n_molecules, drop,
+                                                       seed):
+    # tolerance 0, the prediction and every parameter's gradient: the model
+    # with its four one-node layers against the same model with each layer
+    # swapped for its composed form (tests/oracles.py). One molecule is a
+    # single graph; `drop` takes a length's group out of the batch, as a
+    # batch whose molecules have no path of that length has none.
+    batch, config, params = random_batch(MODE_TASKS[mode], mode, path_length,
+                                         n_molecules, seed, 5)
+    batch.cache.pop(drop, None)
+    target = np.random.default_rng(seed).normal(size=(n_molecules, 1))
+
+    def run():
+        T.zero_grad(params)
+        pred = forward_batched(batch, params, config)
+        T.backward(rmse_loss(pred, target))
+        return pred.values, {k: t.grad.copy() for k, t in params.items() if t.grad is not None}
+
+    fused, fused_grads = run()
+    with pytest.MonkeyPatch.context() as patch:
+        for name, composed in oracles.COMPOSED_LAYERS.items():
+            patch.setattr(model_module, name, composed)
+        composed_values, composed_grads = run()
+    assert np.array_equal(fused, composed_values)
+    assert fused_grads.keys() == composed_grads.keys()
+    for name in fused_grads:
+        assert np.array_equal(fused_grads[name], composed_grads[name]), name
+    with T.no_grad():
+        assert np.array_equal(forward_batched(batch, params, config).values, fused)
+
+
+def test_taped_forward_calls_each_traced_layer_by_name(monkeypatch):
+    # the benchmark times these layers by wrapping the module attributes, so
+    # the forward must reach each through its name: once per step and
+    # length that has paths for the message, once per step for attention
+    # and update, once for set2set
+    batch, config, params = random_batch("dihedral-sum", "geometry", 3, 4, 1, 5)
+    del batch.cache[2]
+    calls = []
+
+    def counted(name, layer):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return layer(*args, **kwargs)
+        return call
+
+    for name in ("message_path", "attention_aggregate", "node_update",
+                 "set2set_readout_batched"):
+        monkeypatch.setattr(model_module, name, counted(name, getattr(model_module, name)))
+    forward_batched(batch, params, config)
+    one_step = ["message_path", "message_path", "attention_aggregate", "node_update"]
+    assert calls == one_step * config.steps + ["set2set_readout_batched"]

@@ -521,3 +521,113 @@ def test_fused_readout_ops_reject_mismatched_rows():
         T.segment_weighted_sum(np.ones((3, 1)), np.ones((3, 2)), [0, 1], 2)
     with pytest.raises(T.ShapeError, match="row_dot"):
         T.row_dot(np.ones((2, 3)), np.ones((4, 2)), [0, 1])
+
+
+# -- the one-node layer ops against their composed forms in oracles.py -------
+
+def _equal_to_composed(fused_build, composed_build, inputs, probe):
+    """Values and every gradient at tolerance 0; under no_grad, the same
+    values and no tape."""
+    fused, fused_grads = _grads(fused_build, inputs, probe)
+    composed, composed_grads = _grads(composed_build, inputs, probe)
+    assert np.array_equal(fused, composed)
+    for name, t in inputs.items():
+        if t.requires_grad:
+            assert np.array_equal(fused_grads[name], composed_grads[name]), name
+        else:
+            assert fused_grads[name] is None and composed_grads[name] is None, name
+    with T.no_grad():
+        free = fused_build()
+    assert not free.requires_grad and np.array_equal(free.values, fused)
+
+
+@given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       needs_grad=st.lists(st.booleans(), min_size=3, max_size=3), rows=st.integers(0, 6),
+       activation=st.sampled_from(["relu", "sigmoid"]), seed=st.integers(0, 10_000))
+def test_dense_activation_equals_composed_form_exactly(widths, needs_grad, rows, activation,
+                                                       seed):
+    rng = np.random.default_rng(seed)
+    parts = [T.Tensor(rng.normal(size=(rows, w)), requires_grad=flag)
+             for w, flag in zip(widths, needs_grad)]
+    W = T.Tensor(rng.normal(size=(sum(widths), 3)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=3), requires_grad=True)
+    inputs = {f"part{i}": p for i, p in enumerate(parts)} | {"W": W, "b": b}
+    _equal_to_composed(lambda: T.dense(parts, W, b, activation=activation),
+                       lambda: oracles.composed_dense_activation(parts, W, b, activation),
+                       inputs, T.Tensor(rng.normal(size=(rows, 3))))
+
+
+@given(n=st.integers(1, 6), k=st.integers(1, 3), rows=st.integers(0, 10),
+       d=st.integers(1, 4), static_width=st.integers(0, 4), needs_grad=st.booleans(),
+       seed=st.integers(0, 10_000))
+def test_path_message_equals_composed_form_exactly(n, k, rows, d, static_width, needs_grad,
+                                                   seed):
+    # path nodes unsorted and repeated, some nodes on no path; zero rows is
+    # a length group with no paths
+    rng = np.random.default_rng(seed)
+    h = T.Tensor(rng.normal(size=(n, d)), requires_grad=needs_grad)
+    paths = rng.integers(0, n, size=(rows, k + 1))
+    static = rng.normal(size=(rows, static_width))
+    W = T.Tensor(rng.normal(size=((k + 1) * d + static_width, 3)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=3), requires_grad=True)
+    _equal_to_composed(lambda: T.path_message(h, paths, static, W, b),
+                       lambda: oracles.composed_path_message(h, paths, static, W, b),
+                       {"h": h, "W": W, "b": b}, T.Tensor(rng.normal(size=(rows, 3))))
+
+
+@given(n=st.integers(1, 6), rows=st.integers(0, 10), d=st.integers(1, 4),
+       needs_grad=st.sampled_from(ONE_OR_BOTH), scale=st.sampled_from([1.0, 30.0]),
+       seed=st.integers(0, 10_000))
+def test_attention_equals_composed_form_exactly(n, rows, d, needs_grad, scale, seed):
+    # unsorted, repeated roots; some nodes are the root of no message
+    rng = np.random.default_rng(seed)
+    h = T.Tensor(rng.normal(size=(n, d)), requires_grad=needs_grad[0])
+    msgs = T.Tensor(rng.normal(size=(rows, d)), requires_grad=needs_grad[1])
+    roots = rng.integers(0, n, size=rows)
+    a = T.Tensor(scale * rng.normal(size=(2 * d, 1)), requires_grad=True)
+    _equal_to_composed(lambda: T.attention(h, msgs, roots, n, a),
+                       lambda: oracles.composed_attention(h, msgs, roots, n, a),
+                       {"h": h, "msgs": msgs, "a": a}, T.Tensor(rng.normal(size=(n, d))))
+
+
+@given(rows=st.integers(1, 5), d=st.integers(1, 4),
+       needs_grad=st.lists(st.booleans(), min_size=3, max_size=3),
+       read=st.sampled_from(["h", "c", "both"]), seed=st.integers(0, 10_000))
+def test_lstm_cell_equals_composed_form_exactly(rows, d, needs_grad, read, seed):
+    # the state h also an input part, as in set2set; reading only h' leaves
+    # the op's c' columns without a gradient, as the last set2set step does
+    rng = np.random.default_rng(seed)
+    q, r, c = (T.Tensor(rng.normal(size=(rows, d)), requires_grad=flag) for flag in needs_grad)
+    W = T.Tensor(rng.normal(size=(3 * d, 4 * d)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=4 * d), requires_grad=True)
+
+    def build(cell):
+        h_new, c_new = cell([q, r], (q, c), W, b)
+        if read == "both":
+            return T.concat([h_new, c_new], axis=1)
+        return h_new if read == "h" else c_new
+
+    probe = T.Tensor(rng.normal(size=(rows, d if read != "both" else 2 * d)))
+    _equal_to_composed(lambda: build(T.lstm_cell), lambda: build(oracles.composed_lstm_cell),
+                       {"q": q, "r": r, "c": c, "W": W, "b": b}, probe)
+
+
+def test_fused_layer_ops_are_gradchecked():
+    errors = op_gradchecks(seed=0)
+    for op in ("dense_relu", "dense_sigmoid", "path_message", "attention", "lstm_cell_state"):
+        assert errors[op] < TOLERANCE, (op, errors[op])
+
+
+def test_second_backward_on_one_loss_adds_the_same_gradient_again():
+    # each op output's gradient is dropped once its backward has run; before,
+    # the second walk added onto the first walk's intermediate gradients and
+    # w ended with 4x the gradient, not 2x
+    rng = np.random.default_rng(0)
+    w = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    y = T.matmul(T.Tensor(rng.normal(size=(4, 3))), w)
+    loss = T.mul(y, y).sum()
+    T.backward(loss)
+    once = w.grad.copy()
+    assert y.grad is None and loss.grad is None
+    T.backward(loss)
+    assert np.array_equal(w.grad, 2 * once)
