@@ -13,13 +13,14 @@ zero sampling budget the outputs are bit-identical to the plain GCN's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .model import ConfigError
 from .paths import csr_adjacency, extensions
-from .tensor import (Tensor, add, columns, concat, gather_rows, matmul, mul,
-                     relu, segment_sum, glorot, zeros)
+from .tensor import (Tensor, add, gather_rows, matmul, mul, path_gcn_layer, relu,
+                     segment_sum, glorot, zeros)
 
 
 @dataclass(eq=False)
@@ -44,6 +45,12 @@ class CitationGraph:
                 adj[u].add(v)
                 adj[v].add(u)
             self.adjacency = tuple(tuple(sorted(s)) for s in adj)
+
+    @cached_property
+    def first_hops(self):
+        """The graph's _first_hops, built on first use and kept: replace the
+        graph, do not edit its adjacency, once paths have been drawn."""
+        return _first_hops(self)
 
 
 @dataclass(frozen=True)
@@ -112,21 +119,40 @@ def init_gcn_params(config: PathGCNConfig, n_features: int, n_classes: int,
     return params
 
 
+def _candidates(frontier: np.ndarray, csr):
+    """The one-edge extensions of the partial paths in `frontier`: (row,
+    next node) row-major as paths.extensions gives them, each row's count
+    and the position of its first."""
+    row, nxt = extensions(frontier, csr)
+    count = np.bincount(row, minlength=len(frontier))
+    return row, nxt, count, np.cumsum(count) - count
+
+
+def _first_hops(graph):
+    """What every path draw starts from and no draw changes: the CSR
+    adjacency, the one-edge paths (root, neighbor) and their _candidates."""
+    csr = csr_adjacency(graph.adjacency)
+    frontier = np.stack(extensions(np.arange(graph.n)[:, None], csr), axis=1)
+    return csr, frontier, _candidates(frontier, csr)
+
+
 def sample_citation_paths(graph: CitationGraph, config: PathGCNConfig,
                           rng) -> dict[int, np.ndarray]:
     """One uniformly sampled extension per partial path per hop, starting
     from every first-order neighbor of every node, as node tables of lengths
     2..path_length (those that drew paths): one draw per partial path.
-    Budget 0 returns {} without drawing from rng."""
+    A CitationGraph keeps its first hops, so a draw only picks; any other
+    graph with n and adjacency builds them per draw. Budget 0 returns {}
+    without drawing from rng."""
     if config.per_hop_budget == 0:
         return {}
-    csr = csr_adjacency(graph.adjacency)
-    frontier = np.stack(extensions(np.arange(graph.n)[:, None], csr), axis=1)
+    csr, frontier, candidates = (graph.first_hops if isinstance(graph, CitationGraph)
+                                 else _first_hops(graph))
     groups = {}
     for hop in range(2, config.path_length + 1):
-        row, nxt = extensions(frontier, csr)
-        count = np.bincount(row, minlength=len(frontier))
-        first = np.cumsum(count) - count
+        if hop > 2:
+            candidates = _candidates(frontier, csr)
+        row, nxt, count, first = candidates
         draws = rng.random(len(frontier))
         extended = np.flatnonzero(count)
         picks = first[extended] + (draws[extended] * count[extended]).astype(np.int64)
@@ -134,13 +160,6 @@ def sample_citation_paths(graph: CitationGraph, config: PathGCNConfig,
         if len(frontier):
             groups[hop] = frontier
     return groups
-
-
-def citation_path_features(h, path_nodes: np.ndarray):
-    """Concatenated hidden states of the path's non-root nodes; citation
-    edges carry no features of their own."""
-    k = path_nodes.shape[1]
-    return concat([gather_rows(h, path_nodes[:, col]) for col in range(k)], axis=1)
 
 
 def gcn_layer(h, adj: NormalizedAdjacency, W, b, activation=None):
@@ -152,34 +171,13 @@ def gcn_layer(h, adj: NormalizedAdjacency, W, b, activation=None):
     return activation(out) if activation is not None else out
 
 
-def _layer_with_paths(h, adj, params, layer: str, paths: dict, n: int,
-                      activation):
-    # one matmul against the GCN weight and every per-position path map side
-    # by side, then each map's block of columns; transforming before the
-    # gather keeps the gathered rows narrow
+def _path_layer(h, adj, params, layer: str, paths: dict, n: int, activation):
+    # the GCN weight, then each length's per-position path maps, in the
+    # order path_gcn_layer joins them
     names = [f"gcn{layer}.W"] + [f"path{layer}.len{k}.M{pos}"
                                  for k in sorted(paths) for pos in range(k)]
-    z = matmul(h, concat([params[name] for name in names], axis=1))
-    width = params[f"gcn{layer}.W"].values.shape[1]
-    block = {name: columns(z, i * width, (i + 1) * width)
-             for i, name in enumerate(names)}
-    weighted = mul(gather_rows(block[f"gcn{layer}.W"], adj.src),
-                   Tensor(adj.weight[:, None]))
-    agg = segment_sum(weighted, adj.dst, n)
-    for k, table in sorted(paths.items()):
-        roots = table[:, 0]
-        msg = None
-        for pos in range(k):
-            zp = gather_rows(block[f"path{layer}.len{k}.M{pos}"], table[:, pos + 1])
-            msg = zp if msg is None else add(msg, zp)
-        # per-root mean keeps the path term on the same scale as the
-        # degree-normalized first-order aggregation
-        counts = np.bincount(roots, minlength=n).astype(np.float64)
-        counts[counts == 0] = 1.0
-        msg = mul(msg, Tensor(1.0 / counts[roots][:, None]))
-        agg = add(agg, segment_sum(msg, roots, n))
-    out = add(agg, params[f"gcn{layer}.b"])
-    return activation(out) if activation is not None else out
+    return path_gcn_layer(h, [params[name] for name in names], params[f"gcn{layer}.b"],
+                          adj, paths, n, activation)
 
 
 def gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params,
@@ -202,7 +200,7 @@ def path_gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params,
     h = Tensor(graph.features)
     if dropout_masks is not None:
         h = mul(h, Tensor(dropout_masks[0]))
-    h = _layer_with_paths(h, adj, params, "1", paths, graph.n, relu)
+    h = _path_layer(h, adj, params, "1", paths, graph.n, "relu")
     if dropout_masks is not None:
         h = mul(h, Tensor(dropout_masks[1]))
-    return _layer_with_paths(h, adj, params, "2", paths, graph.n, None)
+    return _path_layer(h, adj, params, "2", paths, graph.n, None)

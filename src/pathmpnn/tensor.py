@@ -587,7 +587,7 @@ def path_message(h, paths, static, W, b):
     def backward_fn(g):
         g = relu_grad(g)
         if h.requires_grad:
-            gx = (g @ W.values.T)[:, :width]
+            gx = g @ W.values[:width].T   # static is constant: skip its rows of W
             _accumulate(h, _scatter_rows(idx, gx.reshape(idx.shape + (d,)), n))
         _dense_param_grads(g, x, W, b)
 
@@ -623,6 +623,76 @@ def attention(h, messages, roots, n: int, a, slope=0.2):
         _dense_param_grads(g_s, x, a, None)
 
     return _make(out_values, (h, msgs, a), backward_fn, "attention")
+
+
+def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
+    """One path-GCN layer as one op, activation None or "relu": one product
+    z = h @ [W | M...] against the GCN weight and every per-position path
+    map side by side (Ws in that order: W, then per length ascending one
+    map per position), the degree-normalized first-order sum of z's W
+    columns over adj's (src, dst, weight) edges, and for each length k of
+    `paths` ({k: (P, k+1) node table}) the sum over positions of each
+    position's map's columns at that position's nodes, scaled by one over
+    the root's path count and summed per root, then the bias. The backward
+    does the composed ops' arithmetic in their order, so values and
+    gradients are bit-identical to them (tests/oracles.py). It keeps the
+    index tables, per-path scales and joined weight, not z or a per-path
+    row."""
+    h, b = as_tensor(h), as_tensor(b)
+    Ws = [as_tensor(W) for W in Ws]
+    blocks = 1 + sum(paths)   # the first-order block, then one per path position
+    if len(Ws) != blocks:
+        raise ShapeError(f"path_gcn_layer: {len(Ws)} weights for {blocks} blocks")
+    width = Ws[0].values.shape[1]
+    joined = Ws[0].values if len(Ws) == 1 else np.concatenate([W.values for W in Ws], axis=1)
+    if h.values.ndim != 2 or joined.ndim != 2 or h.values.shape[1] != joined.shape[0]:
+        raise ShapeError(f"path_gcn_layer: incompatible shapes {h.values.shape} and "
+                         f"{joined.shape}")
+    z = h.values @ joined
+    src, dst, edge_weight = adj.src, adj.dst, adj.weight[:, None]
+    agg = _scatter_rows(dst, z[:, :width][src] * edge_weight, n)
+    groups = []   # (k, node table, per-path scale)
+    lo = width
+    for k, table in sorted(paths.items()):
+        roots = table[:, 0]
+        msg = None
+        for pos in range(k):
+            zp = z[:, lo:lo + width][table[:, pos + 1]]
+            msg = zp if msg is None else msg + zp
+            lo += width
+        # per-root mean keeps the path term on the same scale as the
+        # degree-normalized first-order aggregation
+        counts = np.bincount(roots, minlength=n).astype(np.float64)
+        counts[counts == 0] = 1.0
+        scale = 1.0 / counts[roots][:, None]
+        agg = agg + _scatter_rows(roots, msg * scale, n)
+        groups.append((k, table, scale))
+    out_values, activation_grad = _ACTIVATIONS[activation](agg + b.values)
+
+    def backward_fn(g):
+        g = activation_grad(g)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.values.shape))
+        weights_grad = any(W.requires_grad for W in Ws)
+        if not (h.requires_grad or weights_grad):
+            return
+        gz = np.zeros((n, joined.shape[1]))
+        gz[:, :width] += _scatter_rows(src, g[dst] * edge_weight, n)
+        lo = width
+        for k, table, scale in groups:
+            g_msg = g[table[:, 0]] * scale
+            for pos in range(k):
+                gz[:, lo:lo + width] += _scatter_rows(table[:, pos + 1], g_msg, n)
+                lo += width
+        if h.requires_grad:
+            _accumulate(h, gz @ joined.T)
+        if weights_grad:
+            gw = h.values.T @ gz
+            for i, W in enumerate(Ws):
+                if W.requires_grad:
+                    _accumulate(W, gw[:, i * width:(i + 1) * width])
+
+    return _make(out_values, [h, b] + Ws, backward_fn, "path_gcn_layer")
 
 
 # -- backward pass -------------------------------------------------------

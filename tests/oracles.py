@@ -1,11 +1,13 @@
 """Reference forms for the property tests: the per-op forms that the
 library's fused ops replaced, built from the primitive ops (or plain numpy),
-the per-tensor Adam step and the per-graph batch merge."""
+the per-tensor Adam step, the per-graph batch merge and the citation
+sampler that rebuilds its first hops on every draw."""
 
 import numpy as np
 
 import pathmpnn.tensor as T
 from pathmpnn.model import GraphBatch, PathGroup
+from pathmpnn.paths import csr_adjacency, extensions
 
 
 def composed_dense(parts, W, b=None):
@@ -74,6 +76,59 @@ def composed_lstm_cell(inputs, state, W, b):
     i, f, o = (T.columns(gates, lo, lo + d) for lo in (0, d, 2 * d))
     c_new = T.add(T.mul(f, c), T.mul(i, T.tanh(T.columns(pre, 3 * d, 4 * d))))
     return T.mul(o, T.tanh(c_new)), c_new
+
+
+def composed_path_gcn_layer(h, Ws, b, adj, paths, n, activation=None):
+    """concat, matmul and one columns view per map, a gather_rows per path
+    position, the adds, muls and segment_sums of the first-order and
+    per-length sums, the bias and relu: 45 tape nodes at path length 3."""
+    z = T.matmul(h, T.concat(Ws, axis=1))
+    width = Ws[0].values.shape[1]
+    blocks = [T.columns(z, i * width, (i + 1) * width) for i in range(len(Ws))]
+    weighted = T.mul(T.gather_rows(blocks[0], adj.src), T.Tensor(adj.weight[:, None]))
+    agg = T.segment_sum(weighted, adj.dst, n)
+    block = 1
+    for k, table in sorted(paths.items()):
+        roots = table[:, 0]
+        msg = None
+        for pos in range(k):
+            zp = T.gather_rows(blocks[block], table[:, pos + 1])
+            msg = zp if msg is None else T.add(msg, zp)
+            block += 1
+        counts = np.bincount(roots, minlength=n).astype(np.float64)
+        counts[counts == 0] = 1.0
+        msg = T.mul(msg, T.Tensor(1.0 / counts[roots][:, None]))
+        agg = T.add(agg, T.segment_sum(msg, roots, n))
+    out = T.add(agg, b)
+    return T.relu(out) if activation == "relu" else out
+
+
+def citation_path_features(h, path_nodes):
+    """Concatenated hidden states of the path's non-root nodes; citation
+    edges carry no features of their own."""
+    k = path_nodes.shape[1]
+    return T.concat([T.gather_rows(h, path_nodes[:, col]) for col in range(k)], axis=1)
+
+
+def per_draw_sample_citation_paths(graph, config, rng):
+    """The citation sampler building the CSR adjacency, the one-edge paths
+    and their extensions again on every draw, with the same rng calls."""
+    if config.per_hop_budget == 0:
+        return {}
+    csr = csr_adjacency(graph.adjacency)
+    frontier = np.stack(extensions(np.arange(graph.n)[:, None], csr), axis=1)
+    groups = {}
+    for hop in range(2, config.path_length + 1):
+        row, nxt = extensions(frontier, csr)
+        count = np.bincount(row, minlength=len(frontier))
+        first = np.cumsum(count) - count
+        draws = rng.random(len(frontier))
+        extended = np.flatnonzero(count)
+        picks = first[extended] + (draws[extended] * count[extended]).astype(np.int64)
+        frontier = np.concatenate([frontier[row[picks]], nxt[picks, None]], axis=1)
+        if len(frontier):
+            groups[hop] = frontier
+    return groups
 
 
 COMPOSED_LAYERS = {   # model function -> its composed form, for monkeypatching

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 import pathmpnn.tensor as T
-from pathmpnn.citation import (CitationGraph, PathGCNConfig,
-                               citation_path_features, gcn_forward, gcn_layer,
-                               init_gcn_params, normalize_adjacency,
+from oracles import citation_path_features
+from pathmpnn.citation import (CitationGraph, PathGCNConfig, _path_layer, gcn_forward,
+                               gcn_layer, init_gcn_params, normalize_adjacency,
                                path_gcn_forward, sample_citation_paths)
 from pathmpnn.model import ConfigError
 from pathmpnn.synth import synth_citation
@@ -133,7 +134,6 @@ def test_one_matmul_layer_equals_per_position_form(layer):
     # hidden state that needs gradients; summing h.grad over one matmul
     # instead of one per map may move the last ulp, so values and gradients
     # there are held to 1e-12 relative.
-    from pathmpnn.citation import _layer_with_paths
     g = synth_citation(n_nodes=120, n_features=40, seed=3)
     adj = normalize_adjacency(g)
     config = PathGCNConfig(hidden_dim=8, path_length=3, per_hop_budget=1, seed=4)
@@ -153,7 +153,7 @@ def test_one_matmul_layer_equals_per_position_form(layer):
                  if name.split(".")[0].endswith(layer)}
         return out.values, grads, h.grad
 
-    fused = run(lambda *args: _layer_with_paths(*args, activation=None))
+    fused = run(lambda *args: _path_layer(*args, activation=None))
     split = run(per_position_layer)
     pairs = [(fused[0], split[0])] + [(fused[1][k], split[1][k]) for k in split[1]]
     assert fused[1].keys() == split[1].keys() and len(split[1]) == 7
@@ -165,6 +165,94 @@ def test_one_matmul_layer_equals_per_position_form(layer):
         pairs.append((fused[2], split[2]))
         for a, b in pairs:
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def layer_weights(params, layer, paths):
+    """The GCN weight, then each length's per-position maps: path_gcn_layer's order."""
+    return [params[f"gcn{layer}.W"]] + [params[f"path{layer}.len{k}.M{pos}"]
+                                        for k in sorted(paths) for pos in range(k)]
+
+
+def layer_run(build, x, mask, params, probe):
+    """Values, every parameter gradient and x's gradient of one layer built
+    on x (through a dropout mask, if given), from fresh gradients."""
+    for t in [x, *params.values()]:
+        t.grad = None
+    h = x if mask is None else T.mul(x, Tensor(mask))
+    out = build(h)
+    T.backward(T.mul(out, probe).sum())
+    return out.values, {name: t.grad for name, t in params.items()}, x.grad
+
+
+def assert_layers_equal(fused, composed):
+    assert np.array_equal(fused[0], composed[0])
+    for name, grad in composed[1].items():
+        assert (fused[1][name] is None) == (grad is None), name
+        assert grad is None or np.array_equal(fused[1][name], grad), name
+    assert (fused[2] is None) == (composed[2] is None)
+    assert composed[2] is None or np.array_equal(fused[2], composed[2])
+
+
+def layer_inputs(layer, dropout, seed, path_length=3):
+    # layer 1 takes the constant features, layer 2 a hidden state that
+    # needs gradients; with dropout, either goes through a mask op first
+    g = synth_citation(n_nodes=60, n_features=30, seed=seed % 5)
+    config = PathGCNConfig(hidden_dim=5, path_length=path_length, seed=seed)
+    rng = np.random.default_rng(seed)
+    params = init_gcn_params(config, 30, g.n_classes, rng)
+    paths = sample_citation_paths(g, config, rng)
+    x = (Tensor(g.features) if layer == "1"
+         else Tensor(rng.normal(size=(g.n, 5)), requires_grad=True))
+    mask = (rng.random(x.shape) < 0.5) / 0.5 if dropout else None
+    probe = Tensor(rng.normal(size=(g.n, params[f"gcn{layer}.b"].values.shape[0])))
+    return g, normalize_adjacency(g), params, paths, x, mask, probe
+
+
+@given(layer=st.sampled_from(["1", "2"]), path_length=st.integers(2, 4),
+       dropout=st.booleans(), activation=st.sampled_from([None, "relu"]),
+       seed=st.integers(0, 10_000))
+def test_path_gcn_layer_equals_composed_form_exactly(layer, path_length, dropout,
+                                                     activation, seed):
+    # tolerance 0: values, every parameter gradient and the input's gradient
+    # (None for the constant layer-1 input), against tests/oracles.py
+    g, adj, params, paths, x, mask, probe = layer_inputs(layer, dropout, seed, path_length)
+    Ws, b = layer_weights(params, layer, paths), params[f"gcn{layer}.b"]
+    assert sorted(paths) == list(range(2, path_length + 1))
+
+    def run(op):
+        return layer_run(lambda h: op(h, Ws, b, adj, paths, g.n, activation), x, mask,
+                         params, probe)
+
+    fused, composed = run(T.path_gcn_layer), run(oracles.composed_path_gcn_layer)
+    assert (fused[2] is None) == (layer == "1")
+    assert_layers_equal(fused, composed)
+    with T.no_grad():
+        h = x if mask is None else T.mul(x, Tensor(mask))
+        free = T.path_gcn_layer(h, Ws, b, adj, paths, g.n, activation)
+    assert not free.requires_grad and np.array_equal(free.values, fused[0])
+
+
+@given(layer=st.sampled_from(["1", "2"]), dropout=st.booleans(), seed=st.integers(0, 10_000))
+def test_path_gcn_layer_without_paths_equals_gcn_layer(layer, dropout, seed):
+    # tolerance 0: no paths leaves the plain GCN layer, relu or linear
+    g, adj, params, _, x, mask, probe = layer_inputs(layer, dropout, seed)
+    W, b = params[f"gcn{layer}.W"], params[f"gcn{layer}.b"]
+    activation = "relu" if layer == "1" else None
+    fused = layer_run(lambda h: T.path_gcn_layer(h, [W], b, adj, {}, g.n, activation),
+                      x, mask, params, probe)
+    plain = layer_run(lambda h: gcn_layer(h, adj, W, b, T.relu if activation else None),
+                      x, mask, params, probe)
+    assert_layers_equal(fused, plain)
+
+
+def test_path_gcn_layer_is_one_tape_node():
+    g, adj, params, paths, x, _, _ = layer_inputs("2", False, 0)
+    out = T.path_gcn_layer(x, layer_weights(params, "2", paths), params["gcn2.b"], adj,
+                           paths, g.n)
+    assert all(p._backward_fn is None for p in out._parents)
+    with pytest.raises(T.ShapeError, match="path_gcn_layer: 5 weights for 6 blocks"):
+        T.path_gcn_layer(x, layer_weights(params, "2", paths)[:-1], params["gcn2.b"], adj,
+                         paths, g.n)
 
 
 def test_zero_budget_reduces_to_plain_gcn_bit_exact():
@@ -197,9 +285,8 @@ def test_receptive_field_one_layer():
 
     def layer_outputs(features):
         h = Tensor(features)
-        from pathmpnn.citation import _layer_with_paths
         plain = gcn_layer(h, adj, params["gcn1.W"], params["gcn1.b"])
-        withp = _layer_with_paths(h, adj, params, "1", paths, g.n, None)
+        withp = _path_layer(h, adj, params, "1", paths, g.n, None)
         return plain.values[0].copy(), withp.values[0].copy()
 
     plain_a, path_a = layer_outputs(g.features)
@@ -272,6 +359,29 @@ def test_per_hop_mode_structure(k4):
     zero = PathGCNConfig(path_length=3, per_hop_budget=0)
     assert sample_citation_paths(k4, zero, rng) == {}
     assert rng.bit_generator.state == before      # budget 0 draws nothing
+
+
+@pytest.mark.parametrize("graph_name", ["synthetic", "star", "k4", "k4 fixture"])
+@pytest.mark.parametrize("path_length", [2, 3, 4])
+def test_sampler_equals_per_draw_oracle(graph_name, path_length, k4):
+    # tolerance 0: the same tables and the same rng end state over repeated
+    # draws, the first hops kept by the CitationGraph (built per draw for
+    # the fixture, which is no CitationGraph)
+    k4_edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    graph = {"synthetic": lambda: synth_citation(n_nodes=200, seed=path_length),
+             "star": lambda: tiny_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+             "k4": lambda: tiny_graph(4, k4_edges),
+             "k4 fixture": lambda: k4}[graph_name]()
+    config = PathGCNConfig(path_length=path_length, per_hop_budget=1)
+    for seed in range(4):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = sample_citation_paths(graph, config, rng)
+            want = oracles.per_draw_sample_citation_paths(graph, config, oracle_rng)
+            assert list(got) == list(want)
+            for k in want:
+                assert got[k].dtype == np.int64 and np.array_equal(got[k], want[k])
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("budget", [-1, 2, 3])

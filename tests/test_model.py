@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 import oracles
 import pathmpnn.model as model_module
 import pathmpnn.tensor as T
+import pathmpnn.training as training_module
 from pathmpnn.chem import detect_groups, ring_membership, substructure_path_features
+from pathmpnn.citation import PathGCNConfig
 from pathmpnn.geometry import DegenerateGeometryError, geometry_path_features
 from pathmpnn.gradchecks import TOLERANCE, full_model_gradcheck, probe_molecule
 from oracles import merge_batch
@@ -22,7 +24,7 @@ from pathmpnn.model import (FEATURE_MODES, ConfigError, ModelConfig, PathGroup,
                             static_feature_width, take)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
 from pathmpnn.paths import PathExplosionError, enumerate_paths
-from pathmpnn.synth import generate_molecules
+from pathmpnn.synth import generate_molecules, synth_citation
 from pathmpnn.training import featurizer_from_records, rmse_loss
 
 S60 = np.sqrt(3.0) / 2.0
@@ -588,6 +590,19 @@ def test_training_step_tape_has_one_node_per_layer(task, mode, path_length, boun
     # records at most `bound` tape nodes; it was 149 (geometry) and 135
     # (substructure) when they were composed of several
     assert training_step_tape(task, mode, path_length) <= bound
+
+
+def test_citation_training_step_tape_has_one_node_per_layer(monkeypatch):
+    # the benchmark's citation step (hidden 16, length-3 paths, dropout and
+    # weight decay) records at most 39 tape nodes with each path-GCN layer
+    # one node; it was 96 when each layer was composed of primitive ops
+    counts, backward = [], training_module.backward
+    monkeypatch.setattr(training_module, "backward",
+                        lambda loss: counts.append(reachable_tape(loss)) or backward(loss))
+    training_module.train_node_classification(
+        synth_citation(n_nodes=300, n_features=100, seed=0),
+        PathGCNConfig(hidden_dim=16, path_length=3, per_hop_budget=1), epochs=2, patience=3)
+    assert len(counts) == 2 and max(counts) <= 39, counts
 
 
 @given(mode=st.sampled_from(FEATURE_MODES), path_length=st.integers(1, 3),

@@ -369,9 +369,9 @@ def made_tensors(monkeypatch):
 
 
 def molecule_and_citation_losses():
-    """A geometry L3 molecular loss and a dropout path GCN loss with weight
-    decay, on parameters that require gradients: between them every op the
-    models use."""
+    """A geometry L3 molecular loss, and a dropout path GCN loss and plain
+    GCN loss with weight decay, on parameters that require gradients:
+    between them every op the models use."""
     graph = build_graph(*probe_molecule())
     config = ModelConfig(hidden_dim=4, steps=2, path_length=3, feature_mode="geometry",
                          set2set_steps=2, n_targets=2)
@@ -384,22 +384,27 @@ def molecule_and_citation_losses():
     rng = np.random.default_rng(0)
     masks = tuple((rng.random(shape) < 0.5) / 0.5
                   for shape in (cgraph.features.shape, (cgraph.n, gcn.hidden_dim)))
-    logits = cit.path_gcn_forward(cgraph, cit.normalize_adjacency(cgraph), gparams,
+    adj = cit.normalize_adjacency(cgraph)
+    logits = cit.path_gcn_forward(cgraph, adj, gparams,
                                   cit.sample_citation_paths(cgraph, gcn, rng), masks)
     cit_loss = cross_entropy(logits, cgraph.labels, cgraph.train_idx) + _l2_penalty(
         gparams, 5e-4)
-    return mol_loss, cit_loss
+    gcn_loss = cross_entropy(cit.gcn_forward(cgraph, adj, gparams, masks), cgraph.labels,
+                             cgraph.train_idx) + _l2_penalty(gparams, 5e-4)
+    return mol_loss, cit_loss, gcn_loss
 
 
 def test_no_grad_forwards_keep_no_tape(made_tensors):
     with T.no_grad():
         losses = molecule_and_citation_losses()
-    assert len(made_tensors) > 100
+    made_free = len(made_tensors)
+    assert made_free > 80
     for t in made_tensors:
         assert not t.requires_grad and t._parents == () and t._backward_fn is None
     made_tensors.clear()
     losses = molecule_and_citation_losses()
     assert all(t.requires_grad and t._backward_fn is not None for t in losses)
+    assert len(made_tensors) == made_free   # the same ops ran with the tape on
 
 
 def alcohol_model():
