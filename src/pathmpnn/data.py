@@ -30,6 +30,23 @@ class DataFormatError(ValueError):
     pass
 
 
+def _utf8(raw: bytes, where: str, error=DataFormatError) -> str:
+    """raw decoded as UTF-8; bytes that are not fail naming `where`."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{where}: not UTF-8 text (byte {raw[err.start]:#04x} "
+                    f"at offset {err.start})") from None
+
+
+def _text_lines(path):
+    """(line number, text) for each line of a UTF-8 file, read as bytes and
+    decoded one line at a time, so a line that is not UTF-8 is named."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            yield lineno, _utf8(raw, f"{path}:{lineno}")
+
+
 # -- molecule files ----------------------------------------------------------
 
 def record_to_dict(record: MoleculeRecord) -> dict:
@@ -70,9 +87,16 @@ def _is_point(x) -> bool:
     return type(x) is list and len(x) == 3 and all(map(_is_number, x))
 
 
+_RECORD_KEYS = frozenset({"id", "elements", "bonds", "targets", "coords"})
+
+
 def record_from_dict(data: dict, where: str = "") -> MoleculeRecord:
     """A molecule from one line's object. Nothing is coerced: id and elements
-    are strings, bond atom indices integers, targets and coords finite."""
+    are strings, bond atom indices integers, targets and coords finite. A
+    key that is none of _RECORD_KEYS is refused, so a misspelt optional key
+    cannot drop its values silently."""
+    if not _RECORD_KEYS.issuperset(data):
+        raise DataFormatError(f"{where}: unknown record keys {sorted(set(data) - _RECORD_KEYS)}")
     data = {"targets": [], "coords": None, **data}
     try:
         if not isinstance(data["id"], str):
@@ -122,39 +146,44 @@ class MoleculeDataset:
 def load_dataset(path, explicit_hydrogens: bool | None = None) -> MoleculeDataset:
     """Parse a molecule file in one pass and settle the featurizer:
     vocabulary from the header when present, otherwise from the symbols in
-    the file. A malformed line, a repeated id or a molecule that has coords
-    when the first has none, or none when it has, fails naming file and line."""
+    the file. A line that is not UTF-8 or is malformed, a repeated id, or a
+    molecule that has coords when the first has none (or none when it has)
+    or another number of targets, fails naming file and line."""
     header, records, id_lines = {}, [], {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataFormatError(f"{where}: invalid JSON ({err.msg})") from None
-            if not isinstance(data, dict):
-                raise DataFormatError(f"{where}: expected a JSON object, "
-                                      f"got {json.dumps(data)}")
-            if "id" in data:
-                record = record_from_dict(data, where)
-                if record.id in id_lines:
-                    raise DataFormatError(f"{where}: repeated id {record.id!r} "
-                                          f"(first on line {id_lines[record.id]})")
-                id_lines[record.id] = lineno
-                if records and (record.coords is None) != (records[0].coords is None):
-                    has = "has no" if record.coords is None else "has"
-                    raise DataFormatError(
-                        f"{where}: molecule {record.id!r} {has} coords, unlike the "
-                        f"first molecule (line {id_lines[records[0].id]})")
-                records.append(record)
-            elif lineno == 1:
-                _check_header(data, where)
-                header = data
-            else:
-                raise DataFormatError(f"{where}: missing field 'id'")
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise DataFormatError(f"{where}: invalid JSON ({err.msg})") from None
+        if not isinstance(data, dict):
+            raise DataFormatError(f"{where}: expected a JSON object, "
+                                  f"got {json.dumps(data)}")
+        if "id" in data:
+            record = record_from_dict(data, where)
+            if record.id in id_lines:
+                raise DataFormatError(f"{where}: repeated id {record.id!r} "
+                                      f"(first on line {id_lines[record.id]})")
+            id_lines[record.id] = lineno
+            first = records[0] if records else record
+            if (record.coords is None) != (first.coords is None):
+                has = "has no" if record.coords is None else "has"
+                raise DataFormatError(f"{where}: molecule {record.id!r} {has} coords, unlike "
+                                      f"the first molecule (line {id_lines[first.id]})")
+            if len(record.targets) != len(first.targets):
+                raise DataFormatError(
+                    f"{where}: molecule {record.id!r} has {len(record.targets)} targets, unlike "
+                    f"the first molecule (line {id_lines[first.id]}), which has "
+                    f"{len(first.targets)}")
+            records.append(record)
+        elif lineno == 1:
+            _check_header(data, where)
+            header = data
+        else:
+            raise DataFormatError(f"{where}: missing field 'id'")
     vocab = (tuple(header["element_vocab"]) if "element_vocab" in header
              else vocab_from_records(records))
     if explicit_hydrogens is None:
@@ -190,29 +219,28 @@ def parse_citation_files(content_path, cites_path, train_per_class: int = 20,
     label_index: dict[str, int] = {}
     labels = []
     n_features = None
-    with open(content_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) < 3:
-                raise DataFormatError(f"{content_path}:{lineno}: expected id, features, label")
-            doc_id, *feat, label = tokens
-            if n_features is None:
-                n_features = len(feat)
-            elif len(feat) != n_features:
-                raise DataFormatError(
-                    f"{content_path}:{lineno}: {len(feat)} features, expected {n_features}")
-            if doc_id in index:
-                raise DataFormatError(f"{content_path}:{lineno}: duplicate id {doc_id!r}")
-            index[doc_id] = len(index)
-            row_lines.append(lineno)
-            try:
-                rows.append([float(x) for x in feat])
-            except ValueError as err:
-                raise DataFormatError(f"{content_path}:{lineno}: feature values must be "
-                                      f"numbers ({err})") from None
-            labels.append(label_index.setdefault(label, len(label_index)))
+    for lineno, line in _text_lines(content_path):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) < 3:
+            raise DataFormatError(f"{content_path}:{lineno}: expected id, features, label")
+        doc_id, *feat, label = tokens
+        if n_features is None:
+            n_features = len(feat)
+        elif len(feat) != n_features:
+            raise DataFormatError(
+                f"{content_path}:{lineno}: {len(feat)} features, expected {n_features}")
+        if doc_id in index:
+            raise DataFormatError(f"{content_path}:{lineno}: duplicate id {doc_id!r}")
+        index[doc_id] = len(index)
+        row_lines.append(lineno)
+        try:
+            rows.append([float(x) for x in feat])
+        except ValueError as err:
+            raise DataFormatError(f"{content_path}:{lineno}: feature values must be "
+                                  f"numbers ({err})") from None
+        labels.append(label_index.setdefault(label, len(label_index)))
     features = np.asarray(rows)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=-1))   # float() reads nan, inf
     if bad.size:
@@ -222,20 +250,19 @@ def parse_citation_files(content_path, cites_path, train_per_class: int = 20,
 
     edges = set()
     dropped = 0
-    with open(cites_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 2:
-                raise DataFormatError(f"{cites_path}:{lineno}: expected two ids")
-            a, b = tokens
-            if a not in index or b not in index:
-                dropped += 1
-                continue
-            u, v = index[a], index[b]
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
+    for lineno, line in _text_lines(cites_path):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise DataFormatError(f"{cites_path}:{lineno}: expected two ids")
+        a, b = tokens
+        if a not in index or b not in index:
+            dropped += 1
+            continue
+        u, v = index[a], index[b]
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
     if dropped:
         warnings.warn(f"{cites_path}: dropped {dropped} citation pairs with unknown ids")
 
@@ -363,9 +390,10 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: invalid JSON ({err.msg})") from None
+    with open(path, "rb") as fh:
+        text = _utf8(fh.read(), str(path), ConfigError)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{path}: invalid JSON ({err.msg})") from None
     return run_config_from_dict(data)

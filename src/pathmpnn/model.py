@@ -115,21 +115,21 @@ def featurize(graphs, config: ModelConfig) -> GraphBatch:
 
 def _featurize(graphs, config: ModelConfig) -> GraphBatch:
     ptr = np.array([0, *accumulate(g.n for g in graphs)])
+    shift = ptr[:-1].repeat([len(g.edge_index) for g in graphs])   # per directed edge
     indptr, local = csr_adjacency([nbrs for g in graphs for nbrs in g.adjacency])
-    csr = (indptr, local + ptr[:-1].repeat([sum(map(len, g.adjacency)) for g in graphs]))
+    csr = (indptr, local + shift)
     path_features = path_feature_fn(_union(graphs, csr, config.feature_mode), config.feature_mode)
     n = int(ptr[-1])
     tables = enumerate_paths(None, np.arange(n), config.path_length, csr=csr)
-    # one edge row per directed edge (a, b) of the union, found by its key a*n+b
-    edge_table = np.array([f for g in graphs for f in g.edge_features.values()])
-    edge_keys = np.array([(a + off) * n + b + off for g, off in zip(graphs, ptr.tolist())
-                          for a, b in g.edge_features], dtype=np.int64)
-    edge_rows = edge_keys.argsort()
-    edge_keys = edge_keys[edge_rows]
+    # an edge's row is found by its key a*n+b in the union; each graph's
+    # edge_index is sorted and the graphs follow one another, so keys come sorted
+    edge_index = np.concatenate([g.edge_index for g in graphs]) + shift[:, None]
+    edge_keys = edge_index[:, 0] * n + edge_index[:, 1]
+    edge_table = np.concatenate([g.edge_attr for g in graphs])
     cache = {}
     for k, paths in tables.items():
         steps = paths[:, :-1] * n + paths[:, 1:]
-        parts = [edge_table[edge_rows[edge_keys.searchsorted(steps)]].reshape(len(paths), -1)]
+        parts = [edge_table[edge_keys.searchsorted(steps)].reshape(len(paths), -1)]
         if path_features is not None:
             parts.append(path_features(paths))
         cache[k] = PathGroup(paths, np.concatenate(parts, axis=1))
@@ -306,16 +306,8 @@ def forward_base_mpnn(graph, params, config: ModelConfig):
     """
     if config.path_length != 1 or config.feature_mode != "base":
         raise ConfigError("the base MPNN is the path_length=1, base-mode model")
-    roots, nbrs = [], []
-    for v in range(graph.n):
-        for w in graph.adjacency[v]:
-            roots.append(v)
-            nbrs.append(w)
-    roots = np.asarray(roots, dtype=np.int64)
-    nbrs = np.asarray(nbrs, dtype=np.int64)
-    if roots.size:
-        efeat = Tensor(np.stack([graph.edge_features[(v, w)]
-                                 for v, w in zip(roots, nbrs)]))
+    roots, nbrs = graph.edge_index.T
+    efeat = Tensor(graph.edge_attr)
     x = Tensor(graph.node_features)
     h = dense([x], params["embed.W"], params["embed.b"])
     for t in range(config.steps):

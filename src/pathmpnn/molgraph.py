@@ -2,7 +2,8 @@
 
 A MoleculeRecord is the parsed form of one input molecule (elements, bonds,
 optional 3D coordinates, target values). build_graph turns it into an
-immutable Graph with dense node features and symmetric edge features.
+immutable Graph with dense node features and edge_index/edge_attr arrays
+that hold each bond once per orientation.
 """
 
 from __future__ import annotations
@@ -11,7 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _norm
+
 BOND_ORDERS = ("single", "double", "triple", "aromatic")
+_ORDER_INDEX = {o: i for i, o in enumerate(BOND_ORDERS)}
+_ONE_HOT = np.eye(len(BOND_ORDERS), len(BOND_ORDERS) + 1)   # bond order rows, room for a length
 
 
 class MoleculeError(ValueError):
@@ -96,10 +101,16 @@ def vocab_from_records(records) -> tuple[str, ...]:
 # graphs usable as cache keys.
 @dataclass(frozen=True, eq=False)
 class Graph:
+    """One molecule's featurized graph, every array read-only. As in PyTorch
+    Geometric's Data, edge_index holds each bond once per orientation, sorted
+    by (v, w): the order of adjacency, node by node, neighbours ascending.
+    edge_attr holds each edge's bond order one-hot, then the bond length when
+    there are coordinates; it keeps its width e when there are no bonds."""
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     node_features: np.ndarray                      # (n, f)
-    edge_features: dict                            # (v, w) -> (e,) array, both orientations
+    edge_index: np.ndarray                         # (E, 2) int64, sorted (v, w)
+    edge_attr: np.ndarray                          # (E, e) float64, one row per edge
     elements: tuple[str, ...] | None = None
     coords: np.ndarray | None = None               # (n, 3)
     targets: tuple[float, ...] = ()
@@ -111,13 +122,11 @@ class Graph:
 
     @property
     def edge_dim(self) -> int:
-        if not self.edge_features:
-            return 0
-        return next(iter(self.edge_features.values())).shape[0]
+        return self.edge_attr.shape[1]
 
     def edges(self):
         """Unordered edge pairs (v < w)."""
-        return [(v, w) for v in range(self.n) for w in self.adjacency[v] if v < w]
+        return [(v, w) for v, w in self.edge_index.tolist() if v < w]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -152,41 +161,36 @@ def build_graph(record: MoleculeRecord, config: FeaturizerConfig) -> Graph:
     if record.coords is not None:
         coords = np.asarray(record.coords, dtype=np.float64)[keep].copy()
 
-    adj: list[set[int]] = [set() for _ in range(n)]
-    kept_bonds = []
+    # edge_of[v][w] is directed edge (v, w)'s table row: v, w, then its bond's
+    # order index and atoms as listed, so both orientations get one length
+    edge_of: list[dict[int, tuple]] = [{} for _ in range(n)]
     for i, j, order in record.bonds:
         if i in remap and j in remap:
             vi, vj = remap[i], remap[j]
-            adj[vi].add(vj)
-            adj[vj].add(vi)
-            kept_bonds.append((vi, vj, order))
-
-    has_coords = coords is not None
-    edge_dim = config.edge_dim(has_coords)
-    edge_features: dict[tuple[int, int], np.ndarray] = {}
-    order_index = {o: i for i, o in enumerate(BOND_ORDERS)}
-    for vi, vj, order in kept_bonds:
-        feat = np.zeros(edge_dim, dtype=np.float64)
-        feat[order_index[order]] = 1.0
-        if has_coords:
-            feat[-1] = float(np.linalg.norm(coords[vi] - coords[vj]))
-        feat.setflags(write=False)
-        edge_features[(vi, vj)] = feat
-        edge_features[(vj, vi)] = feat
+            edge_of[vi][vj] = (vi, vj, _ORDER_INDEX[order], vi, vj)
+            edge_of[vj][vi] = (vj, vi, _ORDER_INDEX[order], vi, vj)
+    adjacency = tuple(tuple(sorted(nbrs)) for nbrs in edge_of)
+    table = np.array([x for v, nbrs in enumerate(adjacency) for w in nbrs for x in edge_of[v][w]],
+                     dtype=np.int64).reshape(-1, 5)
+    edge_index = table[:, :2].copy()
+    edge_attr = _ONE_HOT[table[:, 2], :config.edge_dim(coords is not None)]
+    if coords is not None:
+        edge_attr[:, -1] = _norm(coords[table[:, 3]] - coords[table[:, 4]])
 
     node_features = np.zeros((n, config.node_dim), dtype=np.float64)
     for v, el in enumerate(elements):
         node_features[v, vocab_index[el]] = 1.0
-        node_features[v, -1] = float(len(adj[v]))
-    node_features.setflags(write=False)
-    if coords is not None:
-        coords.setflags(write=False)
+        node_features[v, -1] = float(len(adjacency[v]))
+    for a in (node_features, edge_index, edge_attr, coords):
+        if a is not None:
+            a.setflags(write=False)
 
     return Graph(
         n=n,
-        adjacency=tuple(tuple(sorted(s)) for s in adj),
+        adjacency=adjacency,
         node_features=node_features,
-        edge_features=edge_features,
+        edge_index=edge_index,
+        edge_attr=edge_attr,
         elements=elements,
         coords=coords,
         targets=tuple(float(t) for t in record.targets),

@@ -822,6 +822,9 @@ class CheckpointError(ValueError):
     """A file that is not a whole parameter checkpoint."""
 
 
+_MAX_NDIM = 32   # the most dimensions every numpy release holds (numpy 2 holds 64)
+
+
 def save_params(path, params, metadata=None):
     """Binary checkpoint: magic, JSON metadata block, then a flat list of
     (name, shape, little-endian float64 values)."""
@@ -844,7 +847,8 @@ def save_params(path, params, metadata=None):
 
 def load_params(path):
     """Returns (params dict of Tensors with requires_grad, metadata dict).
-    Raises CheckpointError naming the file if it is no whole checkpoint."""
+    Raises CheckpointError naming the file if it is no whole checkpoint, and
+    the parameter if its shape is impossible or a value is not finite."""
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
 
@@ -867,9 +871,14 @@ def load_params(path):
             (name_len,) = struct.unpack("<H", read(2))
             name = read(name_len).decode("utf-8", errors="replace")
             (ndim,) = struct.unpack("<B", read(1))
+            if ndim > _MAX_NDIM:
+                raise CheckpointError(f"{path}: parameter {name}: {ndim} dimensions, "
+                                      f"more than {_MAX_NDIM}")
             shape = tuple(struct.unpack("<I", read(4))[0] for _ in range(ndim))
-            n_values = int(np.prod(shape)) if shape else 1
-            values = np.frombuffer(read(8 * n_values), dtype="<f8").astype(np.float64)
+            # a Python int, so a corrupt shape asks read() for its true size
+            values = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").astype(np.float64)
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"{path}: parameter {name}: non-finite value")
             params[name] = Tensor(values.reshape(shape), requires_grad=True)
     return params, metadata
 

@@ -1,12 +1,14 @@
 """Reference forms for the property tests: the per-op forms that the
 library's fused ops replaced, built from the primitive ops (or plain numpy),
-the per-tensor Adam step, the per-graph batch merge and the citation
-sampler that rebuilds its first hops on every draw."""
+the per-tensor Adam step, the per-graph batch merge, the citation
+sampler that rebuilds its first hops on every draw, and the per-bond edge
+feature dict that molgraph's edge arrays replaced."""
 
 import numpy as np
 
 import pathmpnn.tensor as T
 from pathmpnn.model import GraphBatch, PathGroup
+from pathmpnn.molgraph import BOND_ORDERS
 from pathmpnn.paths import csr_adjacency, extensions
 
 
@@ -223,3 +225,26 @@ def merge_batch(graphs, caches) -> GraphBatch:
     groups = {k: PathGroup(*(np.concatenate(column) for column in zip(*parts)))
               for k, parts in merged.items()}
     return GraphBatch(x, graph_ids, offsets, groups)
+
+
+def edge_feature_dict(record, config) -> dict:
+    """Each kept bond's feature vector, built one bond at a time and keyed
+    by the bond in both orientations (v, w) and (w, v), in graph node
+    indices: the reference form of Graph.edge_index and Graph.edge_attr."""
+    if config.explicit_hydrogens:
+        keep = list(range(record.n_atoms))
+    else:
+        keep = [i for i, el in enumerate(record.elements) if el != "H"]
+    remap = {old: new for new, old in enumerate(keep)}
+    coords = None if record.coords is None else np.asarray(record.coords)[keep]
+    edge_dim = config.edge_dim(coords is not None)
+    features = {}
+    for i, j, order in record.bonds:
+        if i in remap and j in remap:
+            vi, vj = remap[i], remap[j]
+            feat = np.zeros(edge_dim, dtype=np.float64)
+            feat[BOND_ORDERS.index(order)] = 1.0
+            if coords is not None:
+                feat[-1] = float(np.linalg.norm(coords[vi] - coords[vj]))
+            features[(vi, vj)] = features[(vj, vi)] = feat
+    return features

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -244,7 +245,7 @@ def test_cli_paths_over_the_cap_exits_two_naming_the_molecule(tmp_path, capsys):
     # = 187,300 paths up to length 6, over the 100,000 cap
     bonds = tuple((i, j, "single") for i in range(11) for j in range(i + 1, 11))
     data = tmp_path / "k11.jsonl"
-    write_molecule_file(data, [P4, MoleculeRecord("k11", ("C",) * 11, bonds)])
+    write_molecule_file(data, [P4, MoleculeRecord("k11", ("C",) * 11, bonds, targets=(0.0,))])
     assert main(["paths", "--input", str(data), "--index", "1", "--node", "0",
                  "--length", "6"]) == 2
     captured = capsys.readouterr()
@@ -767,3 +768,119 @@ def test_molecule_with_coords_after_one_without_is_rejected_naming_both_lines(tm
     with pytest.raises(DataFormatError, match=re.escape(
             f"{data}:3: molecule 'eth3d' has coords, unlike the first molecule (line 1)")):
         load_dataset(data)
+
+
+# -- bad input that exited 2 or 0 exits 1, naming the file (and line) -----------
+
+METHANE = {"id": "methane", "elements": ["C", "H", "H", "H", "H"],
+           "bonds": [[0, i, "single"] for i in range(1, 5)], "targets": [0.0]}
+
+
+def test_cli_train_with_a_first_molecule_without_bonds(tmp_path, capsys):
+    # the first molecule sizes the model; with no heavy-atom bond its edge
+    # width read 0 and training failed on the message weights (exit 2)
+    data = tmp_path / "alc.jsonl"
+    main(["synth", "--task", "alcohol-count", "--n", "20", "--seed", "0", "--out", str(data)])
+    lines = data.read_text().splitlines()
+    data.write_text("\n".join([lines[0], json.dumps(METHANE), *lines[1:]]) + "\n")
+    (tmp_path / "run.json").write_text(json.dumps({
+        "task": "regression", "dataset": str(data),
+        "model": {"hidden_dim": 3, "steps": 1, "path_length": 2, "set2set_steps": 1},
+        "train": {"epochs": 1, "batch_size": 8}}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--report", str(tmp_path / "r.jsonl")]) == 0, capsys.readouterr().err
+
+
+def raw_checkpoint(path, name, ndim, dims, values=()):
+    """A checkpoint of one parameter record written field by field, so the
+    header may hold what save_params never writes."""
+    path.write_bytes(T.CHECKPOINT_MAGIC + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 1)
+                     + struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", ndim)
+                     + b"".join(struct.pack("<I", d) for d in dims)
+                     + np.asarray(values, dtype="<f8").tobytes())
+    return path
+
+
+@pytest.mark.parametrize("ndim, dims, values, message", [
+    (226, [1] * 226, [1.0], "parameter w: 226 dimensions, more than 32"),
+    (70, [0] * 70, [], "parameter w: 70 dimensions, more than 32"),
+    (4, [65536] * 4, [], "truncated checkpoint"),      # 2**64 values: np.prod wrapped to 0
+    (3, [2**32 - 1] * 3, [], "truncated checkpoint"),
+], ids=["ndim-226", "ndim-70-empty", "size-wraps-to-zero", "size-overflows"])
+def test_cli_eval_checkpoint_with_impossible_shape_exits_one(small_checkpoint, tmp_path,
+                                                             capsys, ndim, dims, values,
+                                                             message):
+    data, _ = small_checkpoint
+    path = raw_checkpoint(tmp_path / "bad.ckpt", "w", ndim, dims, values)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--input", str(data)]) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cli_eval_checkpoint_with_non_finite_value_exits_one(small_checkpoint, tmp_path,
+                                                              capsys, value):
+    # the value was loaded, and eval printed NaN metrics, not JSON, with exit 0
+    data, good = small_checkpoint
+    path = tmp_path / "nan.ckpt"
+    path.write_bytes(good.read_bytes()[:-8] + struct.pack("<d", value))
+    last = list(T.load_params(good)[0])[-1]
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--input", str(data)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and f"error: {path}: parameter {last}: non-finite value" in out.err
+
+
+def test_cli_non_utf8_molecule_file_exits_one_naming_the_line(tmp_path, capsys):
+    data = tmp_path / "bad.jsonl"
+    data.write_bytes(json.dumps(ETHANOL).encode() + b"\n"
+                     + json.dumps({**ETHANOL, "id": "e\xe9"}, ensure_ascii=False).encode("latin-1")
+                     + b"\n")
+    for args in (["paths", "--input", str(data), "--node", "0", "--length", "1"],
+                 ["featurize", "--input", str(data), "--mode", "substructure", "--length", "1",
+                  "--out", str(tmp_path / "f.jsonl")]):
+        capsys.readouterr()
+        assert main(args) == 1
+        assert f"error: {data}:2: not UTF-8 text (byte 0xe9" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_run_config_exits_one_naming_the_file(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_bytes(b'{"task": "regression", "dataset": "caf\xe9.jsonl"}')
+    assert main(["train", "--config", str(config), "--report", str(tmp_path / "r.jsonl")]) == 1
+    assert f"error: {config}: not UTF-8 text (byte 0xe9 at offset 38)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["content", "cites"])
+def test_cli_non_utf8_citation_file_exits_one_naming_the_line(tmp_path, capsys, bad):
+    files = {"content": tmp_path / "t.content", "cites": tmp_path / "t.cites"}
+    files["content"].write_bytes(b"d1 1 0 A\nd2 1 0 B\n" + (b"d\xff 0 1 A\n" * (bad == "content")))
+    files["cites"].write_bytes(b"d1 d2\n" + (b"d1 d\xff\n" * (bad == "cites")))
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"task": "citation", "content": str(files["content"]), "cites": str(files["cites"])}))
+    line = 3 if bad == "content" else 2
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--report", str(tmp_path / "r.jsonl")]) == 1
+    assert f"error: {files[bad]}:{line}: not UTF-8 text (byte 0xff" in capsys.readouterr().err
+
+
+def test_cli_record_with_an_unknown_key_exits_one_naming_it_and_the_line(tmp_path, capsys):
+    # a corrupted "targets" key left the molecule without targets, and eval
+    # failed later on a ragged target array (exit 2)
+    data = tmp_path / "bad.jsonl"
+    renamed = {("tar9ets" if k == "targets" else k): v for k, v in ETHANOL.items()}
+    data.write_text(json.dumps(ETHANOL) + "\n" + json.dumps({**renamed, "id": "b"}) + "\n")
+    assert main(["paths", "--input", str(data), "--node", "0", "--length", "1"]) == 1
+    assert f"error: {data}:2: unknown record keys ['tar9ets']" in capsys.readouterr().err
+
+
+def test_cli_eval_on_molecules_with_another_number_of_targets_exits_one(small_checkpoint,
+                                                                        tmp_path, capsys):
+    _, good = small_checkpoint
+    data = tmp_path / "bad.jsonl"
+    lines = [ETHANOL, {**ETHANOL, "id": "b"}, {**ETHANOL, "id": "c", "targets": []}]
+    data.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert main(["eval", "--checkpoint", str(good), "--input", str(data)]) == 1
+    assert (f"error: {data}:3: molecule 'c' has 0 targets, unlike the first molecule "
+            f"(line 1), which has 1") in capsys.readouterr().err

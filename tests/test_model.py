@@ -288,9 +288,10 @@ def oracle_cache(graph, config, exact_length_only=False):
         tables = enumerate_paths(graph, [v], config.path_length)
         found.extend(tuple(row) for k, t in tables.items() for row in t.tolist()
                      if not exact_length_only or k == config.path_length)
+    edge_rows = dict(zip(map(tuple, graph.edge_index.tolist()), graph.edge_attr))
     groups = {}
     for p in found:
-        parts = [graph.edge_features[(a, b)] for a, b in zip(p, p[1:])]
+        parts = [edge_rows[(a, b)] for a, b in zip(p, p[1:])]
         if config.feature_mode == "substructure":
             parts.append(substructure_path_features(
                 graph, p, ring_membership(graph), detect_groups(graph)).to_vector())

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from pathmpnn.molgraph import (BOND_ORDERS, FeaturizerConfig, MoleculeError,
                                MoleculeRecord, UnknownElementError,
                                build_graph, validate_record)
@@ -72,10 +73,23 @@ def test_edge_features_bond_order_and_length():
     coords = np.array([[0.0, 0, 0], [2.0, 0, 0]])
     record = MoleculeRecord("x", ("C", "C"), ((0, 1, "triple"),), coords=coords)
     g = build_graph(record, FeaturizerConfig(("C",)))
-    feat = g.edge_features[(0, 1)]
+    assert g.edge_index.tolist() == [[0, 1], [1, 0]]
+    feat = g.edge_attr[0]
     assert feat.shape == (len(BOND_ORDERS) + 1,)
     assert feat[BOND_ORDERS.index("triple")] == 1.0
     assert feat[-1] == pytest.approx(2.0)
+
+
+def test_edge_arrays_keep_their_width_without_bonds():
+    # a first molecule with no heavy-atom bond (methane) sizes the model
+    methane = MoleculeRecord("methane", ("C", "H", "H", "H", "H"),
+                             tuple((0, i, "single") for i in range(1, 5)))
+    for explicit_h, n_edges in ((False, 0), (True, 8)):
+        g = build_graph(methane, FeaturizerConfig(("C", "H"), explicit_hydrogens=explicit_h))
+        assert g.edge_index.shape == (n_edges, 2) and g.edge_index.dtype == np.int64
+        assert g.edge_attr.shape == (n_edges, len(BOND_ORDERS))
+        assert g.edge_dim == len(BOND_ORDERS)
+        assert not (g.edge_index.flags.writeable or g.edge_attr.flags.writeable)
 
 
 @st.composite
@@ -95,9 +109,36 @@ def molecule_records(draw):
 @given(molecule_records())
 def test_symmetry_invariants(record):
     g = build_graph(record, FeaturizerConfig(("C", "N", "O")))
+    rows = {e: i for i, e in enumerate(map(tuple, g.edge_index.tolist()))}
     for v in range(g.n):
         for w in g.adjacency[v]:
             assert v in g.adjacency[w]
-            assert np.array_equal(g.edge_features[(v, w)], g.edge_features[(w, v)])
-    widths = {feat.shape for feat in g.edge_features.values()}
-    assert len(widths) <= 1
+            assert np.array_equal(g.edge_attr[rows[(v, w)]], g.edge_attr[rows[(w, v)]])
+    assert g.edge_attr.shape == (len(rows), g.edge_dim)
+
+
+# -- the edge arrays against the per-bond dict; tolerance 0 (exact) -----------
+
+@given(molecule_records(), st.booleans(), st.booleans())
+def test_edge_arrays_equal_per_bond_dict(record, hydrogens, explicit_h):
+    """With hydrogens attached at random, heavy-atom mode drops their bonds
+    and explicit mode keeps them; either way edge_index lists the directed
+    edges in adjacency order and edge_attr holds each one's dict row."""
+    if hydrogens:
+        n = record.n_atoms
+        record = MoleculeRecord(
+            record.id, record.elements + ("H",) * n,
+            record.bonds + tuple((i, n + i, "single") for i in range(n)),
+            coords=None if record.coords is None
+            else np.concatenate([record.coords, record.coords + 1.1]))
+    config = FeaturizerConfig(("C", "H", "N", "O"), explicit_hydrogens=explicit_h)
+    g = build_graph(record, config)
+    want = oracles.edge_feature_dict(record, config)
+    edges = [(v, w) for v in range(g.n) for w in g.adjacency[v]]
+    assert g.edge_index.dtype == np.int64 and g.edge_index.shape == (len(edges), 2)
+    assert list(map(tuple, g.edge_index.tolist())) == edges == sorted(want)
+    assert g.edge_attr.dtype == np.float64
+    assert g.edge_attr.shape == (len(edges), config.edge_dim(record.coords is not None))
+    assert np.array_equal(g.edge_attr,
+                          np.array([want[e] for e in edges]).reshape(g.edge_attr.shape))
+    assert g.edges() == [(v, w) for v, w in edges if v < w]
