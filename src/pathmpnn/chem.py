@@ -11,7 +11,6 @@ substructure_path_features flags one path and is its test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 import numpy as np
 
@@ -68,29 +67,6 @@ def ring_membership(graph) -> np.ndarray:
             for v in cycle:
                 flags[v, col] = 1.0
                 flags[v, -1] = 1.0
-    return flags
-
-
-def rings_oracle(graph) -> np.ndarray:
-    """Independent ring-flag computation for tests: for every node subset of
-    size s, check whether the induced subgraph has a Hamiltonian cycle."""
-    adj_sets = [set(nbrs) for nbrs in graph.adjacency]
-    flags = np.zeros((graph.n, RING_FLAG_DIM), dtype=np.float64)
-    nodes = range(graph.n)
-    for size in RING_SIZES:
-        col = RING_SIZES.index(size)
-        for subset in combinations(nodes, size):
-            anchor, rest = subset[0], subset[1:]
-            found = False
-            for perm in permutations(rest):
-                seq = (anchor,) + perm
-                if all(seq[(i + 1) % size] in adj_sets[seq[i]] for i in range(size)):
-                    found = True
-                    break
-            if found:
-                for v in subset:
-                    flags[v, col] = 1.0
-                    flags[v, -1] = 1.0
     return flags
 
 

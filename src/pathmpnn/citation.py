@@ -48,9 +48,13 @@ class CitationGraph:
 
     @cached_property
     def first_hops(self):
-        """The graph's _first_hops, built on first use and kept: replace the
-        graph, do not edit its adjacency, once paths have been drawn."""
-        return _first_hops(self)
+        """What every path draw starts from and no draw changes: the CSR
+        adjacency, the one-edge paths (root, neighbor) and their
+        _candidates. Built on first use and kept: replace the graph, do not
+        edit its adjacency, once paths have been drawn."""
+        csr = csr_adjacency(self.adjacency)
+        frontier = np.stack(extensions(np.arange(self.n)[:, None], csr), axis=1)
+        return csr, frontier, _candidates(frontier, csr)
 
 
 @dataclass(frozen=True)
@@ -128,26 +132,16 @@ def _candidates(frontier: np.ndarray, csr):
     return row, nxt, count, np.cumsum(count) - count
 
 
-def _first_hops(graph):
-    """What every path draw starts from and no draw changes: the CSR
-    adjacency, the one-edge paths (root, neighbor) and their _candidates."""
-    csr = csr_adjacency(graph.adjacency)
-    frontier = np.stack(extensions(np.arange(graph.n)[:, None], csr), axis=1)
-    return csr, frontier, _candidates(frontier, csr)
-
-
 def sample_citation_paths(graph: CitationGraph, config: PathGCNConfig,
                           rng) -> dict[int, np.ndarray]:
     """One uniformly sampled extension per partial path per hop, starting
     from every first-order neighbor of every node, as node tables of lengths
     2..path_length (those that drew paths): one draw per partial path.
-    A CitationGraph keeps its first hops, so a draw only picks; any other
-    graph with n and adjacency builds them per draw. Budget 0 returns {}
-    without drawing from rng."""
+    The graph keeps its first hops, so a draw only picks. Budget 0 returns
+    {} without drawing from rng."""
     if config.per_hop_budget == 0:
         return {}
-    csr, frontier, candidates = (graph.first_hops if isinstance(graph, CitationGraph)
-                                 else _first_hops(graph))
+    csr, frontier, candidates = graph.first_hops
     groups = {}
     for hop in range(2, config.path_length + 1):
         if hop > 2:

@@ -109,11 +109,11 @@ def _train_citation_runs(config, repeats):
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
     repeats = args.repeats if args.repeats is not None else config.repeats
-
-    if config.task == "regression":
-        results = _train_regression_runs(config, repeats)
-    else:
-        results = _train_citation_runs(config, repeats)
+    runs = _train_regression_runs if config.task == "regression" else _train_citation_runs
+    try:
+        results = runs(config, repeats)
+    except OSError as err:   # a data file the config names
+        raise ConfigError(f"{args.config}: {err.filename}: {err.strerror}") from None
 
     reports = [res.report for res in results]
     save_report(args.report, *reports)
@@ -184,9 +184,13 @@ def cmd_eval(args) -> int:
                      for p in (params, expected))
         if got != want:
             raise ConfigError(f"{args.checkpoint}: parameter {name}: {got} in the "
-                              f"checkpoint, {want} for its model config and input")
-    metrics = evaluate_regression(dataset.records, params, model_config,
-                                  featurizer, target_mean, target_std)
+                              f"checkpoint, {want} for its model config and input "
+                              f"{args.input}")
+    try:   # the molecule errors name the molecule; name the file too
+        metrics = evaluate_regression(dataset.records, params, model_config,
+                                      featurizer, target_mean, target_std)
+    except (MoleculeError, ConfigError, DegenerateGeometryError) as err:
+        raise type(err)(f"{args.input}: {err}") from None
     print(json.dumps(metrics))
     return 0
 

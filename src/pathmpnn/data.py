@@ -396,4 +396,7 @@ def load_run_config(path) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON ({err.msg})") from None
-    return run_config_from_dict(data)
+    try:
+        return run_config_from_dict(data)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None

@@ -119,6 +119,10 @@ def _featurize(graphs, config: ModelConfig) -> GraphBatch:
     indptr, local = csr_adjacency([nbrs for g in graphs for nbrs in g.adjacency])
     csr = (indptr, local + shift)
     path_features = path_feature_fn(_union(graphs, csr, config.feature_mode), config.feature_mode)
+    for graph in graphs[1:]:
+        if graph.edge_dim != graphs[0].edge_dim:   # built with and without coordinates
+            raise ConfigError(f"molecule {graph.id}: edge feature width {graph.edge_dim}, "
+                              f"but molecule {graphs[0].id} has {graphs[0].edge_dim}")
     n = int(ptr[-1])
     tables = enumerate_paths(None, np.arange(n), config.path_length, csr=csr)
     # an edge's row is found by its key a*n+b in the union; each graph's

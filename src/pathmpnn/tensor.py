@@ -64,42 +64,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        count = self.values.size if axis is None else self.values.shape[axis]
-        return reduce_sum(self, axis=axis, keepdims=keepdims) * (1.0 / count)
-
     def item(self) -> float:
         return float(self.values.reshape(-1)[0])
-
-    def backward(self):
-        backward(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -175,19 +147,6 @@ def add(a, b):
     return _make(out_values, (a, b), backward_fn, "add")
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_values = a.values - b.values
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.values.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.values.shape))
-
-    return _make(out_values, (a, b), backward_fn, "sub")
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_values = a.values * b.values
@@ -199,20 +158,6 @@ def mul(a, b):
             _accumulate(b, _unbroadcast(g * a.values, b.values.shape))
 
     return _make(out_values, (a, b), backward_fn, "mul")
-
-
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_values = a.values / b.values
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.values, a.values.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.values / (b.values * b.values),
-                                        b.values.shape))
-
-    return _make(out_values, (a, b), backward_fn, "div")
 
 
 def matmul(a, b):
@@ -340,16 +285,6 @@ def dense(parts, W, b=None, activation=None):
     return _make(out_values, parents, backward_fn, "dense")
 
 
-def reshape(a, shape):
-    a = as_tensor(a)
-    out_values = a.values.reshape(shape)
-
-    def backward_fn(g):
-        _accumulate(a, g.reshape(a.values.shape))
-
-    return _make(out_values, (a,), backward_fn, "reshape")
-
-
 def columns(a, lo: int, hi: int):
     """Columns lo:hi of a 2-D tensor, as a view; the gradient is added into
     the same columns of a's gradient."""
@@ -373,61 +308,6 @@ def _elementwise(a, formula, op: str):
 
 def relu(a):
     return _elementwise(a, _relu, "relu")
-
-
-def leaky_relu(a, slope=0.2):
-    return _elementwise(a, lambda x: _leaky_relu(x, slope), "leaky_relu")
-
-
-def sigmoid(a):
-    return _elementwise(a, _sigmoid, "sigmoid")
-
-
-def tanh(a):
-    return _elementwise(a, _tanh, "tanh")
-
-
-def exp(a):
-    a = as_tensor(a)
-    out_values = np.exp(a.values)
-
-    def backward_fn(g):
-        _accumulate(a, g * out_values)
-
-    return _make(out_values, (a,), backward_fn, "exp")
-
-
-def log(a):
-    a = as_tensor(a)
-    out_values = np.log(a.values)
-
-    def backward_fn(g):
-        _accumulate(a, g / a.values)
-
-    return _make(out_values, (a,), backward_fn, "log")
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    out_values = np.sqrt(a.values)
-
-    def backward_fn(g):
-        _accumulate(a, g * 0.5 / out_values)
-
-    return _make(out_values, (a,), backward_fn, "sqrt")
-
-
-def softmax(a, axis=-1):
-    a = as_tensor(a)
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    ez = np.exp(shifted)
-    out_values = ez / ez.sum(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        inner = (g * out_values).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_values * (g - inner))
-
-    return _make(out_values, (a,), backward_fn, "softmax")
 
 
 def reduce_sum(a, axis=None, keepdims=False):
@@ -693,6 +573,65 @@ def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
                     _accumulate(W, gw[:, i * width:(i + 1) * width])
 
     return _make(out_values, [h, b] + Ws, backward_fn, "path_gcn_layer")
+
+
+# -- losses: one op each, whose backward replays the composed form's arithmetic
+#    in order (tests/oracles.py), so values and gradients are bit-identical --
+
+def rmse_loss(pred, target):
+    """Root-mean-squared error, sqrt(mean((pred - target)^2))."""
+    pred, target = as_tensor(pred), as_tensor(target)
+    diff = pred.values - target.values
+    scale = 1.0 / diff.size
+    out_values = np.sqrt((diff * diff).sum() * scale)
+
+    def backward_fn(g):
+        g_diff = g * 0.5 / out_values * scale * diff
+        g_diff = g_diff + g_diff   # the square's two operands
+        _accumulate(pred, _unbroadcast(g_diff, pred.values.shape))
+        _accumulate(target, _unbroadcast(-g_diff, target.values.shape))
+
+    return _make(out_values, (pred, target), backward_fn, "rmse_loss")
+
+
+def cross_entropy(logits, labels, idx):
+    """Mean cross entropy over the rows in idx. The per-row max shift is a
+    constant, keeping the log-sum-exp stable without touching gradients."""
+    logits = as_tensor(logits)
+    idx = np.asarray(idx, dtype=np.int64)
+    picked = logits.values[idx]
+    z = picked - picked.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    sums = ez.sum(axis=1, keepdims=True)
+    onehot = np.zeros(picked.shape)
+    onehot[np.arange(idx.size), np.asarray(labels)[idx]] = 1.0
+    scale = -1.0 / idx.size
+    out_values = ((z - np.log(sums)) * onehot).sum() * scale
+
+    def backward_fn(g):
+        g_z = g * scale * onehot   # the gradient of z - log(sums)
+        g_z = g_z + _unbroadcast(-g_z, sums.shape) / sums * ez
+        _accumulate(logits, _scatter_rows(idx, g_z, logits.values.shape[0]))
+
+    return _make(out_values, (logits,), backward_fn, "cross_entropy")
+
+
+def l2_penalty(tensors, coefficient):
+    """coefficient times the sum of the tensors' squared entries. The
+    backward adds g * t into each gradient twice, once per operand of the
+    square: onto a gradient that holds a layer's share, 2 g t rounds apart."""
+    tensors = [as_tensor(t) for t in tensors]
+    c = np.float64(coefficient)
+    out_values = sum((t.values * t.values).sum() for t in tensors) * c
+
+    def backward_fn(g):
+        g = g * c
+        for t in tensors:
+            g_t = g * t.values
+            _accumulate(t, g_t)
+            _accumulate(t, g_t)
+
+    return _make(out_values, tensors, backward_fn, "l2_penalty")
 
 
 # -- backward pass -------------------------------------------------------

@@ -12,19 +12,11 @@ import numpy as np
 from . import citation as cit
 from . import model as mdl
 from .molgraph import FeaturizerConfig, build_graph, vocab_from_records
-from .tensor import (AdamState, Tensor, adam_step, backward, exp, gather_rows,
-                     log, mul, no_grad, reduce_sum, sub, sqrt, zero_grad)
+from .tensor import (AdamState, adam_step, backward, cross_entropy, l2_penalty, no_grad,
+                     rmse_loss, zero_grad)
 
 
-# -- losses and metrics ----------------------------------------------------
-
-def rmse_loss(pred, target):
-    """Differentiable root-mean-squared error."""
-    if not isinstance(target, Tensor):
-        target = Tensor(target)
-    diff = sub(pred, target)
-    return sqrt(mul(diff, diff).mean())
-
+# -- metrics (the losses rmse_loss and cross_entropy are tensor's one-node ops)
 
 def mae_metric(pred, target) -> float:
     return float(np.abs(np.asarray(pred) - np.asarray(target)).mean())
@@ -51,20 +43,6 @@ def _errors(pred, target, prefix: str = "") -> dict:
     return {f"{prefix}mae": mae_metric(pred, target),
             f"{prefix}rmse": rmse_metric(pred, target),
             f"{prefix}percent_error": percent_error_metric(pred, target)}
-
-
-def cross_entropy(logits, labels, idx):
-    """Mean cross entropy over the rows in idx. The per-row max shift is a
-    constant, keeping the log-sum-exp stable without touching gradients."""
-    idx = np.asarray(idx, dtype=np.int64)
-    picked = gather_rows(logits, idx)
-    shift = Tensor(picked.values.max(axis=1, keepdims=True))
-    z = sub(picked, shift)
-    lse = log(reduce_sum(exp(z), axis=1, keepdims=True))
-    onehot = np.zeros(picked.values.shape)
-    onehot[np.arange(idx.size), np.asarray(labels)[idx]] = 1.0
-    picked_logp = mul(sub(z, lse), Tensor(onehot))
-    return mul(reduce_sum(picked_logp), -1.0 / idx.size)
 
 
 def accuracy(logits_values, labels, idx) -> float:
@@ -332,15 +310,9 @@ def evaluate_regression(records, params, config: mdl.ModelConfig,
 
 def _l2_penalty(params, coefficient):
     """coefficient times the squared norm of the dense maps, the parameters
-    named "*.W". Biases and the path GCN's per-position path maps
+    named "*.W", as one op. Biases and the path GCN's per-position path maps
     ("path{layer}.len{k}.M{pos}") are not decayed."""
-    term = None
-    for name, t in params.items():
-        if not name.endswith(".W"):
-            continue
-        sq = mul(t, t)
-        term = sq.sum() if term is None else (term + sq.sum())
-    return mul(term, coefficient)
+    return l2_penalty([t for name, t in params.items() if name.endswith(".W")], coefficient)
 
 
 @no_grad()

@@ -1,15 +1,108 @@
-"""Reference forms for the property tests: the per-op forms that the
-library's fused ops replaced, built from the primitive ops (or plain numpy),
-the per-tensor Adam step, the per-graph batch merge, the citation
-sampler that rebuilds its first hops on every draw, and the per-bond edge
-feature dict that molgraph's edge arrays replaced."""
+"""Reference forms for the property tests: the primitive ops that only the
+composed forms use, the per-op forms that the library's fused ops and
+losses replaced, built from the primitive ops (or plain numpy), the
+per-tensor Adam step, the brute-force ring flags, the per-graph batch merge,
+the citation sampler that rebuilds its first hops on every draw, and the
+per-bond edge feature dict that molgraph's edge arrays replaced."""
+
+from itertools import combinations, permutations
 
 import numpy as np
 
 import pathmpnn.tensor as T
+from pathmpnn.chem import RING_FLAG_DIM, RING_SIZES
 from pathmpnn.model import GraphBatch, PathGroup
 from pathmpnn.molgraph import BOND_ORDERS
 from pathmpnn.paths import csr_adjacency, extensions
+
+# -- primitive ops that no library code path records --------------------------
+
+
+def sub(a, b):
+    a, b = T.as_tensor(a), T.as_tensor(b)
+    out_values = a.values - b.values
+
+    def backward_fn(g):
+        if a.requires_grad:
+            T._accumulate(a, T._unbroadcast(g, a.values.shape))
+        if b.requires_grad:
+            T._accumulate(b, T._unbroadcast(-g, b.values.shape))
+
+    return T._make(out_values, (a, b), backward_fn, "sub")
+
+
+def div(a, b):
+    a, b = T.as_tensor(a), T.as_tensor(b)
+    out_values = a.values / b.values
+
+    def backward_fn(g):
+        if a.requires_grad:
+            T._accumulate(a, T._unbroadcast(g / b.values, a.values.shape))
+        if b.requires_grad:
+            T._accumulate(b, T._unbroadcast(-g * a.values / (b.values * b.values),
+                                            b.values.shape))
+
+    return T._make(out_values, (a, b), backward_fn, "div")
+
+
+def reshape(a, shape):
+    a = T.as_tensor(a)
+    out_values = a.values.reshape(shape)
+
+    def backward_fn(g):
+        T._accumulate(a, g.reshape(a.values.shape))
+
+    return T._make(out_values, (a,), backward_fn, "reshape")
+
+
+def leaky_relu(a, slope=0.2):
+    return T._elementwise(a, lambda x: T._leaky_relu(x, slope), "leaky_relu")
+
+
+def sigmoid(a):
+    return T._elementwise(a, T._sigmoid, "sigmoid")
+
+
+def tanh(a):
+    return T._elementwise(a, T._tanh, "tanh")
+
+
+def exp(a):
+    a = T.as_tensor(a)
+    out_values = np.exp(a.values)
+
+    def backward_fn(g):
+        T._accumulate(a, g * out_values)
+
+    return T._make(out_values, (a,), backward_fn, "exp")
+
+
+def log(a):
+    a = T.as_tensor(a)
+    out_values = np.log(a.values)
+
+    def backward_fn(g):
+        T._accumulate(a, g / a.values)
+
+    return T._make(out_values, (a,), backward_fn, "log")
+
+
+def sqrt(a):
+    a = T.as_tensor(a)
+    out_values = np.sqrt(a.values)
+
+    def backward_fn(g):
+        T._accumulate(a, g * 0.5 / out_values)
+
+    return T._make(out_values, (a,), backward_fn, "sqrt")
+
+
+def mean(a):
+    """The mean of every entry: a sum, then a multiply by one over the count."""
+    return T.mul(T.reduce_sum(a), 1.0 / T.as_tensor(a).values.size)
+
+
+# -- composed forms ------------------------------------------------------------
 
 
 def composed_dense(parts, W, b=None):
@@ -35,9 +128,9 @@ def composed_segment_softmax(scores, segment_ids, num_segments):
     seg_max = np.full((num_segments,) + scores.values.shape[1:], -np.inf)
     np.maximum.at(seg_max, ids, scores.values)
     seg_max[~np.isfinite(seg_max)] = 0.0
-    shifted = T.exp(T.sub(scores, T.Tensor(seg_max[ids])))
+    shifted = exp(sub(scores, T.Tensor(seg_max[ids])))
     denom = T.segment_sum(shifted, ids, num_segments)
-    return T.div(shifted, T.gather_rows(denom, ids))
+    return div(shifted, T.gather_rows(denom, ids))
 
 
 def composed_segment_weighted_sum(weights, values, segment_ids, num_segments):
@@ -52,20 +145,20 @@ def composed_row_dot(a, q, indices):
 
 def composed_dense_activation(parts, W, b, activation):
     """dense, then relu or sigmoid as an op of its own: two tape nodes."""
-    return {"relu": T.relu, "sigmoid": T.sigmoid}[activation](T.dense(parts, W, b))
+    return {"relu": T.relu, "sigmoid": sigmoid}[activation](T.dense(parts, W, b))
 
 
 def composed_path_message(h, paths, static, W, b):
     """gather_rows, reshape, dense over a constant static block, then relu:
     four tape nodes and a leaf."""
-    h_path = T.reshape(T.gather_rows(h, paths), (len(paths), paths.shape[1] * h.values.shape[1]))
+    h_path = reshape(T.gather_rows(h, paths), (len(paths), paths.shape[1] * h.values.shape[1]))
     return T.relu(T.dense([h_path, T.Tensor(static)], W, b))
 
 
 def composed_attention(h, messages, roots, n, a, slope=0.2):
     """gather_rows, dense, leaky_relu, segment_softmax and
     segment_weighted_sum: five tape nodes."""
-    scores = T.leaky_relu(T.dense([T.gather_rows(h, roots), messages], a), slope=slope)
+    scores = leaky_relu(T.dense([T.gather_rows(h, roots), messages], a), slope=slope)
     return T.segment_weighted_sum(T.segment_softmax(scores, roots, n), messages, roots, n)
 
 
@@ -74,10 +167,10 @@ def composed_lstm_cell(inputs, state, W, b):
     h, c = state
     d = h.values.shape[1]
     pre = T.dense(list(inputs) + [h], W, b)
-    gates = T.sigmoid(T.columns(pre, 0, 3 * d))
+    gates = sigmoid(T.columns(pre, 0, 3 * d))
     i, f, o = (T.columns(gates, lo, lo + d) for lo in (0, d, 2 * d))
-    c_new = T.add(T.mul(f, c), T.mul(i, T.tanh(T.columns(pre, 3 * d, 4 * d))))
-    return T.mul(o, T.tanh(c_new)), c_new
+    c_new = T.add(T.mul(f, c), T.mul(i, tanh(T.columns(pre, 3 * d, 4 * d))))
+    return T.mul(o, tanh(c_new)), c_new
 
 
 def composed_path_gcn_layer(h, Ws, b, adj, paths, n, activation=None):
@@ -103,6 +196,34 @@ def composed_path_gcn_layer(h, Ws, b, adj, paths, n, activation=None):
         agg = T.add(agg, T.segment_sum(msg, roots, n))
     out = T.add(agg, b)
     return T.relu(out) if activation == "relu" else out
+
+
+def composed_rmse_loss(pred, target):
+    """sub, mul, the mean's sum and multiply, then sqrt: five tape nodes."""
+    diff = sub(pred, target)
+    return sqrt(mean(T.mul(diff, diff)))
+
+
+def composed_cross_entropy(logits, labels, idx):
+    """gather_rows, the max shift, exp, the row sums, log, the log
+    probabilities, the one-hot pick, the sum and the scale: nine tape nodes."""
+    idx = np.asarray(idx, dtype=np.int64)
+    picked = T.gather_rows(logits, idx)
+    z = sub(picked, T.Tensor(picked.values.max(axis=1, keepdims=True)))
+    lse = log(T.reduce_sum(exp(z), axis=1, keepdims=True))
+    onehot = np.zeros(picked.values.shape)
+    onehot[np.arange(idx.size), np.asarray(labels)[idx]] = 1.0
+    return T.mul(T.reduce_sum(T.mul(sub(z, lse), T.Tensor(onehot))), -1.0 / idx.size)
+
+
+def composed_l2_penalty(tensors, coefficient):
+    """Per tensor a square and its sum, the adds between them, then the
+    coefficient: three tape nodes per tensor."""
+    term = None
+    for t in tensors:
+        sq = T.reduce_sum(T.mul(t, t))
+        term = sq if term is None else T.add(term, sq)
+    return T.mul(term, coefficient)
 
 
 def citation_path_features(h, path_nodes):
@@ -178,9 +299,9 @@ def per_gate_lstm_cell(x, state, params, prefix="lstm"):
         pre = T.add(T.add(T.matmul(x, params[f"{prefix}.W{gate}"]),
                           T.matmul(h, params[f"{prefix}.U{gate}"])),
                     params[f"{prefix}.b{gate}"])
-        gates[gate] = T.tanh(pre) if gate == "g" else T.sigmoid(pre)
+        gates[gate] = tanh(pre) if gate == "g" else sigmoid(pre)
     c_new = T.add(T.mul(gates["f"], c), T.mul(gates["i"], gates["g"]))
-    h_new = T.mul(gates["o"], T.tanh(c_new))
+    h_new = T.mul(gates["o"], tanh(c_new))
     return h_new, c_new
 
 
@@ -203,11 +324,35 @@ def per_column_propagate_step(h, cache, params, config, t):
     else:
         messages = msgs[0] if len(msgs) == 1 else T.concat(msgs, axis=0)
         roots = np.concatenate(roots)
-        scores = T.leaky_relu(composed_dense([T.gather_rows(h, roots), messages],
+        scores = leaky_relu(composed_dense([T.gather_rows(h, roots), messages],
                                              params[f"attn{t}.h0"]), slope=0.2)
         weights = composed_segment_softmax(scores, roots, n)
         m_v = T.segment_sum(T.mul(weights, messages), roots, n)
-    return T.sigmoid(composed_dense([h, m_v], params[f"upd{t}.W"], params[f"upd{t}.b"]))
+    return sigmoid(composed_dense([h, m_v], params[f"upd{t}.W"], params[f"upd{t}.b"]))
+
+
+def rings_oracle(graph) -> np.ndarray:
+    """Ring flags by brute force, independent of chem's cycle search: for
+    every node subset of size s, check whether the induced subgraph has a
+    Hamiltonian cycle."""
+    adj_sets = [set(nbrs) for nbrs in graph.adjacency]
+    flags = np.zeros((graph.n, RING_FLAG_DIM), dtype=np.float64)
+    nodes = range(graph.n)
+    for size in RING_SIZES:
+        col = RING_SIZES.index(size)
+        for subset in combinations(nodes, size):
+            anchor, rest = subset[0], subset[1:]
+            found = False
+            for perm in permutations(rest):
+                seq = (anchor,) + perm
+                if all(seq[(i + 1) % size] in adj_sets[seq[i]] for i in range(size)):
+                    found = True
+                    break
+            if found:
+                for v in subset:
+                    flags[v, col] = 1.0
+                    flags[v, -1] = 1.0
+    return flags
 
 
 def merge_batch(graphs, caches) -> GraphBatch:

@@ -24,6 +24,13 @@ def tiny_graph(n, edges, n_features=6, n_classes=2, seed=0):
         test_idx=np.arange(n)[-2:], n_classes=n_classes)
 
 
+@pytest.fixture
+def k4():
+    """The complete graph on four nodes as a CitationGraph, the graph type
+    sample_citation_paths takes (the shared fixture is a bare adjacency)."""
+    return tiny_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+
+
 def test_normalize_single_node():
     g = tiny_graph(1, [])
     adj = normalize_adjacency(g)

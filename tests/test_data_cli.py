@@ -162,7 +162,7 @@ def test_cli_train_wrong_type_exits_one_naming_block_and_key(tmp_path, capsys):
          "gcn": {"per_hop_budget": True}}))
     assert main(["train", "--config", str(tmp_path / "run.json"),
                  "--report", str(tmp_path / "r.jsonl")]) == 1
-    assert ("error: gcn: per_hop_budget must be an integer, got true"
+    assert (f"error: {tmp_path / 'run.json'}: gcn: per_hop_budget must be an integer, got true"
             in capsys.readouterr().err)
 
 
@@ -208,8 +208,8 @@ def test_cli_train_non_object_block_exits_one_naming_it(tmp_path, capsys, key, v
     (tmp_path / "run.json").write_text(json.dumps(value if key == "run config" else config))
     assert main(["train", "--config", str(tmp_path / "run.json"),
                  "--report", str(tmp_path / "r.jsonl")]) == 1
-    assert (f"error: {key}: expected a JSON object, got {json.dumps(value)}"
-            in capsys.readouterr().err)
+    assert (f"error: {tmp_path / 'run.json'}: {key}: expected a JSON object, "
+            f"got {json.dumps(value)}" in capsys.readouterr().err)
 
 
 def test_cli_train_per_hop_budget_above_one_exits_one(tmp_path, capsys):
@@ -218,8 +218,8 @@ def test_cli_train_per_hop_budget_above_one_exits_one(tmp_path, capsys):
          "gcn": {"per_hop_budget": 2}}))
     assert main(["train", "--config", str(tmp_path / "run.json"),
                  "--report", str(tmp_path / "r.jsonl")]) == 1
-    assert ("error: per_hop_budget must be 0 (plain GCN) or 1, got 2"
-            in capsys.readouterr().err)
+    assert (f"error: {tmp_path / 'run.json'}: per_hop_budget must be 0 (plain GCN) or 1, "
+            "got 2" in capsys.readouterr().err)
 
 
 def test_run_config_requires_paths():
@@ -285,6 +285,14 @@ def test_cli_gradcheck_single_op(capsys):
     assert main(["gradcheck", "--op", "matmul"]) == 0
     out = capsys.readouterr().out
     assert "matmul" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("op", ["path_gcn_layer", "rmse_loss", "cross_entropy", "l2_penalty"])
+def test_cli_gradcheck_reaches_the_layer_and_loss_ops(op, capsys):
+    # path_gcn_layer was "unknown op" (exit 1) before
+    assert main(["gradcheck", "--op", op]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(op) and "PASS" in out
 
 
 def test_cli_synth_featurize(tmp_path, capsys):
@@ -457,6 +465,8 @@ def test_cli_train_missing_dataset_exits_one(tmp_path, capsys):
         "task": "regression", "dataset": str(tmp_path / "missing.jsonl")}))
     assert main(["train", "--config", str(config_path),
                  "--report", str(tmp_path / "r.jsonl")]) == 1
+    assert (f"error: {config_path}: {tmp_path / 'missing.jsonl'}: No such file or directory"
+            in capsys.readouterr().err)
 
 
 def test_replayed_config_reproduces_run(tmp_path):
@@ -884,3 +894,32 @@ def test_cli_eval_on_molecules_with_another_number_of_targets_exits_one(small_ch
     assert main(["eval", "--checkpoint", str(good), "--input", str(data)]) == 1
     assert (f"error: {data}:3: molecule 'c' has 0 targets, unlike the first molecule "
             f"(line 1), which has 1") in capsys.readouterr().err
+
+
+def test_cli_eval_errors_about_the_input_name_it(small_checkpoint, tmp_path, capsys):
+    # an empty file printed "error: empty dataset", a file whose edge width
+    # differs from the checkpoint's named only the checkpoint, and an element
+    # outside the checkpoint's vocabulary named only the molecule
+    _, good = small_checkpoint
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["eval", "--checkpoint", str(good), "--input", str(empty)]) == 1
+    assert f"error: {empty}: empty dataset" in capsys.readouterr().err
+    with_coords = tmp_path / "geo.jsonl"
+    write_molecule_file(with_coords, synth_dihedral_sum(3, seed=0))
+    assert main(["eval", "--checkpoint", str(good), "--input", str(with_coords)]) == 1
+    assert (f"for its model config and input {with_coords}"
+            in capsys.readouterr().err)
+    sulfur = tmp_path / "sulfur.jsonl"
+    sulfur.write_text(json.dumps({**ETHANOL, "elements": ["C", "C", "S"]}) + "\n")
+    assert main(["eval", "--checkpoint", str(good), "--input", str(sulfur)]) == 1
+    assert (f"error: {sulfur}: molecule {ETHANOL['id']}: unknown element symbol 'S'"
+            in capsys.readouterr().err)
+
+
+def test_cli_train_on_a_dataset_path_that_is_a_directory_exits_one(tmp_path, capsys):
+    # IsADirectoryError escaped as a runtime error (exit 2)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"task": "regression", "dataset": str(tmp_path)}))
+    assert main(["train", "--config", str(config), "--report", str(tmp_path / "r.jsonl")]) == 1
+    assert f"error: {config}: {tmp_path}: Is a directory" in capsys.readouterr().err

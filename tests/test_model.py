@@ -409,6 +409,17 @@ def test_featurize_names_a_later_molecule_without_coordinates():
         featurize(graphs, small_config(feature_mode="geometry"))
 
 
+@pytest.mark.parametrize("mode", ["base", "substructure"])
+def test_featurize_names_a_later_molecule_of_another_edge_width(mode):
+    # built with coordinates (edge width 5) and without (4); a bare numpy
+    # ValueError about array dimensions before
+    dry = MoleculeRecord("dry", ("C", "C"), ((0, 1, "single"),), targets=(0.0,))
+    graphs = [build_graph(r, FEAT) for r in (CIS, TRANS, dry)]
+    with pytest.raises(ConfigError,
+                       match="^molecule dry: edge feature width 4, but molecule cis has 5$"):
+        featurize(graphs, small_config(feature_mode=mode))
+
+
 def test_featurize_keeps_each_molecules_hydrogen_convention():
     # with explicit hydrogens kept, a molecule that lists none still follows
     # the heavy-atom alcohol rule, and one that lists some the explicit rule
@@ -593,17 +604,41 @@ def test_training_step_tape_has_one_node_per_layer(task, mode, path_length, boun
     assert training_step_tape(task, mode, path_length) <= bound
 
 
-def test_citation_training_step_tape_has_one_node_per_layer(monkeypatch):
-    # the benchmark's citation step (hidden 16, length-3 paths, dropout and
-    # weight decay) records at most 39 tape nodes with each path-GCN layer
-    # one node; it was 96 when each layer was composed of primitive ops
+@pytest.mark.parametrize("task, mode, path_length, bound", [
+    ("dihedral-sum", "geometry", 3, 79),
+    ("solubility", "substructure", 2, 73),
+])
+def test_training_step_tape_has_one_node_per_loss(task, mode, path_length, bound):
+    # with the loss one node as well the step records at most `bound` tape
+    # nodes; it was 84 (geometry) and 78 (substructure) with the composed loss
+    assert training_step_tape(task, mode, path_length) <= bound
+
+
+def citation_step_tapes(monkeypatch):
+    """Tape nodes of each step of two epochs of the benchmark's citation
+    model (hidden 16, length-3 paths, dropout and weight decay)."""
     counts, backward = [], training_module.backward
     monkeypatch.setattr(training_module, "backward",
                         lambda loss: counts.append(reachable_tape(loss)) or backward(loss))
     training_module.train_node_classification(
         synth_citation(n_nodes=300, n_features=100, seed=0),
         PathGCNConfig(hidden_dim=16, path_length=3, per_hop_budget=1), epochs=2, patience=3)
-    assert len(counts) == 2 and max(counts) <= 39, counts
+    assert len(counts) == 2
+    return counts
+
+
+def test_citation_training_step_tape_has_one_node_per_layer(monkeypatch):
+    # at most 39 tape nodes with each path-GCN layer one node; it was 96
+    # when each layer was composed of primitive ops
+    counts = citation_step_tapes(monkeypatch)
+    assert max(counts) <= 39, counts
+
+
+def test_citation_training_step_tape_has_one_node_per_loss(monkeypatch):
+    # cross entropy and the weight decay one node each as well: at most 22
+    # tape nodes; it was 39 with the composed losses
+    counts = citation_step_tapes(monkeypatch)
+    assert max(counts) <= 22, counts
 
 
 @given(mode=st.sampled_from(FEATURE_MODES), path_length=st.integers(1, 3),

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,8 +23,9 @@ def test_matmul_shape_error_names_shapes():
 
 
 def test_softmax_uniform_on_zeros():
-    out = T.softmax(T.Tensor([0.0, 0.0, 0.0]), axis=0)
-    assert out.values == pytest.approx([1 / 3, 1 / 3, 1 / 3])
+    # the library's one softmax is segment_softmax; one segment is the dense case
+    out = T.segment_softmax(T.Tensor([[0.0], [0.0], [0.0]]), [0, 0, 0], 1)
+    assert out.values.ravel() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
 
 def test_segment_sum_definition():
@@ -146,6 +150,45 @@ def test_op_gradchecks_pass():
     assert errors[worst] < TOLERANCE, (worst, errors[worst])
 
 
+@pytest.mark.parametrize("op", ["sub", "div", "exp", "log", "sqrt", "reshape", "leaky_relu",
+                                "sigmoid", "tanh", "mean"])
+def test_reference_op_gradchecks_pass(op):
+    # the primitives that only the composed forms in oracles.py use keep
+    # their gradcheck at the library's tolerance
+    rng = np.random.default_rng(0)
+    x = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    pos = T.Tensor(np.abs(rng.normal(size=(5, 4))) + 0.5, requires_grad=True)
+    build = {"sub": lambda: oracles.sub(x, pos), "div": lambda: oracles.div(x, pos),
+             "exp": lambda: oracles.exp(x), "log": lambda: oracles.log(pos),
+             "sqrt": lambda: oracles.sqrt(pos), "reshape": lambda: oracles.reshape(x, (2, 10)),
+             "leaky_relu": lambda: oracles.leaky_relu(x), "sigmoid": lambda: oracles.sigmoid(x),
+             "tanh": lambda: oracles.tanh(x), "mean": lambda: oracles.mean(x)}[op]
+    probe = T.Tensor(rng.normal(size=build().values.shape))
+    errors = T.gradcheck(lambda: T.mul(build(), probe).sum(), {"x": x, "pos": pos})
+    assert max(errors.values()) < TOLERANCE
+
+
+def test_every_recorded_op_is_gradchecked():
+    # every op label the library passes to _make or _elementwise names an
+    # entry of the gradcheck table, so `pathmpnn gradcheck --op` reaches it
+    labels = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) in (
+                        "_make", "_elementwise"):
+                    label = call.args[-1]
+                    if isinstance(label, ast.Constant):
+                        labels.add(label.value)
+                    else:   # only _elementwise passes its caller's label on
+                        assert fn.name == "_elementwise", (path.name, fn.name)
+    assert len(labels) > 15 and "path_gcn_layer" in labels
+    missing = labels - set(op_gradchecks(seed=0))
+    assert not missing, missing
+
+
 def test_segment_softmax_matches_dense_softmax_per_segment():
     rng = np.random.default_rng(0)
     scores = rng.normal(size=(6, 1))
@@ -162,7 +205,7 @@ def test_debug_mode_catches_non_finite():
     try:
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError):
-                T.log(T.Tensor([-1.0]))
+                oracles.log(T.Tensor([-1.0]))
         T.relu(T.Tensor([1.0, -1.0]))  # finite results pass
     finally:
         T.DEBUG_CHECKS = False
@@ -193,7 +236,7 @@ def test_adam_minimizes_quadratic_bowl():
     state = T.AdamState(params)
     for _ in range(500):
         T.zero_grad(params)
-        diff = T.sub(params["x"], center)
+        diff = oracles.sub(params["x"], center)
         T.backward(T.mul(diff, diff).sum())
         T.adam_step(params, state, lr=0.05)
     diff = params["x"].values - center.values
@@ -210,8 +253,8 @@ def test_adam_deterministic_bit_identical():
         y = T.Tensor(rng.normal(size=(10, 3)))
         for _ in range(20):
             T.zero_grad(params)
-            diff = T.sub(T.add(T.matmul(x, params["w"]), params["b"]), y)
-            T.backward(T.mul(diff, diff).mean())
+            diff = oracles.sub(T.add(T.matmul(x, params["w"]), params["b"]), y)
+            T.backward(oracles.mean(T.mul(diff, diff)))
             T.adam_step(params, state, lr=1e-2)
         return {k: t.values.copy() for k, t in params.items()}
 
@@ -392,7 +435,7 @@ EXTREMES = [0.0, -0.0, 1e-310, -1e-310, 5e-324, -5e-324, 1e-300, -1e-300, 36.0, 
 def test_sigmoid_equals_masked_form_exactly(values):
     # tolerance 0 over +-1e3, denormals and infinities, forward and backward
     x = T.Tensor(np.array(values), requires_grad=True)
-    out = T.sigmoid(x)
+    out = oracles.sigmoid(x)
     assert np.array_equal(out.values, oracles.masked_sigmoid(x.values))
     T.backward(out.sum())
     want = oracles.masked_sigmoid(x.values)
@@ -452,7 +495,7 @@ def test_fused_lstm_cell_equals_per_gate_form(rows, d, seed):
 
 def test_reshape_round_trips_values_and_gradient():
     x = T.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-    out = T.reshape(x, (2, 6))
+    out = oracles.reshape(x, (2, 6))
     assert np.array_equal(out.values, np.arange(12.0).reshape(2, 6))
     T.backward(T.mul(out, T.Tensor(np.arange(12.0).reshape(2, 6))).sum())
     assert np.array_equal(x.grad, np.arange(12.0).reshape(3, 4))
@@ -631,3 +674,52 @@ def test_second_backward_on_one_loss_adds_the_same_gradient_again():
     assert y.grad is None and loss.grad is None
     T.backward(loss)
     assert np.array_equal(w.grad, 2 * once)
+
+
+# -- the one-node losses against their composed forms in oracles.py ----------
+
+@given(rows=st.integers(1, 6), cols=st.integers(1, 3),
+       target_shape=st.sampled_from(["same", "row", "column", "array"]),
+       seed=st.integers(0, 10_000))
+def test_rmse_loss_equals_composed_form_exactly(rows, cols, target_shape, seed):
+    # a target that needs a gradient too, broadcast along rows or columns,
+    # or a constant one, as the training loop's target is
+    rng = np.random.default_rng(seed)
+    pred = T.Tensor(rng.normal(size=(rows, cols)), requires_grad=True)
+    shape = {"same": (rows, cols), "row": (1, cols), "column": (rows, 1),
+             "array": (rows, cols)}[target_shape]
+    target = T.Tensor(rng.normal(size=shape), requires_grad=target_shape != "array")
+    _equal_to_composed(lambda: T.rmse_loss(pred, target),
+                       lambda: oracles.composed_rmse_loss(pred, target),
+                       {"pred": pred, "target": target}, T.Tensor(rng.normal()))
+
+
+@given(n=st.integers(1, 8), classes=st.integers(1, 5), picked=st.integers(1, 10),
+       scale=st.sampled_from([1.0, 30.0, 800.0]), seed=st.integers(0, 10_000))
+def test_cross_entropy_equals_composed_form_exactly(n, classes, picked, scale, seed):
+    # rows picked unsorted and repeated, some never; at scale 800 exp
+    # underflows to 0 for every class but the row's largest
+    rng = np.random.default_rng(seed)
+    logits = T.Tensor(scale * rng.normal(size=(n, classes)), requires_grad=True)
+    labels, idx = rng.integers(0, classes, size=n), rng.integers(0, n, size=picked)
+    _equal_to_composed(lambda: T.cross_entropy(logits, labels, idx),
+                       lambda: oracles.composed_cross_entropy(logits, labels, idx),
+                       {"logits": logits}, T.Tensor(rng.normal()))
+
+
+@given(shapes=st.lists(st.sampled_from([(3, 2), (4,), (1, 1), (2, 3)]), min_size=1,
+                       max_size=3),
+       coefficient=st.sampled_from([5e-4, 0.3, 7.0]), seed=st.integers(0, 10_000))
+def test_l2_penalty_equals_composed_form_exactly(shapes, coefficient, seed):
+    # the first tensor also reaches the loss through another op, as a
+    # decayed weight does through its layer, so its gradient sums both
+    # shares in the composed form's order
+    rng = np.random.default_rng(seed)
+    tensors = [T.Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+    other = T.Tensor(rng.normal(size=shapes[0]))
+
+    def build(penalty):
+        return T.add(T.reduce_sum(T.mul(tensors[0], other)), penalty(tensors, coefficient))
+
+    _equal_to_composed(lambda: build(T.l2_penalty), lambda: build(oracles.composed_l2_penalty),
+                       {f"t{i}": t for i, t in enumerate(tensors)}, T.Tensor(rng.normal()))

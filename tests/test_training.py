@@ -3,8 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 import pathmpnn.citation as cit
 import pathmpnn.tensor as T
+import pathmpnn.training as training_module
 from pathmpnn.gradchecks import probe_molecule
 from pathmpnn.model import ConfigError, ModelConfig, featurize, forward_batched, init_params
 from pathmpnn.molgraph import build_graph
@@ -394,11 +396,21 @@ def molecule_and_citation_losses():
     return mol_loss, cit_loss, gcn_loss
 
 
-def test_no_grad_forwards_keep_no_tape(made_tensors):
+MODEL_OPS = {"dense", "path_message", "attention", "lstm_cell", "columns", "concat", "row_dot",
+             "segment_softmax", "segment_weighted_sum", "path_gcn_layer", "matmul", "gather_rows",
+             "segment_sum", "relu", "add", "mul", "rmse_loss", "cross_entropy", "l2_penalty"}
+
+
+def test_no_grad_forwards_keep_no_tape(made_tensors, monkeypatch):
+    # the losses' models make every op the library records but the
+    # gradcheck probe's sum; before the losses were one node each, over 80
+    # tensors stood in for this list
+    ops, make = [], T._make
+    monkeypatch.setattr(T, "_make", lambda *args: ops.append(args[3]) or make(*args))
     with T.no_grad():
         losses = molecule_and_citation_losses()
     made_free = len(made_tensors)
-    assert made_free > 80
+    assert set(ops) == MODEL_OPS and made_free == len(ops)
     for t in made_tensors:
         assert not t.requires_grad and t._parents == () and t._backward_fn is None
     made_tensors.clear()
@@ -440,3 +452,29 @@ def test_step_after_tape_free_predictions_fills_every_gradient():
           lambda: rmse_loss(forward_batched(batch, params, config), targets), 1, 0)
     for name, t in params.items():
         assert t.grad is not None and np.any(t.grad != 0), name
+
+
+def test_one_node_losses_train_the_parameters_of_the_composed_losses(monkeypatch):
+    # tolerance 0 on every trained parameter and every epoch entry: the
+    # training loops with their one-node losses against the same loops with
+    # the composed forms of tests/oracles.py swapped in
+    records = synth_alcohol_count(24, seed=1)
+    config = ModelConfig(hidden_dim=4, path_length=2, feature_mode="substructure", seed=1)
+    cgraph = synth_citation(n_nodes=120, n_features=40, seed=3)
+    gcn = PathGCNConfig(hidden_dim=6, path_length=3, per_hop_budget=1, seed=2)
+
+    def train():
+        mol = train_regression(records, config, TrainSettings(epochs=3, batch_size=8))
+        cit_result = train_node_classification(cgraph, gcn, epochs=4, patience=5)
+        return [(r.report.epochs, {k: t.values.copy() for k, t in r.params.items()})
+                for r in (mol, cit_result)]
+
+    fused = train()
+    monkeypatch.setattr(training_module, "rmse_loss", oracles.composed_rmse_loss)
+    monkeypatch.setattr(training_module, "cross_entropy", oracles.composed_cross_entropy)
+    monkeypatch.setattr(training_module, "l2_penalty", oracles.composed_l2_penalty)
+    for (epochs, params), (want_epochs, want_params) in zip(fused, train()):
+        assert epochs == want_epochs
+        assert params.keys() == want_params.keys()
+        for name in params:
+            assert np.array_equal(params[name], want_params[name]), name
