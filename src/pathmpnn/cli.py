@@ -28,6 +28,7 @@ from .training import (evaluate_regression, save_report, summarize_reports,
 
 VALIDATION_ERRORS = (ConfigError, MoleculeError, DataFormatError,
                      DegenerateGeometryError, CheckpointError, FileNotFoundError,
+                     IsADirectoryError, NotADirectoryError, PermissionError,
                      json.JSONDecodeError)
 
 

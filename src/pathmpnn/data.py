@@ -148,8 +148,9 @@ def load_dataset(path, explicit_hydrogens: bool | None = None) -> MoleculeDatase
     vocabulary from the header when present, otherwise from the symbols in
     the file. A line that is not UTF-8 or is malformed, a repeated id, or a
     molecule that has coords when the first has none (or none when it has)
-    or another number of targets, fails naming file and line."""
-    header, records, id_lines = {}, [], {}
+    or another number of targets, or an element the header's vocabulary
+    lacks (heavy-atom mode drops hydrogens), fails naming file and line."""
+    header, records, id_lines, known = {}, [], {}, None
     for lineno, line in _text_lines(path):
         line = line.strip()
         if not line:
@@ -178,18 +179,25 @@ def load_dataset(path, explicit_hydrogens: bool | None = None) -> MoleculeDatase
                     f"{where}: molecule {record.id!r} has {len(record.targets)} targets, unlike "
                     f"the first molecule (line {id_lines[first.id]}), which has "
                     f"{len(first.targets)}")
+            if known is not None and not known.issuperset(record.elements):
+                symbol = next(el for el in record.elements if el not in known)
+                raise DataFormatError(
+                    f"{where}: molecule {record.id!r}: unknown element symbol {symbol!r} "
+                    f"(vocabulary: {', '.join(header['element_vocab'])})")
             records.append(record)
         elif lineno == 1:
             _check_header(data, where)
             header = data
+            if explicit_hydrogens is None:
+                explicit_hydrogens = header.get("explicit_hydrogens", False)
+            if "element_vocab" in header:
+                known = set(header["element_vocab"]) | (set() if explicit_hydrogens else {"H"})
         else:
             raise DataFormatError(f"{where}: missing field 'id'")
     vocab = (tuple(header["element_vocab"]) if "element_vocab" in header
              else vocab_from_records(records))
-    if explicit_hydrogens is None:
-        explicit_hydrogens = header.get("explicit_hydrogens", False)
     return MoleculeDataset(records=records,
-                           featurizer=FeaturizerConfig(vocab, explicit_hydrogens))
+                           featurizer=FeaturizerConfig(vocab, bool(explicit_hydrogens)))
 
 
 def parse_molecule_file(path) -> list[MoleculeRecord]:

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import chem, geometry
 from .geometry import DegenerateGeometryError
-from .paths import PathExplosionError, csr_adjacency, enumerate_paths
+from .molgraph import FeaturizerConfig, GraphUnion, build_graph, build_union
+from .paths import PathExplosionError, enumerate_paths
 from .tensor import (Tensor, attention, concat, dense, gather_rows, lstm_cell, lstm_weights,
                      path_message, row_dot, segment_softmax, segment_weighted_sum, glorot,
                      zeros)
@@ -85,26 +84,17 @@ def path_feature_fn(graph, mode: str):
     return None
 
 
-def _union(graphs, csr, mode: str) -> SimpleNamespace:
-    """The graphs' disjoint union as path_feature_fn reads a graph."""
-    union = SimpleNamespace(n=len(csr[0]) - 1, coords=None)
-    if mode == "substructure":
-        indptr, indices = (a.tolist() for a in csr)
-        union.adjacency = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
-        union.elements = tuple(chain.from_iterable(g.elements for g in graphs))
-        union.explicit_h = [h for g in graphs for h in ("H" in g.elements,) * g.n]
-    elif mode == "geometry" and all(g.coords is not None for g in graphs):
-        union.coords = np.concatenate([g.coords for g in graphs])
-    return union
-
-
 def featurize(graphs, config: ModelConfig) -> GraphBatch:
     """The GraphBatch of the graphs' disjoint union: one path enumeration,
     then each length's static rows in one pass. Rows are root-major, so a
     graph's rows are contiguous and in the order it alone gives. An error
     names the first bad molecule, in its own node indices."""
     try:
-        return _featurize(graphs, config)
+        for graph in graphs[1:]:
+            if graph.edge_dim != graphs[0].edge_dim:   # built with and without coordinates
+                raise ConfigError(f"molecule {graph.id}: edge feature width {graph.edge_dim}, "
+                                  f"but molecule {graphs[0].id} has {graphs[0].edge_dim}")
+        return _featurize(GraphUnion.of(graphs), config)
     except (ConfigError, DegenerateGeometryError, PathExplosionError) as err:
         if len(graphs) == 1:
             raise type(err)(f"molecule {graphs[0].id}: {err}") from None
@@ -113,32 +103,36 @@ def featurize(graphs, config: ModelConfig) -> GraphBatch:
         raise
 
 
-def _featurize(graphs, config: ModelConfig) -> GraphBatch:
-    ptr = np.array([0, *accumulate(g.n for g in graphs)])
-    shift = ptr[:-1].repeat([len(g.edge_index) for g in graphs])   # per directed edge
-    indptr, local = csr_adjacency([nbrs for g in graphs for nbrs in g.adjacency])
-    csr = (indptr, local + shift)
-    path_features = path_feature_fn(_union(graphs, csr, config.feature_mode), config.feature_mode)
-    for graph in graphs[1:]:
-        if graph.edge_dim != graphs[0].edge_dim:   # built with and without coordinates
-            raise ConfigError(f"molecule {graph.id}: edge feature width {graph.edge_dim}, "
-                              f"but molecule {graphs[0].id} has {graphs[0].edge_dim}")
-    n = int(ptr[-1])
-    tables = enumerate_paths(None, np.arange(n), config.path_length, csr=csr)
-    # an edge's row is found by its key a*n+b in the union; each graph's
-    # edge_index is sorted and the graphs follow one another, so keys come sorted
-    edge_index = np.concatenate([g.edge_index for g in graphs]) + shift[:, None]
-    edge_keys = edge_index[:, 0] * n + edge_index[:, 1]
-    edge_table = np.concatenate([g.edge_attr for g in graphs])
+def featurize_records(records, featurizer: FeaturizerConfig, config: ModelConfig) -> GraphBatch:
+    """featurize([build_graph(r, featurizer) for r in records], config),
+    array for array, from build_union: no Graph per molecule. On an error of
+    featurize's own, or records with and without coordinates, the graphs are
+    built and featurized, so that the error names its molecule."""
+    if len({r.coords is None for r in records}) == 1:
+        try:
+            return _featurize(build_union(records, featurizer), config)
+        except (ConfigError, DegenerateGeometryError, PathExplosionError):
+            pass
+    return featurize([build_graph(r, featurizer) for r in records], config)
+
+
+def _featurize(union: GraphUnion, config: ModelConfig) -> GraphBatch:
+    path_features = path_feature_fn(union, config.feature_mode)
+    n = union.n
+    tables = enumerate_paths(None, np.arange(n), config.path_length, csr=union.csr)
+    # an edge's row is found by its key a*n+b in the union; edge_index is
+    # sorted, so the keys are
+    edge_keys = union.edge_index[:, 0] * n + union.edge_index[:, 1]
     cache = {}
     for k, paths in tables.items():
         steps = paths[:, :-1] * n + paths[:, 1:]
-        parts = [edge_table[edge_keys.searchsorted(steps)].reshape(len(paths), -1)]
+        parts = [union.edge_attr[edge_keys.searchsorted(steps)].reshape(len(paths), -1)]
         if path_features is not None:
             parts.append(path_features(paths))
         cache[k] = PathGroup(paths, np.concatenate(parts, axis=1))
-    return GraphBatch(np.concatenate([g.node_features for g in graphs]),
-                      np.arange(len(graphs)).repeat(ptr[1:] - ptr[:-1]), ptr, cache)
+    ptr = union.ptr
+    return GraphBatch(union.node_features, np.arange(len(ptr) - 1).repeat(ptr[1:] - ptr[:-1]),
+                      ptr, cache)
 
 
 def build_path_cache(graph, config: ModelConfig, seed=None) -> dict[int, PathGroup]:

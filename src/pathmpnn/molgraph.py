@@ -3,12 +3,16 @@
 A MoleculeRecord is the parsed form of one input molecule (elements, bonds,
 optional 3D coordinates, target values). build_graph turns it into an
 immutable Graph with dense node features and edge_index/edge_attr arrays
-that hold each bond once per orientation.
+that hold each bond once per orientation. A GraphUnion is a batch of
+molecules as one set of arrays: GraphUnion.of joins built graphs, and
+build_union builds it from the records directly, without a Graph each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
@@ -196,3 +200,110 @@ def build_graph(record: MoleculeRecord, config: FeaturizerConfig) -> Graph:
         targets=tuple(float(t) for t in record.targets),
         id=record.id,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class GraphUnion:
+    """A batch of molecules as one set of arrays, as PyTorch Geometric's
+    Batch holds one: molecule i owns nodes ptr[i]:ptr[i+1], and edge_index
+    and edge_attr are in union node indices, sorted by (v, w), the order of
+    each graph's adjacency. It reads as a graph does, for the path feature
+    modes."""
+    ptr: np.ndarray
+    node_features: np.ndarray
+    edge_index: np.ndarray
+    edge_attr: np.ndarray
+    elements: tuple[str, ...]
+    coords: np.ndarray | None          # when every molecule has coordinates
+
+    @property
+    def n(self) -> int:
+        return int(self.ptr[-1])
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): node v's neighbours are indices[indptr[v]:indptr[v+1]]."""
+        degree = np.bincount(self.edge_index[:, 0], minlength=self.n)
+        return np.concatenate([[0], degree.cumsum()]), self.edge_index[:, 1]
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        indptr, indices = (a.tolist() for a in self.csr)
+        return [indices[a:b] for a, b in zip(indptr, indptr[1:])]
+
+    @cached_property
+    def explicit_h(self) -> list[bool]:
+        """Per node, whether its molecule lists a hydrogen (chem.detect_alcohol's convention)."""
+        ptr = self.ptr.tolist()
+        return [h for a, b in zip(ptr, ptr[1:]) for h in ("H" in self.elements[a:b],) * (b - a)]
+
+    @classmethod
+    def of(cls, graphs) -> GraphUnion:
+        """The union of built graphs, each graph's node indices shifted by its first node."""
+        if len(graphs) == 1:          # build_path_cache's batch of one: its arrays, uncopied
+            g = graphs[0]
+            return cls(np.array([0, g.n]), g.node_features, g.edge_index, g.edge_attr,
+                       g.elements, g.coords)
+        ptr = np.array([0, *accumulate(g.n for g in graphs)])
+        shift = ptr[:-1].repeat([len(g.edge_index) for g in graphs])[:, None]   # per edge
+        coords = [g.coords for g in graphs]
+        return cls(ptr, np.concatenate([g.node_features for g in graphs]),
+                   np.concatenate([g.edge_index for g in graphs]) + shift,
+                   np.concatenate([g.edge_attr for g in graphs]),
+                   tuple(chain.from_iterable(g.elements for g in graphs)),
+                   None if any(c is None for c in coords) else np.concatenate(coords))
+
+
+def build_union(records, config: FeaturizerConfig) -> GraphUnion:
+    """GraphUnion.of([build_graph(r, config) for r in records]), array for
+    array, from array passes over all records at once. Validation runs as
+    masks; if one flags a record, a bond index is no integer, or the records
+    are not all with coordinates or all without, the graphs are built one by
+    one, so that the first bad record raises build_graph's own error."""
+    atoms = list(chain.from_iterable(r.elements for r in records))
+    bonds = list(chain.from_iterable(r.bonds for r in records))
+    ends = np.array([b[:2] for b in bonds]).reshape(-1, 2).T
+    # an index that is no integer reads as -1, so that the record is flagged as dangling
+    ends = ends.astype(np.int64) if ends.dtype.kind in "iub" else np.full(ends.shape, -1)
+    n_atoms = np.array([len(r.elements) for r in records], dtype=np.int64)
+    n_bonds = np.array([len(r.bonds) for r in records], dtype=np.int64)
+    atom_of, bond_of = (np.arange(len(records)).repeat(c) for c in (n_atoms, n_bonds))
+    index = {el: c for c, el in enumerate(config.element_vocab)}
+    if not config.explicit_hydrogens:
+        index["H"] = -2                                   # dropped, in the vocabulary or not
+    code = np.array([index.get(el, -1) for el in atoms], dtype=np.int64)
+    order = np.array([_ORDER_INDEX.get(b[2], -1) for b in bonds], dtype=np.int64)
+
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    start = n_atoms.cumsum() - n_atoms                    # each record's first atom
+    distinct = np.unique((start[bond_of] + lo) * len(atoms) + hi, return_index=True)[1]
+    bad = np.bincount(bond_of[distinct], minlength=len(records)) < n_bonds   # duplicates
+    bad[bond_of[(lo < 0) | (hi >= n_atoms[bond_of]) | (lo == hi) | (order < 0)]] = True
+    keep = code != -2
+    bad[atom_of[keep & (code < 0)]] = True
+    coords, with_coords = None, bool(records) and records[0].coords is not None
+    bad |= [np.shape(r.coords) != (len(r.elements), 3) if with_coords else r.coords is not None
+            for r in records]
+    if with_coords and not bad.any():
+        coords = np.concatenate([r.coords for r in records])
+        bad[atom_of[~np.isfinite(coords).all(axis=1)]] = True
+    if bad.any():
+        return GraphUnion.of([build_graph(r, config) for r in records])
+
+    ends = start[bond_of] + ends                          # bond ends as listed, in atoms
+    kept = keep[ends].all(axis=0)
+    u, w = (keep.cumsum() - 1)[ends[:, kept]]             # and in union nodes
+    ptr = np.concatenate([[0], np.bincount(atom_of[keep], minlength=len(records)).cumsum()])
+    n = int(ptr[-1])
+    pairs = np.concatenate([[u, w], [w, u]], axis=1)      # each bond in both orientations
+    by_edge = np.argsort(pairs[0] * n + pairs[1])
+    bond = np.tile(np.arange(len(u)), 2)[by_edge]
+    edge_attr = _ONE_HOT[order[kept][bond], :config.edge_dim(coords is not None)]
+    if coords is not None:
+        coords = coords[keep]
+        edge_attr[:, -1] = _norm(coords[u] - coords[w])[bond]   # one length per bond
+    x = np.zeros((n, config.node_dim))
+    x[np.arange(n), code[keep]] = 1.0
+    x[:, -1] = np.bincount(pairs[0], minlength=n)
+    return GraphUnion(ptr, x, pairs[:, by_edge].T.copy(), edge_attr,
+                      tuple(compress(atoms, keep)), coords)

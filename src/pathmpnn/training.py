@@ -11,7 +11,7 @@ import numpy as np
 
 from . import citation as cit
 from . import model as mdl
-from .molgraph import FeaturizerConfig, build_graph, vocab_from_records
+from .molgraph import FeaturizerConfig, vocab_from_records
 from .tensor import (AdamState, adam_step, backward, cross_entropy, l2_penalty, no_grad,
                      rmse_loss, zero_grad)
 
@@ -239,8 +239,7 @@ def train_regression(records, config: mdl.ModelConfig,
     started = time.time()
     if featurizer is None:
         featurizer = featurizer_from_records(records)
-    graphs = [build_graph(r, featurizer) for r in records]
-    targets = np.asarray([g.targets for g in graphs], dtype=np.float64)
+    targets = np.asarray([r.targets for r in records], dtype=np.float64)
     if targets.shape[1] != config.n_targets:
         raise mdl.ConfigError(f"model.n_targets is {config.n_targets}, but the dataset "
                               f"has {targets.shape[1]} targets per molecule")
@@ -255,9 +254,10 @@ def train_regression(records, config: mdl.ModelConfig,
     z_targets = (targets - mean) / std
 
     rng = np.random.default_rng(config.seed)
-    data = mdl.featurize(graphs, config)
+    data = mdl.featurize_records(records, featurizer, config)
     val_batch, test_batch = mdl.take(data, val_idx), mdl.take(data, test_idx)
-    params = mdl.init_params(config, graphs[0].node_dim, graphs[0].edge_dim, rng)
+    params = mdl.init_params(config, featurizer.node_dim,
+                             featurizer.edge_dim(records[0].coords is not None), rng)
     state = AdamState(params)
 
     metric_name, metric = (("mae", mae_metric) if config.n_targets > 1
@@ -299,10 +299,9 @@ def evaluate_regression(records, params, config: mdl.ModelConfig,
                         featurizer: FeaturizerConfig, mean, std) -> dict:
     if not records:
         raise mdl.ConfigError("empty dataset")
-    graphs = [build_graph(r, featurizer) for r in records]
-    targets = np.asarray([g.targets for g in graphs], dtype=np.float64)
-    pred = predict_values(mdl.featurize(graphs, config), params, config,
-                          np.asarray(mean), np.asarray(std))
+    batch = mdl.featurize_records(records, featurizer, config)
+    targets = np.asarray([r.targets for r in records], dtype=np.float64)
+    pred = predict_values(batch, params, config, np.asarray(mean), np.asarray(std))
     return {**_errors(pred, targets), "n": len(records)}
 
 

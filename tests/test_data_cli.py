@@ -923,3 +923,58 @@ def test_cli_train_on_a_dataset_path_that_is_a_directory_exits_one(tmp_path, cap
     config.write_text(json.dumps({"task": "regression", "dataset": str(tmp_path)}))
     assert main(["train", "--config", str(config), "--report", str(tmp_path / "r.jsonl")]) == 1
     assert f"error: {config}: {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "featurize", "paths"])
+def test_cli_element_outside_the_header_vocabulary_exits_one_naming_file_and_line(
+        tmp_path, capsys, command):
+    # printed "error: molecule b: unknown element symbol 'S' (vocabulary: C, O)",
+    # naming no file, before
+    data = tmp_path / "mols.jsonl"
+    ok = MoleculeRecord("a", ("C", "O"), ((0, 1, "single"),), targets=(1.0,))
+    write_molecule_file(data, [ok, replace(ok, id="b", elements=("C", "S"))],
+                        element_vocab=["C", "O"])
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"task": "regression", "dataset": str(data)}))
+    args = {"train": ["--config", str(config), "--report", str(tmp_path / "r.jsonl")],
+            "featurize": ["--input", str(data), "--mode", "substructure", "--length", "2",
+                          "--out", str(tmp_path / "f.jsonl")],
+            "paths": ["--input", str(data), "--index", "1", "--node", "0", "--length", "1"]}
+    assert main([command] + args[command]) == 1
+    assert (f"error: {data}:3: molecule 'b': unknown element symbol 'S' (vocabulary: C, O)"
+            in capsys.readouterr().err)
+
+
+def test_hydrogens_outside_the_header_vocabulary_load_in_heavy_atom_mode_only(tmp_path):
+    water = MoleculeRecord("water", ("O", "H", "H"), ((0, 1, "single"), (0, 2, "single")),
+                           targets=(1.0,))
+    heavy, explicit = tmp_path / "heavy.jsonl", tmp_path / "explicit.jsonl"
+    write_molecule_file(heavy, [water], element_vocab=["O"])
+    write_molecule_file(explicit, [water], element_vocab=["O"], explicit_hydrogens=True)
+    assert load_dataset(heavy).records[0].elements == ("O", "H", "H")
+    message = "molecule 'water': unknown element symbol 'H' \\(vocabulary: O\\)$"
+    with pytest.raises(DataFormatError, match=f"heavy.jsonl:2: {message}"):
+        load_dataset(heavy, explicit_hydrogens=True)
+    with pytest.raises(DataFormatError, match=f"explicit.jsonl:2: {message}"):
+        load_dataset(explicit)
+    assert load_dataset(explicit, explicit_hydrogens=False).featurizer.element_vocab == ("O",)
+
+
+@pytest.mark.parametrize("case", ["paths input is a directory", "featurize out is a directory",
+                                  "paths input under a file"])
+def test_cli_a_directory_where_a_file_goes_exits_one_naming_the_path(tmp_path, capsys, case):
+    # IsADirectoryError and NotADirectoryError exited 2 as runtime errors before
+    data = tmp_path / "p4.jsonl"
+    write_molecule_file(data, [P4])
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    path, args = {
+        "paths input is a directory": (folder, ["paths", "--input", str(folder), "--node", "0"]),
+        "featurize out is a directory": (folder, [
+            "featurize", "--input", str(data), "--mode", "substructure", "--out", str(folder)]),
+        "paths input under a file": (data / "x", ["paths", "--input", str(data / "x"),
+                                                  "--node", "0"]),
+    }[case]
+    assert main(args + ["--length", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
