@@ -102,9 +102,12 @@ def _train_regression_runs(config, repeats):
 
 def _train_citation_runs(config, repeats):
     graph = parse_citation_files(config.content, config.cites)
-    return [train_node_classification(graph, replace(config.gcn, seed=config.gcn.seed + r),
-                                      epochs=config.epochs, patience=config.patience)
-            for r in range(repeats)]
+    try:
+        return [train_node_classification(graph, replace(config.gcn, seed=config.gcn.seed + r),
+                                          epochs=config.epochs, patience=config.patience)
+                for r in range(repeats)]
+    except ConfigError as err:     # a network too small to split: name the file of its nodes
+        raise ConfigError(f"{err} (nodes read from {config.content})") from None
 
 
 def cmd_train(args) -> int:

@@ -30,21 +30,19 @@ class DataFormatError(ValueError):
     pass
 
 
-def _utf8(raw: bytes, where: str, error=DataFormatError) -> str:
-    """raw decoded as UTF-8; bytes that are not fail naming `where`."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise error(f"{where}: not UTF-8 text (byte {raw[err.start]:#04x} "
-                    f"at offset {err.start})") from None
-
-
 def _text_lines(path):
-    """(line number, text) for each line of a UTF-8 file, read as bytes and
-    decoded one line at a time, so a line that is not UTF-8 is named."""
+    """A UTF-8 file's lines, split at "\\n" only, from one read and decode. A
+    byte that is not UTF-8 fails naming its line, after the lines before it."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            yield lineno, _utf8(raw, f"{path}:{lineno}")
+        raw = fh.read()
+    try:
+        yield from raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as err:
+        start = raw.rfind(b"\n", 0, err.start) + 1      # where the bad byte's line starts
+        yield from raw[:start].decode("utf-8").split("\n")[:-1]
+        lineno = raw.count(b"\n", 0, start) + 1
+        raise DataFormatError(f"{path}:{lineno}: not UTF-8 text (byte {raw[err.start]:#04x} "
+                              f"at offset {err.start - start})") from None
 
 
 # -- molecule files ----------------------------------------------------------
@@ -151,7 +149,7 @@ def load_dataset(path, explicit_hydrogens: bool | None = None) -> MoleculeDatase
     or another number of targets, or an element the header's vocabulary
     lacks (heavy-atom mode drops hydrogens), fails naming file and line."""
     header, records, id_lines, known = {}, [], {}, None
-    for lineno, line in _text_lines(path):
+    for lineno, line in enumerate(_text_lines(path), start=1):
         line = line.strip()
         if not line:
             continue
@@ -217,48 +215,63 @@ def write_molecule_file(path, records, element_vocab=None,
 
 # -- citation files ----------------------------------------------------------
 
+def _raise_first_bad_content_line(path):
+    """Raise the error of a content file's first bad line: too few tokens or
+    features, a repeated id, or a value that float() or np.loadtxt refuses."""
+    seen, n_features = set(), None
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not (tokens := line.split()):
+            continue
+        where = f"{path}:{lineno}"
+        if len(tokens) < 3:
+            raise DataFormatError(f"{where}: expected id, features, label")
+        doc_id, *feat, label = tokens
+        n_features = n_features or len(feat)
+        if len(feat) != n_features:
+            raise DataFormatError(f"{where}: {len(feat)} features, expected {n_features}")
+        if doc_id in seen:
+            raise DataFormatError(f"{where}: duplicate id {doc_id!r}")
+        seen.add(doc_id)
+        try:
+            [float(x) for x in feat]
+            np.loadtxt([" ".join(feat)], comments=None)
+        except ValueError as err:
+            raise DataFormatError(f"{where}: feature values must be numbers ({err})") from None
+
+
 def parse_citation_files(content_path, cites_path, train_per_class: int = 20,
                          val_size: int = 500, test_size: int = 1000) -> cit.CitationGraph:
     """Read the classic content/cites pair. Document ids become dense
     indices by first appearance; citations naming unknown ids are dropped
-    with a counted warning."""
-    index: dict[str, int] = {}
-    rows, row_lines = [], []
-    label_index: dict[str, int] = {}
-    labels = []
-    n_features = None
-    for lineno, line in _text_lines(content_path):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) < 3:
-            raise DataFormatError(f"{content_path}:{lineno}: expected id, features, label")
-        doc_id, *feat, label = tokens
-        if n_features is None:
-            n_features = len(feat)
-        elif len(feat) != n_features:
-            raise DataFormatError(
-                f"{content_path}:{lineno}: {len(feat)} features, expected {n_features}")
-        if doc_id in index:
-            raise DataFormatError(f"{content_path}:{lineno}: duplicate id {doc_id!r}")
-        index[doc_id] = len(index)
-        row_lines.append(lineno)
-        try:
-            rows.append([float(x) for x in feat])
-        except ValueError as err:
-            raise DataFormatError(f"{content_path}:{lineno}: feature values must be "
-                                  f"numbers ({err})") from None
-        labels.append(label_index.setdefault(label, len(label_index)))
-    features = np.asarray(rows)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=-1))   # float() reads nan, inf
+    with a counted warning. Feature values are read by one np.loadtxt call:
+    float syntax, without underscores or non-ASCII digits."""
+    rows = []
+    try:
+        for lineno, line in enumerate(_text_lines(content_path), start=1):
+            if head := line.split(None, 1):
+                doc_id, rest = head                       # fails on a line of one token
+                feat, label = rest.rsplit(None, 1)        # and of two
+                # np.loadtxt would end a line at a \r, which split() reads as a space
+                rows.append((lineno, doc_id, feat.replace("\r", " "), label))
+        row_lines, ids, feats, label_names = zip(*rows) if rows else ((),) * 4
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) < len(ids):
+            raise DataFormatError("repeated id")      # the scan below names its line
+        features = np.loadtxt(feats, comments=None, ndmin=2) if rows else np.zeros(0)
+    except ValueError:                   # a DataFormatError too: not UTF-8, a repeated id
+        _raise_first_bad_content_line(content_path)
+        raise
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=-1))   # float syntax reads nan, inf
     if bad.size:
         value = next(v for v in features[bad[0]] if not np.isfinite(v))
         raise DataFormatError(f"{content_path}:{row_lines[bad[0]]}: feature values must be "
                               f"finite numbers, got {value}")
+    label_index: dict[str, int] = {}
+    labels = [label_index.setdefault(label, len(label_index)) for label in label_names]
 
     edges = set()
     dropped = 0
-    for lineno, line in _text_lines(cites_path):
+    for lineno, line in enumerate(_text_lines(cites_path), start=1):
         tokens = line.split()
         if not tokens:
             continue
@@ -399,9 +412,12 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     with open(path, "rb") as fh:
-        text = _utf8(fh.read(), str(path), ConfigError)
+        raw = fh.read()
     try:
-        data = json.loads(text)
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {raw[err.start]:#04x} "
+                          f"at offset {err.start})") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON ({err.msg})") from None
     try:

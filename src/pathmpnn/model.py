@@ -19,17 +19,13 @@ import numpy as np
 
 from . import chem, geometry
 from .geometry import DegenerateGeometryError
-from .molgraph import FeaturizerConfig, GraphUnion, build_graph, build_union
+from .molgraph import ConfigError, FeaturizerConfig, GraphUnion, build_graph, build_union
 from .paths import PathExplosionError, enumerate_paths
 from .tensor import (Tensor, attention, concat, dense, gather_rows, lstm_cell, lstm_weights,
                      path_message, row_dot, segment_softmax, segment_weighted_sum, glorot,
                      zeros)
 
 FEATURE_MODES = ("base", "substructure", "geometry")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -90,10 +86,6 @@ def featurize(graphs, config: ModelConfig) -> GraphBatch:
     graph's rows are contiguous and in the order it alone gives. An error
     names the first bad molecule, in its own node indices."""
     try:
-        for graph in graphs[1:]:
-            if graph.edge_dim != graphs[0].edge_dim:   # built with and without coordinates
-                raise ConfigError(f"molecule {graph.id}: edge feature width {graph.edge_dim}, "
-                                  f"but molecule {graphs[0].id} has {graphs[0].edge_dim}")
         return _featurize(GraphUnion.of(graphs), config)
     except (ConfigError, DegenerateGeometryError, PathExplosionError) as err:
         if len(graphs) == 1:
@@ -106,14 +98,12 @@ def featurize(graphs, config: ModelConfig) -> GraphBatch:
 def featurize_records(records, featurizer: FeaturizerConfig, config: ModelConfig) -> GraphBatch:
     """featurize([build_graph(r, featurizer) for r in records], config),
     array for array, from build_union: no Graph per molecule. On an error of
-    featurize's own, or records with and without coordinates, the graphs are
-    built and featurized, so that the error names its molecule."""
-    if len({r.coords is None for r in records}) == 1:
-        try:
-            return _featurize(build_union(records, featurizer), config)
-        except (ConfigError, DegenerateGeometryError, PathExplosionError):
-            pass
-    return featurize([build_graph(r, featurizer) for r in records], config)
+    featurize's own (a mix of records with and without coordinates is one),
+    the graphs are built and featurized, so that the error names its molecule."""
+    try:
+        return _featurize(build_union(records, featurizer), config)
+    except (ConfigError, DegenerateGeometryError, PathExplosionError):
+        return featurize([build_graph(r, featurizer) for r in records], config)
 
 
 def _featurize(union: GraphUnion, config: ModelConfig) -> GraphBatch:

@@ -23,6 +23,10 @@ _ORDER_INDEX = {o: i for i, o in enumerate(BOND_ORDERS)}
 _ONE_HOT = np.eye(len(BOND_ORDERS), len(BOND_ORDERS) + 1)   # bond order rows, room for a length
 
 
+class ConfigError(ValueError):
+    """Settings or a batch of molecules that do not fit together."""
+
+
 class MoleculeError(ValueError):
     """Invalid molecule record (dangling bond, duplicate bond, bad coords)."""
 
@@ -244,6 +248,10 @@ class GraphUnion:
             g = graphs[0]
             return cls(np.array([0, g.n]), g.node_features, g.edge_index, g.edge_attr,
                        g.elements, g.coords)
+        for g in graphs[1:]:          # built with and without coordinates
+            if g.edge_dim != graphs[0].edge_dim:
+                raise ConfigError(f"molecule {g.id}: edge feature width {g.edge_dim}, "
+                                  f"but molecule {graphs[0].id} has {graphs[0].edge_dim}")
         ptr = np.array([0, *accumulate(g.n for g in graphs)])
         shift = ptr[:-1].repeat([len(g.edge_index) for g in graphs])[:, None]   # per edge
         coords = [g.coords for g in graphs]
@@ -257,11 +265,13 @@ class GraphUnion:
 def build_union(records, config: FeaturizerConfig) -> GraphUnion:
     """GraphUnion.of([build_graph(r, config) for r in records]), array for
     array, from array passes over all records at once. Validation runs as
-    masks; if one flags a record, a bond index is no integer, or the records
-    are not all with coordinates or all without, the graphs are built one by
-    one, so that the first bad record raises build_graph's own error."""
+    masks; if one flags a record, a bond is not three items or has an index
+    that is no integer, or only some records have coordinates, it is that
+    expression, so that the errors are build_graph's and GraphUnion.of's."""
     atoms = list(chain.from_iterable(r.elements for r in records))
     bonds = list(chain.from_iterable(r.bonds for r in records))
+    if set(map(len, bonds)) - {3}:   # a bond that is no (i, j, order) fails to unpack there
+        return GraphUnion.of([build_graph(r, config) for r in records])
     ends = np.array([b[:2] for b in bonds]).reshape(-1, 2).T
     # an index that is no integer reads as -1, so that the record is flagged as dangling
     ends = ends.astype(np.int64) if ends.dtype.kind in "iub" else np.full(ends.shape, -1)

@@ -2,15 +2,19 @@
 composed forms use, the per-op forms that the library's fused ops and
 losses replaced, built from the primitive ops (or plain numpy), the
 per-tensor Adam step, the brute-force ring flags, the per-graph batch merge,
-the citation sampler that rebuilds its first hops on every draw, and the
-per-bond edge feature dict that molgraph's edge arrays replaced."""
+the citation sampler that rebuilds its first hops on every draw, the
+per-bond edge feature dict that molgraph's edge arrays replaced, and the
+per-line, per-token citation file parser."""
 
+import warnings
 from itertools import combinations, permutations
 
 import numpy as np
 
 import pathmpnn.tensor as T
 from pathmpnn.chem import RING_FLAG_DIM, RING_SIZES
+from pathmpnn.citation import CitationGraph
+from pathmpnn.data import DataFormatError
 from pathmpnn.model import GraphBatch, PathGroup
 from pathmpnn.molgraph import BOND_ORDERS
 from pathmpnn.paths import csr_adjacency, extensions
@@ -393,3 +397,86 @@ def edge_feature_dict(record, config) -> dict:
                 feat[-1] = float(np.linalg.norm(coords[vi] - coords[vj]))
             features[(vi, vj)] = features[(vj, vi)] = feat
     return features
+
+
+def per_line_text(path):
+    """(line number, text) for each line of a UTF-8 file, decoded one line
+    at a time, so a line that is not UTF-8 is named."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise DataFormatError(f"{path}:{lineno}: not UTF-8 text (byte "
+                                      f"{raw[err.start]:#04x} at offset {err.start})") from None
+
+
+def per_token_parse_citation_files(content_path, cites_path, train_per_class=20,
+                                   val_size=500, test_size=1000) -> CitationGraph:
+    """The content/cites pair read line by line, each feature value by
+    float(): the reference form of data.parse_citation_files, which reads
+    the feature values in one np.loadtxt pass."""
+    index: dict[str, int] = {}
+    rows, row_lines = [], []
+    label_index: dict[str, int] = {}
+    labels = []
+    n_features = None
+    for lineno, line in per_line_text(content_path):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) < 3:
+            raise DataFormatError(f"{content_path}:{lineno}: expected id, features, label")
+        doc_id, *feat, label = tokens
+        if n_features is None:
+            n_features = len(feat)
+        elif len(feat) != n_features:
+            raise DataFormatError(
+                f"{content_path}:{lineno}: {len(feat)} features, expected {n_features}")
+        if doc_id in index:
+            raise DataFormatError(f"{content_path}:{lineno}: duplicate id {doc_id!r}")
+        index[doc_id] = len(index)
+        row_lines.append(lineno)
+        try:
+            rows.append([float(x) for x in feat])
+        except ValueError as err:
+            raise DataFormatError(f"{content_path}:{lineno}: feature values must be "
+                                  f"numbers ({err})") from None
+        labels.append(label_index.setdefault(label, len(label_index)))
+    features = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=-1))   # float() reads nan, inf
+    if bad.size:
+        value = next(v for v in features[bad[0]] if not np.isfinite(v))
+        raise DataFormatError(f"{content_path}:{row_lines[bad[0]]}: feature values must be "
+                              f"finite numbers, got {value}")
+
+    edges = set()
+    dropped = 0
+    for lineno, line in per_line_text(cites_path):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise DataFormatError(f"{cites_path}:{lineno}: expected two ids")
+        a, b = tokens
+        if a not in index or b not in index:
+            dropped += 1
+            continue
+        u, v = index[a], index[b]
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    if dropped:
+        warnings.warn(f"{cites_path}: dropped {dropped} citation pairs with unknown ids")
+
+    n = len(index)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_classes = len(label_index)
+    train = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.flatnonzero(labels == c)[:train_per_class] for c in range(n_classes)]))
+    pool = np.setdiff1d(np.arange(n, dtype=np.int64), train)
+    val = pool[:min(val_size, len(pool) // 2)]
+    test = pool[len(val):][-test_size:]
+    return CitationGraph(
+        n=n, edges=tuple(sorted(edges)), features=features,
+        labels=labels, train_idx=train, val_idx=val, test_idx=test,
+        n_classes=n_classes, ids=tuple(index))

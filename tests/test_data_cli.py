@@ -650,7 +650,7 @@ def test_cli_train_too_small_to_split_exits_one(tmp_path, capsys):
              "a dataset of 3 molecules is too small to split: the validation split is empty"),
             ({"task": "citation", "content": f"{net}.content", "cites": f"{net}.cites"},
              "a citation network of 60 nodes is too small to split: "
-             "the validation split is empty")):
+             f"the validation split is empty (nodes read from {net}.content)")):
         (tmp_path / "run.json").write_text(json.dumps(config))
         capsys.readouterr()
         assert main(["train", "--config", str(tmp_path / "run.json"),

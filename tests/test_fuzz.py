@@ -1,6 +1,7 @@
 """Mutated input files through the CLI, in-process: a molecule file, a
-geometry molecule file, a checkpoint and a run config, each cut short, with
-bits flipped, or with a run of bytes repeated or deleted. Every mutant must
+geometry molecule file, a checkpoint, a run config and a citation content
+and cites file, each cut short, with bits flipped, or with a run of bytes
+repeated or deleted. Every mutant must
 exit 0 or 1, an exit 1 must name the mutated file, and stdout must never
 hold a non-finite number. Hypothesis runs derandomized with a fixed number
 of mutants per file kind, so the suite grows by seconds."""
@@ -14,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathmpnn.cli import main
+from pathmpnn.data import write_citation_files
+from pathmpnn.synth import synth_citation
 
 MUTANTS = 25   # per file kind
 
@@ -43,6 +46,18 @@ def inputs(tmp_path_factory):
         "model": {"hidden_dim": 3, "steps": 1, "path_length": 2,
                   "feature_mode": "substructure", "set2set_steps": 1},
         "train": {"epochs": 1, "batch_size": 8}}))
+    # a small network and a one-epoch config per citation file, each reading
+    # that file's mutant and the other file as written
+    files["content"], files["cites"] = tmp / "net.content", tmp / "net.cites"
+    write_citation_files(files["content"], files["cites"],
+                         synth_citation(n_nodes=80, n_classes=3, n_features=12, seed=3))
+    for kind in ("content", "cites"):
+        paths = {"content": str(files["content"]), "cites": str(files["cites"]),
+                 kind: str(tmp / f"mutant-{kind}")}
+        files[f"{kind} config"] = tmp / f"{kind}.json"
+        files[f"{kind} config"].write_text(json.dumps({
+            "task": "citation", **paths, "epochs": 1,
+            "gcn": {"hidden_dim": 4, "eval_samples": 1}}))
     files["tmp"] = tmp
     return files
 
@@ -96,3 +111,11 @@ def test_mutated_checkpoint(inputs, data):
 def test_mutated_run_config(inputs, data):
     run_mutant(inputs, data, "config",
                ["train", "--config", None, "--report", str(inputs["tmp"] / "fuzz.jsonl")])
+
+
+@pytest.mark.parametrize("kind", ["content", "cites"])
+@settings(derandomize=True, max_examples=MUTANTS)
+@given(data=st.data())
+def test_mutated_citation_file(inputs, kind, data):
+    run_mutant(inputs, data, kind, ["train", "--config", str(inputs[f"{kind} config"]),
+                                    "--report", str(inputs["tmp"] / "fuzz.jsonl")])

@@ -133,7 +133,9 @@ INVALID = {
     "coords count": bad(coords=np.zeros((3, 3))),
     "non-finite coords": bad(coords=np.where(np.eye(4, 3) > 0, np.nan, TRANS.coords)),
     "unknown element": bad(elements=("C", "C", "S", "C")),
+    "short bond": bad(bonds=((0, 1, "single"), (1, 2))),
 }
+ERROR_TYPE = {"short bond": ValueError}   # the unpacking error; MoleculeError otherwise
 
 
 @pytest.mark.parametrize("position", [1, 3])
@@ -141,11 +143,12 @@ INVALID = {
 def test_an_invalid_record_raises_build_graphs_error(case, position):
     records = [replace(CIS, id=f"ok{i}") for i in range(4)]
     records.insert(position, INVALID[case])
-    with pytest.raises(MoleculeError) as want:
+    error = ERROR_TYPE.get(case, MoleculeError)
+    with pytest.raises(error) as want:
         [build_graph(r, FEAT) for r in records]
     for build in (partial(build_union, records, FEAT),
                   partial(featurize_records, records, FEAT, ModelConfig(path_length=2))):
-        with pytest.raises(MoleculeError) as got:
+        with pytest.raises(error) as got:
             build()
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
@@ -175,16 +178,20 @@ def test_featurize_records_with_and_without_coordinates_raises_featurizes_error(
         featurize_records([CIS, dry, TRANS], FEAT, ModelConfig(feature_mode="geometry"))
 
 
-
 @pytest.mark.parametrize("first", [CIS, replace(CIS, coords=None)], ids=["with", "without"])
 def test_build_union_of_records_with_and_without_coordinates_fails_as_of_does(first):
-    # whichever comes first, no union drops a molecule's coordinates
+    # whichever comes first, no union drops a molecule's coordinates, and
+    # both builders raise featurize's error naming the molecule
     records = [first, replace(TRANS, coords=None if first.coords is not None else TRANS.coords)]
-    with pytest.raises(ValueError) as want:
-        GraphUnion.of([build_graph(r, FEAT) for r in records])
-    with pytest.raises(ValueError) as got:
-        build_union(records, FEAT)
-    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    graphs = [build_graph(r, FEAT) for r in records]
+    widths = (5, 4) if first.coords is not None else (4, 5)
+    message = f"molecule trans: edge feature width {widths[1]}, but molecule cis has {widths[0]}"
+    for build in (partial(featurize, graphs, ModelConfig()), partial(GraphUnion.of, graphs),
+                  partial(build_union, records, FEAT)):
+        with pytest.raises(ConfigError) as got:
+            build()
+        assert str(got.value) == message
+
 
 def test_featurize_records_names_a_later_molecule_with_coincident_atoms():
     coincident = replace(CIS, id="coincident", coords=np.array(
