@@ -13,7 +13,7 @@ from .citation import (CitationGraph, PathGCNConfig, gcn_forward,
                        normalize_adjacency, path_gcn_forward)
 from .geometry import bond_angle, dihedral, geometry_features, geometry_path_features
 from .model import ModelConfig, build_path_cache, forward, forward_base_mpnn, init_params
-from .molgraph import FeaturizerConfig, Graph, MoleculeRecord, build_graph
+from .molgraph import FeaturizerConfig, GraphUnion, MoleculeRecord, build_graph
 from .paths import count_paths_oracle, enumerate_paths
 from .tensor import Tensor, adam_step, backward, no_grad
 from .training import (TrainSettings, rmse_loss, split_dataset,

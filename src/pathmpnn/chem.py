@@ -84,12 +84,9 @@ def detect_alcohol(graph) -> GroupMatch:
     """Hydroxyl oxygens.
 
     Heavy-atom convention: an O of degree 1 bonded to a C is taken as R-OH.
-    With explicit hydrogens (the molecule lists an H; a disjoint union says
-    so per node in graph.explicit_h) the O must bond exactly one H and one C.
+    With explicit hydrogens (the O's molecule lists an H, graph.explicit_h
+    per node) the O must bond exactly one H and one C.
     """
-    if graph.elements is None:
-        raise ValueError("alcohol detection needs element symbols on the graph")
-    explicit_h = getattr(graph, "explicit_h", ("H" in graph.elements,) * graph.n)
     members: set[int] = set()
     bonds: set[frozenset] = set()
     for v, el in enumerate(graph.elements):
@@ -97,7 +94,7 @@ def detect_alcohol(graph) -> GroupMatch:
             continue
         nbrs = graph.adjacency[v]
         nbr_els = [graph.elements[w] for w in nbrs]
-        if explicit_h[v]:
+        if graph.explicit_h[v]:
             if sorted(nbr_els) != ["C", "H"]:
                 continue
         else:

@@ -38,14 +38,15 @@ def cmd_paths(args) -> int:
         raise ConfigError(f"molecule index {args.index} out of range "
                           f"({len(dataset.records)} molecules)")
     graph = build_graph(dataset.records[args.index], dataset.featurizer)
+    name = graph.ids[0]
     if not (0 <= args.node < graph.n):
-        raise ConfigError(f"molecule {graph.id}: --node {args.node} out of range ({graph.n} atoms)")
+        raise ConfigError(f"molecule {name}: --node {args.node} out of range ({graph.n} atoms)")
     if args.length < 1:
-        raise ConfigError(f"molecule {graph.id}: --length must be >= 1, got {args.length}")
+        raise ConfigError(f"molecule {name}: --length must be >= 1, got {args.length}")
     try:
         tables = enumerate_paths(graph, [args.node], args.length)
     except PathExplosionError as err:
-        raise PathExplosionError(f"molecule {graph.id}: {err}") from None
+        raise PathExplosionError(f"molecule {name}: {err}") from None
     # lexicographic, a prefix before its extensions: depth-first order
     for path in sorted(p for t in tables.values() for p in t.tolist()):
         print(" ".join(str(v) for v in path))
@@ -95,9 +96,12 @@ def cmd_gradcheck(args) -> int:
 
 def _train_regression_runs(config, repeats):
     dataset = load_dataset(config.dataset, config.explicit_hydrogens)
-    return [train_regression(dataset.records,
-                             replace(config.model, seed=config.model.seed + r),
-                             config.train, dataset.featurizer) for r in range(repeats)]
+    try:
+        return [train_regression(dataset.records,
+                                 replace(config.model, seed=config.model.seed + r),
+                                 config.train, dataset.featurizer) for r in range(repeats)]
+    except ConfigError as err:     # an empty dataset or one too small to split: name its file
+        raise ConfigError(f"{err} (molecules read from {config.dataset})") from None
 
 
 def _train_citation_runs(config, repeats):

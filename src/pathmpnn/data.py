@@ -302,10 +302,13 @@ def parse_citation_files(content_path, cites_path, train_per_class: int = 20,
 
 
 def write_citation_files(content_path, cites_path, graph: cit.CitationGraph):
+    """The content/cites pair parse_citation_files reads. An integer feature
+    value is written as one (1, not 1.0), any other as its repr, which reads
+    back bit for bit."""
     ids = graph.ids or tuple(f"doc{v}" for v in range(graph.n))
     with open(content_path, "w") as fh:
-        for v in range(graph.n):
-            feats = " ".join(str(int(x)) for x in graph.features[v])
+        for v, row in enumerate(graph.features.tolist()):
+            feats = " ".join(str(int(x)) if float(x).is_integer() else repr(float(x)) for x in row)
             fh.write(f"{ids[v]} {feats} class{graph.labels[v]}\n")
     with open(cites_path, "w") as fh:
         for u, v in graph.edges:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import chem, geometry
 from .geometry import DegenerateGeometryError
-from .molgraph import ConfigError, FeaturizerConfig, GraphUnion, build_graph, build_union
+from .molgraph import ConfigError, GraphUnion
 from .paths import PathExplosionError, enumerate_paths
 from .tensor import (Tensor, attention, concat, dense, gather_rows, lstm_cell, lstm_weights,
                      path_message, row_dot, segment_softmax, segment_weighted_sum, glorot,
@@ -80,55 +80,39 @@ def path_feature_fn(graph, mode: str):
     return None
 
 
-def featurize(graphs, config: ModelConfig) -> GraphBatch:
-    """The GraphBatch of the graphs' disjoint union: one path enumeration,
-    then each length's static rows in one pass. Rows are root-major, so a
-    graph's rows are contiguous and in the order it alone gives. An error
+def featurize(graph: GraphUnion, config: ModelConfig) -> GraphBatch:
+    """The GraphBatch of a union of molecules: one path enumeration, then
+    each length's static rows in one pass. Rows are root-major, so a
+    molecule's rows are contiguous and in the order it alone gives. An error
     names the first bad molecule, in its own node indices."""
+    n = graph.n
+    # an edge's row is found by its key a*n+b; edge_index is sorted, so the keys are
+    edge_keys = graph.edge_index[:, 0] * n + graph.edge_index[:, 1]
     try:
-        return _featurize(GraphUnion.of(graphs), config)
+        path_features = path_feature_fn(graph, config.feature_mode)
+        tables = enumerate_paths(None, np.arange(n), config.path_length, csr=graph.csr)
+        cache = {}
+        for k, paths in tables.items():
+            steps = paths[:, :-1] * n + paths[:, 1:]
+            parts = [graph.edge_attr[edge_keys.searchsorted(steps)].reshape(len(paths), -1)]
+            if path_features is not None:
+                parts.append(path_features(paths))
+            cache[k] = PathGroup(paths, np.concatenate(parts, axis=1))
     except (ConfigError, DegenerateGeometryError, PathExplosionError) as err:
-        if len(graphs) == 1:
-            raise type(err)(f"molecule {graphs[0].id}: {err}") from None
-        for graph in graphs:   # alone, a graph's error is in its own indices
-            featurize([graph], config)
+        if len(graph.ids) == 1:
+            raise type(err)(f"molecule {graph.ids[0]}: {err}") from None
+        for i in range(len(graph.ids)):   # alone, a molecule's error is in its own indices
+            featurize(graph.molecule(i), config)
         raise
-
-
-def featurize_records(records, featurizer: FeaturizerConfig, config: ModelConfig) -> GraphBatch:
-    """featurize([build_graph(r, featurizer) for r in records], config),
-    array for array, from build_union: no Graph per molecule. On an error of
-    featurize's own (a mix of records with and without coordinates is one),
-    the graphs are built and featurized, so that the error names its molecule."""
-    try:
-        return _featurize(build_union(records, featurizer), config)
-    except (ConfigError, DegenerateGeometryError, PathExplosionError):
-        return featurize([build_graph(r, featurizer) for r in records], config)
-
-
-def _featurize(union: GraphUnion, config: ModelConfig) -> GraphBatch:
-    path_features = path_feature_fn(union, config.feature_mode)
-    n = union.n
-    tables = enumerate_paths(None, np.arange(n), config.path_length, csr=union.csr)
-    # an edge's row is found by its key a*n+b in the union; edge_index is
-    # sorted, so the keys are
-    edge_keys = union.edge_index[:, 0] * n + union.edge_index[:, 1]
-    cache = {}
-    for k, paths in tables.items():
-        steps = paths[:, :-1] * n + paths[:, 1:]
-        parts = [union.edge_attr[edge_keys.searchsorted(steps)].reshape(len(paths), -1)]
-        if path_features is not None:
-            parts.append(path_features(paths))
-        cache[k] = PathGroup(paths, np.concatenate(parts, axis=1))
-    ptr = union.ptr
-    return GraphBatch(union.node_features, np.arange(len(ptr) - 1).repeat(ptr[1:] - ptr[:-1]),
+    ptr = graph.ptr
+    return GraphBatch(graph.node_features, np.arange(len(ptr) - 1).repeat(ptr[1:] - ptr[:-1]),
                       ptr, cache)
 
 
 def build_path_cache(graph, config: ModelConfig, seed=None) -> dict[int, PathGroup]:
-    """One graph's path groups: featurize on a batch of one. `seed` is
-    unused; it stays accepted because perfbench/workloads.py passes it."""
-    return featurize([graph], config).cache
+    """One molecule's path groups: featurize's cache. `seed` is unused; it
+    stays accepted because perfbench/workloads.py passes it."""
+    return featurize(graph, config).cache
 
 
 def init_params(config: ModelConfig, node_dim: int, edge_dim: int,
@@ -250,9 +234,9 @@ merge_batch = take   # the name perfbench/spans.py traces; nothing calls it, so 
 
 def forward(graph, params, config: ModelConfig,
             cache: dict[int, PathGroup] | None = None):
-    """Graph-level prediction, shape (1, n_targets): forward_batched on a
-    batch of one, from featurize or from the given path cache."""
-    batch = featurize([graph], config) if cache is None else GraphBatch(
+    """One molecule's prediction, shape (1, n_targets): forward_batched on
+    its featurize batch or on the given path cache."""
+    batch = featurize(graph, config) if cache is None else GraphBatch(
         graph.node_features, np.zeros(graph.n, dtype=np.int64), np.array([0, graph.n]), cache)
     return forward_batched(batch, params, config)
 

@@ -1,18 +1,18 @@
 """Molecule records and their in-memory graphs.
 
 A MoleculeRecord is the parsed form of one input molecule (elements, bonds,
-optional 3D coordinates, target values). build_graph turns it into an
-immutable Graph with dense node features and edge_index/edge_attr arrays
-that hold each bond once per orientation. A GraphUnion is a batch of
-molecules as one set of arrays: GraphUnion.of joins built graphs, and
-build_union builds it from the records directly, without a Graph each.
+optional 3D coordinates, target values). A GraphUnion holds one or more
+molecules as one set of arrays: dense node features and edge_index/edge_attr
+arrays that hold each bond once per orientation. build_graph builds the
+union of one record, build_union the union of many in array passes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -56,7 +56,13 @@ class MoleculeRecord:
 def validate_record(record: MoleculeRecord) -> None:
     n = record.n_atoms
     seen = set()
-    for i, j, order in record.bonds:
+    for bond in record.bonds:
+        try:
+            i, j, order = bond
+            i, j = operator.index(i), operator.index(j)
+        except (TypeError, ValueError):
+            raise MoleculeError(f"molecule {record.id}: bond {bond!r} is not (i, j, order) "
+                                f"with integer atom indices") from None
         if not (0 <= i < n and 0 <= j < n):
             raise MoleculeError(
                 f"molecule {record.id}: dangling bond index ({i}, {j}) with {n} atoms"
@@ -108,21 +114,25 @@ def vocab_from_records(records) -> tuple[str, ...]:
 # eq=False: field-wise == on numpy arrays is ambiguous; identity hash keeps
 # graphs usable as cache keys.
 @dataclass(frozen=True, eq=False)
-class Graph:
-    """One molecule's featurized graph, every array read-only. As in PyTorch
-    Geometric's Data, edge_index holds each bond once per orientation, sorted
-    by (v, w): the order of adjacency, node by node, neighbours ascending.
-    edge_attr holds each edge's bond order one-hot, then the bond length when
-    there are coordinates; it keeps its width e when there are no bonds."""
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
-    node_features: np.ndarray                      # (n, f)
-    edge_index: np.ndarray                         # (E, 2) int64, sorted (v, w)
-    edge_attr: np.ndarray                          # (E, e) float64, one row per edge
-    elements: tuple[str, ...] | None = None
-    coords: np.ndarray | None = None               # (n, 3)
-    targets: tuple[float, ...] = ()
-    id: str = ""
+class GraphUnion:
+    """Molecules as one set of arrays, as PyTorch Geometric's Batch holds
+    them; one molecule is a union of one. Molecule i, named ids[i], owns
+    nodes ptr[i]:ptr[i+1]. As in PyTorch Geometric's Data, edge_index holds
+    each bond once per orientation, in union node indices, sorted by (v, w):
+    node by node, neighbours ascending. edge_attr holds each edge's bond
+    order one-hot, then the bond length when there are coordinates; it keeps
+    its width e when there are no bonds."""
+    ptr: np.ndarray
+    node_features: np.ndarray          # (n, f)
+    edge_index: np.ndarray             # (E, 2) int64, sorted (v, w)
+    edge_attr: np.ndarray              # (E, e) float64, one row per edge
+    elements: tuple[str, ...]
+    coords: np.ndarray | None          # (n, 3), when every molecule has coordinates
+    ids: tuple[str, ...]
+
+    @property
+    def n(self) -> int:
+        return int(self.ptr[-1])
 
     @property
     def node_dim(self) -> int:
@@ -132,16 +142,39 @@ class Graph:
     def edge_dim(self) -> int:
         return self.edge_attr.shape[1]
 
-    def edges(self):
-        """Unordered edge pairs (v < w)."""
-        return [(v, w) for v, w in self.edge_index.tolist() if v < w]
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): node v's neighbours are indices[indptr[v]:indptr[v+1]]."""
+        degree = np.bincount(self.edge_index[:, 0], minlength=self.n)
+        return np.concatenate([[0], degree.cumsum()]), self.edge_index[:, 1]
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        indptr, indices = (a.tolist() for a in self.csr)
+        return [indices[a:b] for a, b in zip(indptr, indptr[1:])]
+
+    @cached_property
+    def explicit_h(self) -> list[bool]:
+        """Per node, whether its molecule lists a hydrogen (chem.detect_alcohol's convention)."""
+        ptr = self.ptr.tolist()
+        return [h for a, b in zip(ptr, ptr[1:]) for h in ("H" in self.elements[a:b],) * (b - a)]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
+    def molecule(self, i: int) -> GraphUnion:
+        """Molecule i alone, in its own node indices."""
+        a, b = self.ptr[i:i + 2]
+        lo, hi = self.csr[0][[a, b]]
+        return GraphUnion(np.array([0, b - a]), self.node_features[a:b],
+                          self.edge_index[lo:hi] - a, self.edge_attr[lo:hi], self.elements[a:b],
+                          None if self.coords is None else self.coords[a:b], self.ids[i:i + 1])
 
-def build_graph(record: MoleculeRecord, config: FeaturizerConfig) -> Graph:
-    """Build the featurized graph for one molecule.
+
+def build_graph(record: MoleculeRecord, config: FeaturizerConfig) -> GraphUnion:
+    """One molecule's featurized graph: a GraphUnion of one, every array
+    read-only. build_union gives the same arrays for many records at once;
+    for one record this Python loop is the faster.
 
     Heavy-atom mode (the default) drops hydrogens and bonds to them;
     explicit-hydrogen mode keeps everything. Unknown element symbols are
@@ -165,9 +198,7 @@ def build_graph(record: MoleculeRecord, config: FeaturizerConfig) -> Graph:
                 f"(vocabulary: {', '.join(config.element_vocab)})"
             )
 
-    coords = None
-    if record.coords is not None:
-        coords = np.asarray(record.coords, dtype=np.float64)[keep].copy()
+    coords = None if record.coords is None else record.coords[keep]
 
     # edge_of[v][w] is directed edge (v, w)'s table row: v, w, then its bond's
     # order index and atoms as listed, so both orientations get one length
@@ -177,8 +208,7 @@ def build_graph(record: MoleculeRecord, config: FeaturizerConfig) -> Graph:
             vi, vj = remap[i], remap[j]
             edge_of[vi][vj] = (vi, vj, _ORDER_INDEX[order], vi, vj)
             edge_of[vj][vi] = (vj, vi, _ORDER_INDEX[order], vi, vj)
-    adjacency = tuple(tuple(sorted(nbrs)) for nbrs in edge_of)
-    table = np.array([x for v, nbrs in enumerate(adjacency) for w in nbrs for x in edge_of[v][w]],
+    table = np.array([x for v, nbrs in enumerate(edge_of) for w in sorted(nbrs) for x in nbrs[w]],
                      dtype=np.int64).reshape(-1, 5)
     edge_index = table[:, :2].copy()
     edge_attr = _ONE_HOT[table[:, 2], :config.edge_dim(coords is not None)]
@@ -188,93 +218,29 @@ def build_graph(record: MoleculeRecord, config: FeaturizerConfig) -> Graph:
     node_features = np.zeros((n, config.node_dim), dtype=np.float64)
     for v, el in enumerate(elements):
         node_features[v, vocab_index[el]] = 1.0
-        node_features[v, -1] = float(len(adjacency[v]))
+        node_features[v, -1] = float(len(edge_of[v]))
     for a in (node_features, edge_index, edge_attr, coords):
         if a is not None:
             a.setflags(write=False)
-
-    return Graph(
-        n=n,
-        adjacency=adjacency,
-        node_features=node_features,
-        edge_index=edge_index,
-        edge_attr=edge_attr,
-        elements=elements,
-        coords=coords,
-        targets=tuple(float(t) for t in record.targets),
-        id=record.id,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class GraphUnion:
-    """A batch of molecules as one set of arrays, as PyTorch Geometric's
-    Batch holds one: molecule i owns nodes ptr[i]:ptr[i+1], and edge_index
-    and edge_attr are in union node indices, sorted by (v, w), the order of
-    each graph's adjacency. It reads as a graph does, for the path feature
-    modes."""
-    ptr: np.ndarray
-    node_features: np.ndarray
-    edge_index: np.ndarray
-    edge_attr: np.ndarray
-    elements: tuple[str, ...]
-    coords: np.ndarray | None          # when every molecule has coordinates
-
-    @property
-    def n(self) -> int:
-        return int(self.ptr[-1])
-
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices): node v's neighbours are indices[indptr[v]:indptr[v+1]]."""
-        degree = np.bincount(self.edge_index[:, 0], minlength=self.n)
-        return np.concatenate([[0], degree.cumsum()]), self.edge_index[:, 1]
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        indptr, indices = (a.tolist() for a in self.csr)
-        return [indices[a:b] for a, b in zip(indptr, indptr[1:])]
-
-    @cached_property
-    def explicit_h(self) -> list[bool]:
-        """Per node, whether its molecule lists a hydrogen (chem.detect_alcohol's convention)."""
-        ptr = self.ptr.tolist()
-        return [h for a, b in zip(ptr, ptr[1:]) for h in ("H" in self.elements[a:b],) * (b - a)]
-
-    @classmethod
-    def of(cls, graphs) -> GraphUnion:
-        """The union of built graphs, each graph's node indices shifted by its first node."""
-        if len(graphs) == 1:          # build_path_cache's batch of one: its arrays, uncopied
-            g = graphs[0]
-            return cls(np.array([0, g.n]), g.node_features, g.edge_index, g.edge_attr,
-                       g.elements, g.coords)
-        for g in graphs[1:]:          # built with and without coordinates
-            if g.edge_dim != graphs[0].edge_dim:
-                raise ConfigError(f"molecule {g.id}: edge feature width {g.edge_dim}, "
-                                  f"but molecule {graphs[0].id} has {graphs[0].edge_dim}")
-        ptr = np.array([0, *accumulate(g.n for g in graphs)])
-        shift = ptr[:-1].repeat([len(g.edge_index) for g in graphs])[:, None]   # per edge
-        coords = [g.coords for g in graphs]
-        return cls(ptr, np.concatenate([g.node_features for g in graphs]),
-                   np.concatenate([g.edge_index for g in graphs]) + shift,
-                   np.concatenate([g.edge_attr for g in graphs]),
-                   tuple(chain.from_iterable(g.elements for g in graphs)),
-                   None if any(c is None for c in coords) else np.concatenate(coords))
+    return GraphUnion(np.array([0, n]), node_features, edge_index, edge_attr, elements, coords,
+                      (record.id,))
 
 
 def build_union(records, config: FeaturizerConfig) -> GraphUnion:
-    """GraphUnion.of([build_graph(r, config) for r in records]), array for
-    array, from array passes over all records at once. Validation runs as
-    masks; if one flags a record, a bond is not three items or has an index
-    that is no integer, or only some records have coordinates, it is that
-    expression, so that the errors are build_graph's and GraphUnion.of's."""
+    """The records' graphs as one union, array for array what joining each
+    record's build_graph gives, from array passes over all records at once.
+    Validation runs as masks; if one flags a record, the records are built
+    one by one, so that the first bad record raises build_graph's error."""
     atoms = list(chain.from_iterable(r.elements for r in records))
     bonds = list(chain.from_iterable(r.bonds for r in records))
-    if set(map(len, bonds)) - {3}:   # a bond that is no (i, j, order) fails to unpack there
-        return GraphUnion.of([build_graph(r, config) for r in records])
-    ends = np.array([b[:2] for b in bonds]).reshape(-1, 2).T
-    # an index that is no integer reads as -1, so that the record is flagged as dangling
-    ends = ends.astype(np.int64) if ends.dtype.kind in "iub" else np.full(ends.shape, -1)
+    try:   # a bond that is no (i, j, order) fails to unpack
+        table = np.array([(i, j, _ORDER_INDEX.get(o, -1)) for i, j, o in bonds]
+                         or np.empty((0, 3), dtype=np.int64))
+    except (TypeError, ValueError):
+        table = None
+    if table is None or table.dtype.kind not in "iu":   # or an atom index is no integer
+        _raise_first_error(records, config)
+    ends, order = table[:, :2].astype(np.int64).T, table[:, 2]
     n_atoms = np.array([len(r.elements) for r in records], dtype=np.int64)
     n_bonds = np.array([len(r.bonds) for r in records], dtype=np.int64)
     atom_of, bond_of = (np.arange(len(records)).repeat(c) for c in (n_atoms, n_bonds))
@@ -282,7 +248,6 @@ def build_union(records, config: FeaturizerConfig) -> GraphUnion:
     if not config.explicit_hydrogens:
         index["H"] = -2                                   # dropped, in the vocabulary or not
     code = np.array([index.get(el, -1) for el in atoms], dtype=np.int64)
-    order = np.array([_ORDER_INDEX.get(b[2], -1) for b in bonds], dtype=np.int64)
 
     lo, hi = ends.min(axis=0), ends.max(axis=0)
     start = n_atoms.cumsum() - n_atoms                    # each record's first atom
@@ -298,7 +263,7 @@ def build_union(records, config: FeaturizerConfig) -> GraphUnion:
         coords = np.concatenate([r.coords for r in records])
         bad[atom_of[~np.isfinite(coords).all(axis=1)]] = True
     if bad.any():
-        return GraphUnion.of([build_graph(r, config) for r in records])
+        _raise_first_error(records, config)
 
     ends = start[bond_of] + ends                          # bond ends as listed, in atoms
     kept = keep[ends].all(axis=0)
@@ -316,4 +281,17 @@ def build_union(records, config: FeaturizerConfig) -> GraphUnion:
     x[np.arange(n), code[keep]] = 1.0
     x[:, -1] = np.bincount(pairs[0], minlength=n)
     return GraphUnion(ptr, x, pairs[:, by_edge].T.copy(), edge_attr,
-                      tuple(compress(atoms, keep)), coords)
+                      tuple(compress(atoms, keep)), coords, tuple(r.id for r in records))
+
+
+def _raise_first_error(records, config: FeaturizerConfig):
+    """Raise build_graph's error for the first record it refuses; if it
+    refuses none, some records have coordinates and some do not, and their
+    edge widths differ."""
+    for record in records:
+        build_graph(record, config)
+    first = records[0]
+    odd = next(r for r in records if (r.coords is None) != (first.coords is None))
+    raise ConfigError(f"molecule {odd.id}: edge feature width "
+                      f"{config.edge_dim(odd.coords is not None)}, but molecule {first.id} "
+                      f"has {config.edge_dim(first.coords is not None)}")

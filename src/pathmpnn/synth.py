@@ -14,7 +14,7 @@ import numpy as np
 
 from .citation import CitationGraph
 from .geometry import geometry_features
-from .molgraph import FeaturizerConfig, MoleculeRecord, build_graph
+from .molgraph import ConfigError, FeaturizerConfig, MoleculeRecord, build_graph
 from .paths import enumerate_paths
 
 TASKS = ("alcohol-count", "dihedral-sum", "solubility")
@@ -175,7 +175,11 @@ def synth_citation(n_nodes: int = 800, n_classes: int = 7,
                    train_per_class: int = 20, val_size: int = 300,
                    test_size: int = 1000) -> CitationGraph:
     """Homophilous citation-style network: class-dependent topic words,
-    mostly intra-class links, classic train/val/test masks."""
+    mostly intra-class links, classic train/val/test masks. Each class draws
+    at least 10 distinct topic words, so n_features must be at least 10."""
+    if n_features < 10:
+        raise ConfigError(f"n_features must be at least 10 (each class draws 10 distinct "
+                          f"topic words), got {n_features}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(n_classes, size=n_nodes)
     # overlapping class topics and short noisy documents keep the features

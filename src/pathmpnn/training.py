@@ -11,7 +11,7 @@ import numpy as np
 
 from . import citation as cit
 from . import model as mdl
-from .molgraph import FeaturizerConfig, vocab_from_records
+from .molgraph import FeaturizerConfig, build_union, vocab_from_records
 from .tensor import (AdamState, adam_step, backward, cross_entropy, l2_penalty, no_grad,
                      rmse_loss, zero_grad)
 
@@ -254,7 +254,7 @@ def train_regression(records, config: mdl.ModelConfig,
     z_targets = (targets - mean) / std
 
     rng = np.random.default_rng(config.seed)
-    data = mdl.featurize_records(records, featurizer, config)
+    data = mdl.featurize(build_union(records, featurizer), config)
     val_batch, test_batch = mdl.take(data, val_idx), mdl.take(data, test_idx)
     params = mdl.init_params(config, featurizer.node_dim,
                              featurizer.edge_dim(records[0].coords is not None), rng)
@@ -299,7 +299,7 @@ def evaluate_regression(records, params, config: mdl.ModelConfig,
                         featurizer: FeaturizerConfig, mean, std) -> dict:
     if not records:
         raise mdl.ConfigError("empty dataset")
-    batch = mdl.featurize_records(records, featurizer, config)
+    batch = mdl.featurize(build_union(records, featurizer), config)
     targets = np.asarray([r.targets for r in records], dtype=np.float64)
     pred = predict_values(batch, params, config, np.asarray(mean), np.asarray(std))
     return {**_errors(pred, targets), "n": len(records)}

@@ -1,13 +1,13 @@
 """Reference forms for the property tests: the primitive ops that only the
 composed forms use, the per-op forms that the library's fused ops and
 losses replaced, built from the primitive ops (or plain numpy), the
-per-tensor Adam step, the brute-force ring flags, the per-graph batch merge,
-the citation sampler that rebuilds its first hops on every draw, the
+per-tensor Adam step, the brute-force ring flags, the join of built graphs,
+the per-graph batch merge, the citation sampler that rebuilds its first hops on every draw, the
 per-bond edge feature dict that molgraph's edge arrays replaced, and the
 per-line, per-token citation file parser."""
 
 import warnings
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from pathmpnn.chem import RING_FLAG_DIM, RING_SIZES
 from pathmpnn.citation import CitationGraph
 from pathmpnn.data import DataFormatError
 from pathmpnn.model import GraphBatch, PathGroup
-from pathmpnn.molgraph import BOND_ORDERS
+from pathmpnn.molgraph import BOND_ORDERS, ConfigError, GraphUnion
 from pathmpnn.paths import csr_adjacency, extensions
 
 # -- primitive ops that no library code path records --------------------------
@@ -359,6 +359,25 @@ def rings_oracle(graph) -> np.ndarray:
     return flags
 
 
+def union_of(graphs) -> GraphUnion:
+    """The union of built graphs, each graph's node indices shifted by its
+    first node: the reference form of molgraph.build_union, with its error
+    for graphs built with and without coordinates."""
+    for g in graphs[1:]:
+        if g.edge_dim != graphs[0].edge_dim:
+            raise ConfigError(f"molecule {g.ids[0]}: edge feature width {g.edge_dim}, "
+                              f"but molecule {graphs[0].ids[0]} has {graphs[0].edge_dim}")
+    ptr = np.array([0, *accumulate(g.n for g in graphs)])
+    shift = ptr[:-1].repeat([len(g.edge_index) for g in graphs])[:, None]   # per edge
+    coords = [g.coords for g in graphs]
+    return GraphUnion(ptr, np.concatenate([g.node_features for g in graphs]),
+                      np.concatenate([g.edge_index for g in graphs]) + shift,
+                      np.concatenate([g.edge_attr for g in graphs]),
+                      tuple(chain.from_iterable(g.elements for g in graphs)),
+                      None if any(c is None for c in coords) else np.concatenate(coords),
+                      tuple(chain.from_iterable(g.ids for g in graphs)))
+
+
 def merge_batch(graphs, caches) -> GraphBatch:
     """One batch from per-graph path caches, shifting each graph's node
     table by its offset and concatenating: the reference form of
@@ -379,7 +398,7 @@ def merge_batch(graphs, caches) -> GraphBatch:
 def edge_feature_dict(record, config) -> dict:
     """Each kept bond's feature vector, built one bond at a time and keyed
     by the bond in both orientations (v, w) and (w, v), in graph node
-    indices: the reference form of Graph.edge_index and Graph.edge_attr."""
+    indices: the reference form of build_graph's edge_index and edge_attr."""
     if config.explicit_hydrogens:
         keep = list(range(record.n_atoms))
     else:

@@ -100,6 +100,25 @@ def test_citation_round_trip(tmp_path):
     assert np.array_equal(back.features, graph.features)
 
 
+def test_citation_round_trip_keeps_non_integer_features(tmp_path):
+    # integer values keep their spelling (1, not 1.0); any other is its repr
+    graph = synth_citation(n_nodes=40, seed=0)
+    columns = np.arange(graph.features.shape[1])
+    graph = replace(graph, features=0.5 * graph.features + 0.001 * columns)
+    graph.features[1, :3] = [-0.0, 2.0, 1e-300]
+    content, cites = tmp_path / "net.content", tmp_path / "net.cites"
+    write_citation_files(content, cites, graph)
+    assert content.read_text().splitlines()[1].split()[1:4] == ["0", "2", "1e-300"]
+    back = parse_citation_files(content, cites, train_per_class=2, val_size=10, test_size=10)
+    assert np.array_equal(back.features, graph.features)
+
+
+def test_synth_citation_with_too_few_features_names_the_minimum():
+    with pytest.raises(ConfigError, match="^n_features must be at least 10 .*, got 6$"):
+        synth_citation(n_features=6)
+    assert synth_citation(n_nodes=30, n_features=10, seed=0).features.shape == (30, 10)
+
+
 def test_citation_tiny_fixture(tmp_path):
     content = tmp_path / "t.content"
     cites = tmp_path / "t.cites"
@@ -437,7 +456,7 @@ def test_three_molecule_fixture_bond_counts(tmp_path):
     dataset = load_dataset(path)
     from pathmpnn.molgraph import build_graph
     graphs = [build_graph(r, dataset.featurizer) for r in dataset.records]
-    assert [len(g.edges()) for g in graphs] == [2, 3, 3]
+    assert [len(g.edge_index) // 2 for g in graphs] == [2, 3, 3]
     assert [g.n for g in graphs] == [3, 3, 4]
 
 
@@ -647,7 +666,8 @@ def test_cli_train_too_small_to_split_exits_one(tmp_path, capsys):
     main(["synth", "--task", "citation", "--n", "60", "--seed", "2", "--out", str(net)])
     for config, message in (
             ({"task": "regression", "dataset": str(molecules)},
-             "a dataset of 3 molecules is too small to split: the validation split is empty"),
+             "a dataset of 3 molecules is too small to split: "
+             f"the validation split is empty (molecules read from {molecules})"),
             ({"task": "citation", "content": f"{net}.content", "cites": f"{net}.cites"},
              "a citation network of 60 nodes is too small to split: "
              f"the validation split is empty (nodes read from {net}.content)")):

@@ -1,6 +1,6 @@
-"""Mutated input files through the CLI, in-process: a molecule file, a
-geometry molecule file, a checkpoint, a run config and a citation content
-and cites file, each cut short, with bits flipped, or with a run of bytes
+"""Mutated input files through the CLI, in-process: a molecule file (under
+eval and under train), a geometry molecule file, a checkpoint, a run config
+and a citation content and cites file, each cut short, with bits flipped, or with a run of bytes
 repeated or deleted. Every mutant must
 exit 0 or 1, an exit 1 must name the mutated file, and stdout must never
 hold a non-finite number. Hypothesis runs derandomized with a fixed number
@@ -39,13 +39,16 @@ def inputs(tmp_path_factory):
                                       "checkpoint": str(checkpoint)}))
         assert main(["train", "--config", str(config), "--report", str(tmp / "r.jsonl")]) == 0
         files[kind], files[f"{kind} checkpoint"] = data, checkpoint
-    # the run config to mutate writes no checkpoint, so no mutant writes a file
-    files["config"] = tmp / "run.json"
-    files["config"].write_text(json.dumps({
-        "task": "regression", "dataset": str(files["molecules"]),
-        "model": {"hidden_dim": 3, "steps": 1, "path_length": 2,
-                  "feature_mode": "substructure", "set2set_steps": 1},
-        "train": {"epochs": 1, "batch_size": 8}}))
+    # the run configs write no checkpoint, so no mutant writes a file; the
+    # second trains on the molecule file's mutant
+    for kind, dataset in (("config", files["molecules"]),
+                          ("molecules config", tmp / "mutant-molecules")):
+        files[kind] = tmp / f"{kind.replace(' ', '-')}.json"
+        files[kind].write_text(json.dumps({
+            "task": "regression", "dataset": str(dataset),
+            "model": {"hidden_dim": 3, "steps": 1, "path_length": 2,
+                      "feature_mode": "substructure", "set2set_steps": 1},
+            "train": {"epochs": 1, "batch_size": 8}}))
     # a small network and a one-epoch config per citation file, each reading
     # that file's mutant and the other file as written
     files["content"], files["cites"] = tmp / "net.content", tmp / "net.cites"
@@ -97,6 +100,14 @@ def run_mutant(inputs, data, kind, args):
 def test_mutated_molecule_file(inputs, kind, data):
     run_mutant(inputs, data, kind,
                ["eval", "--checkpoint", str(inputs[f"{kind} checkpoint"]), "--input", None])
+
+
+@settings(derandomize=True, max_examples=MUTANTS)
+@given(data=st.data())
+def test_mutated_molecule_file_under_train(inputs, data):
+    run_mutant(inputs, data, "molecules",
+               ["train", "--config", str(inputs["molecules config"]),
+                "--report", str(inputs["tmp"] / "fuzz.jsonl")])
 
 
 @settings(derandomize=True, max_examples=MUTANTS)

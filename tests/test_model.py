@@ -15,14 +15,14 @@ from pathmpnn.chem import detect_groups, ring_membership, substructure_path_feat
 from pathmpnn.citation import PathGCNConfig
 from pathmpnn.geometry import DegenerateGeometryError, geometry_path_features
 from pathmpnn.gradchecks import TOLERANCE, full_model_gradcheck, probe_molecule
-from oracles import merge_batch
+from oracles import merge_batch, union_of
 from pathmpnn.model import (FEATURE_MODES, ConfigError, ModelConfig, PathGroup,
                             attention_aggregate,
                             build_path_cache, featurize, forward, forward_base_mpnn,
                             forward_batched, init_params, message_path,
                             message_standard, node_update, set2set_readout_batched,
                             static_feature_width, take)
-from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
+from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph, build_union
 from pathmpnn.paths import PathExplosionError, enumerate_paths
 from pathmpnn.synth import generate_molecules, synth_citation
 from pathmpnn.training import featurizer_from_records, rmse_loss
@@ -345,12 +345,12 @@ def test_path_cache_equals_per_path_oracle(mode, path_length, exact_length_only,
         if exact_length_only:
             cache = {k: g for k, g in cache.items() if k == path_length}
         oracle = oracle_cache(graph, config, exact_length_only=exact_length_only)
-        assert list(cache) == list(oracle), graph.id
+        assert list(cache) == list(oracle), graph.ids
         for k, (roots, nodes, static) in oracle.items():
             group = cache[k]
             for got, want in ((group.paths[:, 0], roots), (group.paths[:, 1:], nodes),
                               (group.static, static)):
-                assert got.dtype == want.dtype and np.array_equal(got, want), (graph.id, k)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (graph.ids, k)
     assert build_path_cache(build_graph(SINGLE_ATOM, FEAT), config) == {}
 
 
@@ -368,7 +368,7 @@ def test_path_cache_names_molecule_with_coincident_atoms():
 def test_path_cache_names_molecule_past_the_path_cap(monkeypatch, probe_graph):
     monkeypatch.setattr(model_module, "enumerate_paths", partial(enumerate_paths, cap=2))
     with pytest.raises(PathExplosionError,
-                       match=f"^molecule {probe_graph.id}: more than 2 paths rooted at node 0"):
+                       match=f"^molecule {probe_graph.ids[0]}: more than 2 paths rooted at node 0"):
         build_path_cache(probe_graph, small_config())
 
 
@@ -383,12 +383,12 @@ def test_featurize_names_a_later_molecule_with_coincident_atoms():
     # the third molecule's degenerate angle, in its own node indices
     coincident = geometry_record("coincident", [[0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 1, 0]],
                                  [(0, 1), (1, 2), (2, 3)])
-    graphs = [build_graph(r, FEAT) for r in (CIS, TRANS, coincident, NO_LENGTH_3)]
+    union = build_union([CIS, TRANS, coincident, NO_LENGTH_3], FEAT)
     config = small_config(feature_mode="geometry", path_length=3)
     with pytest.raises(DegenerateGeometryError,
                        match=r"^molecule coincident: zero-length bond vector "
                              r"in angle \(0, 1, 2\) on path \(0, 1, 2\)$"):
-        featurize(graphs, config)
+        featurize(union, config)
 
 
 def test_featurize_names_a_later_molecule_past_the_path_cap(monkeypatch, probe_graph):
@@ -397,16 +397,19 @@ def test_featurize_names_a_later_molecule_past_the_path_cap(monkeypatch, probe_g
     pair = geometry_record("pair", [[0, 0, 0], [1, 0, 0]], [(0, 1)])
     graphs = [build_graph(pair, FEAT), probe_graph, build_graph(CIS, FEAT)]
     with pytest.raises(PathExplosionError,
-                       match=f"^molecule {probe_graph.id}: more than 2 paths rooted at node 0"):
-        featurize(graphs, small_config())
+                       match=f"^molecule {probe_graph.ids[0]}: more than 2 paths rooted at node 0"):
+        featurize(union_of(graphs), small_config())
 
 
 def test_featurize_names_a_later_molecule_without_coordinates():
+    # no union mixes molecules with and without coordinates (build_union
+    # refuses it, see below), so each is featurized alone
     dry = MoleculeRecord("dry", ("C", "C"), ((0, 1, "single"),), targets=(0.0,))
     graphs = [build_graph(r, FEAT) for r in (CIS, dry, TRANS)]
     with pytest.raises(ConfigError, match="^molecule dry: geometry feature mode needs "
                                           "coordinates on the graph$"):
-        featurize(graphs, small_config(feature_mode="geometry"))
+        for graph in graphs:
+            featurize(graph, small_config(feature_mode="geometry"))
 
 
 @pytest.mark.parametrize("mode", ["base", "substructure"])
@@ -414,10 +417,9 @@ def test_featurize_names_a_later_molecule_of_another_edge_width(mode):
     # built with coordinates (edge width 5) and without (4); a bare numpy
     # ValueError about array dimensions before
     dry = MoleculeRecord("dry", ("C", "C"), ((0, 1, "single"),), targets=(0.0,))
-    graphs = [build_graph(r, FEAT) for r in (CIS, TRANS, dry)]
     with pytest.raises(ConfigError,
                        match="^molecule dry: edge feature width 4, but molecule cis has 5$"):
-        featurize(graphs, small_config(feature_mode=mode))
+        featurize(build_union([CIS, TRANS, dry], FEAT), small_config(feature_mode=mode))
 
 
 def test_featurize_keeps_each_molecules_hydrogen_convention():
@@ -430,19 +432,25 @@ def test_featurize_keeps_each_molecules_hydrogen_convention():
                MoleculeRecord("methanol", ("C", "O", "H"), ((0, 1, "single"), (1, 2, "single")))]
     graphs = [build_graph(r, featurizer) for r in records]
     config = small_config(feature_mode="substructure", path_length=2)
-    assert_take_equals_merge(featurize(graphs, config), graphs, config, range(3))
+    assert_take_equals_merge(featurize(build_union(records, featurizer), config), graphs, config,
+                             range(3))
     touches = [build_path_cache(g, config)[1].static[:, -1].any() for g in graphs]
     assert touches == [True, False, True]
 
 
 def test_featurize_finds_edge_rows_whatever_the_neighbour_order():
-    # the same molecule with every adjacency list reversed enumerates its
-    # paths in another order, but each path keeps its static row
+    # the same molecule with every neighbour list of its csr reversed
+    # enumerates its paths in another order, but each path keeps its static row
     graph = build_graph(CIS, FEAT)
-    flipped = replace(graph, adjacency=tuple(tuple(reversed(nbrs)) for nbrs in graph.adjacency))
+    flipped = replace(graph)
+    indptr, indices = graph.csr
+    vars(flipped)["csr"] = indptr, np.concatenate(
+        [indices[a:b][::-1] for a, b in zip(indptr[:-1], indptr[1:])])
     config = small_config(feature_mode="geometry", path_length=3)
-    rows = [{tuple(p): s.tolist() for p, s in zip(g.paths.tolist(), g.static)}
-            for g in (featurize([build_graph(TRANS, FEAT), x], config).cache[3] for x in (graph, flipped))]
+    caches = [featurize(x, config).cache for x in (graph, flipped)]
+    assert caches[0][1].paths.tolist() != caches[1][1].paths.tolist()
+    rows = [{tuple(p): s.tolist() for g in cache.values()
+             for p, s in zip(g.paths.tolist(), g.static)} for cache in caches]
     assert rows[0] == rows[1]
 
 
@@ -482,7 +490,7 @@ def test_take_of_featurize_equals_merged_per_graph_caches(task_mode, path_length
     task, mode = task_mode
     graphs = union_graphs(task)
     config = small_config(feature_mode=mode, path_length=path_length)
-    assert_take_equals_merge(featurize(graphs, config), graphs, config, idx)
+    assert_take_equals_merge(featurize(union_of(graphs), config), graphs, config, idx)
 
 
 @pytest.mark.parametrize("task, mode, path_length, n_molecules", [
@@ -498,7 +506,8 @@ def test_featurize_memory_grows_with_paths_not_nodes_squared(task, mode, path_le
     assert sum(g.n for g in graphs) > 4_500
     tracemalloc.start()
     try:
-        featurize(graphs, small_config(feature_mode=mode, path_length=path_length))
+        featurize(build_union(records, featurizer),
+                  small_config(feature_mode=mode, path_length=path_length))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

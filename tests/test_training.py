@@ -9,7 +9,7 @@ import pathmpnn.tensor as T
 import pathmpnn.training as training_module
 from pathmpnn.gradchecks import probe_molecule
 from pathmpnn.model import ConfigError, ModelConfig, featurize, forward_batched, init_params
-from pathmpnn.molgraph import build_graph
+from pathmpnn.molgraph import build_graph, build_union
 from pathmpnn.synth import synth_alcohol_count, synth_citation
 from pathmpnn.citation import PathGCNConfig, init_gcn_params
 from pathmpnn.training import (TrainReport, TrainSettings, _citation_logits, _fit,
@@ -378,7 +378,7 @@ def molecule_and_citation_losses():
     config = ModelConfig(hidden_dim=4, steps=2, path_length=3, feature_mode="geometry",
                          set2set_steps=2, n_targets=2)
     params = init_params(config, graph.node_dim, graph.edge_dim)
-    mol_loss = rmse_loss(forward_batched(featurize([graph], config), params, config),
+    mol_loss = rmse_loss(forward_batched(featurize(graph, config), params, config),
                          np.zeros((1, 2)))
     cgraph = synth_citation(n_nodes=120, seed=0)
     gcn = PathGCNConfig(hidden_dim=6, per_hop_budget=1, seed=2)
@@ -431,7 +431,8 @@ def alcohol_model():
 
 def test_evaluation_forwards_record_no_tape(made_tensors):
     records, featurizer, graphs, config, params = alcohol_model()
-    predict_values(featurize(graphs, config), params, config, 0.0, 1.0, chunk=8)
+    predict_values(featurize(build_union(records, featurizer), config), params, config, 0.0, 1.0,
+                   chunk=8)
     evaluate_regression(records, params, config, featurizer, [0.0], [1.0])
     graph = synth_citation(n_nodes=120, seed=0)
     gcn = PathGCNConfig(hidden_dim=6, per_hop_budget=1, eval_samples=3, seed=2)
@@ -444,10 +445,10 @@ def test_evaluation_forwards_record_no_tape(made_tensors):
 
 
 def test_step_after_tape_free_predictions_fills_every_gradient():
-    _, _, graphs, config, params = alcohol_model()
-    batch = featurize(graphs, config)
+    records, featurizer, _, config, params = alcohol_model()
+    batch = featurize(build_union(records, featurizer), config)
     predict_values(batch, params, config, 0.0, 1.0)
-    targets = np.array([g.targets for g in graphs])
+    targets = np.array([r.targets for r in records])
     _step(params, T.AdamState(params), 1e-3,
           lambda: rmse_loss(forward_batched(batch, params, config), targets), 1, 0)
     for name, t in params.items():

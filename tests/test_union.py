@@ -1,7 +1,7 @@
-"""The batch builder against its reference form: featurize_records and
-build_union over the records equal featurize and GraphUnion.of over the
-records' graphs built one by one, tolerance 0 (exact), with every dtype;
-invalid records raise build_graph's own errors."""
+"""The batch builder against its reference form: build_union over the
+records, and featurize of it, equal the reference join oracles.union_of of
+the records' graphs built one by one, and featurize of that, tolerance 0
+(exact), with every dtype; invalid records raise build_graph's own errors."""
 
 from contextlib import contextmanager
 from dataclasses import replace
@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 import pathmpnn.model as model_module
 import pathmpnn.molgraph as molgraph_module
+from oracles import union_of
 from pathmpnn.geometry import DegenerateGeometryError
-from pathmpnn.model import (FEATURE_MODES, ConfigError, ModelConfig, featurize,
-                            featurize_records)
-from pathmpnn.molgraph import (BOND_ORDERS, FeaturizerConfig, GraphUnion, MoleculeError,
-                               MoleculeRecord, build_graph, build_union)
+from pathmpnn.model import FEATURE_MODES, ConfigError, ModelConfig, featurize
+from pathmpnn.molgraph import (BOND_ORDERS, FeaturizerConfig, MoleculeError, MoleculeRecord,
+                               build_graph, build_union)
 from pathmpnn.paths import PathExplosionError, enumerate_paths
 from pathmpnn.synth import generate_molecules
 from pathmpnn.training import (TrainSettings, evaluate_regression, featurizer_from_records,
@@ -36,10 +36,9 @@ FEAT = FeaturizerConfig(("C", "H", "N", "O"))
 
 @contextmanager
 def no_graphs():
-    """Within the block, building a Graph fails the test."""
-    fail = mock.Mock(side_effect=AssertionError("a Graph was built"))
-    with mock.patch.object(molgraph_module, "build_graph", fail), \
-            mock.patch.object(model_module, "build_graph", fail):
+    """Within the block, building a graph one record at a time fails the test."""
+    fail = mock.Mock(side_effect=AssertionError("a graph was built"))
+    with mock.patch.object(molgraph_module, "build_graph", fail):
         yield
 
 
@@ -59,8 +58,8 @@ def assert_unions_equal(got, want):
             assert a is None, name
         else:
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
-    assert (got.elements, got.adjacency, got.explicit_h) == (want.elements, want.adjacency,
-                                                              want.explicit_h)
+    assert (got.elements, got.adjacency, got.explicit_h, got.ids) == (
+        want.elements, want.adjacency, want.explicit_h, want.ids)
 
 
 @st.composite
@@ -97,25 +96,28 @@ def test_featurize_records_equals_featurize_of_the_built_graphs(data, mode, path
     graphs = [build_graph(r, featurizer) for r in records]
     with no_graphs():
         union = build_union(records, featurizer)
-        got = featurize_records(records, featurizer, config)
-    assert_unions_equal(union, GraphUnion.of(graphs))
-    for record, graph in zip(records, graphs):   # a batch of one keeps its graph's arrays
-        assert_unions_equal(build_union([record], featurizer), GraphUnion.of([graph]))
+        got = featurize(union, config)
+    assert_unions_equal(union, union_of(graphs))
+    for i, (record, graph) in enumerate(zip(records, graphs)):
+        assert_unions_equal(build_union([record], featurizer), graph)
+        assert_unions_equal(union.molecule(i), graph)
     assert union.explicit_h == [("H" in g.elements) for g in graphs for _ in range(g.n)]
     starts = np.cumsum([0] + [g.n for g in graphs])
     assert union.adjacency == [[w + start for w in nbrs]
                                for g, start in zip(graphs, starts) for nbrs in g.adjacency]
-    assert_batches_equal(got, featurize(graphs, config))
+    assert_batches_equal(got, featurize(union_of(graphs), config))
 
 
 def test_a_bond_index_that_is_no_integer_takes_the_graphs_path():
-    # build_graph keeps a float index equal to an atom's and drops any other
+    # both builders refuse a float index, even one equal to an atom's
     records = [CIS, replace(TRANS, bonds=((0, 1.0, "single"), (1, 2.5, "double"))),
                replace(CIS, id="cis2")]
-    config = ModelConfig(hidden_dim=4, path_length=3, feature_mode="geometry")
-    graphs = [build_graph(r, FEAT) for r in records]
-    assert_unions_equal(build_union(records, FEAT), GraphUnion.of(graphs))
-    assert_batches_equal(featurize_records(records, FEAT, config), featurize(graphs, config))
+    message = ("molecule trans: bond (0, 1.0, 'single') is not (i, j, order) "
+               "with integer atom indices")
+    for build in (partial(build_graph, records[1], FEAT), partial(build_union, records, FEAT)):
+        with pytest.raises(MoleculeError) as got:
+            build()
+        assert str(got.value) == message
 
 
 def bad(**fields):
@@ -135,7 +137,6 @@ INVALID = {
     "unknown element": bad(elements=("C", "C", "S", "C")),
     "short bond": bad(bonds=((0, 1, "single"), (1, 2))),
 }
-ERROR_TYPE = {"short bond": ValueError}   # the unpacking error; MoleculeError otherwise
 
 
 @pytest.mark.parametrize("position", [1, 3])
@@ -143,12 +144,11 @@ ERROR_TYPE = {"short bond": ValueError}   # the unpacking error; MoleculeError o
 def test_an_invalid_record_raises_build_graphs_error(case, position):
     records = [replace(CIS, id=f"ok{i}") for i in range(4)]
     records.insert(position, INVALID[case])
-    error = ERROR_TYPE.get(case, MoleculeError)
-    with pytest.raises(error) as want:
+    with pytest.raises(MoleculeError) as want:
         [build_graph(r, FEAT) for r in records]
     for build in (partial(build_union, records, FEAT),
-                  partial(featurize_records, records, FEAT, ModelConfig(path_length=2))):
-        with pytest.raises(error) as got:
+                  lambda: featurize(build_union(records, FEAT), ModelConfig(path_length=2))):
+        with pytest.raises(MoleculeError) as got:
             build()
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
@@ -172,22 +172,24 @@ def test_featurize_records_with_and_without_coordinates_raises_featurizes_error(
     dry = MoleculeRecord("dry", ("C", "C"), ((0, 1, "single"),), targets=(0.0,))
     with pytest.raises(ConfigError, match="^molecule dry: edge feature width 4, but "
                                           "molecule cis has 5$"):
-        featurize_records([CIS, TRANS, dry], FEAT, ModelConfig(feature_mode="base"))
+        featurize(build_union([CIS, TRANS, dry], FEAT), ModelConfig(feature_mode="base"))
+    # a union has coordinates on every molecule or on none: on none, in
+    # geometry mode, featurize names the first
     with pytest.raises(ConfigError, match="^molecule dry: geometry feature mode needs "
                                           "coordinates on the graph$"):
-        featurize_records([CIS, dry, TRANS], FEAT, ModelConfig(feature_mode="geometry"))
+        featurize(build_union([dry, replace(TRANS, coords=None)], FEAT),
+                  ModelConfig(feature_mode="geometry"))
 
 
 @pytest.mark.parametrize("first", [CIS, replace(CIS, coords=None)], ids=["with", "without"])
 def test_build_union_of_records_with_and_without_coordinates_fails_as_of_does(first):
     # whichever comes first, no union drops a molecule's coordinates, and
-    # both builders raise featurize's error naming the molecule
+    # the builder raises the reference join's error naming the molecule
     records = [first, replace(TRANS, coords=None if first.coords is not None else TRANS.coords)]
     graphs = [build_graph(r, FEAT) for r in records]
     widths = (5, 4) if first.coords is not None else (4, 5)
     message = f"molecule trans: edge feature width {widths[1]}, but molecule cis has {widths[0]}"
-    for build in (partial(featurize, graphs, ModelConfig()), partial(GraphUnion.of, graphs),
-                  partial(build_union, records, FEAT)):
+    for build in (partial(union_of, graphs), partial(build_union, records, FEAT)):
         with pytest.raises(ConfigError) as got:
             build()
         assert str(got.value) == message
@@ -200,7 +202,7 @@ def test_featurize_records_names_a_later_molecule_with_coincident_atoms():
     with pytest.raises(DegenerateGeometryError,
                        match=r"^molecule coincident: zero-length bond vector "
                              r"in angle \(0, 1, 2\) on path \(0, 1, 2\)$"):
-        featurize_records([CIS, TRANS, coincident], FEAT, config)
+        featurize(build_union([CIS, TRANS, coincident], FEAT), config)
 
 
 def test_featurize_records_names_a_later_molecule_past_the_path_cap(monkeypatch):
@@ -210,7 +212,7 @@ def test_featurize_records_names_a_later_molecule_past_the_path_cap(monkeypatch)
                                                 (0, 3, "single")), targets=(0.0,))
     with pytest.raises(PathExplosionError,
                        match="^molecule star: more than 2 paths rooted at node 0"):
-        featurize_records([pair, star, pair], FEAT, ModelConfig(path_length=2))
+        featurize(build_union([pair, star, pair], FEAT), ModelConfig(path_length=2))
 
 
 @pytest.mark.parametrize("task,mode,path_length", [("dihedral-sum", "geometry", 3),
