@@ -19,8 +19,8 @@ import numpy as np
 
 from .model import ConfigError
 from .paths import csr_adjacency, extensions
-from .tensor import (Tensor, add, gather_rows, matmul, mul, path_gcn_layer, relu,
-                     segment_sum, glorot, zeros)
+from .tensor import (Tensor, _path_gcn_aggregate, _path_gcn_product, add, gather_rows,
+                     glorot, matmul, mul, no_grad, path_gcn_layer, relu, segment_sum, zeros)
 
 
 @dataclass(eq=False)
@@ -165,36 +165,62 @@ def gcn_layer(h, adj: NormalizedAdjacency, W, b, activation=None):
     return activation(out) if activation is not None else out
 
 
+def _layer_weights(params, layer: str, lengths):
+    """The GCN weight, then each length's per-position path maps, in the
+    order path_gcn_layer joins them."""
+    return [params[f"gcn{layer}.W"]] + [params[f"path{layer}.len{k}.M{pos}"]
+                                        for k in lengths for pos in range(k)]
+
+
 def _path_layer(h, adj, params, layer: str, paths: dict, n: int, activation):
-    # the GCN weight, then each length's per-position path maps, in the
-    # order path_gcn_layer joins them
-    names = [f"gcn{layer}.W"] + [f"path{layer}.len{k}.M{pos}"
-                                 for k in sorted(paths) for pos in range(k)]
-    return path_gcn_layer(h, [params[name] for name in names], params[f"gcn{layer}.b"],
-                          adj, paths, n, activation)
+    return path_gcn_layer(h, _layer_weights(params, layer, sorted(paths)),
+                          params[f"gcn{layer}.b"], adj, paths, n, activation)
 
 
-def gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params,
-                dropout_masks=None):
-    """Plain two-layer GCN, no path machinery anywhere."""
-    h = Tensor(graph.features)
-    if dropout_masks is not None:
-        h = mul(h, Tensor(dropout_masks[0]))
-    h = gcn_layer(h, adj, params["gcn1.W"], params["gcn1.b"], activation=relu)
-    if dropout_masks is not None:
-        h = mul(h, Tensor(dropout_masks[1]))
+def gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params, dropout=None):
+    """Plain two-layer GCN, no path machinery anywhere. dropout=(x,
+    hidden_mask) trains with dropout: x, the dropped-out input (the
+    features times an input mask), stands in for the features, and the
+    hidden activations are multiplied by hidden_mask."""
+    x, hidden_mask = (graph.features, None) if dropout is None else dropout
+    h = gcn_layer(Tensor(x), adj, params["gcn1.W"], params["gcn1.b"], activation=relu)
+    if hidden_mask is not None:
+        h = mul(h, Tensor(hidden_mask))
     return gcn_layer(h, adj, params["gcn2.W"], params["gcn2.b"])
 
 
 def path_gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params,
-                     paths: dict | None, dropout_masks=None):
+                     paths: dict | None, dropout=None):
     """Two-layer path GCN. With no sampled paths (None or {}) the outputs
-    are bit-identical to the plain GCN's."""
+    are bit-identical to the plain GCN's. dropout=(x, hidden_mask) as for
+    gcn_forward: the input layer reads x instead of the features, and the
+    hidden mask is the one dropout op on the tape."""
     paths = paths or {}
-    h = Tensor(graph.features)
-    if dropout_masks is not None:
-        h = mul(h, Tensor(dropout_masks[0]))
-    h = _path_layer(h, adj, params, "1", paths, graph.n, "relu")
-    if dropout_masks is not None:
-        h = mul(h, Tensor(dropout_masks[1]))
+    x, hidden_mask = (graph.features, None) if dropout is None else dropout
+    h = _path_layer(Tensor(x), adj, params, "1", paths, graph.n, "relu")
+    if hidden_mask is not None:
+        h = mul(h, Tensor(hidden_mask))
     return _path_layer(h, adj, params, "2", paths, graph.n, None)
+
+
+@no_grad()
+def mean_path_gcn_logits(graph: CitationGraph, adj: NormalizedAdjacency, params, draws):
+    """path_gcn_forward's logits averaged over the path draws in `draws`
+    (an iterable of path dicts, consumed once), tape-free: summed in draw
+    order and divided once by their number. The layer-1 product features @
+    [W | M...] depends on a draw only through the lengths it holds, so it
+    is formed once per distinct set of lengths and each draw runs only the
+    aggregation; the logits are bit-identical to one path_gcn_forward per
+    draw."""
+    products, b, total, count = {}, params["gcn1.b"].values, None, 0
+    for paths in draws:
+        lengths = tuple(sorted(paths))
+        if lengths not in products:
+            products[lengths] = _path_gcn_product(
+                np.asarray(graph.features, dtype=np.float64),
+                _layer_weights(params, "1", lengths), paths)[1]
+        h = _path_gcn_aggregate(products[lengths], b, adj, paths, graph.n, "relu")[0]
+        logits = _path_layer(Tensor(h), adj, params, "2", paths, graph.n, None).values
+        total = logits if total is None else total + logits
+        count += 1
+    return total / count

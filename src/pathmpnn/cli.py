@@ -167,7 +167,13 @@ def _regression_metadata(path, meta):
         return meta[name]
 
     model = field("model", lambda v: isinstance(v, dict), "a JSON object")
-    model_config = model_config_from_dict(model, f"{path}: model")
+    where = f"{path}: model"
+    try:
+        model_config = model_config_from_dict(model, where)
+    except ConfigError as err:   # ModelConfig's own checks name no file
+        if str(err).startswith(where):
+            raise
+        raise ConfigError(f"{where}: {err}") from None
     vocab = field("element_vocab", lambda v: isinstance(v, list) and all(
         isinstance(el, str) for el in v), "a list of strings")
     explicit_h = field("explicit_hydrogens", lambda v: isinstance(v, bool), "a boolean")

@@ -505,33 +505,25 @@ def attention(h, messages, roots, n: int, a, slope=0.2):
     return _make(out_values, (h, msgs, a), backward_fn, "attention")
 
 
-def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
-    """One path-GCN layer as one op, activation None or "relu": one product
-    z = h @ [W | M...] against the GCN weight and every per-position path
-    map side by side (Ws in that order: W, then per length ascending one
-    map per position), the degree-normalized first-order sum of z's W
-    columns over adj's (src, dst, weight) edges, and for each length k of
-    `paths` ({k: (P, k+1) node table}) the sum over positions of each
-    position's map's columns at that position's nodes, scaled by one over
-    the root's path count and summed per root, then the bias. The backward
-    does the composed ops' arithmetic in their order, so values and
-    gradients are bit-identical to them (tests/oracles.py). It keeps the
-    index tables, per-path scales and joined weight, not z or a per-path
-    row."""
-    h, b = as_tensor(h), as_tensor(b)
-    Ws = [as_tensor(W) for W in Ws]
+def _path_gcn_product(h, Ws, paths):
+    """path_gcn_layer's product half: the joined weight [W | M...] (Ws in
+    path_gcn_layer's order) and z = h @ joined, for an (n, f) array h."""
     blocks = 1 + sum(paths)   # the first-order block, then one per path position
     if len(Ws) != blocks:
         raise ShapeError(f"path_gcn_layer: {len(Ws)} weights for {blocks} blocks")
-    width = Ws[0].values.shape[1]
     joined = Ws[0].values if len(Ws) == 1 else np.concatenate([W.values for W in Ws], axis=1)
-    if h.values.ndim != 2 or joined.ndim != 2 or h.values.shape[1] != joined.shape[0]:
-        raise ShapeError(f"path_gcn_layer: incompatible shapes {h.values.shape} and "
-                         f"{joined.shape}")
-    z = h.values @ joined
-    src, dst, edge_weight = adj.src, adj.dst, adj.weight[:, None]
-    agg = _scatter_rows(dst, z[:, :width][src] * edge_weight, n)
-    groups = []   # (k, node table, per-path scale)
+    if h.ndim != 2 or joined.ndim != 2 or h.shape[1] != joined.shape[0]:
+        raise ShapeError(f"path_gcn_layer: incompatible shapes {h.shape} and {joined.shape}")
+    return joined, h @ joined
+
+
+def _path_gcn_aggregate(z, b, adj, paths, n: int, activation):
+    """path_gcn_layer's aggregation half, from its product z and the bias
+    array b: the layer's output, its activation's gradient function and,
+    per length, (k, node table, per-path scale)."""
+    width = z.shape[1] // (1 + sum(paths))
+    agg = _scatter_rows(adj.dst, z[:, :width][adj.src] * adj.weight[:, None], n)
+    groups = []
     lo = width
     for k, table in sorted(paths.items()):
         roots = table[:, 0]
@@ -547,7 +539,30 @@ def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
         scale = 1.0 / counts[roots][:, None]
         agg = agg + _scatter_rows(roots, msg * scale, n)
         groups.append((k, table, scale))
-    out_values, activation_grad = _ACTIVATIONS[activation](agg + b.values)
+    return (*_ACTIVATIONS[activation](agg + b), groups)
+
+
+def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
+    """One path-GCN layer as one op, activation None or "relu": one product
+    z = h @ [W | M...] against the GCN weight and every per-position path
+    map side by side (Ws in that order: W, then per length ascending one
+    map per position), the degree-normalized first-order sum of z's W
+    columns over adj's (src, dst, weight) edges, and for each length k of
+    `paths` ({k: (P, k+1) node table}) the sum over positions of each
+    position's map's columns at that position's nodes, scaled by one over
+    the root's path count and summed per root, then the bias. The backward
+    does the composed ops' arithmetic in their order, so values and
+    gradients are bit-identical to them (tests/oracles.py). It keeps the
+    index tables, per-path scales and joined weight, not z or a per-path
+    row. The product and the aggregation are separate halves, so a caller
+    that forwards one input under several path draws can form z once."""
+    h, b = as_tensor(h), as_tensor(b)
+    Ws = [as_tensor(W) for W in Ws]
+    joined, z = _path_gcn_product(h.values, Ws, paths)
+    width = Ws[0].values.shape[1]
+    out_values, activation_grad, groups = _path_gcn_aggregate(z, b.values, adj, paths, n,
+                                                              activation)
+    src, dst, edge_weight = adj.src, adj.dst, adj.weight[:, None]
 
     def backward_fn(g):
         g = activation_grad(g)

@@ -12,8 +12,8 @@ import numpy as np
 from . import citation as cit
 from . import model as mdl
 from .molgraph import FeaturizerConfig, build_union, vocab_from_records
-from .tensor import (AdamState, adam_step, backward, cross_entropy, l2_penalty, no_grad,
-                     rmse_loss, zero_grad)
+from .tensor import (_ADAM_CHUNK, AdamState, adam_step, backward, cross_entropy, l2_penalty,
+                     no_grad, rmse_loss, zero_grad)
 
 
 # -- metrics (the losses rmse_loss and cross_entropy are tensor's one-node ops)
@@ -317,15 +317,29 @@ def _l2_penalty(params, coefficient):
 @no_grad()
 def _citation_logits(graph, adj, params, config, paths, rng=None):
     """Eval-time logits, computed tape-free. With resampling active and an
-    rng supplied, the final evaluation averages logits over fresh path draws."""
+    rng supplied, the final evaluation averages the logits of eval_samples
+    fresh path draws (cit.mean_path_gcn_logits: one layer-1 product per
+    distinct set of path lengths among them, the draws' logits summed in
+    order and divided once)."""
     if config.per_hop_budget == 0 or not config.resample_each_epoch or rng is None:
         return cit.path_gcn_forward(graph, adj, params, paths).values
-    total = None
-    for _ in range(max(1, config.eval_samples)):
-        sample = cit.sample_citation_paths(graph, config, rng)
-        logits = cit.path_gcn_forward(graph, adj, params, sample).values
-        total = logits if total is None else total + logits
-    return total / max(1, config.eval_samples)
+    draws = (cit.sample_citation_paths(graph, config, rng)
+             for _ in range(max(1, config.eval_samples)))
+    return cit.mean_path_gcn_logits(graph, adj, params, draws)
+
+
+def _dropout_into(out, x, keep: float, rng, chunk: int = _ADAM_CHUNK):
+    """out = x * ((rng.random(x.shape) < keep) / keep), bit for bit and
+    leaving rng where that one draw leaves it, drawn and multiplied
+    `chunk` numbers at a time into the C-contiguous float64 `out`: PCG64
+    gives the same stream drawn in pieces as drawn whole, and no
+    feature-sized mask or uniform draw is ever held. A non-C-contiguous x
+    is read through one C-order copy."""
+    flat_x, flat_out = np.ravel(x), out.reshape(-1)
+    for lo in range(0, flat_x.size, chunk):
+        part = flat_x[lo:lo + chunk]
+        np.multiply(part, (rng.random(part.size) < keep) / keep, out=flat_out[lo:lo + chunk])
+    return out
 
 
 def train_node_classification(graph: cit.CitationGraph,
@@ -349,19 +363,22 @@ def train_node_classification(graph: cit.CitationGraph,
     eval_paths = cit.sample_citation_paths(graph, config, np.random.default_rng(
         eval_rng_seed) if config.resample_each_epoch else rng)
 
+    features = np.ascontiguousarray(graph.features, dtype=np.float64)
+    dropped = np.empty_like(features) if config.dropout > 0 else None
+
     def run_epoch(epoch):
         paths = (cit.sample_citation_paths(graph, config, rng)
                  if config.resample_each_epoch else eval_paths)
 
         def loss_fn():
-            # fresh dropout masks, drawn here so that they and the tape (each
-            # holding feature-sized arrays) are freed when the step returns
-            masks = None
-            if config.dropout > 0:
+            # fresh dropout masks: the dropped-out input is written into
+            # `dropped`, one buffer for every step; the hidden mask is small
+            dropout = None
+            if dropped is not None:
                 keep = 1.0 - config.dropout
-                masks = tuple((rng.random(shape) < keep) / keep for shape in
-                              (graph.features.shape, (graph.n, config.hidden_dim)))
-            logits = cit.path_gcn_forward(graph, adj, params, paths, masks)
+                dropout = (_dropout_into(dropped, features, keep, rng),
+                           (rng.random((graph.n, config.hidden_dim)) < keep) / keep)
+            logits = cit.path_gcn_forward(graph, adj, params, paths, dropout)
             loss = cross_entropy(logits, graph.labels, graph.train_idx)
             if config.weight_decay > 0:
                 loss = loss + _l2_penalty(params, config.weight_decay)

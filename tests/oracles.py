@@ -2,15 +2,17 @@
 composed forms use, the per-op forms that the library's fused ops and
 losses replaced, built from the primitive ops (or plain numpy), the
 per-tensor Adam step, the brute-force ring flags, the join of built graphs,
-the per-graph batch merge, the citation sampler that rebuilds its first hops on every draw, the
-per-bond edge feature dict that molgraph's edge arrays replaced, and the
-per-line, per-token citation file parser."""
+the per-graph batch merge, the citation sampler that rebuilds its first hops
+on every draw, the final citation evaluation with one whole forward per path
+draw, the per-bond edge feature dict that molgraph's edge arrays replaced,
+and the per-line, per-token citation file parser."""
 
 import warnings
 from itertools import accumulate, chain, combinations, permutations
 
 import numpy as np
 
+import pathmpnn.citation as cit
 import pathmpnn.tensor as T
 from pathmpnn.chem import RING_FLAG_DIM, RING_SIZES
 from pathmpnn.citation import CitationGraph
@@ -256,6 +258,19 @@ def per_draw_sample_citation_paths(graph, config, rng):
         if len(frontier):
             groups[hop] = frontier
     return groups
+
+
+@T.no_grad()
+def per_draw_citation_logits(graph, adj, params, config, rng):
+    """The final citation evaluation forwarding each of eval_samples fresh
+    path draws whole, the layer-1 product included, and averaging the
+    logits: summed in draw order, divided once."""
+    total = None
+    for _ in range(max(1, config.eval_samples)):
+        sample = cit.sample_citation_paths(graph, config, rng)
+        logits = cit.path_gcn_forward(graph, adj, params, sample).values
+        total = logits if total is None else total + logits
+    return total / max(1, config.eval_samples)
 
 
 COMPOSED_LAYERS = {   # model function -> its composed form, for monkeypatching

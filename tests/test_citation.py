@@ -458,9 +458,10 @@ def test_tape_free_path_gcn_forward_equals_taped_forward(budget, path_length, dr
     masks = (tuple((rng.random(shape) < 0.5) / 0.5
                    for shape in (g.features.shape, (g.n, config.hidden_dim)))
              if dropout else None)
+    dropout = None if masks is None else (g.features * masks[0], masks[1])
     adj = normalize_adjacency(g)
-    taped = path_gcn_forward(g, adj, params, paths, masks)
+    taped = path_gcn_forward(g, adj, params, paths, dropout=dropout)
     with T.no_grad():
-        free = path_gcn_forward(g, adj, params, paths, masks)
+        free = path_gcn_forward(g, adj, params, paths, dropout=dropout)
     assert taped.requires_grad and not free.requires_grad
     assert np.array_equal(free.values, taped.values)

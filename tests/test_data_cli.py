@@ -622,6 +622,23 @@ def test_cli_eval_bad_checkpoint_metadata_exits_one(small_checkpoint, tmp_path, 
     assert f"error: {path}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("feature_mode", "substructurd",
+     "feature_mode must be one of ('base', 'substructure', 'geometry')"),
+    ("path_length", 4, "path_length must be 1, 2 or 3, got 4"),
+])
+def test_cli_eval_checkpoint_model_config_that_model_config_refuses_names_the_file(
+        small_checkpoint, tmp_path, capsys, key, value, message):
+    # a value of the right type that ModelConfig itself refuses: the message
+    # named neither the checkpoint nor its model block
+    data, good = small_checkpoint
+    params, meta = T.load_params(good)
+    path = with_model_keys(tmp_path / "bad.ckpt", params, meta, **{key: value})
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--input", str(data)]) == 1
+    assert f"error: {path}: model: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_train_divergence_exits_two_naming_epoch_and_batch(tmp_path, capsys):
     data = tmp_path / "alc.jsonl"

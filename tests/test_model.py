@@ -571,16 +571,20 @@ def test_tape_free_forward_equals_taped_forward(mode, path_length, n_molecules, 
     assert np.array_equal(free.values, taped.values)
 
 
-def reachable_tape(loss):
-    """The walk of perfbench.spans.count_tape_nodes: every tensor reachable
-    from the loss through its parents."""
+def reachable(loss):
+    """The ids of the walk of perfbench.spans.count_tape_nodes: every tensor
+    reachable from the loss through its parents."""
     seen, stack = set(), [loss]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
             stack.extend(node._parents)
-    return len(seen)
+    return seen
+
+
+def reachable_tape(loss):
+    return len(reachable(loss))
 
 
 def training_step_tape(task, mode, path_length):
@@ -648,6 +652,35 @@ def test_citation_training_step_tape_has_one_node_per_loss(monkeypatch):
     # tape nodes; it was 39 with the composed losses
     counts = citation_step_tapes(monkeypatch)
     assert max(counts) <= 22, counts
+
+
+def test_citation_training_step_makes_only_the_ops_on_its_tape(monkeypatch):
+    # the dropped-out input is written into one buffer before the forward,
+    # so each step makes six ops, every one on its tape: the two layers, the
+    # hidden dropout, the loss, the decay and their sum. The input dropout
+    # was a seventh op, of two constants and so off the tape, whose mask and
+    # product were two more feature-sized arrays per step
+    steps, made, make = [], [], T._make
+    zero_grad, backward = training_module.zero_grad, training_module.backward
+
+    def recording_backward(loss):
+        tape = reachable(loss)
+        steps.append(([op for op, _ in made], all(id(t) in tape for _, t in made), len(tape)))
+        backward(loss)
+
+    monkeypatch.setattr(T, "_make", lambda *args: made.append((args[3], make(*args)))
+                        or made[-1][1])
+    monkeypatch.setattr(training_module, "zero_grad",
+                        lambda params: made.clear() or zero_grad(params))
+    monkeypatch.setattr(training_module, "backward", recording_backward)
+    training_module.train_node_classification(
+        synth_citation(n_nodes=300, n_features=100, seed=0),
+        PathGCNConfig(hidden_dim=16, path_length=3, per_hop_budget=1), epochs=2, patience=3)
+    assert len(steps) == 2
+    for ops, on_tape, tape in steps:
+        assert ops == ["path_gcn_layer", "mul", "path_gcn_layer", "cross_entropy",
+                       "l2_penalty", "add"]
+        assert on_tape and tape <= 22
 
 
 @given(mode=st.sampled_from(FEATURE_MODES), path_length=st.integers(1, 3),

@@ -1,7 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 import pathmpnn.citation as cit
@@ -11,9 +14,9 @@ from pathmpnn.gradchecks import probe_molecule
 from pathmpnn.model import ConfigError, ModelConfig, featurize, forward_batched, init_params
 from pathmpnn.molgraph import build_graph, build_union
 from pathmpnn.synth import synth_alcohol_count, synth_citation
-from pathmpnn.citation import PathGCNConfig, init_gcn_params
-from pathmpnn.training import (TrainReport, TrainSettings, _citation_logits, _fit,
-                               _l2_penalty, _step, accuracy, constant_baseline_rmse, cross_entropy,
+from pathmpnn.citation import CitationGraph, PathGCNConfig, init_gcn_params
+from pathmpnn.training import (TrainReport, TrainSettings, _citation_logits, _dropout_into,
+                               _fit, _l2_penalty, _step, accuracy, constant_baseline_rmse, cross_entropy,
                                evaluate_regression, featurizer_from_records, predict_values,
                                load_report, load_reports, mae_metric,
                                percent_error_metric,
@@ -386,13 +389,14 @@ def molecule_and_citation_losses():
     rng = np.random.default_rng(0)
     masks = tuple((rng.random(shape) < 0.5) / 0.5
                   for shape in (cgraph.features.shape, (cgraph.n, gcn.hidden_dim)))
+    dropout = (cgraph.features * masks[0], masks[1])
     adj = cit.normalize_adjacency(cgraph)
     logits = cit.path_gcn_forward(cgraph, adj, gparams,
-                                  cit.sample_citation_paths(cgraph, gcn, rng), masks)
+                                  cit.sample_citation_paths(cgraph, gcn, rng), dropout=dropout)
     cit_loss = cross_entropy(logits, cgraph.labels, cgraph.train_idx) + _l2_penalty(
         gparams, 5e-4)
-    gcn_loss = cross_entropy(cit.gcn_forward(cgraph, adj, gparams, masks), cgraph.labels,
-                             cgraph.train_idx) + _l2_penalty(gparams, 5e-4)
+    gcn_loss = cross_entropy(cit.gcn_forward(cgraph, adj, gparams, dropout=dropout),
+                             cgraph.labels, cgraph.train_idx) + _l2_penalty(gparams, 5e-4)
     return mol_loss, cit_loss, gcn_loss
 
 
@@ -442,6 +446,97 @@ def test_evaluation_forwards_record_no_tape(made_tensors):
     _citation_logits(graph, adj, gparams, gcn, paths)
     _citation_logits(graph, adj, gparams, gcn, paths, np.random.default_rng(1))
     assert made_tensors and not any(t.requires_grad for t in made_tensors)
+
+
+CHUNK = T._ADAM_CHUNK
+
+
+@given(shape=st.sampled_from([(0, 7), (1, 1), (40, 37), (CHUNK // 128, 128),
+                              (3, (CHUNK + 1) // 3), (123, 789)]),
+       layout=st.sampled_from(["C", "F", "strided"]), keep=st.sampled_from([0.5, 0.2, 0.9]),
+       seed=st.integers(0, 10_000))
+def test_chunked_dropout_equals_one_whole_draw(shape, layout, keep, seed):
+    # tolerance 0: the buffer holds features * ((rng.random(shape) < keep)
+    # / keep) bit for bit and the rng ends where the whole draw leaves it.
+    # The sizes: empty, one number, under a chunk, exactly a chunk, a chunk
+    # and one, and a size no multiple of the chunk
+    values = np.random.default_rng(seed).normal(size=shape[::-1] if layout == "F" else
+                                                (shape[0], 2 * shape[1]))
+    features = {"C": values[:, :shape[1]].copy(), "F": values.T,
+                "strided": values[:, ::2]}[layout]
+    assert features.shape == shape
+    assert features.flags.c_contiguous == (layout == "C" or features.size <= 1)
+    rng, whole_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = np.empty(shape)
+    assert _dropout_into(out, features, keep, rng) is out
+    want = features * ((whole_rng.random(shape) < keep) / keep)
+    assert np.array_equal(out, want)
+    assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+def test_citation_training_holds_at_most_two_and_a_half_feature_arrays():
+    # the dropped-out input is written into one buffer kept across steps;
+    # the step held the uniform draw, the float64 mask and the masked input
+    # besides (3.1 times the features' bytes at its peak)
+    graph = synth_citation(n_nodes=800, n_features=1433, seed=0)
+    config = PathGCNConfig(hidden_dim=16, path_length=3, per_hop_budget=1)
+    train_node_classification(graph, config, epochs=1, patience=2)   # warm-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train_node_classification(graph, config, epochs=3, patience=4)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * graph.features.nbytes, peak / graph.features.nbytes
+
+
+def branching_citation_graph(seed):
+    """A bridge x-y with two leaves on each end, a disjoint edge and a lone
+    node: a length-3 path exists only in a draw where some leaf's second hop
+    turns across the bridge, so draws differ in the lengths they hold."""
+    edges = ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (6, 7))
+    rng = np.random.default_rng(seed)
+    return CitationGraph(n=9, edges=edges, features=rng.normal(size=(9, 5)),
+                         labels=np.arange(9) % 3, train_idx=np.arange(3),
+                         val_idx=np.arange(3, 6), test_idx=np.arange(6, 9))
+
+
+@given(seed=st.integers(0, 10_000), samples=st.integers(1, 12), path_length=st.integers(2, 3))
+def test_citation_logits_equal_one_forward_per_draw(seed, samples, path_length):
+    # tolerance 0 against the per-draw loop (tests/oracles.py), with the
+    # layer-1 product formed once per distinct set of lengths among the draws
+    graph = branching_citation_graph(seed)
+    config = PathGCNConfig(hidden_dim=4, path_length=path_length, eval_samples=samples,
+                           seed=seed)
+    params = init_gcn_params(config, 5, graph.n_classes)
+    adj = cit.normalize_adjacency(graph)
+    draw_rng = np.random.default_rng(seed)
+    lengths = {tuple(sorted(cit.sample_citation_paths(graph, config, draw_rng)))
+               for _ in range(samples)}
+    products, product = [], cit._path_gcn_product
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cit, "_path_gcn_product",
+                      lambda *args: products.append(args[2]) or product(*args))
+        got = _citation_logits(graph, adj, params, config, None, rng)
+    want = oracles.per_draw_citation_logits(graph, adj, params, config, oracle_rng)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert sorted(tuple(sorted(p)) for p in products) == sorted(lengths)
+
+
+def test_citation_eval_draws_lack_a_length_for_some_seeds():
+    # the graph above does exercise the reuse: some evaluations mix draws
+    # with and without length-3 paths
+    config = PathGCNConfig(hidden_dim=4, path_length=3, eval_samples=8)
+    mixed = 0
+    for seed in range(20):
+        graph, rng = branching_citation_graph(seed), np.random.default_rng(seed)
+        lengths = {tuple(sorted(cit.sample_citation_paths(graph, config, rng)))
+                   for _ in range(config.eval_samples)}
+        mixed += lengths == {(2,), (2, 3)}
+    assert mixed >= 5, mixed
 
 
 def test_step_after_tape_free_predictions_fills_every_gradient():
