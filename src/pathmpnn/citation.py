@@ -19,8 +19,8 @@ import numpy as np
 
 from .model import ConfigError
 from .paths import csr_adjacency, extensions
-from .tensor import (Tensor, _path_gcn_aggregate, _path_gcn_product, add, gather_rows,
-                     glorot, matmul, mul, no_grad, path_gcn_layer, relu, segment_sum, zeros)
+from .tensor import (Tensor, add, gather_rows, glorot, matmul, mul, no_grad, path_gcn_layer,
+                     path_gcn_layer_draws, relu, segment_sum, zeros)
 
 
 @dataclass(eq=False)
@@ -207,19 +207,14 @@ def path_gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params,
 def mean_path_gcn_logits(graph: CitationGraph, adj: NormalizedAdjacency, params, draws):
     """path_gcn_forward's logits averaged over the path draws in `draws`
     (an iterable of path dicts, consumed once), tape-free: summed in draw
-    order and divided once by their number. The layer-1 product features @
-    [W | M...] depends on a draw only through the lengths it holds, so it
-    is formed once per distinct set of lengths and each draw runs only the
-    aggregation; the logits are bit-identical to one path_gcn_forward per
-    draw."""
-    products, b, total, count = {}, params["gcn1.b"].values, None, 0
-    for paths in draws:
-        lengths = tuple(sorted(paths))
-        if lengths not in products:
-            products[lengths] = _path_gcn_product(
-                np.asarray(graph.features, dtype=np.float64),
-                _layer_weights(params, "1", lengths), paths)[1]
-        h = _path_gcn_aggregate(products[lengths], b, adj, paths, graph.n, "relu")[0]
+    order and divided once by their number. Layer 1 runs through
+    tensor.path_gcn_layer_draws, which forms the product features @
+    [W | M...] once per distinct set of path lengths among the draws; the
+    logits are bit-identical to one path_gcn_forward per draw."""
+    total, count = None, 0
+    for paths, h in path_gcn_layer_draws(
+            graph.features, lambda lengths: _layer_weights(params, "1", lengths),
+            params["gcn1.b"], adj, draws, graph.n, "relu"):
         logits = _path_layer(Tensor(h), adj, params, "2", paths, graph.n, None).values
         total = logits if total is None else total + logits
         count += 1

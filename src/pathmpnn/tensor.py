@@ -506,22 +506,27 @@ def attention(h, messages, roots, n: int, a, slope=0.2):
 
 
 def _path_gcn_product(h, Ws, paths):
-    """path_gcn_layer's product half: the joined weight [W | M...] (Ws in
-    path_gcn_layer's order) and z = h @ joined, for an (n, f) array h."""
+    """path_gcn_layer's product half, for an (n, f) array h and Ws in
+    path_gcn_layer's order: the joined weight [W | M...], z = h @ joined
+    and the width of one block, checked to be W's width for every block."""
     blocks = 1 + sum(paths)   # the first-order block, then one per path position
     if len(Ws) != blocks:
         raise ShapeError(f"path_gcn_layer: {len(Ws)} weights for {blocks} blocks")
+    width = Ws[0].values.shape[-1]
+    if any(W.values.ndim != 2 or W.values.shape[1] != width for W in Ws):
+        raise ShapeError(f"path_gcn_layer: weight shapes {[W.values.shape for W in Ws]} "
+                         f"are not all {width} wide")
     joined = Ws[0].values if len(Ws) == 1 else np.concatenate([W.values for W in Ws], axis=1)
-    if h.ndim != 2 or joined.ndim != 2 or h.shape[1] != joined.shape[0]:
+    if h.ndim != 2 or h.shape[1] != joined.shape[0]:
         raise ShapeError(f"path_gcn_layer: incompatible shapes {h.shape} and {joined.shape}")
-    return joined, h @ joined
+    return joined, h @ joined, width
 
 
-def _path_gcn_aggregate(z, b, adj, paths, n: int, activation):
-    """path_gcn_layer's aggregation half, from its product z and the bias
-    array b: the layer's output, its activation's gradient function and,
-    per length, (k, node table, per-path scale)."""
-    width = z.shape[1] // (1 + sum(paths))
+def _path_gcn_aggregate(z, width: int, b, adj, paths, n: int, activation):
+    """path_gcn_layer's aggregation half, from _path_gcn_product's z and
+    block width and the bias array b: the layer's output values, its
+    activation's gradient function and, per length, (k, node table,
+    per-path scale)."""
     agg = _scatter_rows(adj.dst, z[:, :width][adj.src] * adj.weight[:, None], n)
     groups = []
     lo = width
@@ -554,14 +559,12 @@ def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
     does the composed ops' arithmetic in their order, so values and
     gradients are bit-identical to them (tests/oracles.py). It keeps the
     index tables, per-path scales and joined weight, not z or a per-path
-    row. The product and the aggregation are separate halves, so a caller
-    that forwards one input under several path draws can form z once."""
+    row."""
     h, b = as_tensor(h), as_tensor(b)
     Ws = [as_tensor(W) for W in Ws]
-    joined, z = _path_gcn_product(h.values, Ws, paths)
-    width = Ws[0].values.shape[1]
-    out_values, activation_grad, groups = _path_gcn_aggregate(z, b.values, adj, paths, n,
-                                                              activation)
+    joined, z, width = _path_gcn_product(h.values, Ws, paths)
+    out_values, activation_grad, groups = _path_gcn_aggregate(z, width, b.values, adj, paths,
+                                                              n, activation)
     src, dst, edge_weight = adj.src, adj.dst, adj.weight[:, None]
 
     def backward_fn(g):
@@ -588,6 +591,24 @@ def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
                     _accumulate(W, gw[:, i * width:(i + 1) * width])
 
     return _make(out_values, [h, b] + Ws, backward_fn, "path_gcn_layer")
+
+
+def path_gcn_layer_draws(h, weights, b, adj, draws, n: int, activation=None):
+    """path_gcn_layer's output values for one input h under each path draw
+    in `draws` in turn, tape-free: one (paths, values) pair per draw.
+    weights(lengths) gives the layer's Ws for the ascending path lengths a
+    draw holds. The product h @ [W | M...] depends on a draw only through
+    those lengths, so it is formed once per distinct set of them and each
+    draw runs only the aggregation; every output is bit-identical to
+    path_gcn_layer's."""
+    h, b, products = as_tensor(h).values, as_tensor(b).values, {}
+    for paths in draws:
+        lengths = tuple(sorted(paths))
+        if lengths not in products:
+            Ws = [as_tensor(W) for W in weights(lengths)]
+            products[lengths] = _path_gcn_product(h, Ws, paths)[1:]
+        z, width = products[lengths]
+        yield paths, _path_gcn_aggregate(z, width, b, adj, paths, n, activation)[0]
 
 
 # -- losses: one op each, whose backward replays the composed form's arithmetic

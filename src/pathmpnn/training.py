@@ -12,8 +12,8 @@ import numpy as np
 from . import citation as cit
 from . import model as mdl
 from .molgraph import FeaturizerConfig, build_union, vocab_from_records
-from .tensor import (_ADAM_CHUNK, AdamState, adam_step, backward, cross_entropy, l2_penalty,
-                     no_grad, rmse_loss, zero_grad)
+from .tensor import (AdamState, adam_step, backward, cross_entropy, l2_penalty, no_grad,
+                     rmse_loss, zero_grad)
 
 
 # -- metrics (the losses rmse_loss and cross_entropy are tensor's one-node ops)
@@ -328,17 +328,21 @@ def _citation_logits(graph, adj, params, config, paths, rng=None):
     return cit.mean_path_gcn_logits(graph, adj, params, draws)
 
 
-def _dropout_into(out, x, keep: float, rng, chunk: int = _ADAM_CHUNK):
+_DROPOUT_CHUNK = 32768   # numbers per pass: a chunk's draw and mask stay in cache
+
+
+def _dropout_into(out, x, keep: float, rng):
     """out = x * ((rng.random(x.shape) < keep) / keep), bit for bit and
     leaving rng where that one draw leaves it, drawn and multiplied
-    `chunk` numbers at a time into the C-contiguous float64 `out`: PCG64
-    gives the same stream drawn in pieces as drawn whole, and no
+    _DROPOUT_CHUNK numbers at a time into the C-contiguous float64 `out`:
+    PCG64 gives the same stream drawn in pieces as drawn whole, and no
     feature-sized mask or uniform draw is ever held. A non-C-contiguous x
     is read through one C-order copy."""
     flat_x, flat_out = np.ravel(x), out.reshape(-1)
-    for lo in range(0, flat_x.size, chunk):
-        part = flat_x[lo:lo + chunk]
-        np.multiply(part, (rng.random(part.size) < keep) / keep, out=flat_out[lo:lo + chunk])
+    for lo in range(0, flat_x.size, _DROPOUT_CHUNK):
+        part = flat_x[lo:lo + _DROPOUT_CHUNK]
+        np.multiply(part, (rng.random(part.size) < keep) / keep,
+                    out=flat_out[lo:lo + _DROPOUT_CHUNK])
     return out
 
 

@@ -260,6 +260,12 @@ def test_path_gcn_layer_is_one_tape_node():
     with pytest.raises(T.ShapeError, match="path_gcn_layer: 5 weights for 6 blocks"):
         T.path_gcn_layer(x, layer_weights(params, "2", paths)[:-1], params["gcn2.b"], adj,
                          paths, g.n)
+    # a path map narrower than W: the block width is W's, checked for every
+    # block, so the forward's slices and the backward's gradient columns agree
+    narrow = layer_weights(params, "2", paths)
+    narrow[-1] = Tensor(narrow[-1].values[:, :-1])
+    with pytest.raises(T.ShapeError, match="are not all .* wide"):
+        T.path_gcn_layer(x, narrow, params["gcn2.b"], adj, paths, g.n)
 
 
 def test_zero_budget_reduces_to_plain_gcn_bit_exact():

@@ -448,7 +448,7 @@ def test_evaluation_forwards_record_no_tape(made_tensors):
     assert made_tensors and not any(t.requires_grad for t in made_tensors)
 
 
-CHUNK = T._ADAM_CHUNK
+CHUNK = training_module._DROPOUT_CHUNK
 
 
 @given(shape=st.sampled_from([(0, 7), (1, 1), (40, 37), (CHUNK // 128, 128),
@@ -505,7 +505,8 @@ def branching_citation_graph(seed):
 @given(seed=st.integers(0, 10_000), samples=st.integers(1, 12), path_length=st.integers(2, 3))
 def test_citation_logits_equal_one_forward_per_draw(seed, samples, path_length):
     # tolerance 0 against the per-draw loop (tests/oracles.py), with the
-    # layer-1 product formed once per distinct set of lengths among the draws
+    # layer-1 product (the one whose input is as wide as the features) formed
+    # once per distinct set of lengths among the draws
     graph = branching_citation_graph(seed)
     config = PathGCNConfig(hidden_dim=4, path_length=path_length, eval_samples=samples,
                            seed=seed)
@@ -514,11 +515,12 @@ def test_citation_logits_equal_one_forward_per_draw(seed, samples, path_length):
     draw_rng = np.random.default_rng(seed)
     lengths = {tuple(sorted(cit.sample_citation_paths(graph, config, draw_rng)))
                for _ in range(samples)}
-    products, product = [], cit._path_gcn_product
+    products, product = [], T._path_gcn_product
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cit, "_path_gcn_product",
-                      lambda *args: products.append(args[2]) or product(*args))
+        patch.setattr(T, "_path_gcn_product",
+                      lambda h, Ws, paths: (h.shape[1] == 5 and products.append(paths))
+                      or product(h, Ws, paths))
         got = _citation_logits(graph, adj, params, config, None, rng)
     want = oracles.per_draw_citation_logits(graph, adj, params, config, oracle_rng)
     assert np.array_equal(got, want)
