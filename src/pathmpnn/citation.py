@@ -19,15 +19,15 @@ import numpy as np
 
 from .model import ConfigError
 from .paths import csr_adjacency, extensions
-from .tensor import (Tensor, add, gather_rows, glorot, matmul, mul, no_grad, path_gcn_layer,
-                     path_gcn_layer_draws, relu, segment_sum, zeros)
+from .tensor import (Tensor, add, gather_rows, glorot, matmul, mul, path_gcn_layer, relu,
+                     segment_sum, zeros)
 
 
 @dataclass(eq=False)
 class CitationGraph:
     n: int
     edges: tuple                      # unordered pairs (u, v), u != v, deduplicated
-    features: np.ndarray              # (n, f) bag-of-words, {0,1}
+    features: np.ndarray              # (n, f) bag-of-words, {0,1}; made read-only
     labels: np.ndarray                # (n,) class ids
     train_idx: np.ndarray
     val_idx: np.ndarray
@@ -37,6 +37,7 @@ class CitationGraph:
     adjacency: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
+        self.features.flags.writeable = False   # replace the graph, do not edit it
         if self.n_classes == 0:
             self.n_classes = int(self.labels.max()) + 1 if self.n > 0 else 0
         if self.adjacency is None:
@@ -165,16 +166,12 @@ def gcn_layer(h, adj: NormalizedAdjacency, W, b, activation=None):
     return activation(out) if activation is not None else out
 
 
-def _layer_weights(params, layer: str, lengths):
-    """The GCN weight, then each length's per-position path maps, in the
-    order path_gcn_layer joins them."""
-    return [params[f"gcn{layer}.W"]] + [params[f"path{layer}.len{k}.M{pos}"]
-                                        for k in lengths for pos in range(k)]
-
-
 def _path_layer(h, adj, params, layer: str, paths: dict, n: int, activation):
-    return path_gcn_layer(h, _layer_weights(params, layer, sorted(paths)),
-                          params[f"gcn{layer}.b"], adj, paths, n, activation)
+    """path_gcn_layer with the GCN weight, then each length's per-position
+    path maps, in the order it joins them."""
+    Ws = [params[f"gcn{layer}.W"]] + [params[f"path{layer}.len{k}.M{pos}"]
+                                      for k in sorted(paths) for pos in range(k)]
+    return path_gcn_layer(h, Ws, params[f"gcn{layer}.b"], adj, paths, n, activation)
 
 
 def gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params, dropout=None):
@@ -202,20 +199,3 @@ def path_gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params,
         h = mul(h, Tensor(hidden_mask))
     return _path_layer(h, adj, params, "2", paths, graph.n, None)
 
-
-@no_grad()
-def mean_path_gcn_logits(graph: CitationGraph, adj: NormalizedAdjacency, params, draws):
-    """path_gcn_forward's logits averaged over the path draws in `draws`
-    (an iterable of path dicts, consumed once), tape-free: summed in draw
-    order and divided once by their number. Layer 1 runs through
-    tensor.path_gcn_layer_draws, which forms the product features @
-    [W | M...] once per distinct set of path lengths among the draws; the
-    logits are bit-identical to one path_gcn_forward per draw."""
-    total, count = None, 0
-    for paths, h in path_gcn_layer_draws(
-            graph.features, lambda lengths: _layer_weights(params, "1", lengths),
-            params["gcn1.b"], adj, draws, graph.n, "relu"):
-        logits = _path_layer(Tensor(h), adj, params, "2", paths, graph.n, None).values
-        total = logits if total is None else total + logits
-        count += 1
-    return total / count

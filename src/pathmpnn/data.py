@@ -307,8 +307,9 @@ def write_citation_files(content_path, cites_path, graph: cit.CitationGraph):
     back bit for bit."""
     ids = graph.ids or tuple(f"doc{v}" for v in range(graph.n))
     with open(content_path, "w") as fh:
-        for v, row in enumerate(graph.features.tolist()):
-            feats = " ".join(str(int(x)) if float(x).is_integer() else repr(float(x)) for x in row)
+        for v, row in enumerate(graph.features):   # one row's Python floats at a time
+            feats = " ".join(str(int(x)) if float(x).is_integer() else repr(float(x))
+                             for x in row.tolist())
             fh.write(f"{ids[v]} {feats} class{graph.labels[v]}\n")
     with open(cites_path, "w") as fh:
         for u, v in graph.edges:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+import weakref
 from itertools import accumulate
 
 import numpy as np
@@ -505,10 +506,21 @@ def attention(h, messages, roots, n: int, a, slope=0.2):
     return _make(out_values, (h, msgs, a), backward_fn, "attention")
 
 
+# path_gcn_layer's memo of h @ [W | M...] for one read-only input h, keyed by
+# the ascending path lengths: lengths -> (weak reference to h, joined, z)
+_PRODUCTS = {}
+
+
 def _path_gcn_product(h, Ws, paths):
-    """path_gcn_layer's product half, for an (n, f) array h and Ws in
+    """path_gcn_layer's product, for an (n, f) array h and Ws in
     path_gcn_layer's order: the joined weight [W | M...], z = h @ joined
-    and the width of one block, checked to be W's width for every block."""
+    and the width of one block, checked to be W's width for every block.
+    An h that is read-only and owns its data, such as a CitationGraph's
+    features, has z kept per set of path lengths and served again while h
+    is the same object and joined equals the kept one bit for bit (as
+    int64, so -0.0 never passes for 0.0 and NaNs compare by their bits):
+    an in-place weight update forms it anew. Another such h clears the
+    memo; a writable h never enters it."""
     blocks = 1 + sum(paths)   # the first-order block, then one per path position
     if len(Ws) != blocks:
         raise ShapeError(f"path_gcn_layer: {len(Ws)} weights for {blocks} blocks")
@@ -516,18 +528,42 @@ def _path_gcn_product(h, Ws, paths):
     if any(W.values.ndim != 2 or W.values.shape[1] != width for W in Ws):
         raise ShapeError(f"path_gcn_layer: weight shapes {[W.values.shape for W in Ws]} "
                          f"are not all {width} wide")
-    joined = Ws[0].values if len(Ws) == 1 else np.concatenate([W.values for W in Ws], axis=1)
+    joined = np.concatenate([W.values for W in Ws], axis=1)
     if h.ndim != 2 or h.shape[1] != joined.shape[0]:
         raise ShapeError(f"path_gcn_layer: incompatible shapes {h.shape} and {joined.shape}")
-    return joined, h @ joined, width
+    if h.flags.writeable or not h.flags.owndata:
+        return joined, h @ joined, width
+    if any(ref() is not h for ref, _, _ in _PRODUCTS.values()):
+        _PRODUCTS.clear()
+    key = tuple(sorted(paths))
+    entry = _PRODUCTS.pop(key, None)
+    if entry is None or not np.array_equal(entry[1].view(np.int64), joined.view(np.int64)):
+        entry = None   # a stale product goes before the new one is formed
+        z = h @ joined
+        z.flags.writeable = False
+        entry = (weakref.ref(h), joined, z)
+    _PRODUCTS[key] = entry
+    return joined, entry[2], width
 
 
-def _path_gcn_aggregate(z, width: int, b, adj, paths, n: int, activation):
-    """path_gcn_layer's aggregation half, from _path_gcn_product's z and
-    block width and the bias array b: the layer's output values, its
-    activation's gradient function and, per length, (k, node table,
-    per-path scale)."""
-    agg = _scatter_rows(adj.dst, z[:, :width][adj.src] * adj.weight[:, None], n)
+def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
+    """One path-GCN layer as one op, activation None or "relu": one product
+    z = h @ [W | M...] against the GCN weight and every per-position path
+    map side by side (Ws in that order: W, then per length ascending one
+    map per position), the degree-normalized first-order sum of z's W
+    columns over adj's (src, dst, weight) edges, and for each length k of
+    `paths` ({k: (P, k+1) node table}) the sum over positions of each
+    position's map's columns at that position's nodes, scaled by one over
+    the root's path count and summed per root, then the bias. The backward
+    does the composed ops' arithmetic in their order, so values and
+    gradients are bit-identical to them (tests/oracles.py). It keeps the
+    index tables, per-path scales and joined weight, not z or a per-path
+    row. z is memoized for a read-only h (_path_gcn_product)."""
+    h, b = as_tensor(h), as_tensor(b)
+    Ws = [as_tensor(W) for W in Ws]
+    joined, z, width = _path_gcn_product(h.values, Ws, paths)
+    src, dst, edge_weight = adj.src, adj.dst, adj.weight[:, None]
+    agg = _scatter_rows(dst, z[:, :width][src] * edge_weight, n)
     groups = []
     lo = width
     for k, table in sorted(paths.items()):
@@ -544,28 +580,7 @@ def _path_gcn_aggregate(z, width: int, b, adj, paths, n: int, activation):
         scale = 1.0 / counts[roots][:, None]
         agg = agg + _scatter_rows(roots, msg * scale, n)
         groups.append((k, table, scale))
-    return (*_ACTIVATIONS[activation](agg + b), groups)
-
-
-def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
-    """One path-GCN layer as one op, activation None or "relu": one product
-    z = h @ [W | M...] against the GCN weight and every per-position path
-    map side by side (Ws in that order: W, then per length ascending one
-    map per position), the degree-normalized first-order sum of z's W
-    columns over adj's (src, dst, weight) edges, and for each length k of
-    `paths` ({k: (P, k+1) node table}) the sum over positions of each
-    position's map's columns at that position's nodes, scaled by one over
-    the root's path count and summed per root, then the bias. The backward
-    does the composed ops' arithmetic in their order, so values and
-    gradients are bit-identical to them (tests/oracles.py). It keeps the
-    index tables, per-path scales and joined weight, not z or a per-path
-    row."""
-    h, b = as_tensor(h), as_tensor(b)
-    Ws = [as_tensor(W) for W in Ws]
-    joined, z, width = _path_gcn_product(h.values, Ws, paths)
-    out_values, activation_grad, groups = _path_gcn_aggregate(z, width, b.values, adj, paths,
-                                                              n, activation)
-    src, dst, edge_weight = adj.src, adj.dst, adj.weight[:, None]
+    out_values, activation_grad = _ACTIVATIONS[activation](agg + b.values)
 
     def backward_fn(g):
         g = activation_grad(g)
@@ -591,24 +606,6 @@ def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
                     _accumulate(W, gw[:, i * width:(i + 1) * width])
 
     return _make(out_values, [h, b] + Ws, backward_fn, "path_gcn_layer")
-
-
-def path_gcn_layer_draws(h, weights, b, adj, draws, n: int, activation=None):
-    """path_gcn_layer's output values for one input h under each path draw
-    in `draws` in turn, tape-free: one (paths, values) pair per draw.
-    weights(lengths) gives the layer's Ws for the ascending path lengths a
-    draw holds. The product h @ [W | M...] depends on a draw only through
-    those lengths, so it is formed once per distinct set of them and each
-    draw runs only the aggregation; every output is bit-identical to
-    path_gcn_layer's."""
-    h, b, products = as_tensor(h).values, as_tensor(b).values, {}
-    for paths in draws:
-        lengths = tuple(sorted(paths))
-        if lengths not in products:
-            Ws = [as_tensor(W) for W in weights(lengths)]
-            products[lengths] = _path_gcn_product(h, Ws, paths)[1:]
-        z, width = products[lengths]
-        yield paths, _path_gcn_aggregate(z, width, b, adj, paths, n, activation)[0]
 
 
 # -- losses: one op each, whose backward replays the composed form's arithmetic

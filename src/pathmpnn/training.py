@@ -318,14 +318,18 @@ def _l2_penalty(params, coefficient):
 def _citation_logits(graph, adj, params, config, paths, rng=None):
     """Eval-time logits, computed tape-free. With resampling active and an
     rng supplied, the final evaluation averages the logits of eval_samples
-    fresh path draws (cit.mean_path_gcn_logits: one layer-1 product per
-    distinct set of path lengths among them, the draws' logits summed in
-    order and divided once)."""
+    fresh path draws, one path_gcn_forward each, summed in draw order and
+    divided once. The graph's features are read-only and the weights do not
+    change between the draws, so tensor.path_gcn_layer's memo forms layer
+    1's product once per distinct set of path lengths among them."""
     if config.per_hop_budget == 0 or not config.resample_each_epoch or rng is None:
         return cit.path_gcn_forward(graph, adj, params, paths).values
-    draws = (cit.sample_citation_paths(graph, config, rng)
-             for _ in range(max(1, config.eval_samples)))
-    return cit.mean_path_gcn_logits(graph, adj, params, draws)
+    samples, total = max(1, config.eval_samples), None
+    for _ in range(samples):
+        sample = cit.sample_citation_paths(graph, config, rng)
+        logits = cit.path_gcn_forward(graph, adj, params, sample).values
+        total = logits if total is None else total + logits
+    return total / samples
 
 
 _DROPOUT_CHUNK = 32768   # numbers per pass: a chunk's draw and mask stay in cache

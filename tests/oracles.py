@@ -263,12 +263,14 @@ def per_draw_sample_citation_paths(graph, config, rng):
 @T.no_grad()
 def per_draw_citation_logits(graph, adj, params, config, rng):
     """The final citation evaluation forwarding each of eval_samples fresh
-    path draws whole, the layer-1 product included, and averaging the
-    logits: summed in draw order, divided once."""
+    path draws whole, the layer-1 product formed anew for each from a
+    writable copy of the features, which path_gcn_layer never memoizes, and
+    averaging the logits: summed in draw order, divided once."""
     total = None
     for _ in range(max(1, config.eval_samples)):
         sample = cit.sample_citation_paths(graph, config, rng)
-        logits = cit.path_gcn_forward(graph, adj, params, sample).values
+        logits = cit.path_gcn_forward(graph, adj, params, sample,
+                                      dropout=(np.array(graph.features), None)).values
         total = logits if total is None else total + logits
     return total / max(1, config.eval_samples)
 

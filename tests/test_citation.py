@@ -1,3 +1,7 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -471,3 +475,120 @@ def test_tape_free_path_gcn_forward_equals_taped_forward(budget, path_length, dr
         free = path_gcn_forward(g, adj, params, paths, dropout=dropout)
     assert taped.requires_grad and not free.requires_grad
     assert np.array_equal(free.values, taped.values)
+
+
+# -- path_gcn_layer's product memo: tolerance 0 against the product formed
+#    with the memo bypassed (a writable copy of the features stands in) --
+
+def memo_case(seed, path_length=3, n_features=30):
+    g = synth_citation(n_nodes=60, n_features=n_features, seed=seed % 5)
+    config = PathGCNConfig(hidden_dim=5, path_length=path_length, seed=seed)
+    rng = np.random.default_rng(seed)
+    params = init_gcn_params(config, n_features, g.n_classes, rng)
+    return g, normalize_adjacency(g), params, sample_citation_paths(g, config, rng)
+
+
+def memo_logits(g, adj, params, paths, bypass=False):
+    dropout = (np.array(g.features), None) if bypass else None
+    with T.no_grad():
+        return path_gcn_forward(g, adj, params, paths, dropout=dropout).values
+
+
+def kept_product(paths):
+    """The product the memo holds for the lengths of `paths`, or None."""
+    return T._PRODUCTS.get(tuple(sorted(paths)), (None, None, None))[2]
+
+
+@given(seed=st.integers(0, 10_000), path_length=st.integers(2, 4))
+def test_product_memo_serves_unchanged_weights_and_misses_an_adam_step(seed, path_length):
+    g, adj, params, paths = memo_case(seed, path_length)
+    state = T.AdamState(params)
+    first = memo_logits(g, adj, params, paths)
+    z = kept_product(paths)
+    assert z is not None and not z.flags.writeable
+    assert np.array_equal(memo_logits(g, adj, params, paths), first)
+    assert kept_product(paths) is z
+    assert np.array_equal(first, memo_logits(g, adj, params, paths, bypass=True))
+    # a taped step reads the memo too; Adam then updates the weights in place
+    T.backward(T.cross_entropy(path_gcn_forward(g, adj, params, paths), g.labels,
+                               g.train_idx))
+    assert kept_product(paths) is z
+    T.adam_step(params, state, lr=0.01)
+    after = memo_logits(g, adj, params, paths)
+    assert kept_product(paths) is not z and not np.array_equal(after, first)
+    assert np.array_equal(after, memo_logits(g, adj, params, paths, bypass=True))
+
+
+@pytest.mark.parametrize("old, new", [(0.0, -0.0), (np.nan, -np.nan)])
+def test_product_memo_compares_weights_bit_for_bit(old, new):
+    # 0.0 == -0.0 and NaNs are unequal as values: bits decide
+    g, adj, params, paths = memo_case(0)
+    W = params["gcn1.W"].values
+    W[0, 0] = old
+    memo_logits(g, adj, params, paths)
+    z = kept_product(paths)
+    W[0, 0] = new
+    got = memo_logits(g, adj, params, paths)
+    assert kept_product(paths) is not z
+    want = memo_logits(g, adj, params, paths, bypass=True)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_product_memo_misses_another_graph_and_a_rebuilt_one():
+    g, adj, params, paths = memo_case(1)
+    memo_logits(g, adj, params, paths)
+    z = kept_product(paths)
+    other = replace(g, features=np.array(g.features))
+    got = memo_logits(other, adj, params, paths)
+    assert kept_product(paths) is not z and len(T._PRODUCTS) == 1   # g's entries went
+    assert np.array_equal(got, memo_logits(other, adj, params, paths, bypass=True))
+    z = kept_product(paths)
+    del g, other
+    gc.collect()
+    g = memo_case(1)[0]
+    assert np.array_equal(memo_logits(g, adj, params, paths), got)
+    assert kept_product(paths) is not z
+    assert T._PRODUCTS[tuple(sorted(paths))][0]() is g.features
+
+
+def test_product_memo_never_holds_a_writable_input():
+    g, adj, params, paths = memo_case(2)
+    T._PRODUCTS.clear()
+    rng = np.random.default_rng(2)
+    # training's dropped-out input and hidden mask (layer 2 reads the masked
+    # hidden state, writable too)
+    dropout = (g.features * ((rng.random(g.features.shape) < 0.5) / 0.5),
+               (rng.random((g.n, 5)) < 0.5) / 0.5)
+    T.backward(T.cross_entropy(path_gcn_forward(g, adj, params, paths, dropout), g.labels,
+                               g.train_idx))
+    memo_logits(g, adj, params, paths, bypass=True)
+    # a read-only view: its base could still change
+    with T.no_grad():
+        path_gcn_forward(g, adj, params, paths, dropout=(g.features[:, :], None))
+    assert T._PRODUCTS == {}
+    memo_logits(g, adj, params, paths)
+    assert list(T._PRODUCTS) == [tuple(sorted(paths))]
+
+
+@given(seed=st.integers(0, 10_000), path_length=st.integers(2, 4))
+def test_product_memo_holds_at_most_one_product_per_drawable_set_of_lengths(seed,
+                                                                           path_length):
+    # draws hold the lengths 2..k for some k, so at most path_length - 1 sets
+    g = tiny_graph(9, ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 8), (6, 7)), seed=seed)
+    config = PathGCNConfig(hidden_dim=3, path_length=path_length, seed=seed)
+    rng = np.random.default_rng(seed)
+    params = init_gcn_params(config, 6, g.n_classes, rng)
+    adj = normalize_adjacency(g)
+    for _ in range(12):
+        memo_logits(g, adj, params, sample_citation_paths(g, config, rng))
+        assert len(T._PRODUCTS) <= path_length - 1
+
+
+def test_product_memo_keeps_no_graph_alive():
+    g, adj, params, paths = memo_case(3)
+    memo_logits(g, adj, params, paths)
+    path_gcn_forward(g, adj, params, paths)
+    features = weakref.ref(g.features)
+    del g
+    gc.collect()
+    assert features() is None

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -104,13 +105,40 @@ def test_citation_round_trip_keeps_non_integer_features(tmp_path):
     # integer values keep their spelling (1, not 1.0); any other is its repr
     graph = synth_citation(n_nodes=40, seed=0)
     columns = np.arange(graph.features.shape[1])
-    graph = replace(graph, features=0.5 * graph.features + 0.001 * columns)
-    graph.features[1, :3] = [-0.0, 2.0, 1e-300]
+    features = 0.5 * graph.features + 0.001 * columns
+    features[1, :3] = [-0.0, 2.0, 1e-300]
+    graph = replace(graph, features=features)
     content, cites = tmp_path / "net.content", tmp_path / "net.cites"
     write_citation_files(content, cites, graph)
     assert content.read_text().splitlines()[1].split()[1:4] == ["0", "2", "1e-300"]
     back = parse_citation_files(content, cites, train_per_class=2, val_size=10, test_size=10)
     assert np.array_equal(back.features, graph.features)
+
+
+def test_citation_graph_features_are_read_only():
+    # replace the graph, do not edit it: the path-GCN layer memoizes its
+    # product on read-only features
+    graph = synth_citation(n_nodes=20, seed=0)
+    with pytest.raises(ValueError, match="read-only"):
+        graph.features[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        graph.features *= 2.0
+    assert not replace(graph, features=graph.features + 1.0).features.flags.writeable
+
+
+def test_writing_citation_files_holds_less_than_the_features(tmp_path):
+    # one row's Python floats at a time; the whole matrix's tolist() peaked
+    # at four times the features' bytes
+    graph = synth_citation(n_nodes=800, n_features=1433, seed=0)
+    content, cites = tmp_path / "net.content", tmp_path / "net.cites"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_citation_files(content, cites, graph)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < graph.features.nbytes, peak / graph.features.nbytes
 
 
 def test_synth_citation_with_too_few_features_names_the_minimum():

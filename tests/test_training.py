@@ -502,11 +502,27 @@ def branching_citation_graph(seed):
                          val_idx=np.arange(3, 6), test_idx=np.arange(6, 9))
 
 
+def counting_products(products, width):
+    """A tensor._path_gcn_product that appends to `products` the path
+    lengths of each product it forms, not serves from its memo, for an input
+    `width` features wide."""
+    product = T._path_gcn_product
+
+    def counted(h, Ws, paths):
+        kept = T._PRODUCTS.get(tuple(sorted(paths)), (None, None, None))[2]
+        joined, z, block = product(h, Ws, paths)
+        if h.shape[1] == width and z is not kept:
+            products.append(tuple(sorted(paths)))
+        return joined, z, block
+    return counted
+
+
 @given(seed=st.integers(0, 10_000), samples=st.integers(1, 12), path_length=st.integers(2, 3))
 def test_citation_logits_equal_one_forward_per_draw(seed, samples, path_length):
-    # tolerance 0 against the per-draw loop (tests/oracles.py), with the
-    # layer-1 product (the one whose input is as wide as the features) formed
-    # once per distinct set of lengths among the draws
+    # tolerance 0 against the per-draw loop with the memo bypassed
+    # (tests/oracles.py), with the layer-1 product (the one whose input is
+    # as wide as the features) formed once per distinct set of lengths among
+    # the draws
     graph = branching_citation_graph(seed)
     config = PathGCNConfig(hidden_dim=4, path_length=path_length, eval_samples=samples,
                            seed=seed)
@@ -515,17 +531,49 @@ def test_citation_logits_equal_one_forward_per_draw(seed, samples, path_length):
     draw_rng = np.random.default_rng(seed)
     lengths = {tuple(sorted(cit.sample_citation_paths(graph, config, draw_rng)))
                for _ in range(samples)}
-    products, product = [], T._path_gcn_product
+    products = []
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(T, "_path_gcn_product",
-                      lambda h, Ws, paths: (h.shape[1] == 5 and products.append(paths))
-                      or product(h, Ws, paths))
+        patch.setattr(T, "_path_gcn_product", counting_products(products, 5))
         got = _citation_logits(graph, adj, params, config, None, rng)
     want = oracles.per_draw_citation_logits(graph, adj, params, config, oracle_rng)
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
-    assert sorted(tuple(sorted(p)) for p in products) == sorted(lengths)
+    assert sorted(products) == sorted(lengths)
+
+
+@given(seed=st.integers(0, 10_000), path_length=st.integers(2, 3))
+def test_per_draw_inference_forms_each_product_once_per_set_of_weights(seed, path_length):
+    # the benchmark's citation inference: one taped path_gcn_forward per
+    # draw, the logits averaged. The first call forms one layer-1 product
+    # per distinct set of lengths, a second call with the same weights none,
+    # and both equal the per-draw loop with the memo bypassed, tolerance 0
+    graph = branching_citation_graph(seed)
+    config = PathGCNConfig(hidden_dim=4, path_length=path_length, seed=seed)
+    params = init_gcn_params(config, 5, graph.n_classes)
+    adj = cit.normalize_adjacency(graph)
+
+    def infer():
+        rng, total = np.random.default_rng(seed), 0.0
+        for _ in range(config.eval_samples):
+            paths = cit.sample_citation_paths(graph, config, rng)
+            total = total + cit.path_gcn_forward(graph, adj, params, paths).values
+        return total / config.eval_samples
+
+    draw_rng = np.random.default_rng(seed)
+    lengths = {tuple(sorted(cit.sample_citation_paths(graph, config, draw_rng)))
+               for _ in range(config.eval_samples)}
+    first, second = [], []
+    count_first, count_second = counting_products(first, 5), counting_products(second, 5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "_path_gcn_product", count_first)
+        got = infer()
+        patch.setattr(T, "_path_gcn_product", count_second)
+        again = infer()
+    assert sorted(first) == sorted(lengths) and second == []
+    want = oracles.per_draw_citation_logits(graph, adj, params, config,
+                                            np.random.default_rng(seed))
+    assert np.array_equal(got, want) and np.array_equal(again, want)
 
 
 def test_citation_eval_draws_lack_a_length_for_some_seeds():
