@@ -6,14 +6,15 @@
 
 Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0` once in each checkout, one after the other; the side that runs
-first alternates, parent first in pair 0. The runs are added under --key
-(default: the workload name) to BENCH_<label>_parent.json and
-BENCH_<label>_change.json in --out, and BENCH_<label>_summary.json is
-rebuilt from every run in those two files: per end-to-end metric of
-BENCHMARK.json, each side's median and quartiles (numpy's linear
-interpolation), the change's median over the parent's, the pairs the change
-won (a tie counts for neither side) and whether the gap between the medians
-exceeds the parent's interquartile range.
+first alternates, parent first in pair 0, and after each pair one line on
+stderr gives both sides' value of every end-to-end metric of BENCHMARK.json.
+The runs are added under --key (default: the workload name) to
+BENCH_<label>_parent.json and BENCH_<label>_change.json in --out, and
+BENCH_<label>_summary.json is rebuilt from every run in those two files:
+per end-to-end metric of BENCHMARK.json, each side's median and quartiles
+(numpy's linear interpolation), the change's median over the parent's, the
+pairs the change won (a tie counts for neither side) and whether the gap
+between the medians exceeds the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -51,17 +52,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def run_pairs(checkouts: dict, workload: str, seed: int, pairs: int, seconds: float,
-              log=print) -> dict:
-    """Runs per side, each tagged with its pair and whether it ran first."""
+              metrics: list, log=print) -> dict:
+    """Runs per side, each tagged with its pair and whether it ran first;
+    one progress line per pair gives both sides' values of `metrics`."""
     runs = {side: [] for side in SIDES}
     for pair in range(pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
             result = run_once(checkouts[side], workload, seed, seconds)
             runs[side].append({**result, "pair": pair, "ran_first": position == 0})
-        log(f"{workload} seed {seed} pair {pair}: " + ", ".join(
-            f"{side} train_s {runs[side][-1]['metrics']['train_s']['value']:.4f}"
-            for side in SIDES))
+        log(f"{workload} seed {seed} pair {pair}: " + "; ".join(
+            side + "".join(f" {name} {runs[side][-1]['metrics'][name]['value']:.4g}"
+                           for name in metrics) for side in SIDES))
     return runs
 
 
@@ -127,13 +129,13 @@ def main(argv=None) -> int:
     key = args.key or args.workload
     paths = {side: out / f"BENCH_{args.label}_{side}.json" for side in SIDES}
     docs = {side: _load(paths[side], args.seconds) for side in SIDES}
+    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     runs = run_pairs({"parent": args.parent, "change": args.change}, args.workload,
-                     args.seed, args.pairs, args.seconds,
+                     args.seed, args.pairs, args.seconds, [m["name"] for m in end_to_end],
                      log=lambda line: print(line, file=sys.stderr, flush=True))
     for side in SIDES:
         docs[side]["workloads"][key] = {"seed": args.seed, "runs": runs[side]}
         _write(paths[side], docs[side])
-    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     summary = summarize(docs, end_to_end,
                         METHOD.format(seconds=args.seconds, cpus=os.cpu_count()))
     _write(out / f"BENCH_{args.label}_summary.json", summary)

@@ -511,6 +511,14 @@ def attention(h, messages, roots, n: int, a, slope=0.2):
 _PRODUCTS = {}
 
 
+def _drop_collected(_ref):
+    """The weak references' callback: drop the entries of a collected h.
+    It can run inside any allocation, so the memo is read from a snapshot."""
+    for key, (ref, _, _) in list(_PRODUCTS.items()):
+        if ref() is None:
+            _PRODUCTS.pop(key, None)
+
+
 def _path_gcn_product(h, Ws, paths):
     """path_gcn_layer's product, for an (n, f) array h and Ws in
     path_gcn_layer's order: the joined weight [W | M...], z = h @ joined
@@ -520,7 +528,7 @@ def _path_gcn_product(h, Ws, paths):
     is the same object and joined equals the kept one bit for bit (as
     int64, so -0.0 never passes for 0.0 and NaNs compare by their bits):
     an in-place weight update forms it anew. Another such h clears the
-    memo; a writable h never enters it."""
+    memo, and so does collecting h; a writable h never enters it."""
     blocks = 1 + sum(paths)   # the first-order block, then one per path position
     if len(Ws) != blocks:
         raise ShapeError(f"path_gcn_layer: {len(Ws)} weights for {blocks} blocks")
@@ -533,7 +541,7 @@ def _path_gcn_product(h, Ws, paths):
         raise ShapeError(f"path_gcn_layer: incompatible shapes {h.shape} and {joined.shape}")
     if h.flags.writeable or not h.flags.owndata:
         return joined, h @ joined, width
-    if any(ref() is not h for ref, _, _ in _PRODUCTS.values()):
+    if any(ref() is not h for ref, _, _ in list(_PRODUCTS.values())):
         _PRODUCTS.clear()
     key = tuple(sorted(paths))
     entry = _PRODUCTS.pop(key, None)
@@ -541,7 +549,7 @@ def _path_gcn_product(h, Ws, paths):
         entry = None   # a stale product goes before the new one is formed
         z = h @ joined
         z.flags.writeable = False
-        entry = (weakref.ref(h), joined, z)
+        entry = (weakref.ref(h, _drop_collected), joined, z)
     _PRODUCTS[key] = entry
     return joined, entry[2], width
 

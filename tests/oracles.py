@@ -451,7 +451,8 @@ def per_token_parse_citation_files(content_path, cites_path, train_per_class=20,
                                    val_size=500, test_size=1000) -> CitationGraph:
     """The content/cites pair read line by line, each feature value by
     float(): the reference form of data.parse_citation_files, which reads
-    the feature values in one np.loadtxt pass."""
+    one-digit rows from their bytes and any other file in one np.loadtxt
+    pass."""
     index: dict[str, int] = {}
     rows, row_lines = [], []
     label_index: dict[str, int] = {}

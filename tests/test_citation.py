@@ -584,6 +584,15 @@ def test_product_memo_holds_at_most_one_product_per_drawable_set_of_lengths(seed
         assert len(T._PRODUCTS) <= path_length - 1
 
 
+def test_product_memo_drops_a_collected_graphs_products():
+    g, adj, params, paths = memo_case(4)
+    memo_logits(g, adj, params, paths)
+    assert len(T._PRODUCTS) == 1
+    del g
+    gc.collect()
+    assert T._PRODUCTS == {}   # the joined weight and z went with the features
+
+
 def test_product_memo_keeps_no_graph_alive():
     g, adj, params, paths = memo_case(3)
     memo_logits(g, adj, params, paths)

@@ -1,22 +1,27 @@
 """The citation parser against its reference form: data.parse_citation_files
-reads the feature values in one np.loadtxt pass, oracles'
-per_token_parse_citation_files reads them one float() at a time. On valid
-files the graphs are equal, the features bit for bit (tolerance 0); on
-invalid ones both raise the same error type and message, the first bad
-line winning. The two spellings only float() reads now fail naming the
+reads rows of one-digit ASCII tokens, one space or tab apart, from their
+bytes and any other file in one np.loadtxt pass; oracles'
+per_token_parse_citation_files reads every value by float(), one at a time.
+On valid files the graphs are equal, the features bit for bit (tolerance
+0); on invalid ones both raise the same error type and message, the first
+bad line winning. The two spellings only float() reads now fail naming the
 line."""
 
 import json
 import re
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import per_token_parse_citation_files
 
+import pathmpnn.data
 from pathmpnn.cli import main
-from pathmpnn.data import DataFormatError, parse_citation_files
+from pathmpnn.data import DataFormatError, parse_citation_files, write_citation_files
+from pathmpnn.synth import synth_citation
 
 # every spelling is one token; "1e-400" underflows to 0, "4.9e-324" is subnormal
 SPELLINGS = ["0", "1", "-0", "+0", "1.", ".5", "-.5", "+1.5", "00012", "1e5", "1E+5", "-2.5e-3",
@@ -109,6 +114,105 @@ def test_valid_files_parse_as_the_per_token_parser_does(tmp_path_factory, files,
     assert_same_outcome(tmp_path_factory.mktemp("parse"), *files,
                         train_per_class=train_per_class, val_size=val_size,
                         test_size=test_size)
+
+
+# one spelling per near miss of the one-digit rows, each read by np.loadtxt
+# (or refused) where the byte path declines it: ("token", t) replaces a
+# feature, ("gap", g) the whitespace after a token, ("short", None) drops a
+# feature
+NEAR_MISSES = [("token", "10"), ("token", "07"), ("token", "-0"), ("token", "+1"),
+               ("token", ".5"), ("token", "\u0663"), ("token", "x"), ("gap", "  "),
+               ("gap", "\r"), ("gap", "\x0b"), ("gap", "\xa0"), ("gap", ","), ("short", None)]
+
+
+@st.composite
+def one_digit_files(draw, miss):
+    """A content file of 1 to 40 one-digit columns, space or tab gaps,
+    "\n" or "\r\n" line ends and blank lines, and the same file with the
+    near miss `miss` in one row; the cites file of both."""
+    columns = draw(st.integers(1, 40))
+    n_rows = draw(st.integers(1, 8))
+    gap = st.sampled_from([" ", "\t"])
+    ends = st.sampled_from(["\n", "\r\n"])
+    rows = [[f"d{i}", *(str(draw(st.integers(0, 9))) for _ in range(columns)),
+             draw(st.sampled_from(["A", "B"]))] for i in range(n_rows)]
+    gaps = [[draw(gap) for _ in range(columns + 1)] for _ in rows]
+    blanks = [draw(st.sampled_from(["", "", "\n", "\r\n \n"])) for _ in rows]
+
+    def text(rows, gaps):
+        return "".join(blank + "".join(t + g for t, g in zip(row, row_gaps)) + row[-1]
+                       + draw(ends) for blank, row, row_gaps in zip(blanks, rows, gaps)).encode()
+
+    kind, spelling = miss
+    r, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(1, columns))
+    bad_rows, bad_gaps = [list(row) for row in rows], [list(g) for g in gaps]
+    if kind == "token":
+        bad_rows[r][j] = spelling
+    elif kind == "gap":
+        bad_gaps[r][j - 1] = spelling
+    else:
+        del bad_rows[r][j], bad_gaps[r][j]
+    cites = "".join(f"d{draw(st.integers(0, n_rows))} d{draw(st.integers(0, n_rows))}\n"
+                    for _ in range(draw(st.integers(0, 6)))).encode()
+    return text(rows, gaps), text(bad_rows, bad_gaps), cites
+
+
+@pytest.mark.parametrize("miss", NEAR_MISSES, ids=repr)
+@settings(derandomize=True, max_examples=10)
+@given(data=st.data())
+def test_one_digit_rows_and_their_near_misses_parse_as_the_per_token_parser_does(
+        tmp_path_factory, miss, data):
+    good, near_miss, cites = data.draw(one_digit_files(miss))
+    tmp = tmp_path_factory.mktemp("digits")
+    splits = {"train_per_class": 1, "val_size": 2, "test_size": 2}
+    loadtxt, calls = np.loadtxt, []
+    with pytest.MonkeyPatch.context() as patch:
+        # blocks of a row or a few, so that a near miss can sit in any block
+        patch.setattr(pathmpnn.data, "_DIGIT_BLOCK_BYTES", data.draw(st.integers(1, 200)))
+        patch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        assert_same_outcome(tmp, good, cites, **splits)
+        assert calls == []                  # the byte path read the one-digit rows
+        if miss != ("token", "\u0663"):
+            assert_same_outcome(tmp, near_miss, cites, **splits)
+            return
+        # float() reads the non-ASCII digit, np.loadtxt refuses it naming the line
+        got, want = parse_both(tmp, near_miss, cites, **splits)
+    assert want[0] == "graph" and 3.0 in want[1].features
+    lineno = next(i for i, line in enumerate(near_miss.split(b"\n"), start=1)
+                  if "\u0663".encode() in line)
+    assert got[:2] == ("error", DataFormatError)
+    assert got[2].startswith(f"{tmp / 't.content'}:{lineno}: feature values must be numbers ")
+
+
+def test_cora_layout_is_read_without_loadtxt(tmp_path, monkeypatch):
+    # Cora's content file: id, tab-separated 0/1 words, label
+    rows = ["31336\t0\t1\t0\t0\tNeural_Networks", "1061127\t1\t0\t0\t1\tRule_Learning",
+            "1106406\t0\t0\t1\t0\tReinforcement_Learning"]
+    content, cites = tmp_path / "cora.content", tmp_path / "cora.cites"
+    content.write_text("\n".join(rows) + "\n")
+    cites.write_text("31336\t1061127\n1106406\t31336\n")
+    want = per_token_parse_citation_files(content, cites)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert_graphs_equal(parse_citation_files(content, cites), want)
+
+
+def test_parsing_the_benchmark_network_holds_at_most_one_and_a_half_features(tmp_path):
+    # the rows' strings, their bytes and the float64 features never all at once
+    content, cites = tmp_path / "net.content", tmp_path / "net.cites"
+    written = synth_citation(n_nodes=800, n_features=1433, seed=1)
+    write_citation_files(content, cites, written)
+    tracemalloc.start()
+    try:
+        graph = parse_citation_files(content, cites)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * graph.features.nbytes, peak / graph.features.nbytes
+    assert graph.features.tobytes() == written.features.tobytes()   # five blocks of rows
 
 
 def test_an_empty_content_file_parses_as_the_per_token_parser_does(tmp_path):

@@ -71,7 +71,28 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch):
                 "metrics": {"train_s": {"value": 1.0, "unit": "s"}}}
 
     monkeypatch.setattr(pb, "run_once", fake_run_once)
-    runs = pb.run_pairs({"parent": "P", "change": "C"}, "w", 1, 3, 30, log=lambda line: None)
+    runs = pb.run_pairs({"parent": "P", "change": "C"}, "w", 1, 3, 30, ["train_s"],
+                        log=lambda line: None)
     assert calls == ["P", "C", "C", "P", "P", "C"]
     assert [r["ran_first"] for r in runs["parent"]] == [True, False, True]
     assert [r["pair"] for r in runs["change"]] == [0, 1, 2]
+
+
+def test_progress_lines_give_every_end_to_end_metric_of_both_sides(monkeypatch):
+    values = {"parent": 1.0, "change": 0.25}
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        metrics = {m["name"]: {"value": values[checkout] * (i + 1), "unit": m["unit"]}
+                   for i, m in enumerate(END_TO_END)}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(pb, "run_once", fake_run_once)
+    lines = []
+    pb.run_pairs({side: side for side in pb.SIDES}, "w", 3, 2, 30,
+                 [m["name"] for m in END_TO_END], log=lines.append)
+    names = [m["name"] for m in END_TO_END]
+    assert len(names) == 4 and "setup_s" in names
+    parent = " ".join(f"{name} {i + 1:g}" for i, name in enumerate(names))
+    change = " ".join(f"{name} {0.25 * (i + 1):g}" for i, name in enumerate(names))
+    assert lines == [f"w seed 3 pair {pair}: parent {parent}; change {change}"
+                     for pair in range(2)]
