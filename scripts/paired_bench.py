@@ -14,7 +14,10 @@ BENCH_<label>_summary.json is rebuilt from every run in those two files:
 per end-to-end metric of BENCHMARK.json, each side's median and quartiles
 (numpy's linear interpolation), the change's median over the parent's, the
 pairs the change won (a tie counts for neither side) and whether the gap
-between the medians exceeds the parent's interquartile range.
+between the medians exceeds the parent's interquartile range. The summary of
+the series is printed, then one line naming each end-to-end metric whose
+change median is worse than the parent's by more than its bound in
+BENCHMARK.json (a share of the parent's median), or saying that none is.
 """
 
 from __future__ import annotations
@@ -83,6 +86,23 @@ def summarize_metric(parent: list, change: list, better: str, bound: float) -> d
             "median_gap_exceeds_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"]}
 
 
+def regression_line(key: str, metrics: dict) -> str:
+    """The no-regression line of one series' summarize_metric dicts: the
+    metrics whose change median is worse than the parent's by more than
+    bound times the parent's median, or that there is none."""
+    def worse_by(m):
+        p, c = m["parent"]["median"], m["change"]["median"]
+        return c - p if m["better"] == "lower" else p - c
+
+    worse = [name for name, m in metrics.items()
+             if worse_by(m) > m["bound"] * abs(m["parent"]["median"])]
+    if not worse:
+        return f"{key}: no end-to-end metric is worse than its bound"
+    return f"{key}: worse than the bound: " + ", ".join(
+        f"{name} {metrics[name]['change_over_parent_median']:.3f}x of the parent's median "
+        f"(bound {metrics[name]['bound']:g})" for name in worse)
+
+
 def summarize(docs: dict, end_to_end: list, method: str) -> dict:
     """The summary document of a parent and a change run document."""
     workloads = {}
@@ -141,6 +161,7 @@ def main(argv=None) -> int:
     _write(out / f"BENCH_{args.label}_summary.json", summary)
     json.dump(summary["workloads"][key], sys.stdout, indent=1)
     print()
+    print(regression_line(key, summary["workloads"][key]["metrics"]))
     return 0
 
 

@@ -7,14 +7,13 @@ regressor (model), the path GCN node classifier (citation), and training
 utilities (training).
 """
 
-from .chem import (detect_alcohol, ring_membership, substructure_features,
-                   substructure_path_features)
+from .chem import detect_alcohol, ring_membership, substructure_features
 from .citation import (CitationGraph, PathGCNConfig, gcn_forward,
                        normalize_adjacency, path_gcn_forward)
-from .geometry import bond_angle, dihedral, geometry_features, geometry_path_features
+from .geometry import geometry_features
 from .model import ModelConfig, build_path_cache, forward, forward_base_mpnn, init_params
 from .molgraph import FeaturizerConfig, GraphUnion, MoleculeRecord, build_graph
-from .paths import count_paths_oracle, enumerate_paths
+from .paths import enumerate_paths
 from .tensor import Tensor, adam_step, backward, no_grad
 from .training import (TrainSettings, rmse_loss, split_dataset,
                        train_node_classification, train_regression)

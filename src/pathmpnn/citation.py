@@ -35,6 +35,8 @@ class CitationGraph:
     n_classes: int = 0
     ids: tuple = ()                   # original document ids, dense order
     adjacency: tuple = field(default=None, repr=False)
+    # layer 1's z = features @ [W | M...] per set of path lengths (path_gcn_layer)
+    products: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.features.flags.writeable = False   # replace the graph, do not edit it
@@ -166,12 +168,12 @@ def gcn_layer(h, adj: NormalizedAdjacency, W, b, activation=None):
     return activation(out) if activation is not None else out
 
 
-def _path_layer(h, adj, params, layer: str, paths: dict, n: int, activation):
+def _path_layer(h, adj, params, layer: str, paths: dict, n: int, activation, products=None):
     """path_gcn_layer with the GCN weight, then each length's per-position
     path maps, in the order it joins them."""
     Ws = [params[f"gcn{layer}.W"]] + [params[f"path{layer}.len{k}.M{pos}"]
                                       for k in sorted(paths) for pos in range(k)]
-    return path_gcn_layer(h, Ws, params[f"gcn{layer}.b"], adj, paths, n, activation)
+    return path_gcn_layer(h, Ws, params[f"gcn{layer}.b"], adj, paths, n, activation, products)
 
 
 def gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params, dropout=None):
@@ -194,7 +196,8 @@ def path_gcn_forward(graph: CitationGraph, adj: NormalizedAdjacency, params,
     hidden mask is the one dropout op on the tape."""
     paths = paths or {}
     x, hidden_mask = (graph.features, None) if dropout is None else dropout
-    h = _path_layer(Tensor(x), adj, params, "1", paths, graph.n, "relu")
+    products = graph.products if dropout is None else None
+    h = _path_layer(Tensor(x), adj, params, "1", paths, graph.n, "relu", products)
     if hidden_mask is not None:
         h = mul(h, Tensor(hidden_mask))
     return _path_layer(h, adj, params, "2", paths, graph.n, None)

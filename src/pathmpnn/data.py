@@ -288,14 +288,14 @@ def parse_citation_files(content_path, cites_path, train_per_class: int = 20,
         index = dict(zip(ids, range(len(ids))))
         if len(index) < len(ids):
             raise DataFormatError("repeated id")      # the scan below names its line
-        features = _one_digit_features(feats) if rows else np.zeros(0)
-        if features is None:
-            features = np.loadtxt(feats, comments=None, ndmin=2)
+        digits = _one_digit_features(feats) if rows else np.zeros(0)
+        features = np.loadtxt(feats, comments=None, ndmin=2) if digits is None else digits
     except ValueError:                   # a DataFormatError too: not UTF-8, a repeated id
         _raise_first_bad_content_line(content_path)
         raise
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=-1))   # float syntax reads nan, inf
-    if bad.size:
+    # float syntax reads nan and inf; one-digit rows hold neither
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=-1)) if digits is None else ()
+    if len(bad):
         value = next(v for v in features[bad[0]] if not np.isfinite(v))
         raise DataFormatError(f"{content_path}:{row_lines[bad[0]]}: feature values must be "
                               f"finite numbers, got {value}")

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import struct
-import weakref
 from itertools import accumulate
 
 import numpy as np
@@ -506,29 +505,15 @@ def attention(h, messages, roots, n: int, a, slope=0.2):
     return _make(out_values, (h, msgs, a), backward_fn, "attention")
 
 
-# path_gcn_layer's memo of h @ [W | M...] for one read-only input h, keyed by
-# the ascending path lengths: lengths -> (weak reference to h, joined, z)
-_PRODUCTS = {}
-
-
-def _drop_collected(_ref):
-    """The weak references' callback: drop the entries of a collected h.
-    It can run inside any allocation, so the memo is read from a snapshot."""
-    for key, (ref, _, _) in list(_PRODUCTS.items()):
-        if ref() is None:
-            _PRODUCTS.pop(key, None)
-
-
-def _path_gcn_product(h, Ws, paths):
+def _path_gcn_product(h, Ws, paths, products=None):
     """path_gcn_layer's product, for an (n, f) array h and Ws in
     path_gcn_layer's order: the joined weight [W | M...], z = h @ joined
     and the width of one block, checked to be W's width for every block.
-    An h that is read-only and owns its data, such as a CitationGraph's
-    features, has z kept per set of path lengths and served again while h
-    is the same object and joined equals the kept one bit for bit (as
-    int64, so -0.0 never passes for 0.0 and NaNs compare by their bits):
-    an in-place weight update forms it anew. Another such h clears the
-    memo, and so does collecting h; a writable h never enters it."""
+    A read-only h that owns its data has (h, joined, z) kept in `products`
+    per set of path lengths, served again while h is the same object and
+    joined equals the kept one bit for bit (as int64, so -0.0 never passes
+    for 0.0 and NaNs compare by their bits): an in-place weight update
+    forms it anew. A writable h never enters it."""
     blocks = 1 + sum(paths)   # the first-order block, then one per path position
     if len(Ws) != blocks:
         raise ShapeError(f"path_gcn_layer: {len(Ws)} weights for {blocks} blocks")
@@ -539,22 +524,20 @@ def _path_gcn_product(h, Ws, paths):
     joined = np.concatenate([W.values for W in Ws], axis=1)
     if h.ndim != 2 or h.shape[1] != joined.shape[0]:
         raise ShapeError(f"path_gcn_layer: incompatible shapes {h.shape} and {joined.shape}")
-    if h.flags.writeable or not h.flags.owndata:
+    if products is None or h.flags.writeable or not h.flags.owndata:
         return joined, h @ joined, width
-    if any(ref() is not h for ref, _, _ in list(_PRODUCTS.values())):
-        _PRODUCTS.clear()
     key = tuple(sorted(paths))
-    entry = _PRODUCTS.pop(key, None)
-    if entry is None or not np.array_equal(entry[1].view(np.int64), joined.view(np.int64)):
+    entry = products.pop(key, (None, None, None))
+    if entry[0] is not h or not np.array_equal(entry[1].view(np.int64), joined.view(np.int64)):
         entry = None   # a stale product goes before the new one is formed
         z = h @ joined
         z.flags.writeable = False
-        entry = (weakref.ref(h, _drop_collected), joined, z)
-    _PRODUCTS[key] = entry
+        entry = (h, joined, z)
+    products[key] = entry
     return joined, entry[2], width
 
 
-def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
+def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None, products=None):
     """One path-GCN layer as one op, activation None or "relu": one product
     z = h @ [W | M...] against the GCN weight and every per-position path
     map side by side (Ws in that order: W, then per length ascending one
@@ -566,10 +549,10 @@ def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None):
     does the composed ops' arithmetic in their order, so values and
     gradients are bit-identical to them (tests/oracles.py). It keeps the
     index tables, per-path scales and joined weight, not z or a per-path
-    row. z is memoized for a read-only h (_path_gcn_product)."""
+    row. z is kept in `products` for a read-only h (_path_gcn_product)."""
     h, b = as_tensor(h), as_tensor(b)
     Ws = [as_tensor(W) for W in Ws]
-    joined, z, width = _path_gcn_product(h.values, Ws, paths)
+    joined, z, width = _path_gcn_product(h.values, Ws, paths, products)
     src, dst, edge_weight = adj.src, adj.dst, adj.weight[:, None]
     agg = _scatter_rows(dst, z[:, :width][src] * edge_weight, n)
     groups = []

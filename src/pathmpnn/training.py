@@ -319,9 +319,9 @@ def _citation_logits(graph, adj, params, config, paths, rng=None):
     """Eval-time logits, computed tape-free. With resampling active and an
     rng supplied, the final evaluation averages the logits of eval_samples
     fresh path draws, one path_gcn_forward each, summed in draw order and
-    divided once. The graph's features are read-only and the weights do not
-    change between the draws, so tensor.path_gcn_layer's memo forms layer
-    1's product once per distinct set of path lengths among them."""
+    divided once. The weights do not change between the draws, so layer 1's
+    product is formed once per distinct set of path lengths among them and
+    kept in graph.products."""
     if config.per_hop_budget == 0 or not config.resample_each_epoch or rng is None:
         return cit.path_gcn_forward(graph, adj, params, paths).values
     samples, total = max(1, config.eval_samples), None

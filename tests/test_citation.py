@@ -477,8 +477,9 @@ def test_tape_free_path_gcn_forward_equals_taped_forward(budget, path_length, dr
     assert np.array_equal(free.values, taped.values)
 
 
-# -- path_gcn_layer's product memo: tolerance 0 against the product formed
-#    with the memo bypassed (a writable copy of the features stands in) --
+# -- path_gcn_layer's product memo, a CitationGraph's `products`: tolerance 0
+#    against the product formed with the memo bypassed (a writable copy of
+#    the features stands in) --
 
 def memo_case(seed, path_length=3, n_features=30):
     g = synth_citation(n_nodes=60, n_features=n_features, seed=seed % 5)
@@ -494,9 +495,9 @@ def memo_logits(g, adj, params, paths, bypass=False):
         return path_gcn_forward(g, adj, params, paths, dropout=dropout).values
 
 
-def kept_product(paths):
-    """The product the memo holds for the lengths of `paths`, or None."""
-    return T._PRODUCTS.get(tuple(sorted(paths)), (None, None, None))[2]
+def kept_product(g, paths):
+    """The product g keeps for the lengths of `paths`, or None."""
+    return g.products.get(tuple(sorted(paths)), (None, None, None))[2]
 
 
 @given(seed=st.integers(0, 10_000), path_length=st.integers(2, 4))
@@ -504,18 +505,18 @@ def test_product_memo_serves_unchanged_weights_and_misses_an_adam_step(seed, pat
     g, adj, params, paths = memo_case(seed, path_length)
     state = T.AdamState(params)
     first = memo_logits(g, adj, params, paths)
-    z = kept_product(paths)
+    z = kept_product(g, paths)
     assert z is not None and not z.flags.writeable
     assert np.array_equal(memo_logits(g, adj, params, paths), first)
-    assert kept_product(paths) is z
+    assert kept_product(g, paths) is z
     assert np.array_equal(first, memo_logits(g, adj, params, paths, bypass=True))
     # a taped step reads the memo too; Adam then updates the weights in place
     T.backward(T.cross_entropy(path_gcn_forward(g, adj, params, paths), g.labels,
                                g.train_idx))
-    assert kept_product(paths) is z
+    assert kept_product(g, paths) is z
     T.adam_step(params, state, lr=0.01)
     after = memo_logits(g, adj, params, paths)
-    assert kept_product(paths) is not z and not np.array_equal(after, first)
+    assert kept_product(g, paths) is not z and not np.array_equal(after, first)
     assert np.array_equal(after, memo_logits(g, adj, params, paths, bypass=True))
 
 
@@ -526,34 +527,35 @@ def test_product_memo_compares_weights_bit_for_bit(old, new):
     W = params["gcn1.W"].values
     W[0, 0] = old
     memo_logits(g, adj, params, paths)
-    z = kept_product(paths)
+    z = kept_product(g, paths)
     W[0, 0] = new
     got = memo_logits(g, adj, params, paths)
-    assert kept_product(paths) is not z
+    assert kept_product(g, paths) is not z
     want = memo_logits(g, adj, params, paths, bypass=True)
     assert got.tobytes() == want.tobytes()
 
 
 def test_product_memo_misses_another_graph_and_a_rebuilt_one():
     g, adj, params, paths = memo_case(1)
-    memo_logits(g, adj, params, paths)
-    z = kept_product(paths)
+    first = memo_logits(g, adj, params, paths)
+    z = kept_product(g, paths)
     other = replace(g, features=np.array(g.features))
     got = memo_logits(other, adj, params, paths)
-    assert kept_product(paths) is not z and len(T._PRODUCTS) == 1   # g's entries went
+    assert kept_product(other, paths) is not z
     assert np.array_equal(got, memo_logits(other, adj, params, paths, bypass=True))
-    z = kept_product(paths)
-    del g, other
-    gc.collect()
-    g = memo_case(1)[0]
-    assert np.array_equal(memo_logits(g, adj, params, paths), got)
-    assert kept_product(paths) is not z
-    assert T._PRODUCTS[tuple(sorted(paths))][0]() is g.features
+    rebuilt = memo_case(1)[0]
+    assert np.array_equal(memo_logits(rebuilt, adj, params, paths), got)
+    assert kept_product(rebuilt, paths) is not z
+    assert kept_product(rebuilt, paths) is not kept_product(other, paths)
+    assert rebuilt.products[tuple(sorted(paths))][0] is rebuilt.features
+    # features swapped on the same graph: the kept h is not this h
+    g.features = rebuilt.features
+    assert np.array_equal(memo_logits(g, adj, params, paths), first)
+    assert kept_product(g, paths) is not z
 
 
 def test_product_memo_never_holds_a_writable_input():
     g, adj, params, paths = memo_case(2)
-    T._PRODUCTS.clear()
     rng = np.random.default_rng(2)
     # training's dropped-out input and hidden mask (layer 2 reads the masked
     # hidden state, writable too)
@@ -562,12 +564,15 @@ def test_product_memo_never_holds_a_writable_input():
     T.backward(T.cross_entropy(path_gcn_forward(g, adj, params, paths, dropout), g.labels,
                                g.train_idx))
     memo_logits(g, adj, params, paths, bypass=True)
-    # a read-only view: its base could still change
+    assert g.products == {}
+    # handed a memo directly: a writable input, and a read-only view whose
+    # base could still change, are never kept
     with T.no_grad():
-        path_gcn_forward(g, adj, params, paths, dropout=(g.features[:, :], None))
-    assert T._PRODUCTS == {}
+        for h in (np.array(g.features), g.features[:, :]):
+            _path_layer(Tensor(h), adj, params, "1", paths, g.n, "relu", g.products)
+    assert g.products == {}
     memo_logits(g, adj, params, paths)
-    assert list(T._PRODUCTS) == [tuple(sorted(paths))]
+    assert list(g.products) == [tuple(sorted(paths))]
 
 
 @given(seed=st.integers(0, 10_000), path_length=st.integers(2, 4))
@@ -581,16 +586,40 @@ def test_product_memo_holds_at_most_one_product_per_drawable_set_of_lengths(seed
     adj = normalize_adjacency(g)
     for _ in range(12):
         memo_logits(g, adj, params, sample_citation_paths(g, config, rng))
-        assert len(T._PRODUCTS) <= path_length - 1
+        assert len(g.products) <= path_length - 1
 
 
 def test_product_memo_drops_a_collected_graphs_products():
     g, adj, params, paths = memo_case(4)
     memo_logits(g, adj, params, paths)
-    assert len(T._PRODUCTS) == 1
+    _, joined, z = g.products[tuple(sorted(paths))]
+    joined, z = weakref.ref(joined), weakref.ref(z)
     del g
     gc.collect()
-    assert T._PRODUCTS == {}   # the joined weight and z went with the features
+    assert joined() is None and z() is None   # they went with the graph
+
+
+def test_a_replaced_graph_starts_with_an_empty_memo():
+    g, adj, params, paths = memo_case(7)
+    memo_logits(g, adj, params, paths)
+    assert len(g.products) == 1
+    for new in (replace(g), replace(g, features=np.array(g.features))):
+        assert new.products == {}
+        memo_logits(new, adj, params, paths)
+        assert kept_product(new, paths) is not kept_product(g, paths)
+    assert "products" not in repr(g)
+
+
+def test_a_graph_on_a_view_of_a_writable_array_is_never_served():
+    # the graph makes its view read-only, but the base can still change
+    g, adj, params, paths = memo_case(8)
+    base = np.array(g.features)
+    g = replace(g, features=base[:, :])
+    before = memo_logits(g, adj, params, paths)
+    base *= 2.0
+    after = memo_logits(g, adj, params, paths)
+    assert g.products == {} and not np.array_equal(after, before)
+    assert np.array_equal(after, memo_logits(g, adj, params, paths, bypass=True))
 
 
 def test_product_memo_keeps_no_graph_alive():

@@ -184,19 +184,36 @@ def test_one_digit_rows_and_their_near_misses_parse_as_the_per_token_parser_does
     assert got[2].startswith(f"{tmp / 't.content'}:{lineno}: feature values must be numbers ")
 
 
-def test_cora_layout_is_read_without_loadtxt(tmp_path, monkeypatch):
+def cora_layout_files(tmp_path):
     # Cora's content file: id, tab-separated 0/1 words, label
     rows = ["31336\t0\t1\t0\t0\tNeural_Networks", "1061127\t1\t0\t0\t1\tRule_Learning",
             "1106406\t0\t0\t1\t0\tReinforcement_Learning"]
     content, cites = tmp_path / "cora.content", tmp_path / "cora.cites"
     content.write_text("\n".join(rows) + "\n")
     cites.write_text("31336\t1061127\n1106406\t31336\n")
+    return content, cites
+
+
+def test_cora_layout_is_read_without_loadtxt(tmp_path, monkeypatch):
+    content, cites = cora_layout_files(tmp_path)
     want = per_token_parse_citation_files(content, cites)
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.loadtxt called")
 
     monkeypatch.setattr(np, "loadtxt", refuse)
+    assert_graphs_equal(parse_citation_files(content, cites), want)
+
+
+def test_one_digit_rows_skip_the_finiteness_scan(tmp_path, monkeypatch):
+    # a digit byte reads as 0.0 to 9.0: only np.loadtxt's rows can be nan or inf
+    content, cites = cora_layout_files(tmp_path)
+    want = per_token_parse_citation_files(content, cites)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.isfinite called")
+
+    monkeypatch.setattr(np, "isfinite", refuse)
     assert_graphs_equal(parse_citation_files(content, cites), want)
 
 

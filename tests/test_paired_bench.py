@@ -31,6 +31,24 @@ def test_metric_summary_arithmetic_on_a_fixed_input():
     assert higher["median_gap_exceeds_parent_iqr"]   # a gap of 2 against an IQR of 1
 
 
+def test_regression_line_names_metrics_worse_than_their_bound_in_either_direction():
+    # bounds are shares of the parent's median; a change past the bound in
+    # the better direction is no regression
+    metrics = {
+        "setup_s": pb.summarize_metric([1.0, 1.0, 1.0], [1.2, 1.3, 1.4], "lower", 0.25),
+        "train_s": pb.summarize_metric([1.0, 1.0, 1.0], [1.2, 1.2, 1.3], "lower", 0.25),
+        "infer_graphs_per_s": pb.summarize_metric([10.0, 10.0, 10.0], [8.0, 8.4, 9.0],
+                                                  "higher", 0.15),
+        "peak_rss_mb": pb.summarize_metric([100.0] * 3, [50.0] * 3, "lower", 0.05),
+    }
+    assert pb.regression_line("w", metrics) == (
+        "w: worse than the bound: setup_s 1.300x of the parent's median (bound 0.25), "
+        "infer_graphs_per_s 0.840x of the parent's median (bound 0.15)")
+    metrics["setup_s"] = pb.summarize_metric([1.0] * 3, [1.25] * 3, "lower", 0.25)
+    metrics["infer_graphs_per_s"] = pb.summarize_metric([10.0] * 3, [20.0] * 3, "higher", 0.15)
+    assert pb.regression_line("w", metrics) == "w: no end-to-end metric is worse than its bound"
+
+
 def _run(pair, train_s, correct=True, failed=0):
     metrics = {m["name"]: {"value": train_s, "unit": "s"} for m in END_TO_END}
     return {"correct": correct, "attempted": 3, "failed": failed, "metrics": metrics,

@@ -502,17 +502,17 @@ def branching_citation_graph(seed):
                          val_idx=np.arange(3, 6), test_idx=np.arange(6, 9))
 
 
-def counting_products(products, width):
-    """A tensor._path_gcn_product that appends to `products` the path
-    lengths of each product it forms, not serves from its memo, for an input
+def counting_products(formed, width):
+    """A tensor._path_gcn_product that appends to `formed` the path lengths
+    of each product it forms, not serves from the graph's memo, for an input
     `width` features wide."""
     product = T._path_gcn_product
 
-    def counted(h, Ws, paths):
-        kept = T._PRODUCTS.get(tuple(sorted(paths)), (None, None, None))[2]
-        joined, z, block = product(h, Ws, paths)
+    def counted(h, Ws, paths, products=None):
+        kept = (products or {}).get(tuple(sorted(paths)), (None, None, None))[2]
+        joined, z, block = product(h, Ws, paths, products)
         if h.shape[1] == width and z is not kept:
-            products.append(tuple(sorted(paths)))
+            formed.append(tuple(sorted(paths)))
         return joined, z, block
     return counted
 
@@ -574,6 +574,54 @@ def test_per_draw_inference_forms_each_product_once_per_set_of_weights(seed, pat
     want = oracles.per_draw_citation_logits(graph, adj, params, config,
                                             np.random.default_rng(seed))
     assert np.array_equal(got, want) and np.array_equal(again, want)
+
+
+def test_per_draw_inference_after_training_forms_no_layer1_product():
+    # the final evaluation leaves the trained weights' layer-1 product on
+    # the graph, so the benchmark's per-draw inference serves every draw
+    graph = synth_citation(n_nodes=120, n_features=30, train_per_class=5, val_size=20,
+                           test_size=20, seed=0)
+    config = PathGCNConfig(hidden_dim=4, path_length=3, seed=0)
+    params = train_node_classification(graph, config, epochs=3, patience=4).params
+    adj = cit.normalize_adjacency(graph)
+    rng, formed = np.random.default_rng(0), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "_path_gcn_product", counting_products(formed, 30))
+        for _ in range(config.eval_samples):
+            paths = cit.sample_citation_paths(graph, config, rng)
+            assert sorted(paths) == [2, 3]
+            cit.path_gcn_forward(graph, adj, params, paths)
+    assert formed == [] and list(graph.products) == [(2, 3)]
+
+
+@given(seed=st.integers(0, 10_000), path_length=st.integers(2, 3))
+def test_interleaved_inference_on_two_graphs_forms_each_graphs_products_once(seed,
+                                                                            path_length):
+    # each graph keeps its own layer-1 products, so forwarding one graph
+    # between another's draws evicts nothing: one product per graph and set
+    # of lengths, none on a second pass, and every logit equal to the
+    # forward with the memo bypassed, tolerance 0
+    graphs = [branching_citation_graph(seed), branching_citation_graph(seed + 1)]
+    config = PathGCNConfig(hidden_dim=4, path_length=path_length, seed=seed)
+    params = init_gcn_params(config, 5, graphs[0].n_classes)
+    adj = cit.normalize_adjacency(graphs[0])   # the two graphs share their edges
+    rng = np.random.default_rng(seed)
+    draws = [cit.sample_citation_paths(graphs[0], config, rng)
+             for _ in range(config.eval_samples)]
+    with T.no_grad():
+        want = [[cit.path_gcn_forward(g, adj, params, paths,
+                                      dropout=(np.array(g.features), None)).values
+                 for g in graphs] for paths in draws]
+    formed = []
+    with pytest.MonkeyPatch.context() as patch, T.no_grad():
+        patch.setattr(T, "_path_gcn_product", counting_products(formed, 5))
+        for _ in range(2):
+            got = [[cit.path_gcn_forward(g, adj, params, paths).values for g in graphs]
+                   for paths in draws]
+            assert all(np.array_equal(a, b) for row, want_row in zip(got, want)
+                       for a, b in zip(row, want_row))
+    lengths = {tuple(sorted(paths)) for paths in draws}
+    assert sorted(formed) == sorted(2 * list(lengths))
 
 
 def test_citation_eval_draws_lack_a_length_for_some_seeds():
