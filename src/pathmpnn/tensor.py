@@ -505,15 +505,25 @@ def attention(h, messages, roots, n: int, a, slope=0.2):
     return _make(out_values, (h, msgs, a), backward_fn, "attention")
 
 
-def _path_gcn_product(h, Ws, paths, products=None):
-    """path_gcn_layer's product, for an (n, f) array h and Ws in
-    path_gcn_layer's order: the joined weight [W | M...], z = h @ joined
-    and the width of one block, checked to be W's width for every block.
-    A read-only h that owns its data has (h, joined, z) kept in `products`
-    per set of path lengths, served again while h is the same object and
-    joined equals the kept one bit for bit (as int64, so -0.0 never passes
-    for 0.0 and NaNs compare by their bits): an in-place weight update
-    forms it anew. A writable h never enters it."""
+def _fixed(*arrays):
+    """Whether no one can change these arrays under a result kept from them:
+    read-only, and owning their data (a read-only view's base could change)."""
+    return all(not a.flags.writeable and a.flags.owndata for a in arrays)
+
+
+def _path_gcn_product(h, Ws, paths, adj, n, products=None):
+    """path_gcn_layer's product and first-order sum, for an (n, f) array h
+    and Ws in path_gcn_layer's order: the joined weight [W | M...], z = h @
+    joined, the width of one block, checked to be W's width for every block,
+    and the degree-normalized sum of z's W columns over adj's (src, dst,
+    weight) edges. A _fixed h has (h, joined, z, adj, sum) kept in
+    `products` per set of path lengths. Its product is served again while h
+    is the same object and every weight equals its columns of the kept
+    joined weight bit for bit (as int64, so -0.0 never passes for 0.0 and
+    NaNs compare by their bits): an in-place weight update forms it anew.
+    Its sum is served while adj is also the same object; a sum for another
+    adj with _fixed arrays replaces it, and one for any other adj is never
+    kept. A writable h never enters it."""
     blocks = 1 + sum(paths)   # the first-order block, then one per path position
     if len(Ws) != blocks:
         raise ShapeError(f"path_gcn_layer: {len(Ws)} weights for {blocks} blocks")
@@ -521,20 +531,36 @@ def _path_gcn_product(h, Ws, paths, products=None):
     if any(W.values.ndim != 2 or W.values.shape[1] != width for W in Ws):
         raise ShapeError(f"path_gcn_layer: weight shapes {[W.values.shape for W in Ws]} "
                          f"are not all {width} wide")
-    joined = np.concatenate([W.values for W in Ws], axis=1)
-    if h.ndim != 2 or h.shape[1] != joined.shape[0]:
-        raise ShapeError(f"path_gcn_layer: incompatible shapes {h.shape} and {joined.shape}")
-    if products is None or h.flags.writeable or not h.flags.owndata:
-        return joined, h @ joined, width
+    if h.ndim != 2 or any(W.values.shape[0] != h.shape[1] for W in Ws):
+        raise ShapeError(f"path_gcn_layer: incompatible shapes {h.shape} and "
+                         f"{[W.values.shape for W in Ws]}")
+
+    def first_order(z):
+        return _scatter_rows(adj.dst, z[:, :width][adj.src] * adj.weight[:, None], n)
+
+    if products is None or not _fixed(h):
+        joined = np.concatenate([W.values for W in Ws], axis=1)
+        z = h @ joined
+        return joined, z, width, first_order(z)
     key = tuple(sorted(paths))
-    entry = products.pop(key, (None, None, None))
-    if entry[0] is not h or not np.array_equal(entry[1].view(np.int64), joined.view(np.int64)):
+    entry = products.pop(key, None)
+    if entry is None or entry[0] is not h or not all(
+            np.array_equal(W.values.view(np.int64),
+                           entry[1][:, i * width:(i + 1) * width].view(np.int64))
+            for i, W in enumerate(Ws)):
         entry = None   # a stale product goes before the new one is formed
+        joined = np.concatenate([W.values for W in Ws], axis=1)
         z = h @ joined
         z.flags.writeable = False
-        entry = (h, joined, z)
+        entry = (h, joined, z, None, None)
+    _, joined, z, kept_adj, agg = entry
+    if kept_adj is not adj:
+        agg = first_order(z)
+        if _fixed(adj.src, adj.dst, adj.weight):
+            agg.flags.writeable = False
+            entry = (h, joined, z, adj, agg)
     products[key] = entry
-    return joined, entry[2], width
+    return joined, z, width, agg
 
 
 def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None, products=None):
@@ -549,12 +575,12 @@ def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None, products=None)
     does the composed ops' arithmetic in their order, so values and
     gradients are bit-identical to them (tests/oracles.py). It keeps the
     index tables, per-path scales and joined weight, not z or a per-path
-    row. z is kept in `products` for a read-only h (_path_gcn_product)."""
+    row. z and the first-order sum are kept in `products` for a read-only h
+    (_path_gcn_product)."""
     h, b = as_tensor(h), as_tensor(b)
     Ws = [as_tensor(W) for W in Ws]
-    joined, z, width = _path_gcn_product(h.values, Ws, paths, products)
+    joined, z, width, agg = _path_gcn_product(h.values, Ws, paths, adj, n, products)
     src, dst, edge_weight = adj.src, adj.dst, adj.weight[:, None]
-    agg = _scatter_rows(dst, z[:, :width][src] * edge_weight, n)
     groups = []
     lo = width
     for k, table in sorted(paths.items()):
@@ -788,11 +814,28 @@ class CheckpointError(ValueError):
 _MAX_NDIM = 32   # the most dimensions every numpy release holds (numpy 2 holds 64)
 
 
+@contextlib.contextmanager
+def open_replacing(path, mode="w"):
+    """A file to write `path` whole: a temporary file in its directory that
+    replaces it (os.replace) when the block ends, and is removed instead if
+    the block raises, leaving `path` as it was."""
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, mode) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
+
+
 def save_params(path, params, metadata=None):
     """Binary checkpoint: magic, JSON metadata block, then a flat list of
-    (name, shape, little-endian float64 values)."""
+    (name, shape, little-endian float64 values). Written whole
+    (open_replacing)."""
     meta = json.dumps(metadata or {}).encode("utf-8")
-    with open(path, "wb") as fh:
+    with open_replacing(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(meta)))
         fh.write(meta)
@@ -810,8 +853,9 @@ def save_params(path, params, metadata=None):
 
 def load_params(path):
     """Returns (params dict of Tensors with requires_grad, metadata dict).
-    Raises CheckpointError naming the file if it is no whole checkpoint, and
-    the parameter if its shape is impossible or a value is not finite."""
+    Raises CheckpointError naming the file if it is no whole checkpoint or
+    has bytes after its last parameter, and the parameter if its shape is
+    impossible or a value is not finite."""
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
 
@@ -843,6 +887,9 @@ def load_params(path):
             if not np.isfinite(values).all():
                 raise CheckpointError(f"{path}: parameter {name}: non-finite value")
             params[name] = Tensor(values.reshape(shape), requires_grad=True)
+        if fh.tell() != file_size:
+            raise CheckpointError(f"{path}: {file_size - fh.tell()} bytes after the last "
+                                  f"parameter")
     return params, metadata
 
 

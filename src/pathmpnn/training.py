@@ -13,7 +13,7 @@ from . import citation as cit
 from . import model as mdl
 from .molgraph import FeaturizerConfig, build_union, vocab_from_records
 from .tensor import (AdamState, adam_step, backward, cross_entropy, l2_penalty, no_grad,
-                     rmse_loss, zero_grad)
+                     open_replacing, rmse_loss, zero_grad)
 
 
 # -- metrics (the losses rmse_loss and cross_entropy are tensor's one-node ops)
@@ -135,8 +135,9 @@ def summarize_reports(reports) -> dict:
 
 def save_report(path, *reports: TrainReport):
     """One metrics object per line: each report's epochs, then its final
-    block. With more than one report, a summarize_reports line comes last."""
-    with open(path, "w") as fh:
+    block. With more than one report, a summarize_reports line comes last.
+    Written whole (tensor.open_replacing)."""
+    with open_replacing(path) as fh:
         for report in reports:
             for entry in report.epochs:
                 fh.write(json.dumps(entry) + "\n")

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -8,10 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+import pathmpnn.citation as cit
+import pathmpnn.paths as P
 import pathmpnn.tensor as T
 from oracles import citation_path_features
-from pathmpnn.citation import (CitationGraph, PathGCNConfig, _path_layer, gcn_forward,
-                               gcn_layer, init_gcn_params, normalize_adjacency,
+from pathmpnn.citation import (CitationGraph, NormalizedAdjacency, PathGCNConfig, _path_layer,
+                               gcn_forward, gcn_layer, init_gcn_params, normalize_adjacency,
                                path_gcn_forward, sample_citation_paths)
 from pathmpnn.model import ConfigError
 from pathmpnn.synth import synth_citation
@@ -378,17 +381,22 @@ def test_per_hop_mode_structure(k4):
     assert rng.bit_generator.state == before      # budget 0 draws nothing
 
 
-@pytest.mark.parametrize("graph_name", ["synthetic", "star", "k4", "k4 fixture"])
-@pytest.mark.parametrize("path_length", [2, 3, 4])
-def test_sampler_equals_per_draw_oracle(graph_name, path_length, k4):
+@pytest.mark.parametrize("graph_name, path_length", [
+    *((name, length) for name in ("synthetic", "star", "k4", "chain", "triangle and pendant")
+      for length in (2, 3, 4)),
+    ("chain", 5)])
+def test_sampler_equals_per_draw_oracle(graph_name, path_length):
     # tolerance 0: the same tables and the same rng end state over repeated
-    # draws, the first hops kept by the CitationGraph (built per draw for
-    # the fixture, which is no CitationGraph)
+    # draws, against the sampler that lists every extension again per draw.
+    # The chain's levels past hop 3 are empty; the triangle's pendant ends
+    # 2-paths, such as (1, 0, 3), that have no hop-3 extension
     k4_edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     graph = {"synthetic": lambda: synth_citation(n_nodes=200, seed=path_length),
              "star": lambda: tiny_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
              "k4": lambda: tiny_graph(4, k4_edges),
-             "k4 fixture": lambda: k4}[graph_name]()
+             "chain": lambda: tiny_graph(4, [(0, 1), (1, 2), (2, 3)]),
+             "triangle and pendant": lambda: tiny_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)]),
+             }[graph_name]()
     config = PathGCNConfig(path_length=path_length, per_hop_budget=1)
     for seed in range(4):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -399,6 +407,45 @@ def test_sampler_equals_per_draw_oracle(graph_name, path_length, k4):
             for k in want:
                 assert got[k].dtype == np.int64 and np.array_equal(got[k], want[k])
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("path_length", [2, 3, 4])
+def test_a_draw_after_the_first_lists_no_extensions(path_length):
+    # the graph keeps its sampling levels, so a later draw only picks; a
+    # draw deeper than any before builds the missing levels from the kept
+    # ones. Tolerance 0 against the per-draw sampler, rng end state included
+    graph = synth_citation(n_nodes=200, seed=path_length)
+    configs = [PathGCNConfig(path_length=2), PathGCNConfig(path_length=path_length)]
+    rng, oracle_rng = np.random.default_rng(0), np.random.default_rng(0)
+    got = [sample_citation_paths(graph, config, rng) for config in configs]
+
+    def refuse(*args):
+        raise AssertionError("a draw listed extensions")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((P, "extensions"), (cit, "extensions"), (cit, "_candidates")):
+            patch.setattr(module, name, refuse)
+        got += [sample_citation_paths(graph, configs[1], rng) for _ in range(3)]
+    want = [oracles.per_draw_sample_citation_paths(graph, config, oracle_rng)
+            for config in configs + 3 * configs[1:]]
+    for a, b in zip(got, want, strict=True):
+        assert list(a) == list(b) and all(np.array_equal(a[k], b[k]) for k in b)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_sampling_levels_of_the_benchmark_sized_network_hold_under_a_megabyte():
+    # one int64 per simple path of length 3, two per 2-path, and the CSR
+    # adjacency and one-edge paths: about 0.76 MB at seed 1
+    graph = synth_citation(n_nodes=800, n_features=1433, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sample_citation_paths(graph, PathGCNConfig(path_length=3), np.random.default_rng(0))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sorted(graph.first_hops[2]) == [2, 3]
+    assert held <= 1_000_000, held
 
 
 @pytest.mark.parametrize("budget", [-1, 2, 3])
@@ -592,11 +639,42 @@ def test_product_memo_holds_at_most_one_product_per_drawable_set_of_lengths(seed
 def test_product_memo_drops_a_collected_graphs_products():
     g, adj, params, paths = memo_case(4)
     memo_logits(g, adj, params, paths)
-    _, joined, z = g.products[tuple(sorted(paths))]
+    _, joined, z, _, _ = g.products[tuple(sorted(paths))]
     joined, z = weakref.ref(joined), weakref.ref(z)
     del g
     gc.collect()
     assert joined() is None and z() is None   # they went with the graph
+
+
+def test_kept_first_order_sum_is_served_only_for_its_own_read_only_adjacency():
+    # tolerance 0 against the composed layer, whichever adjacency comes:
+    # another read-only one replaces the kept sum, a writable one is never
+    # kept, not even after an in-place edit
+    g, adj, params, paths = memo_case(5)
+    key = tuple(sorted(paths))
+    Ws = [params["gcn1.W"]] + [params[f"path1.len{k}.M{pos}"]
+                               for k in sorted(paths) for pos in range(k)]
+
+    def check(a):
+        with T.no_grad():
+            got = _path_layer(Tensor(g.features), a, params, "1", paths, g.n, "relu",
+                              g.products).values
+            want = oracles.composed_path_gcn_layer(Tensor(g.features), Ws, params["gcn1.b"],
+                                                   a, paths, g.n, "relu").values
+        assert np.array_equal(got, want)
+        return g.products[key][3:]
+
+    assert not any(a.flags.writeable for a in (adj.src, adj.dst, adj.weight))
+    kept_adj, first_order = check(adj)
+    assert kept_adj is adj and not first_order.flags.writeable
+    assert check(adj)[1] is first_order
+    halved = normalize_adjacency(replace(g, edges=g.edges[::2], adjacency=None))
+    assert check(halved)[0] is halved
+    writable = NormalizedAdjacency(np.array(adj.src), np.array(adj.dst), adj.weight * 0.5)
+    for _ in range(2):
+        assert check(writable)[0] is halved
+        writable.weight[::3] *= 3.0
+    assert check(adj)[0] is adj
 
 
 def test_a_replaced_graph_starts_with_an_empty_memo():

@@ -575,6 +575,8 @@ def test_cli_eval_bad_checkpoints_exit_one(tmp_path, capsys):
 
     truncated = tmp_path / "truncated.ckpt"
     truncated.write_bytes(good.read_bytes()[:-5])
+    trailing = tmp_path / "trailing.ckpt"
+    trailing.write_bytes(good.read_bytes() + b"7 bytes")
     foreign = tmp_path / "foreign.ckpt"
     foreign.write_text("not a checkpoint at all\n")
     renamed = tmp_path / "renamed.ckpt"
@@ -588,6 +590,7 @@ def test_cli_eval_bad_checkpoints_exit_one(tmp_path, capsys):
     scalar = tmp_path / "scalar.ckpt"
     T.save_params(scalar, params, metadata={**meta, "model": 3})
     for path, message in ((truncated, "truncated checkpoint"),
+                          (trailing, "7 bytes after the last parameter"),
                           (foreign, "not a parameter checkpoint"),
                           (heads, "model: attention_heads is no longer a setting"),
                           (unknown, "model: unknown keys ['wrong']"),

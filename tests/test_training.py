@@ -139,6 +139,38 @@ def test_report_round_trip(tmp_path):
         load_reports(path)
 
 
+class Unwritable:
+    """A parameter or an epoch entry whose writing raises."""
+
+    @property
+    def values(self):
+        raise RuntimeError("cut off mid-write")
+
+    def __repr__(self):
+        return "Unwritable()"
+
+
+@pytest.mark.parametrize("writer", ["save_params", "save_report"])
+def test_a_write_that_raises_midway_leaves_the_previous_file_as_it_was(tmp_path, writer):
+    # each writer fills a temporary file beside the destination and replaces
+    # the destination only once the whole file is written
+    path = tmp_path / "out"
+    good = {"layer.W": T.Tensor(np.ones((3, 2)))}
+    report = TrainReport(epochs=[{"epoch": 1}], final={"test_mae": 0.3}, wall_clock=1.0,
+                         seed=7)
+    write = {"save_params": lambda broken: T.save_params(
+                 path, good | ({"layer.b": Unwritable()} if broken else {})),
+             "save_report": lambda broken: save_report(
+                 path, *([replace(report, seed=8), replace(report, epochs=[
+                     {"epoch": Unwritable()}])] if broken else [report]))}[writer]
+    write(False)
+    before = path.read_bytes()
+    with pytest.raises((RuntimeError, TypeError)):
+        write(True)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 def test_l2_penalty_decays_only_dense_maps():
     # path maps (path{layer}.len{k}.M{pos}) and biases are not decayed
     params = init_gcn_params(PathGCNConfig(per_hop_budget=1, path_length=3), 6, 2)
@@ -508,12 +540,12 @@ def counting_products(formed, width):
     `width` features wide."""
     product = T._path_gcn_product
 
-    def counted(h, Ws, paths, products=None):
-        kept = (products or {}).get(tuple(sorted(paths)), (None, None, None))[2]
-        joined, z, block = product(h, Ws, paths, products)
+    def counted(h, Ws, paths, adj, n, products=None):
+        kept = (products or {}).get(tuple(sorted(paths)), (None,) * 5)[2]
+        joined, z, block, first_order = product(h, Ws, paths, adj, n, products)
         if h.shape[1] == width and z is not kept:
             formed.append(tuple(sorted(paths)))
-        return joined, z, block
+        return joined, z, block, first_order
     return counted
 
 
