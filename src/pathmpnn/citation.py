@@ -50,17 +50,17 @@ class CitationGraph:
             self.adjacency = tuple(tuple(sorted(s)) for s in adj)
 
     @cached_property
-    def first_hops(self):
-        """What every path draw reads and no draw changes, the graph's
-        sampling levels: the CSR adjacency, the table of all one-edge paths
-        (root, neighbor), and per hop h >= 2, filled by _sampling_level on
-        the first draw that reaches h, the arrays (nxt, count, first): each
-        (h-1)-path's number of fresh one-edge extensions and the index of
-        its first among all h-paths, and each h-path's last node, row-major
-        as paths.extensions gives them. They hold one int64 per simple path
-        of length h and two per (h-1)-path, so they grow with the graph's
-        path counts (README). Replace the graph, do not edit its adjacency,
-        once paths have been drawn."""
+    def sampling_levels(self):
+        """What every path draw reads and no draw changes: the CSR
+        adjacency, the table of all one-edge paths (root, neighbor), and per
+        hop h >= 2, filled by _sampling_level on the first draw that reaches
+        h, the arrays (nxt, count, first): each (h-1)-path's number of fresh
+        one-edge extensions and the index of its first among all h-paths,
+        and each h-path's last node, row-major as paths.extensions gives
+        them. They hold one int64 per simple path of length h and two per
+        (h-1)-path, so they grow with the graph's path counts (README).
+        Replace the graph, do not edit its adjacency, once paths have been
+        drawn."""
         csr = csr_adjacency(self.adjacency)
         return csr, np.stack(extensions(np.arange(self.n)[:, None], csr), axis=1), {}
 
@@ -132,27 +132,36 @@ def init_gcn_params(config: PathGCNConfig, n_features: int, n_classes: int,
     return params
 
 
+_LEVEL_ROWS = 1 << 16   # paths extended at once while a level is built, bounding its temporaries
+
+
 def _candidates(table: np.ndarray, csr):
-    """The one-edge extensions of the paths in `table`: (row, next node)
-    row-major as paths.extensions gives them, each row's count and the
-    position of its first."""
-    row, nxt = extensions(table, csr)
-    count = np.bincount(row, minlength=len(table))
-    return row, nxt, count, np.cumsum(count) - count
+    """The one-edge extensions of the paths in `table` as a sampling level:
+    each extension's next node, row-major as paths.extensions gives them,
+    then each row's count and the position of its first. Listed
+    _LEVEL_ROWS rows at a time, so the candidates of a whole table are
+    never held at once."""
+    nxts, counts = [], []
+    for lo in range(0, max(len(table), 1), _LEVEL_ROWS):   # once for an empty table
+        rows = table[lo:lo + _LEVEL_ROWS]
+        row, nxt = extensions(rows, csr)
+        nxts.append(nxt)
+        counts.append(np.bincount(row, minlength=len(rows)))
+    count = np.concatenate(counts)
+    return np.concatenate(nxts), count, np.cumsum(count) - count
 
 
 def _sampling_level(graph: CitationGraph, hop: int):
-    """The graph's sampling level for `hop` (CitationGraph.first_hops),
+    """The graph's sampling level for `hop` (CitationGraph.sampling_levels),
     built on first use from the table of all (hop-1)-paths, which is grown
     again from the one-edge paths through the kept levels and then dropped.
     Levels are asked for in ascending order, so every shallower one is kept."""
-    csr, table, levels = graph.first_hops
+    csr, table, levels = graph.sampling_levels
     if hop not in levels:
         for h in range(2, hop):
             nxt, count, _ = levels[h]
             table = np.concatenate([table.repeat(count, axis=0), nxt[:, None]], axis=1)
-        _, nxt, count, first = _candidates(table, csr)
-        levels[hop] = nxt, count, first
+        levels[hop] = _candidates(table, csr)
     return levels[hop]
 
 
@@ -167,7 +176,7 @@ def sample_citation_paths(graph: CitationGraph, config: PathGCNConfig,
     count. Budget 0 returns {} without drawing from rng."""
     if config.per_hop_budget == 0:
         return {}
-    _, frontier, _ = graph.first_hops
+    _, frontier, _ = graph.sampling_levels
     idx = np.arange(len(frontier))
     groups = {}
     for hop in range(2, config.path_length + 1):

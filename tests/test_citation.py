@@ -381,10 +381,12 @@ def test_per_hop_mode_structure(k4):
     assert rng.bit_generator.state == before      # budget 0 draws nothing
 
 
+SAMPLER_GRAPHS = ["synthetic", "star", "k4", "chain", "triangle and pendant"]
+
+
 @pytest.mark.parametrize("graph_name, path_length", [
-    *((name, length) for name in ("synthetic", "star", "k4", "chain", "triangle and pendant")
-      for length in (2, 3, 4)),
-    ("chain", 5)])
+    pytest.param(name, length, id=f"{length}-{name}")
+    for length in (2, 3, 4, 5) for name in (SAMPLER_GRAPHS if length < 5 else ["chain"])])
 def test_sampler_equals_per_draw_oracle(graph_name, path_length):
     # tolerance 0: the same tables and the same rng end state over repeated
     # draws, against the sampler that lists every extension again per draw.
@@ -397,7 +399,10 @@ def test_sampler_equals_per_draw_oracle(graph_name, path_length):
              "chain": lambda: tiny_graph(4, [(0, 1), (1, 2), (2, 3)]),
              "triangle and pendant": lambda: tiny_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)]),
              }[graph_name]()
-    config = PathGCNConfig(path_length=path_length, per_hop_budget=1)
+    assert_draws_equal_per_draw_oracle(graph, PathGCNConfig(path_length=path_length))
+
+
+def assert_draws_equal_per_draw_oracle(graph, config):
     for seed in range(4):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
@@ -407,6 +412,17 @@ def test_sampler_equals_per_draw_oracle(graph_name, path_length):
             for k in want:
                 assert got[k].dtype == np.int64 and np.array_equal(got[k], want[k])
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("path_length", [3, 4, 5])
+def test_levels_built_a_few_paths_at_a_time_equal_the_per_draw_oracle(path_length,
+                                                                      monkeypatch):
+    # tolerance 0: a level built 7 paths at a time, with chunks that end
+    # mid-root and, on the chain, levels past hop 3 that are empty
+    monkeypatch.setattr(cit, "_LEVEL_ROWS", 7)
+    for graph in (synth_citation(n_nodes=60, seed=path_length),
+                  tiny_graph(4, [(0, 1), (1, 2), (2, 3)])):
+        assert_draws_equal_per_draw_oracle(graph, PathGCNConfig(path_length=path_length))
 
 
 @pytest.mark.parametrize("path_length", [2, 3, 4])
@@ -444,7 +460,7 @@ def test_sampling_levels_of_the_benchmark_sized_network_hold_under_a_megabyte():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert sorted(graph.first_hops[2]) == [2, 3]
+    assert sorted(graph.sampling_levels[2]) == [2, 3]
     assert held <= 1_000_000, held
 
 

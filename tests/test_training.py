@@ -146,9 +146,6 @@ class Unwritable:
     def values(self):
         raise RuntimeError("cut off mid-write")
 
-    def __repr__(self):
-        return "Unwritable()"
-
 
 @pytest.mark.parametrize("writer", ["save_params", "save_report"])
 def test_a_write_that_raises_midway_leaves_the_previous_file_as_it_was(tmp_path, writer):
