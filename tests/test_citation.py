@@ -273,6 +273,12 @@ def test_path_gcn_layer_is_one_tape_node():
     narrow[-1] = Tensor(narrow[-1].values[:, :-1])
     with pytest.raises(T.ShapeError, match="are not all .* wide"):
         T.path_gcn_layer(x, narrow, params["gcn2.b"], adj, paths, g.n)
+    # a path map with a row too many: the weights are not joined before the
+    # check, which names every weight's shape
+    tall = layer_weights(params, "2", paths)
+    tall[-1] = Tensor(np.vstack([tall[-1].values, tall[-1].values[:1]]))
+    with pytest.raises(T.ShapeError, match=r"incompatible shapes \(\d+, \d+\) and \["):
+        T.path_gcn_layer(x, tall, params["gcn2.b"], adj, paths, g.n)
 
 
 def test_zero_budget_reduces_to_plain_gcn_bit_exact():
