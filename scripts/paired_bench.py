@@ -18,6 +18,14 @@ between the medians exceeds the parent's interquartile range. The summary of
 the series is printed, then one line naming each end-to-end metric whose
 change median is worse than the parent's by more than its bound in
 BENCHMARK.json (a share of the parent's median), or saying that none is.
+The summary's method names the numpy and BLAS build the runs used, since
+indexing and product speeds move with it.
+
+The IQR flag alone does not make a gain: it also fires between two copies of
+the same commit. An A/A series of the parent against a second checkout of
+itself (BENCH_draw_levels_*, key citation-path-gcn-aa-seed1) flagged setup_s
+1.032x and train_s 0.975x. So a claim under about 5% needs its own A/A series
+(pass the parent's copy as --change, under its own --key) to be read against.
 """
 
 from __future__ import annotations
@@ -36,9 +44,16 @@ COMMAND = ("python3 perfbench/run.py --workload <workload> --seed <seed> "
            "--seconds {seconds:g} --trace 0")
 METHOD = ("alternating pairs of `python3 perfbench/run.py --workload W --seed S --seconds "
           "{seconds:g} --trace 0` on the parent commit and on the change, the side that runs "
-          "first alternating; {cpus} vCPUs, one BLAS thread. Quartiles are numpy's "
+          "first alternating; {cpus} vCPUs, one BLAS thread; {build}. Quartiles are numpy's "
           "linear-interpolation 25th and 75th percentiles; a win is a pair where the change "
           "reads better, ties counting for neither.")
+
+
+def numpy_build() -> str:
+    """The numpy version and the name and version of the BLAS it was built
+    against, as the perfbench runs (this interpreter's children) load them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -156,8 +171,8 @@ def main(argv=None) -> int:
     for side in SIDES:
         docs[side]["workloads"][key] = {"seed": args.seed, "runs": runs[side]}
         _write(paths[side], docs[side])
-    summary = summarize(docs, end_to_end,
-                        METHOD.format(seconds=args.seconds, cpus=os.cpu_count()))
+    summary = summarize(docs, end_to_end, METHOD.format(
+        seconds=args.seconds, cpus=os.cpu_count(), build=numpy_build()))
     _write(out / f"BENCH_{args.label}_summary.json", summary)
     json.dump(summary["workloads"][key], sys.stdout, indent=1)
     print()

@@ -166,7 +166,13 @@ def substructure_features(paths: np.ndarray, ring_table, groups) -> np.ndarray:
         member[list(g.member_nodes)] = True
     steps = paths[:, :-1] * n + paths[:, 1:]
     out = np.empty((len(paths), feature_width(k)))
-    out[:, :-2] = ring_table[paths[:, 1:]].reshape(len(paths), -1)
-    out[:, -2] = (bond_keys[bond_keys.searchsorted(steps)] == steps).any(axis=1)
-    out[:, -1] = member[paths].any(axis=1)
+    out[:, :-2] = ring_table.take(paths[:, 1:], axis=0).reshape(len(paths), -1)
+    on_bond = bond_keys.take(bond_keys.searchsorted(steps)) == steps
+    touches = member.take(paths)
+    # any(axis=1) over narrow rows, as |= column by column into column 0: several times faster
+    for j in range(1, k):
+        on_bond[:, 0] |= on_bond[:, j]
+    for j in range(1, k + 1):
+        touches[:, 0] |= touches[:, j]
+    out[:, -2], out[:, -1] = on_bond[:, 0], touches[:, 0]
     return out

@@ -182,11 +182,11 @@ def sample_citation_paths(graph: CitationGraph, config: PathGCNConfig,
     for hop in range(2, config.path_length + 1):
         nxt, count, first = _sampling_level(graph, hop)
         draws = rng.random(len(frontier))
-        count, first = count[idx], first[idx]
+        count, first = count.take(idx), first.take(idx)
         extended = np.flatnonzero(count)
-        idx = first[extended] + (draws[extended] * count[extended]).astype(np.int64)
-        # take: several times faster than fancy indexing on a narrow table
-        frontier = np.concatenate([frontier.take(extended, axis=0), nxt[idx][:, None]], axis=1)
+        idx = first.take(extended) + (draws.take(extended) * count.take(extended)).astype(np.int64)
+        frontier = np.concatenate([frontier.take(extended, axis=0), nxt.take(idx)[:, None]],
+                                  axis=1)
         if len(frontier):
             groups[hop] = frontier
     return groups

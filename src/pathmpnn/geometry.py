@@ -162,13 +162,13 @@ def geometry_features(coords, paths: np.ndarray) -> np.ndarray:
     k = paths.shape[1] - 1
     if not 1 <= k <= 3:
         raise ValueError(f"geometry features defined for lengths 1..3, got {k}")
-    coords = np.asarray(coords, dtype=np.float64)
-    bonds = coords[paths[:, 1:]] - coords[paths[:, :-1]]     # (P, k, 3)
+    points = np.asarray(coords, dtype=np.float64).take(paths, axis=0)   # (P, k+1, 3)
+    bonds = points[:, 1:] - points[:, :-1]                                # (P, k, 3)
     lengths = _norm(bonds)
     parts = [lengths]
     if k >= 2:
         # angle at w between w->v and w->y; |w->v| is the bond length exactly
-        a, b = coords[paths[:, :-2]] - coords[paths[:, 1:-1]], bonds[:, 1:]
+        a, b = points[:, :-2] - points[:, 1:-1], bonds[:, 1:]
         na, nb = lengths[:, :-1], lengths[:, 1:]
         bad = (na < NORM_EPS) | (nb < NORM_EPS)
         if bad.any():
@@ -184,6 +184,8 @@ def geometry_features(coords, paths: np.ndarray) -> np.ndarray:
         phi = np.arctan2(_dot(_cross(n1, n2), b2_hat), _dot(n1, n2))
         phi[phi <= -np.pi] = np.pi
         torsion = np.stack([np.cos(phi), np.sin(phi), np.zeros(len(phi))], axis=1)
-        torsion[(_norm(normals) < NORM_EPS).any(axis=1)] = (1.0, 0.0, 1.0)   # collinear
+        norms = _norm(normals)
+        collinear = (norms[:, 0] < NORM_EPS) | (norms[:, 1] < NORM_EPS)
+        torsion[collinear] = (1.0, 0.0, 1.0)
         parts.append(torsion)
     return np.concatenate(parts, axis=1)

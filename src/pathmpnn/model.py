@@ -94,7 +94,8 @@ def featurize(graph: GraphUnion, config: ModelConfig) -> GraphBatch:
         cache = {}
         for k, paths in tables.items():
             steps = paths[:, :-1] * n + paths[:, 1:]
-            parts = [graph.edge_attr[edge_keys.searchsorted(steps)].reshape(len(paths), -1)]
+            edges = graph.edge_attr.take(edge_keys.searchsorted(steps), axis=0)
+            parts = [edges.reshape(len(paths), -1)]
             if path_features is not None:
                 parts.append(path_features(paths))
             cache[k] = PathGroup(paths, np.concatenate(parts, axis=1))
@@ -204,29 +205,32 @@ class GraphBatch:
     def row_ptr(self) -> dict[int, np.ndarray]:
         """Per length, each graph's row offset, from the owners graph_ids[paths[:, 0]]."""
         bounds = np.arange(self.n_graphs + 1)
-        return {k: np.searchsorted(self.graph_ids[g.paths[:, 0]], bounds)
+        return {k: np.searchsorted(self.graph_ids.take(g.paths[:, 0]), bounds)
                 for k, g in self.cache.items()}
 
 
 def _ranges(ptr: np.ndarray, idx: np.ndarray):
     """The ranges ptr[i]:ptr[i+1] for i in idx end to end, and their offsets."""
-    counts = ptr[idx + 1] - ptr[idx]
+    start = ptr.take(idx)
+    counts = ptr.take(idx + 1) - start
     offsets = np.concatenate([[0], counts.cumsum()])
-    return np.arange(offsets[-1]) + (ptr[idx] - offsets[:-1]).repeat(counts), offsets
+    return np.arange(offsets[-1]) + (start - offsets[:-1]).repeat(counts), offsets
 
 
 def take(batch: GraphBatch, idx) -> GraphBatch:
     """The sub-batch of the graphs idx, in that order, by offset arithmetic."""
     idx = np.asarray(idx, dtype=np.int64)
     nodes, ptr = _ranges(batch.ptr, idx)
-    shift = ptr[:-1] - batch.ptr[idx]          # each graph's new first node minus its old
+    shift = ptr[:-1] - batch.ptr.take(idx)     # each graph's new first node minus its old
     cache = {}
     for k, group in batch.cache.items():
         rows, offsets = _ranges(batch.row_ptr[k], idx)
         if len(rows):
-            paths = group.paths[rows] + shift.repeat(offsets[1:] - offsets[:-1])[:, None]
-            cache[k] = PathGroup(paths, group.static[rows])
-    return GraphBatch(batch.x[nodes], np.arange(len(idx)).repeat(ptr[1:] - ptr[:-1]), ptr, cache)
+            paths = (group.paths.take(rows, axis=0)
+                     + shift.repeat(offsets[1:] - offsets[:-1])[:, None])
+            cache[k] = PathGroup(paths, group.static.take(rows, axis=0))
+    return GraphBatch(batch.x.take(nodes, axis=0), np.arange(len(idx)).repeat(ptr[1:] - ptr[:-1]),
+                      ptr, cache)
 
 
 merge_batch = take   # the name perfbench/spans.py traces; nothing calls it, so it reads 0

@@ -33,14 +33,19 @@ def extensions(table: np.ndarray, csr) -> tuple[np.ndarray, np.ndarray]:
     lexicographic table row by row gives a lexicographic table."""
     indptr, indices = csr
     tips = table[:, -1]
-    start = indptr[tips]
-    count = indptr[tips + 1] - start
+    start = indptr.take(tips)
+    count = indptr.take(tips + 1) - start
     row = np.arange(len(table)).repeat(count)
     # position of each candidate in the flat neighbor array
     flat = np.arange(len(row)) + (start - (count.cumsum() - count)).repeat(count)
-    nxt = indices[flat]
-    fresh = (table[row] != nxt[:, None]).all(axis=1)
-    return row[fresh], nxt[fresh]
+    nxt = indices.take(flat)
+    # (table[row] != nxt[:, None]).all(axis=1), a column at a time: several
+    # times faster on narrow tables
+    on_path = table.take(row, axis=0)
+    fresh = on_path[:, 0] != nxt
+    for j in range(1, table.shape[1]):
+        fresh &= on_path[:, j] != nxt
+    return row.compress(fresh), nxt.compress(fresh)
 
 
 def enumerate_paths(graph, roots, max_length: int, *, cap: int = DEFAULT_PATH_CAP,
@@ -54,7 +59,7 @@ def enumerate_paths(graph, roots, max_length: int, *, cap: int = DEFAULT_PATH_CA
         csr = csr_adjacency(graph.adjacency)
     n = len(csr[0]) - 1
     roots = np.asarray(roots, dtype=np.int64)
-    bad = roots[(roots < 0) | (roots >= n)]
+    bad = roots.compress((roots < 0) | (roots >= n))
     if bad.size:
         raise ValueError(f"root {bad[0]} out of range for graph with {n} nodes")
     if max_length < 1:
@@ -66,14 +71,15 @@ def enumerate_paths(graph, roots, max_length: int, *, cap: int = DEFAULT_PATH_CA
     tables = {}
     for k in range(1, max_length + 1):
         row, nxt = extensions(table, csr)
-        emitted += np.bincount(owner[row], minlength=len(roots))
+        row_owner = owner.take(row)
+        emitted += np.bincount(row_owner, minlength=len(roots))
         over = (emitted > cap).nonzero()[0]
         if over.size:
             first_over = over[0]
-            keep = owner[row] < first_over
-            row, nxt = row[keep], nxt[keep]
-        table = np.concatenate([table[row], nxt[:, None]], axis=1)
-        owner = owner[row]
+            keep = row_owner < first_over
+            row, nxt, row_owner = row.compress(keep), nxt.compress(keep), row_owner.compress(keep)
+        table = np.concatenate([table.take(row, axis=0), nxt[:, None]], axis=1)
+        owner = row_owner
         if not len(table):
             break
         tables[k] = table

@@ -231,9 +231,9 @@ def _segment_softmax(scores, ids, n: int):
     seg_max = np.full((n,) + scores.shape[1:], -np.inf)
     np.maximum.at(seg_max, ids, scores)
     seg_max[~np.isfinite(seg_max)] = 0.0  # empty segments
-    shifted = np.exp(scores - seg_max[ids])
-    out = shifted / _scatter_rows(ids, shifted, n)[ids]
-    return out, lambda g: out * (g - _scatter_rows(ids, out * g, n)[ids])
+    shifted = np.exp(scores - seg_max.take(ids, axis=0))
+    out = shifted / _scatter_rows(ids, shifted, n).take(ids, axis=0)
+    return out, lambda g: out * (g - _scatter_rows(ids, out * g, n).take(ids, axis=0))
 
 
 _ACTIVATIONS = {None: _identity, "relu": _relu, "sigmoid": _sigmoid}
@@ -333,7 +333,7 @@ def segment_sum(a, segment_ids, num_segments: int):
     out_values = _scatter_rows(ids, a.values, num_segments)
 
     def backward_fn(g):
-        _accumulate(a, g[ids])
+        _accumulate(a, g.take(ids, axis=0))
 
     return _make(out_values, (a,), backward_fn, "segment_sum")
 
@@ -351,7 +351,7 @@ def segment_weighted_sum(weights, values, segment_ids, num_segments: int):
     out_values = _scatter_rows(ids, w.values * v.values, num_segments)
 
     def backward_fn(g):
-        g = g[ids]
+        g = g.take(ids, axis=0)
         if w.requires_grad:
             _accumulate(w, _unbroadcast(g * v.values, w.values.shape))
         if v.requires_grad:
@@ -366,7 +366,7 @@ def row_dot(a, q, indices):
     keepdims=True) as one op, with the same arithmetic forward and back."""
     a, q = as_tensor(a), as_tensor(q)
     idx = np.asarray(indices, dtype=np.int64)
-    gathered = q.values[idx]
+    gathered = q.values.take(idx, axis=0)
     if gathered.shape != a.values.shape:
         raise ShapeError(f"row_dot: rows {a.values.shape} vs gathered rows {gathered.shape}")
     out_values = (a.values * gathered).sum(axis=1, keepdims=True)
@@ -391,7 +391,7 @@ def segment_softmax(scores, segment_ids, num_segments: int):
 def gather_rows(a, indices):
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
-    out_values = a.values[idx]
+    out_values = a.values.take(idx, axis=0)
 
     def backward_fn(g):
         if a.requires_grad:
@@ -460,7 +460,7 @@ def path_message(h, paths, static, W, b):
     idx = np.asarray(paths, dtype=np.int64)
     n, d = h.values.shape
     width = idx.shape[1] * d
-    x, pre = _dense_values([h.values[idx].reshape(len(idx), width), static], W, b,
+    x, pre = _dense_values([h.values.take(idx, axis=0).reshape(len(idx), width), static], W, b,
                            "path_message")
     out_values, relu_grad = _relu(pre)
 
@@ -484,13 +484,13 @@ def attention(h, messages, roots, n: int, a, slope=0.2):
     h, msgs, a = as_tensor(h), as_tensor(messages), as_tensor(a)
     ids = np.asarray(roots, dtype=np.int64)
     d = h.values.shape[1]
-    x, s = _dense_values([h.values[ids], msgs.values], a, None, "attention")
+    x, s = _dense_values([h.values.take(ids, axis=0), msgs.values], a, None, "attention")
     scores, leaky_grad = _leaky_relu(s, slope)
     weights, softmax_grad = _segment_softmax(scores, ids, n)
     out_values = _scatter_rows(ids, weights * msgs.values, n)
 
     def backward_fn(g):
-        g = g[ids]
+        g = g.take(ids, axis=0)
         g_s = leaky_grad(softmax_grad(_unbroadcast(g * msgs.values, weights.shape)))
         if msgs.requires_grad:
             _accumulate(msgs, _unbroadcast(g * weights, msgs.values.shape))
@@ -536,7 +536,8 @@ def _path_gcn_product(h, Ws, paths, adj, n, products=None):
                          f"{[W.values.shape for W in Ws]}")
 
     def first_order(z):
-        return _scatter_rows(adj.dst, z[:, :width][adj.src] * adj.weight[:, None], n)
+        rows = z[:, :width].take(adj.src, axis=0)
+        return _scatter_rows(adj.dst, rows * adj.weight[:, None], n)
 
     if products is None or not _fixed(h):
         joined = np.concatenate([W.values for W in Ws], axis=1)
@@ -587,14 +588,14 @@ def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None, products=None)
         roots = table[:, 0]
         msg = None
         for pos in range(k):
-            zp = z[:, lo:lo + width][table[:, pos + 1]]
+            zp = z[:, lo:lo + width].take(table[:, pos + 1], axis=0)
             msg = zp if msg is None else msg + zp
             lo += width
         # per-root mean keeps the path term on the same scale as the
         # degree-normalized first-order aggregation
         counts = np.bincount(roots, minlength=n).astype(np.float64)
         counts[counts == 0] = 1.0
-        scale = 1.0 / counts[roots][:, None]
+        scale = 1.0 / counts.take(roots)[:, None]
         agg = agg + _scatter_rows(roots, msg * scale, n)
         groups.append((k, table, scale))
     out_values, activation_grad = _ACTIVATIONS[activation](agg + b.values)
@@ -607,10 +608,10 @@ def path_gcn_layer(h, Ws, b, adj, paths, n: int, activation=None, products=None)
         if not (h.requires_grad or weights_grad):
             return
         gz = np.zeros((n, joined.shape[1]))
-        gz[:, :width] += _scatter_rows(src, g[dst] * edge_weight, n)
+        gz[:, :width] += _scatter_rows(src, g.take(dst, axis=0) * edge_weight, n)
         lo = width
         for k, table, scale in groups:
-            g_msg = g[table[:, 0]] * scale
+            g_msg = g.take(table[:, 0], axis=0) * scale
             for pos in range(k):
                 gz[:, lo:lo + width] += _scatter_rows(table[:, pos + 1], g_msg, n)
                 lo += width
@@ -649,7 +650,7 @@ def cross_entropy(logits, labels, idx):
     constant, keeping the log-sum-exp stable without touching gradients."""
     logits = as_tensor(logits)
     idx = np.asarray(idx, dtype=np.int64)
-    picked = logits.values[idx]
+    picked = logits.values.take(idx, axis=0)
     z = picked - picked.max(axis=1, keepdims=True)
     ez = np.exp(z)
     sums = ez.sum(axis=1, keepdims=True)

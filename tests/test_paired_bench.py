@@ -114,3 +114,20 @@ def test_progress_lines_give_every_end_to_end_metric_of_both_sides(monkeypatch):
     change = " ".join(f"{name} {0.25 * (i + 1):g}" for i, name in enumerate(names))
     assert lines == [f"w seed 3 pair {pair}: parent {parent}; change {change}"
                      for pair in range(2)]
+
+
+def test_summary_method_names_the_numpy_and_blas_build(monkeypatch, tmp_path, capsys):
+    import numpy as np
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in END_TO_END}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(pb, "run_once", fake_run_once)
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    assert pb.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--label", "t",
+                    "--workload", "w", "--pairs", "1", "--seconds", "5"]) == 0
+    method = json.loads((tmp_path / "BENCH_t_summary.json").read_text())["method"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}" in method
+    assert "--seconds 5 --trace 0" in method
