@@ -22,7 +22,7 @@ from .model import ConfigError, ModelConfig, build_path_cache, init_params
 from .molgraph import FeaturizerConfig, MoleculeError, build_graph
 from .paths import PathExplosionError, enumerate_paths
 from .synth import TASKS, generate_molecules, synth_citation
-from .tensor import CheckpointError, load_params, save_params
+from .tensor import CheckpointError, load_params, open_replacing, save_params
 from .training import (evaluate_regression, save_report, summarize_reports,
                        train_node_classification, train_regression)
 
@@ -56,10 +56,14 @@ def cmd_paths(args) -> int:
 def cmd_featurize(args) -> int:
     dataset = load_dataset(args.input, args.explicit_h or None)
     config = ModelConfig(path_length=args.length, feature_mode=args.mode)
-    with open(args.out, "w") as fh:
+    with open_replacing(args.out) as fh:   # a failing molecule leaves --out as it was
         for record in dataset.records:
-            graph = build_graph(record, dataset.featurizer)
-            cache = build_path_cache(graph, config)     # its errors name the molecule
+            try:   # the molecule errors name the molecule; name the file too
+                graph = build_graph(record, dataset.featurizer)
+                cache = build_path_cache(graph, config)
+            except (MoleculeError, ConfigError, DegenerateGeometryError,
+                    PathExplosionError) as err:
+                raise type(err)(f"{args.input}: {err}") from None
             # a static row holds k edge feature blocks, then the mode's features
             rows = {k: g.static[:, k * graph.edge_dim:].tolist() for k, g in cache.items()}
             # per root in depth-first order, lengths interleaved

@@ -392,6 +392,27 @@ def test_cli_coincident_atoms_exit_one_naming_the_molecule(tmp_path, capsys):
     assert "runtime error" not in err
 
 
+def test_cli_featurize_failing_later_leaves_the_previous_output_and_names_the_input(
+        tmp_path, capsys):
+    # a good run, then a file whose second molecule has coincident atoms: the
+    # first run's output stays byte for byte, and the error names the input
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_molecule_file(good, synth_dihedral_sum(2, seed=0))
+    write_molecule_file(bad, synth_dihedral_sum(1, seed=5) + [COINCIDENT])
+    dump = tmp_path / "f.jsonl"
+    assert main(["featurize", "--input", str(good), "--mode", "geometry",
+                 "--length", "2", "--out", str(dump)]) == 0
+    before = dump.read_bytes()
+    assert before
+    capsys.readouterr()
+    assert main(["featurize", "--input", str(bad), "--mode", "geometry",
+                 "--length", "2", "--out", str(dump)]) == 1
+    assert dump.read_bytes() == before
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: molecule coincident: zero-length bond vector")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "f.jsonl", "good.jsonl"]
+
+
 def test_cli_train_eval_round_trip(tmp_path, capsys):
     data = tmp_path / "alc.jsonl"
     assert main(["synth", "--task", "alcohol-count", "--n", "40", "--seed", "3",

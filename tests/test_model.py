@@ -454,6 +454,14 @@ def test_featurize_finds_edge_rows_whatever_the_neighbour_order():
     assert rows[0] == rows[1]
 
 
+@pytest.mark.parametrize("bad", [2, 7])
+def test_take_of_a_graph_past_the_end_raises_index_error(bad):
+    batch = featurize(build_union([CIS, TRANS], FEAT),
+                      small_config(feature_mode="geometry", path_length=3))
+    with pytest.raises(IndexError):
+        take(batch, [0, bad])
+
+
 def assert_take_equals_merge(batch, graphs, config, idx):
     """take(batch, idx) against the reference merge of the graphs' own
     caches, every array at tolerance 0 with its dtype."""

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import AdjacencyGraph, random_graph
-from pathmpnn.paths import PathExplosionError, count_paths_oracle, enumerate_paths
+from pathmpnn.paths import (PathExplosionError, count_paths_oracle, csr_adjacency,
+                            enumerate_paths, extensions)
 
 
 def lengths_histogram(tables):
@@ -133,3 +134,51 @@ def test_roots_out_of_range_rejected(k4):
     for bad in ([4], [-1], [0, 7]):
         with pytest.raises(ValueError, match="out of range"):
             enumerate_paths(k4, bad, 2)
+
+
+def extensions_oracle(table, adjacency):
+    """paths.extensions one row at a time: each neighbour of the row's last
+    node, in adjacency order, that is not on the row."""
+    found = [(r, w) for r, path in enumerate(table.tolist())
+             for w in adjacency[path[-1]] if w not in path]
+    return (np.array([r for r, _ in found], dtype=np.int64),
+            np.array([w for _, w in found], dtype=np.int64))
+
+
+def assert_extensions_equal_oracle(graph, table):
+    got = extensions(table, csr_adjacency(graph.adjacency))
+    for got_part, want_part in zip(got, extensions_oracle(table, graph.adjacency)):
+        assert got_part.dtype == np.int64
+        assert np.array_equal(got_part, want_part)
+
+
+# 0 - 1 - 2 - 0 is a triangle, 2 - 3 a pendant edge, and node 4 has no neighbour
+TRIANGLE_PENDANT_ISOLATED = AdjacencyGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("table", [
+    [[4]],                      # a tip of degree 0
+    [[0, 1, 2]],                # every neighbour of the tip is on the path
+    [[2, 3]],                   # the pendant tip: its one neighbour is on the path
+    [[3, 2, 1, 0]],             # width 4: the tip's neighbours 1 and 2 are on the path
+    [[1, 0], [2, 0], [3, 2], [0, 1]],
+    [[0, 1, 2], [1, 0, 2], [3, 2, 0], [2, 0, 1]],
+], ids=["degree-0 tip", "all neighbours on the path", "pendant tip", "width 4",
+        "width 2 rows", "width 3 rows"])
+def test_extensions_edge_cases_equal_the_per_row_oracle(table):
+    assert_extensions_equal_oracle(TRIANGLE_PENDANT_ISOLATED, np.array(table, dtype=np.int64))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_extensions_of_an_empty_table_are_empty_int64(width):
+    assert_extensions_equal_oracle(TRIANGLE_PENDANT_ISOLATED, np.zeros((0, width), np.int64))
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 7), p=st.floats(0.0, 1.0),
+       width=st.integers(1, 4), rows=st.integers(0, 9))
+def test_extensions_equal_the_per_row_oracle(seed, n, p, width, rows):
+    # tolerance 0 and int64: any rows of nodes, repeats, isolated tips and
+    # rows holding every neighbour of their tip included
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, n, p)
+    assert_extensions_equal_oracle(graph, rng.integers(0, n, size=(rows, width)))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
@@ -551,6 +551,58 @@ def test_row_dot_equals_composed_form_exactly(rows, q_rows, width, needs_grad, s
             assert fused_grads[name] is None and composed_grads[name] is None
         else:
             assert np.array_equal(fused_grads[name], composed_grads[name]), name
+
+
+@given(ids=st.lists(st.integers(0, 4), min_size=2, max_size=12), width=st.integers(1, 4),
+       per_row=st.booleans(), seed=st.integers(0, 10_000))
+def test_row_ops_over_unsorted_repeated_ids_equal_composed_and_indexed_forms(ids, width,
+                                                                             per_row, seed):
+    # ids out of order that repeat: the gathers (take) and scatters must
+    # give what the composed ops and plain numpy fancy indexing give, at
+    # tolerance 0, forward and every gradient
+    assume(len(set(ids)) < len(ids) and ids != sorted(ids))
+    rng = np.random.default_rng(seed)
+    ids, n = np.array(ids), 5
+    rows = len(ids)
+    a = T.Tensor(rng.normal(size=(rows, width)), requires_grad=True)
+    q = T.Tensor(rng.normal(size=(n, width)), requires_grad=True)
+    probe = rng.normal(size=(rows, 1))
+    got, got_grads = _grads(lambda: T.row_dot(a, q, ids), {"a": a, "q": q}, T.Tensor(probe))
+    want, want_grads = _grads(lambda: oracles.composed_row_dot(a, q, ids), {"a": a, "q": q},
+                              T.Tensor(probe))
+    q_grad = np.zeros((n, width))
+    np.add.at(q_grad, ids, probe * a.values)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, (a.values * q.values[ids]).sum(axis=1, keepdims=True))
+    assert np.array_equal(got_grads["a"], want_grads["a"])
+    assert np.array_equal(got_grads["a"], probe * q.values[ids])
+    assert np.array_equal(got_grads["q"], want_grads["q"])
+    assert np.array_equal(got_grads["q"], q_grad)
+
+    w = T.Tensor(rng.normal(size=(rows, 1 if per_row else width)), requires_grad=True)
+    probe = rng.normal(size=(n, width))
+    inputs = {"w": w, "a": a}
+    got, got_grads = _grads(lambda: T.segment_weighted_sum(w, a, ids, n), inputs,
+                            T.Tensor(probe))
+    want, want_grads = _grads(lambda: oracles.composed_segment_weighted_sum(w, a, ids, n),
+                              inputs, T.Tensor(probe))
+    summed = np.zeros((n, width))
+    np.add.at(summed, ids, w.values * a.values)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, summed)
+    for name in inputs:
+        assert np.array_equal(got_grads[name], want_grads[name]), name
+    assert np.array_equal(got_grads["a"], probe[ids] * w.values)
+
+
+@pytest.mark.parametrize("bad", [3, -4])
+def test_gathers_past_either_end_raise_index_error(bad):
+    h = T.Tensor(np.ones((3, 2)), requires_grad=True)
+    with pytest.raises(IndexError):
+        T.gather_rows(h, [0, bad])
+    with pytest.raises(IndexError):
+        T.path_message(h, np.array([[0, 1], [bad, 2]]), np.ones((2, 1)), np.ones((5, 2)),
+                       np.zeros(2))
 
 
 def test_fused_readout_ops_are_gradchecked():
