@@ -10,8 +10,11 @@ taken on. On that build the hashes must match bit for bit; on another build,
 which may round differently, the sums must match at relative tolerance
 GOLDEN_REL_TOL.
 
-    python tests/test_golden.py           # print this build's outputs as JSON
-    python tests/test_golden.py --write   # store them in tests/golden.json
+    PYTHONPATH=src python tests/test_golden.py --write
+
+stores the outputs, taken in that subprocess, in tests/golden.json; without
+--write the script prints this process's outputs as JSON, which is what the
+subprocess does.
 
 A change that alters the numbers on purpose rewrites tests/golden.json and
 says why.
@@ -28,6 +31,10 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
+from pathmpnn import citation, model, synth, training
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden.json")
 GOLDEN_REL_TOL = 1e-9
@@ -40,7 +47,6 @@ REGRESSION_RUNS = (("geometry-l3", "dihedral-sum", "geometry", 3),
 
 def build() -> dict:
     """The numpy version and the BLAS numpy was built against."""
-    import numpy as np
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"),
@@ -50,7 +56,6 @@ def build() -> dict:
 def _entry(arrays: dict, report=None) -> dict:
     """sha1 of the arrays (sorted names, raw bytes), one sum per array, and
     the sha1 of the report without its wall clock."""
-    import numpy as np
     digest = hashlib.sha1()
     for name in sorted(arrays):
         digest.update(name.encode())
@@ -66,10 +71,6 @@ def _entry(arrays: dict, report=None) -> dict:
 
 def outputs() -> dict:
     """Run every golden run in this process and return the build and entries."""
-    import numpy as np
-
-    from pathmpnn import citation, model, synth, training
-
     def values(params):
         return {name: t.values for name, t in params.items()}
 
@@ -120,9 +121,8 @@ def test_seeded_runs_give_the_stored_outputs():
 
 
 if __name__ == "__main__":
-    doc = outputs()
     if sys.argv[1:] == ["--write"]:
-        GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
+        GOLDEN.write_text(json.dumps(run_outputs(), indent=1) + "\n")
     else:
-        json.dump(doc, sys.stdout, indent=1)
+        json.dump(outputs(), sys.stdout, indent=1)
         print()
