@@ -70,41 +70,38 @@ def ring_membership(graph) -> np.ndarray:
     return flags
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupMatch:
     """One functional group's footprint: member atoms and the bonds whose
     traversal marks a path as passing through the group."""
 
     name: str
-    member_nodes: frozenset
-    bonds: frozenset  # of frozenset({a, b})
+    member_nodes: np.ndarray  # (m,) int64, ascending
+    bonds: np.ndarray         # (b, 2) int64, each bond once per orientation, as edge_index rows
 
 
 def detect_alcohol(graph) -> GroupMatch:
-    """Hydroxyl oxygens.
+    """Hydroxyl oxygens, from the union's edge_index, elements and ptr.
 
     Heavy-atom convention: an O of degree 1 bonded to a C is taken as R-OH.
-    With explicit hydrogens (the O's molecule lists an H, graph.explicit_h
-    per node) the O must bond exactly one H and one C.
+    With explicit hydrogens (the O's molecule lists an H) the O must bond
+    exactly one H and one C.
     """
-    members: set[int] = set()
-    bonds: set[frozenset] = set()
-    for v, el in enumerate(graph.elements):
-        if el != "O":
-            continue
-        nbrs = graph.adjacency[v]
-        nbr_els = [graph.elements[w] for w in nbrs]
-        if graph.explicit_h[v]:
-            if sorted(nbr_els) != ["C", "H"]:
-                continue
-        else:
-            if len(nbrs) != 1 or nbr_els[0] != "C":
-                continue
-        members.add(v)
-        for w in nbrs:
-            members.add(w)
-            bonds.add(frozenset((v, w)))
-    return GroupMatch("alcohol", frozenset(members), frozenset(bonds))
+    n, (src, dst) = graph.n, graph.edge_index.T
+    element = np.array(graph.elements, dtype=str)
+    nbr = element.take(dst)
+    c_nbrs, h_nbrs = (np.bincount(src, weights=nbr == el, minlength=n) for el in "CH")
+    lists_h = False                  # per node, 0 or 1
+    if "H" in graph.elements:
+        h_before = np.concatenate([[0], (element == "H").cumsum()]).take(graph.ptr)
+        lists_h = (np.diff(h_before) > 0).repeat(np.diff(graph.ptr))
+    hydroxyl = ((element == "O") & (c_nbrs == 1) & (h_nbrs == lists_h)
+                & (np.bincount(src, minlength=n) == 1 + lists_h))   # and no other neighbour
+    out = hydroxyl.take(src)         # the edges leaving a hydroxyl O
+    member = hydroxyl.copy()
+    member[dst.compress(out)] = True
+    return GroupMatch("alcohol", np.flatnonzero(member),
+                      graph.edge_index.compress(out | hydroxyl.take(dst), axis=0))
 
 
 def detect_groups(graph) -> list[GroupMatch]:
@@ -141,9 +138,10 @@ def substructure_path_features(graph, nodes, ring_table=None, groups=None) -> Su
     on_bond = 0.0
     touches = 0.0
     for g in groups:
-        if any(frozenset(pair) in g.bonds for pair in zip(nodes, nodes[1:])):
+        bonds, members = set(map(tuple, g.bonds.tolist())), set(g.member_nodes.tolist())
+        if any(pair in bonds for pair in zip(nodes, nodes[1:])):
             on_bond = 1.0
-        if any(v in g.member_nodes for v in nodes):
+        if any(v in members for v in nodes):
             touches = 1.0
     return SubstructureFeatures(
         ring_flags=ring_table[list(nodes[1:])],
@@ -158,12 +156,11 @@ def substructure_features(paths: np.ndarray, ring_table, groups) -> np.ndarray:
     detect_groups: the stacked per-path vectors as a (P, feature_width(k))
     array. Group bonds are found by their keys a*n+b, not an (n, n) table."""
     n, k = len(ring_table), paths.shape[1] - 1
-    pairs = [tuple(pair) for g in groups for pair in g.bonds]
-    bond_keys = np.array(sorted([a * n + b for a, b in pairs] + [b * n + a for a, b in pairs])
-                         + [n * n], dtype=np.int64)   # n*n: above every key
+    bond_keys = np.sort(np.concatenate([g.bonds[:, 0] * n + g.bonds[:, 1] for g in groups]
+                                       + [[n * n]]))   # n*n: above every key
     member = np.zeros(n, dtype=bool)
     for g in groups:
-        member[list(g.member_nodes)] = True
+        member[g.member_nodes] = True
     steps = paths[:, :-1] * n + paths[:, 1:]
     out = np.empty((len(paths), feature_width(k)))
     out[:, :-2] = ring_table.take(paths[:, 1:], axis=0).reshape(len(paths), -1)

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import ConfigError
-from .paths import csr_adjacency, extensions
+from .paths import extensions
 from .tensor import (Tensor, add, gather_rows, glorot, matmul, mul, path_gcn_layer, relu,
                      segment_sum, zeros)
 
@@ -34,7 +34,6 @@ class CitationGraph:
     test_idx: np.ndarray
     n_classes: int = 0
     ids: tuple = ()                   # original document ids, dense order
-    adjacency: tuple = field(default=None, repr=False)
     # layer 1's z = features @ [W | M...] per set of path lengths (path_gcn_layer)
     products: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -42,26 +41,23 @@ class CitationGraph:
         self.features.flags.writeable = False   # replace the graph, do not edit it
         if self.n_classes == 0:
             self.n_classes = int(self.labels.max()) + 1 if self.n > 0 else 0
-        if self.adjacency is None:
-            adj = [set() for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            self.adjacency = tuple(tuple(sorted(s)) for s in adj)
 
     @cached_property
     def sampling_levels(self):
         """What every path draw reads and no draw changes: the CSR
-        adjacency, the table of all one-edge paths (root, neighbor), and per
-        hop h >= 2, filled by _sampling_level on the first draw that reaches
-        h, the arrays (nxt, count, first): each (h-1)-path's number of fresh
-        one-edge extensions and the index of its first among all h-paths,
-        and each h-path's last node, row-major as paths.extensions gives
-        them. They hold one int64 per simple path of length h and two per
-        (h-1)-path, so they grow with the graph's path counts (README).
-        Replace the graph, do not edit its adjacency, once paths have been
-        drawn."""
-        csr = csr_adjacency(self.adjacency)
+        adjacency of the edges (neighbours ascending, each once), the table
+        of all one-edge paths (root, neighbor), and per hop h >= 2, filled
+        by _sampling_level on the first draw that reaches h, the arrays
+        (nxt, count, first): each (h-1)-path's number of fresh one-edge
+        extensions and the index of its first among all h-paths, and each
+        h-path's last node, row-major as paths.extensions gives them. They
+        hold one int64 per simple path of length h and two per (h-1)-path,
+        so they grow with the graph's path counts (README). Replace the
+        graph, do not edit its edges, once paths have been drawn."""
+        u, v = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2).T
+        keys = np.unique(np.concatenate([u * self.n + v, v * self.n + u]))   # sorted (from, to)
+        indptr = np.concatenate([[0], np.bincount(keys // self.n, minlength=self.n).cumsum()])
+        csr = indptr, keys % self.n
         return csr, np.stack(extensions(np.arange(self.n)[:, None], csr), axis=1), {}
 
 

@@ -44,7 +44,7 @@ def cmd_paths(args) -> int:
     if args.length < 1:
         raise ConfigError(f"molecule {name}: --length must be >= 1, got {args.length}")
     try:
-        tables = enumerate_paths(graph, [args.node], args.length)
+        tables = enumerate_paths(graph.csr, [args.node], args.length)
     except PathExplosionError as err:
         raise PathExplosionError(f"molecule {name}: {err}") from None
     # lexicographic, a prefix before its extensions: depth-first order

@@ -198,11 +198,6 @@ def load_dataset(path, explicit_hydrogens: bool | None = None) -> MoleculeDatase
                            featurizer=FeaturizerConfig(vocab, bool(explicit_hydrogens)))
 
 
-def parse_molecule_file(path) -> list[MoleculeRecord]:
-    """The molecules of a file load_dataset reads."""
-    return load_dataset(path).records
-
-
 def write_molecule_file(path, records, element_vocab=None,
                         explicit_hydrogens=False):
     vocab = vocab_from_records(records) if element_vocab is None else element_vocab

@@ -90,7 +90,7 @@ def featurize(graph: GraphUnion, config: ModelConfig) -> GraphBatch:
     edge_keys = graph.edge_index[:, 0] * n + graph.edge_index[:, 1]
     try:
         path_features = path_feature_fn(graph, config.feature_mode)
-        tables = enumerate_paths(None, np.arange(n), config.path_length, csr=graph.csr)
+        tables = enumerate_paths(graph.csr, np.arange(n), config.path_length)
         cache = {}
         for k, paths in tables.items():
             steps = paths[:, :-1] * n + paths[:, 1:]
@@ -275,7 +275,7 @@ def forward_batched(batch: GraphBatch, params, config: ModelConfig):
 
 
 def forward_base_mpnn(graph, params, config: ModelConfig):
-    """Classic first-order MPNN, written directly over the adjacency list.
+    """Classic first-order MPNN, written directly over the edge list.
 
     Independent of the path machinery; must agree with forward() when
     path_length=1 in base feature mode (same parameters apply).

@@ -121,7 +121,8 @@ class GraphUnion:
     each bond once per orientation, in union node indices, sorted by (v, w):
     node by node, neighbours ascending. edge_attr holds each edge's bond
     order one-hot, then the bond length when there are coordinates; it keeps
-    its width e when there are no bonds."""
+    its width e when there are no bonds. Every array is made read-only, so
+    the cached csr and adjacency stay those of edge_index."""
     ptr: np.ndarray
     node_features: np.ndarray          # (n, f)
     edge_index: np.ndarray             # (E, 2) int64, sorted (v, w)
@@ -129,6 +130,11 @@ class GraphUnion:
     elements: tuple[str, ...]
     coords: np.ndarray | None          # (n, 3), when every molecule has coordinates
     ids: tuple[str, ...]
+
+    def __post_init__(self):
+        for a in (self.ptr, self.node_features, self.edge_index, self.edge_attr, self.coords):
+            if a is not None:
+                a.setflags(write=False)   # replace the graph, do not edit it
 
     @property
     def n(self) -> int:
@@ -146,21 +152,14 @@ class GraphUnion:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices): node v's neighbours are indices[indptr[v]:indptr[v+1]]."""
         degree = np.bincount(self.edge_index[:, 0], minlength=self.n)
-        return np.concatenate([[0], degree.cumsum()]), self.edge_index[:, 1]
+        indptr = np.concatenate([[0], degree.cumsum()])
+        indptr.setflags(write=False)
+        return indptr, self.edge_index[:, 1]
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
         indptr, indices = (a.tolist() for a in self.csr)
         return [indices[a:b] for a, b in zip(indptr, indptr[1:])]
-
-    @cached_property
-    def explicit_h(self) -> list[bool]:
-        """Per node, whether its molecule lists a hydrogen (chem.detect_alcohol's convention)."""
-        ptr = self.ptr.tolist()
-        return [h for a, b in zip(ptr, ptr[1:]) for h in ("H" in self.elements[a:b],) * (b - a)]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def molecule(self, i: int) -> GraphUnion:
         """Molecule i alone, in its own node indices."""
@@ -172,9 +171,9 @@ class GraphUnion:
 
 
 def build_graph(record: MoleculeRecord, config: FeaturizerConfig) -> GraphUnion:
-    """One molecule's featurized graph: a GraphUnion of one, every array
-    read-only. build_union gives the same arrays for many records at once;
-    for one record this Python loop is the faster.
+    """One molecule's featurized graph: a GraphUnion of one. build_union
+    gives the same arrays for many records at once; for one record this
+    Python loop is the faster.
 
     Heavy-atom mode (the default) drops hydrogens and bonds to them;
     explicit-hydrogen mode keeps everything. Unknown element symbols are
@@ -219,9 +218,6 @@ def build_graph(record: MoleculeRecord, config: FeaturizerConfig) -> GraphUnion:
     for v, el in enumerate(elements):
         node_features[v, vocab_index[el]] = 1.0
         node_features[v, -1] = float(len(edge_of[v]))
-    for a in (node_features, edge_index, edge_attr, coords):
-        if a is not None:
-            a.setflags(write=False)
     return GraphUnion(np.array([0, n]), node_features, edge_index, edge_attr, elements, coords,
                       (record.id,))
 

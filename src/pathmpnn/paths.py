@@ -1,12 +1,10 @@
-"""Simple-path enumeration on anything exposing .n and
-.adjacency (sorted neighbor tuples). Paths come as node tables: {length k:
-(P, k+1) int64 array}, lengths ascending and only those with paths, rows
-root-major (roots in the order given) and lexicographic within a root.
+"""Simple-path enumeration over a graph's CSR adjacency (indptr, indices),
+neighbours ascending. Paths come as node tables: {length k: (P, k+1) int64
+array}, lengths ascending and only those with paths, rows root-major (roots
+in the order given) and lexicographic within a root.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate, chain, product
 
 import numpy as np
 
@@ -15,15 +13,6 @@ DEFAULT_PATH_CAP = 100_000
 
 class PathExplosionError(RuntimeError):
     """Enumeration exceeded the path cap."""
-
-
-def csr_adjacency(adjacency) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of an adjacency list: the neighbors of v are
-    indices[indptr[v]:indptr[v+1]], in adjacency order."""
-    indptr = np.array([0, *accumulate(map(len, adjacency))], dtype=np.int64)
-    indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
-                          count=int(indptr[-1]))
-    return indptr, indices
 
 
 def extensions(table: np.ndarray, csr) -> tuple[np.ndarray, np.ndarray]:
@@ -48,15 +37,13 @@ def extensions(table: np.ndarray, csr) -> tuple[np.ndarray, np.ndarray]:
     return row.compress(fresh), nxt.compress(fresh)
 
 
-def enumerate_paths(graph, roots, max_length: int, *, cap: int = DEFAULT_PATH_CAP,
-                    csr=None) -> dict[int, np.ndarray]:
-    """All simple paths of length 1..max_length from the roots, each length's
-    table extended from the previous one, over the graph's csr_adjacency (or
-    `csr`, if given; the graph is then not read). More than `cap` paths from
-    one root raise PathExplosionError naming the first such root in `roots`;
-    once one crosses, only the roots before it are extended (they may cross later)."""
-    if csr is None:
-        csr = csr_adjacency(graph.adjacency)
+def enumerate_paths(csr, roots, max_length: int, *,
+                    cap: int = DEFAULT_PATH_CAP) -> dict[int, np.ndarray]:
+    """All simple paths of length 1..max_length from the roots over a graph's
+    csr, each length's table extended from the previous one. More than `cap`
+    paths from one root raise PathExplosionError naming the first such root
+    in `roots`; once one crosses, only the roots before it are extended (they
+    may cross later)."""
     n = len(csr[0]) - 1
     roots = np.asarray(roots, dtype=np.int64)
     bad = roots.compress((roots < 0) | (roots >= n))
@@ -89,24 +76,3 @@ def enumerate_paths(graph, roots, max_length: int, *, cap: int = DEFAULT_PATH_CA
             "use a shorter path length")
     return tables
 
-
-def count_paths_oracle(graph, v: int, max_length: int) -> dict[int, int]:
-    """Exhaustive path counter used to cross-check enumerate_paths.
-
-    Checks every node sequence of each length for adjacency and
-    distinctness; no search tree shared with the enumerator. Intended for
-    small graphs (n <= 12).
-    """
-    adj_sets = [set(nbrs) for nbrs in graph.adjacency]
-    counts: dict[int, int] = {}
-    nodes = range(graph.n)
-    for length in range(1, max_length + 1):
-        c = 0
-        for tail in product(nodes, repeat=length):
-            seq = (v,) + tail
-            if len(set(seq)) != length + 1:
-                continue
-            if all(b in adj_sets[a] for a, b in zip(seq, seq[1:])):
-                c += 1
-        counts[length] = c
-    return counts

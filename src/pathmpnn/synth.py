@@ -95,7 +95,7 @@ def synth_dihedral_sum(n_molecules: int, seed: int = 0) -> list[MoleculeRecord]:
         record = MoleculeRecord(id=f"dih{idx}", elements=elements,
                                 bonds=tuple(bonds), coords=coords)
         graph = build_graph(record, featurizer)
-        chains = enumerate_paths(graph, range(graph.n), 3)
+        chains = enumerate_paths(graph.csr, range(graph.n), 3)
         total = 0.0
         if 3 in chains:   # column 5 of a length-3 geometry row is the dihedral cosine
             for cos in geometry_features(graph.coords, chains[3])[:, 5].tolist():
@@ -110,7 +110,7 @@ def synth_solubility(n_molecules: int, seed: int = 0) -> list[MoleculeRecord]:
     """Solubility-flavored single-target regression: the target is a linear
     blend of size, hydroxyl count and ring membership plus noise, roughly on
     the log-solubility scale."""
-    from .chem import ring_membership
+    from .chem import detect_alcohol, ring_membership
 
     rng = np.random.default_rng(seed)
     records = []
@@ -146,10 +146,7 @@ def synth_solubility(n_molecules: int, seed: int = 0) -> list[MoleculeRecord]:
         record = MoleculeRecord(id=f"sol{idx}", elements=elements,
                                 bonds=tuple(bonds))
         graph = build_graph(record, FeaturizerConfig(("C", "N", "O")))
-        n_hydroxyl = sum(
-            1 for v in range(graph.n)
-            if graph.elements[v] == "O" and graph.degree(v) == 1
-            and graph.elements[graph.adjacency[v][0]] == "C")
+        n_hydroxyl = len(detect_alcohol(graph).bonds) // 2   # heavy atoms: one C-O bond each
         ring_atoms = float(ring_membership(graph)[:, -1].sum())
         target = (1.2 - 0.28 * n_atoms + 1.1 * n_hydroxyl
                   - 0.15 * ring_atoms + rng.normal(0, 0.15))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import pathmpnn.tensor as T
+from oracles import adjacency_oracle, csr_of
 from pathmpnn.gradchecks import probe_molecule
 from pathmpnn.molgraph import build_graph
 
@@ -28,15 +29,12 @@ def probe_graph():
 
 
 class AdjacencyGraph:
-    """Bare graph for the path engine: just n and adjacency."""
+    """Bare graph for the path engine: n, its neighbour tuples and their CSR."""
 
     def __init__(self, n, edges):
         self.n = n
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adjacency = tuple(tuple(sorted(s)) for s in adj)
+        self.adjacency = adjacency_oracle(n, edges)
+        self.csr = csr_of(self.adjacency)
 
 
 @pytest.fixture

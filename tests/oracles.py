@@ -1,14 +1,16 @@
 """Reference forms for the property tests: the primitive ops that only the
 composed forms use, the per-op forms that the library's fused ops and
 losses replaced, built from the primitive ops (or plain numpy), the
-per-tensor Adam step, the brute-force ring flags, the join of built graphs,
-the per-graph batch merge, the citation sampler that rebuilds its first hops
-on every draw, the final citation evaluation with one whole forward per path
-draw, the per-bond edge feature dict that molgraph's edge arrays replaced,
-and the per-line, per-token citation file parser."""
+per-tensor Adam step, the exhaustive path counter, the neighbour sets of an
+edge list and their CSR, the per-node alcohol detector, the brute-force ring
+flags, the join of built graphs, the per-graph batch merge, the citation
+sampler that rebuilds its first hops on every draw, the final citation
+evaluation with one whole forward per path draw, the per-bond edge feature
+dict that molgraph's edge arrays replaced, and the per-line, per-token
+citation file parser."""
 
 import warnings
-from itertools import accumulate, chain, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations, product
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from pathmpnn.citation import CitationGraph
 from pathmpnn.data import DataFormatError
 from pathmpnn.model import GraphBatch, PathGroup
 from pathmpnn.molgraph import BOND_ORDERS, ConfigError, GraphUnion
-from pathmpnn.paths import csr_adjacency, extensions
+from pathmpnn.paths import extensions
 
 # -- primitive ops that no library code path records --------------------------
 
@@ -244,7 +246,7 @@ def per_draw_sample_citation_paths(graph, config, rng):
     and their extensions again on every draw, with the same rng calls."""
     if config.per_hop_budget == 0:
         return {}
-    csr = csr_adjacency(graph.adjacency)
+    csr = csr_of(adjacency_oracle(graph.n, graph.edges))
     frontier = np.stack(extensions(np.arange(graph.n)[:, None], csr), axis=1)
     groups = {}
     for hop in range(2, config.path_length + 1):
@@ -350,6 +352,66 @@ def per_column_propagate_step(h, cache, params, config, t):
         weights = composed_segment_softmax(scores, roots, n)
         m_v = T.segment_sum(T.mul(weights, messages), roots, n)
     return sigmoid(composed_dense([h, m_v], params[f"upd{t}.W"], params[f"upd{t}.b"]))
+
+
+def adjacency_oracle(n, edges) -> tuple:
+    """Each node's neighbours in an undirected edge list, ascending and once
+    each, by Python sets (duplicates, reversed duplicates and self-loops
+    included): the loop CitationGraph ran before it read its CSR off its
+    edges."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(tuple(sorted(s)) for s in adj)
+
+
+def csr_of(adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of neighbour lists: the neighbours of v are
+    indices[indptr[v]:indptr[v+1]], in list order."""
+    indptr = np.array([0, *accumulate(map(len, adjacency))], dtype=np.int64)
+    indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
+                          count=int(indptr[-1]))
+    return indptr, indices
+
+
+def count_paths_oracle(graph, v: int, max_length: int) -> dict[int, int]:
+    """Exhaustive path counter used to cross-check enumerate_paths.
+
+    Checks every node sequence of each length for adjacency and
+    distinctness; no search tree shared with the enumerator. Intended for
+    small graphs (n <= 12).
+    """
+    adj_sets = [set(nbrs) for nbrs in graph.adjacency]
+    counts: dict[int, int] = {}
+    nodes = range(graph.n)
+    for length in range(1, max_length + 1):
+        c = 0
+        for tail in product(nodes, repeat=length):
+            seq = (v,) + tail
+            if len(set(seq)) != length + 1:
+                continue
+            if all(b in adj_sets[a] for a, b in zip(seq, seq[1:])):
+                c += 1
+        counts[length] = c
+    return counts
+
+
+def alcohol_oracle(graph) -> tuple[list, list]:
+    """chem.detect_alcohol one node at a time over the union's neighbour
+    lists: (member nodes ascending, group bonds as (v, w) in both
+    orientations, ascending). An O bonds one C and nothing else, or, where
+    its molecule lists an H, exactly one C and one H."""
+    ptr = graph.ptr.tolist()
+    lists_h = [h for a, b in zip(ptr, ptr[1:]) for h in ("H" in graph.elements[a:b],) * (b - a)]
+    members, bonds = set(), set()
+    for v, el in enumerate(graph.elements):
+        nbrs = graph.adjacency[v]
+        nbr_els = sorted(graph.elements[w] for w in nbrs)
+        if el == "O" and nbr_els == (["C", "H"] if lists_h[v] else ["C"]):
+            members.update([v, *nbrs])
+            bonds.update(pair for w in nbrs for pair in ((v, w), (w, v)))
+    return sorted(members), sorted(bonds)
 
 
 def rings_oracle(graph) -> np.ndarray:

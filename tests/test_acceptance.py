@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from oracles import count_paths_oracle
 from pathmpnn.citation import PathGCNConfig, gcn_forward, init_gcn_params, \
     normalize_adjacency, path_gcn_forward
 from pathmpnn.gradchecks import full_model_gradcheck, probe_molecule
@@ -15,7 +16,7 @@ from pathmpnn.geometry import DegenerateGeometryError, dihedral
 from pathmpnn.model import (ModelConfig, build_path_cache, forward,
                             forward_base_mpnn, init_params)
 from pathmpnn.molgraph import FeaturizerConfig, MoleculeRecord, build_graph
-from pathmpnn.paths import count_paths_oracle, enumerate_paths
+from pathmpnn.paths import enumerate_paths
 from pathmpnn.data import parse_citation_files
 from pathmpnn.synth import (synth_alcohol_count, synth_citation,
                             synth_dihedral_sum, synth_solubility)
@@ -37,7 +38,7 @@ def test_criterion_1_path_enumeration_matches_oracle():
         graph = random_graph(rng, n, float(rng.choice([0.2, 0.5, 0.8])))
         root = int(rng.integers(n))
         for max_len in range(1, 5):
-            counts = {k: len(t) for k, t in enumerate_paths(graph, [root], max_len).items()}
+            counts = {k: len(t) for k, t in enumerate_paths(graph.csr, [root], max_len).items()}
             oracle = count_paths_oracle(graph, root, max_len)
             assert counts == {k: c for k, c in oracle.items() if c}, (n, root, max_len)
         checked += 1

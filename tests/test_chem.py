@@ -83,32 +83,33 @@ def test_ring_flags_permutation_equivariant(seed):
 
 def test_ethanol_alcohol_detected():
     match = detect_alcohol(ETHANOL)
-    assert 2 in match.member_nodes
-    assert frozenset((1, 2)) in match.bonds
+    assert 2 in match.member_nodes.tolist()
+    assert {(1, 2), (2, 1)} <= set(map(tuple, match.bonds.tolist()))
+    assert match.member_nodes.dtype == match.bonds.dtype == np.int64
 
 
 def test_ether_not_detected():
-    assert not detect_alcohol(DIMETHYL_ETHER).bonds
+    assert detect_alcohol(DIMETHYL_ETHER).bonds.shape == (0, 2)
 
 
 def test_explicit_hydrogen_mode():
     ethanol_h = molecule("CCOH", [(0, 1), (1, 2), (2, 3)], explicit_h=True)
     match = detect_alcohol(ethanol_h)
-    assert 2 in match.member_nodes
+    assert 2 in match.member_nodes.tolist()
     water_h = molecule("OHH", [(0, 1), (0, 2)], explicit_h=True)
-    assert not detect_alcohol(water_h).bonds
+    assert detect_alcohol(water_h).bonds.shape == (0, 2)
 
 
 def test_degree_one_oxygen_on_nitrogen_not_alcohol():
     n_oxide = molecule("CNO", [(0, 1), (1, 2)])
-    assert not detect_alcohol(n_oxide).bonds
+    assert detect_alcohol(n_oxide).bonds.shape == (0, 2)
 
 
 def test_disconnected_component_does_not_change_flags():
     combined = molecule("CCOCC", [(0, 1), (1, 2), (3, 4)])
     match = detect_alcohol(combined)
-    assert 2 in match.member_nodes
-    assert match.member_nodes == detect_alcohol(ETHANOL).member_nodes
+    assert 2 in match.member_nodes.tolist()
+    assert np.array_equal(match.member_nodes, detect_alcohol(ETHANOL).member_nodes)
 
 
 def test_alcohol_path_flags():
@@ -148,10 +149,10 @@ def test_random_molecules_match_pattern_oracle(seed):
     match = detect_alcohol(g)
     expected = {
         v for v in range(n)
-        if g.elements[v] == "O" and g.degree(v) == 1
+        if g.elements[v] == "O" and len(g.adjacency[v]) == 1
         and g.elements[g.adjacency[v][0]] == "C"
     }
-    assert {v for v in match.member_nodes if g.elements[v] == "O"} == expected
+    assert {v for v in match.member_nodes.tolist() if g.elements[v] == "O"} == expected
 
 
 def test_500_random_molecules_match_cycle_oracle():
@@ -170,7 +171,7 @@ def test_500_random_molecules_match_cycle_oracle():
 # -- batched flags against the per-path oracle; tolerance 0 (exact) ------------
 
 def assert_batched_flags_equal_oracle(g):
-    tables = enumerate_paths(g, range(g.n), 3)
+    tables = enumerate_paths(g.csr, range(g.n), 3)
     assert tables or g.n < 2
     for k, paths in tables.items():
         feats = substructure_features(paths, ring_membership(g), detect_groups(g))

@@ -347,12 +347,49 @@ def test_sampled_paths_are_simple_and_adjacent():
     g = synth_citation(n_nodes=50, seed=2)
     config = PathGCNConfig(per_hop_budget=1, seed=0)
     paths = sample_citation_paths(g, config, np.random.default_rng(3))
-    adj_sets = [set(nbrs) for nbrs in g.adjacency]
+    adj_sets = [set(nbrs) for nbrs in oracles.adjacency_oracle(g.n, g.edges)]
     for k, table in paths.items():
         for seq in table.tolist():
             assert len(seq) == k + 1 and len(set(seq)) == len(seq)
             for a, b in zip(seq, seq[1:]):
                 assert b in adj_sets[a]
+
+
+def directed_edges(graph):
+    return set(graph.edges) | {(v, u) for u, v in graph.edges}
+
+
+def sampled_steps(paths):
+    """Every consecutive node pair of every sampled path."""
+    return [step for table in paths.values() for row in table.tolist()
+            for step in zip(row, row[1:])]
+
+
+def test_a_graph_replaced_with_fewer_edges_samples_only_its_own_edges():
+    g = synth_citation(n_nodes=60, n_features=20, seed=3)
+    halved = replace(g, edges=g.edges[::2])
+    steps = sampled_steps(sample_citation_paths(halved, PathGCNConfig(path_length=3),
+                                                np.random.default_rng(0)))
+    assert steps and set(steps) <= directed_edges(halved)
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 12), m=st.integers(0, 40),
+       keep=st.floats(0.0, 1.0))
+def test_the_sampling_csr_is_the_edge_sets_of_the_graph_and_of_a_replaced_one(seed, n, m,
+                                                                              keep):
+    # exact, int64: for a graph and for replace(graph, edges=subset), the
+    # CSR equals the Python-set oracle over the graph's own edges, with
+    # duplicates, reversed duplicates, self-loops and isolated nodes; every
+    # step of every sampled path is one of those edges
+    rng = np.random.default_rng(seed)
+    edges = [tuple(rng.integers(n, size=2).tolist()) for _ in range(m)]
+    g = tiny_graph(n, edges)
+    for graph in (g, replace(g, edges=tuple(e for e in edges if rng.random() < keep))):
+        want = oracles.csr_of(oracles.adjacency_oracle(graph.n, graph.edges))
+        for got, oracle in zip(graph.sampling_levels[0], want, strict=True):
+            assert got.dtype == np.int64 and np.array_equal(got, oracle)
+        paths = sample_citation_paths(graph, PathGCNConfig(path_length=3), rng)
+        assert set(sampled_steps(paths)) <= directed_edges(graph)
 
 
 def test_per_hop_uniform_choices(k4):
@@ -482,7 +519,7 @@ def per_partial_path_oracle(graph, config, rng):
     over the frontier; returns {length: (roots, non-root columns)}."""
     by_len = {k: ([], []) for k in range(2, config.path_length + 1)}
     if config.per_hop_budget > 0:
-        adj = graph.adjacency
+        adj = oracles.adjacency_oracle(graph.n, graph.edges)
         frontier = [(v, w) for v in range(graph.n) for w in adj[v]]
         for hop in range(2, config.path_length + 1):
             draws = rng.random(len(frontier))
@@ -690,7 +727,7 @@ def test_kept_first_order_sum_is_served_only_for_its_own_read_only_adjacency():
     kept_adj, first_order = check(adj)
     assert kept_adj is adj and not first_order.flags.writeable
     assert check(adj)[1] is first_order
-    halved = normalize_adjacency(replace(g, edges=g.edges[::2], adjacency=None))
+    halved = normalize_adjacency(replace(g, edges=g.edges[::2]))
     assert check(halved)[0] is halved
     writable = NormalizedAdjacency(np.array(adj.src), np.array(adj.dst), adj.weight * 0.5)
     for _ in range(2):

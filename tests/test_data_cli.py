@@ -12,8 +12,7 @@ import pathmpnn.tensor as T
 from pathmpnn.citation import PathGCNConfig
 from pathmpnn.cli import main
 from pathmpnn.data import (DataFormatError, RunConfig, load_dataset, load_run_config,
-                           parse_citation_files, parse_molecule_file,
-                           run_config_from_dict, write_citation_files,
+                           parse_citation_files, run_config_from_dict, write_citation_files,
                            write_molecule_file)
 from pathmpnn.geometry import geometry_path_features
 from pathmpnn.model import ConfigError, ModelConfig
@@ -34,14 +33,14 @@ P4 = MoleculeRecord("p4", ("C", "C", "C", "C"),
 def test_empty_file_parses_to_no_records(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert parse_molecule_file(path) == []
+    assert load_dataset(path).records == []
 
 
 def test_molecule_file_round_trip(tmp_path):
     records = synth_dihedral_sum(4, seed=0)
     path = tmp_path / "mols.jsonl"
     write_molecule_file(path, records)
-    back = parse_molecule_file(path)
+    back = load_dataset(path).records
     assert [r.id for r in back] == [r.id for r in records]
     for a, b in zip(records, back):
         assert a.elements == b.elements and a.bonds == b.bonds
@@ -54,14 +53,14 @@ def test_malformed_line_reports_line_number(tmp_path):
     path.write_text('{"element_vocab": ["C"]}\n{"id": "a", "elements": ["C"], '
                     '"bonds": []}\nnot json\n')
     with pytest.raises(DataFormatError, match=r"bad.jsonl:3"):
-        parse_molecule_file(path)
+        load_dataset(path)
 
 
 def test_missing_field_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "elements": ["C"]}\n')
     with pytest.raises(DataFormatError, match=r"bad.jsonl:1.*bonds"):
-        parse_molecule_file(path)
+        load_dataset(path)
 
 
 def test_invalid_bond_reports_line(tmp_path):
@@ -69,7 +68,7 @@ def test_invalid_bond_reports_line(tmp_path):
     path.write_text(json.dumps({
         "id": "a", "elements": ["C", "C"], "bonds": [[0, 5, "single"]]}) + "\n")
     with pytest.raises(DataFormatError, match="dangling bond"):
-        parse_molecule_file(path)
+        load_dataset(path)
 
 
 def test_header_vocabulary_wins(tmp_path):
@@ -359,7 +358,7 @@ def test_cli_synth_featurize(tmp_path, capsys):
     for record in dataset.records:
         graph = build_graph(record, dataset.featurizer)
         for v in range(graph.n):
-            found = sorted(tuple(p) for t in enumerate_paths(graph, [v], 3).values()
+            found = sorted(tuple(p) for t in enumerate_paths(graph.csr, [v], 3).values()
                            for p in t.tolist())
             expected += [{"molecule": record.id, "path": list(p),
                           "features": geometry_path_features(graph, p).to_vector().tolist()}

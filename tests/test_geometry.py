@@ -25,7 +25,7 @@ def tree_graph(coords, edges):
 
 def tables_by_length(g):
     """Every path of g up to length 3, one node table per length."""
-    return enumerate_paths(g, range(g.n), 3)
+    return enumerate_paths(g.csr, range(g.n), 3)
 
 
 def oracle_rows(g, paths):
@@ -117,7 +117,7 @@ def test_collinear_dihedral_raises():
 
 def test_path_features_trans_chain():
     g = chain_graph(TRANS)
-    (p3,) = map(tuple, enumerate_paths(g, [0], 3)[3].tolist())
+    (p3,) = map(tuple, enumerate_paths(g.csr, [0], 3)[3].tolist())
     feats = geometry_path_features(g, p3)
     assert feats.dihedral_cos == pytest.approx(-1.0)
     assert feats.dihedral_sin == pytest.approx(0.0, abs=1e-12)
@@ -149,7 +149,7 @@ def test_rigid_motion_invariance_100_trials():
     base = np.array([[0.0, 0, 0], [1.4, 0.2, 0.1], [2.1, 1.3, -0.4],
                      [3.3, 1.1, 0.6]])
     g = chain_graph(base)
-    (p3,) = map(tuple, enumerate_paths(g, [0], 3)[3].tolist())
+    (p3,) = map(tuple, enumerate_paths(g.csr, [0], 3)[3].tolist())
     reference = geometry_path_features(g, p3).to_vector()
     for _ in range(100):
         rot = random_rotation(rng)
@@ -162,7 +162,7 @@ def test_dihedral_sin_is_the_only_chirality_sensitive_entry():
     rng = np.random.default_rng(11)
     base = rng.normal(size=(4, 3)) * 2.0
     g = chain_graph(base)
-    (p3,) = map(tuple, enumerate_paths(g, [0], 3)[3].tolist())
+    (p3,) = map(tuple, enumerate_paths(g.csr, [0], 3)[3].tolist())
     feats = geometry_path_features(g, p3)
     mirrored = base.copy()
     mirrored[:, 0] = -mirrored[:, 0]

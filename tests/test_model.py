@@ -285,7 +285,7 @@ def oracle_cache(graph, config, exact_length_only=False):
     with exact_length_only only the paths of length config.path_length."""
     found = []
     for v in range(graph.n):
-        tables = enumerate_paths(graph, [v], config.path_length)
+        tables = enumerate_paths(graph.csr, [v], config.path_length)
         found.extend(tuple(row) for k, t in tables.items() for row in t.tolist()
                      if not exact_length_only or k == config.path_length)
     edge_rows = dict(zip(map(tuple, graph.edge_index.tolist()), graph.edge_attr))

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import AdjacencyGraph, random_graph
-from pathmpnn.paths import (PathExplosionError, count_paths_oracle, csr_adjacency,
-                            enumerate_paths, extensions)
+from oracles import count_paths_oracle
+from pathmpnn.paths import PathExplosionError, enumerate_paths, extensions
 
 
 def lengths_histogram(tables):
@@ -35,19 +35,19 @@ def brute_force_tables(graph, roots, max_length):
 
 
 def test_chain_enumeration(path4):
-    assert rows(enumerate_paths(path4, [0], 3)) == [(0, 1), (0, 1, 2), (0, 1, 2, 3)]
+    assert rows(enumerate_paths(path4.csr, [0], 3)) == [(0, 1), (0, 1, 2), (0, 1, 2, 3)]
 
 
 def test_star_center_dead_ends():
     star = AdjacencyGraph(4, [(0, 1), (0, 2), (0, 3)])
-    found = enumerate_paths(star, [0], 2)
+    found = enumerate_paths(star.csr, [0], 2)
     assert lengths_histogram(found) == {1: 3}
 
 
 def test_k4_counts_match_oracle(k4):
     # oracle-computed counts for K4 rooted at 0
     assert count_paths_oracle(k4, 0, 3) == {1: 3, 2: 6, 3: 6}
-    assert lengths_histogram(enumerate_paths(k4, [0], 3)) == {1: 3, 2: 6, 3: 6}
+    assert lengths_histogram(enumerate_paths(k4.csr, [0], 3)) == {1: 3, 2: 6, 3: 6}
 
 
 def test_oracle_triangle_and_edge_cases():
@@ -61,14 +61,14 @@ def test_oracle_triangle_and_edge_cases():
 
 def test_exact_length_only(k4):
     # the max_length table alone is the exact-length view synth_dihedral_sum reads
-    found = enumerate_paths(k4, [0], 3)
+    found = enumerate_paths(k4.csr, [0], 3)
     assert lengths_histogram({3: found[3]}) == {3: 6}
     assert {len(row) for row in found[3].tolist()} == {4}
 
 
 def test_enumeration_cap(k4):
     with pytest.raises(PathExplosionError, match="use a shorter path length"):
-        enumerate_paths(k4, [0], 3, cap=5)
+        enumerate_paths(k4.csr, [0], 3, cap=5)
 
 
 def test_cap_error_names_the_lowest_root_over_the_cap():
@@ -82,11 +82,11 @@ def test_cap_error_names_the_lowest_root_over_the_cap():
     for cap, lowest in ((5, 2), (4, 0)):
         assert lowest == min(v for v in range(7) if counts[v] > cap)
         with pytest.raises(PathExplosionError, match=f"more than {cap} paths rooted at node {lowest};"):
-            enumerate_paths(graph, range(7), 2, cap=cap)
-    assert lengths_histogram(enumerate_paths(graph, range(7), 2, cap=6)) == {1: 12, 2: 22}
+            enumerate_paths(graph.csr, range(7), 2, cap=cap)
+    assert lengths_histogram(enumerate_paths(graph.csr, range(7), 2, cap=6)) == {1: 12, 2: 22}
     # roots count in the order given
     with pytest.raises(PathExplosionError, match="rooted at node 6;"):
-        enumerate_paths(graph, [6, 5], 2, cap=1)
+        enumerate_paths(graph.csr, [6, 5], 2, cap=1)
 
 
 @given(st.integers(0, 10_000), st.integers(3, 10),
@@ -94,7 +94,7 @@ def test_cap_error_names_the_lowest_root_over_the_cap():
 def test_enumeration_matches_oracle(seed, n, p, max_len):
     graph = random_graph(np.random.default_rng(seed), n, p)
     root = seed % n
-    assert (lengths_histogram(enumerate_paths(graph, [root], max_len)) ==
+    assert (lengths_histogram(enumerate_paths(graph.csr, [root], max_len)) ==
             {k: c for k, c in count_paths_oracle(graph, root, max_len).items() if c})
 
 
@@ -105,7 +105,7 @@ def test_tables_equal_brute_force_sequences(seed, n, p, max_len):
     rng = np.random.default_rng(seed)
     graph = random_graph(rng, n, p)
     roots = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
-    got = enumerate_paths(graph, roots, max_len)
+    got = enumerate_paths(graph.csr, roots, max_len)
     want = brute_force_tables(graph, roots, max_len)
     assert list(got) == list(want)
     for k in want:
@@ -116,7 +116,7 @@ def test_tables_equal_brute_force_sequences(seed, n, p, max_len):
 def test_length_one_paths_are_the_neighbor_list(seed, n):
     graph = random_graph(np.random.default_rng(seed), n, 0.5)
     root = seed % n
-    found = enumerate_paths(graph, [root], 1)
+    found = enumerate_paths(graph.csr, [root], 1)
     assert tuple(p[1] for p in rows(found)) == graph.adjacency[root]
 
 
@@ -124,7 +124,7 @@ def test_length_one_paths_are_the_neighbor_list(seed, n):
 def test_no_repeated_nodes_in_any_emitted_path(seed):
     graph = random_graph(np.random.default_rng(seed), 8, 0.5)
     for v in range(graph.n):
-        for p in rows(enumerate_paths(graph, [v], 4)):
+        for p in rows(enumerate_paths(graph.csr, [v], 4)):
             assert len(set(p)) == len(p)
             for a, b in zip(p, p[1:]):
                 assert b in graph.adjacency[a]
@@ -133,7 +133,7 @@ def test_no_repeated_nodes_in_any_emitted_path(seed):
 def test_roots_out_of_range_rejected(k4):
     for bad in ([4], [-1], [0, 7]):
         with pytest.raises(ValueError, match="out of range"):
-            enumerate_paths(k4, bad, 2)
+            enumerate_paths(k4.csr, bad, 2)
 
 
 def extensions_oracle(table, adjacency):
@@ -146,7 +146,7 @@ def extensions_oracle(table, adjacency):
 
 
 def assert_extensions_equal_oracle(graph, table):
-    got = extensions(table, csr_adjacency(graph.adjacency))
+    got = extensions(table, graph.csr)
     for got_part, want_part in zip(got, extensions_oracle(table, graph.adjacency)):
         assert got_part.dtype == np.int64
         assert np.array_equal(got_part, want_part)

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 import pathmpnn.model as model_module
 import pathmpnn.molgraph as molgraph_module
-from oracles import union_of
+from oracles import alcohol_oracle, union_of
+from pathmpnn.chem import detect_alcohol
 from pathmpnn.geometry import DegenerateGeometryError
 from pathmpnn.model import FEATURE_MODES, ConfigError, ModelConfig, featurize
 from pathmpnn.molgraph import (BOND_ORDERS, FeaturizerConfig, MoleculeError, MoleculeRecord,
                                build_graph, build_union)
 from pathmpnn.paths import PathExplosionError, enumerate_paths
-from pathmpnn.synth import generate_molecules
+from pathmpnn.synth import generate_molecules, synth_alcohol_count, synth_solubility
 from pathmpnn.training import (TrainSettings, evaluate_regression, featurizer_from_records,
                                train_regression)
 
@@ -58,8 +59,7 @@ def assert_unions_equal(got, want):
             assert a is None, name
         else:
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
-    assert (got.elements, got.adjacency, got.explicit_h, got.ids) == (
-        want.elements, want.adjacency, want.explicit_h, want.ids)
+    assert (got.elements, got.adjacency, got.ids) == (want.elements, want.adjacency, want.ids)
 
 
 @st.composite
@@ -101,11 +101,43 @@ def test_featurize_records_equals_featurize_of_the_built_graphs(data, mode, path
     for i, (record, graph) in enumerate(zip(records, graphs)):
         assert_unions_equal(build_union([record], featurizer), graph)
         assert_unions_equal(union.molecule(i), graph)
-    assert union.explicit_h == [("H" in g.elements) for g in graphs for _ in range(g.n)]
     starts = np.cumsum([0] + [g.n for g in graphs])
     assert union.adjacency == [[w + start for w in nbrs]
                                for g, start in zip(graphs, starts) for nbrs in g.adjacency]
     assert_batches_equal(got, featurize(union_of(graphs), config))
+
+
+@given(data=st.data(), explicit_h=st.booleans(), with_coords=st.booleans())
+def test_every_array_of_a_built_union_is_read_only(data, explicit_h, with_coords):
+    union = build_union(data.draw(record_batches(with_coords)),
+                        FeaturizerConfig(("C", "H", "N", "O"), explicit_hydrogens=explicit_h))
+    arrays = [union.ptr, union.node_features, union.edge_index, union.edge_attr, *union.csr]
+    for a in arrays + ([union.coords] if with_coords else []):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+@given(data=st.data(), explicit_h=st.booleans())
+def test_detect_alcohol_equals_the_per_node_oracle(data, explicit_h):
+    # exact, int64, in both hydrogen conventions: with explicit hydrogens a
+    # molecule that lists an H needs the O-H bond, one that lists none not
+    union = build_union(data.draw(record_batches(with_coords=False)),
+                        FeaturizerConfig(("C", "H", "N", "O"), explicit_hydrogens=explicit_h))
+    match = detect_alcohol(union)
+    members, bonds = alcohol_oracle(union)
+    assert match.member_nodes.dtype == match.bonds.dtype == np.int64
+    assert match.member_nodes.tolist() == members
+    assert list(map(tuple, match.bonds.tolist())) == bonds
+
+
+@pytest.mark.parametrize("make", [synth_alcohol_count, synth_solubility])
+def test_detect_alcohol_equals_the_per_node_oracle_on_a_synthetic_set(make):
+    union = build_union(make(100, seed=5), FeaturizerConfig(("C", "N", "O")))
+    match = detect_alcohol(union)
+    members, bonds = alcohol_oracle(union)
+    assert len(bonds) > 50
+    assert match.member_nodes.tolist() == members
+    assert list(map(tuple, match.bonds.tolist())) == bonds
 
 
 def test_a_bond_index_that_is_no_integer_takes_the_graphs_path():
